@@ -1,0 +1,145 @@
+"""Time the epimorphism searches of the dimension-7 chain onto A9.
+
+For the index-2 and the index-1 class of the low-index stage of
+`screening.a9_chain`, build the subgroup exactly as the chain does, then
+time on a fresh A9:
+
+* `index_build_s` -- building the target's element index (sorted element
+  rows, element orders, conjugacy-class labels); null on checkouts that
+  have no index;
+* `search_s` -- the `epimorphism_search` call itself;
+* `wall_s` -- the two together, which is what one chain search costs.
+
+It then times the whole chain, `screening.a9_chain()`, with the node
+counts and the verdict it reports.  The record also holds `nodes`, the
+surjections found, the machine, its load average before and after, the
+commit, and for a checkout with uncommitted changes to `src/` or
+`benchmarks/` the SHA-256 of `git diff HEAD` over those two directories
+(`source_diff`, null for a clean checkout), which names the tree that
+ran.  It is appended to the `runs` list of the
+output file, so one file can hold runs of several checkouts: copy this
+script into another checkout and point `--out` at the same file.
+
+Usage: python3 benchmarks/bench_epi.py [--out BENCH_epi.json]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from flatact import fpgroups, screening  # noqa: E402
+from flatact.groups import Permutation, PermGroup  # noqa: E402
+
+
+def _git(*args):
+    try:
+        return subprocess.run(["git", "-C", ROOT] + list(args), check=True,
+                              capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _source_diff():
+    diff = _git("diff", "HEAD", "--", "src", "benchmarks")
+    # the same digest as `git diff HEAD -- src benchmarks | sha256sum`
+    return hashlib.sha256(diff.encode()).hexdigest() if diff else None
+
+
+def _machine():
+    model = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "cpu": model or platform.processor(),
+            "cores": os.cpu_count(), "python": platform.python_version()}
+
+
+def class_subgroups(indices):
+    """(index, subgroup) for the low-index classes of W(E7) with the given
+    indices, in that order, each subgroup built from its Schreier generators as
+    `screening.a9_chain` builds it."""
+    group, _ = screening.e7_weyl_permutation_group()
+    classes = fpgroups.low_index_subgroups(fpgroups.e7_weyl_presentation(), 16)
+    gens = group.generators()
+    out = {}
+    for ct, words in classes:
+        if ct.index not in indices or ct.index in out:
+            continue
+        if ct.index == 1:
+            out[1] = group
+            continue
+        sub_gens = []
+        for letters in (fpgroups.word_to_letters(w) for w in words):
+            p = Permutation.identity(group.degree)
+            for x in letters:
+                q = gens[x // 2]
+                p = p * (q if x % 2 == 0 else q.inverse())
+            sub_gens.append(p)
+        out[ct.index] = PermGroup(sub_gens, degree=group.degree)
+    return [(i, out[i]) for i in indices if i in out]
+
+
+def time_search(sub):
+    a9 = PermGroup.alternating(9)
+    build = getattr(a9, "element_index", None)
+    t0 = time.perf_counter()
+    if build is not None:
+        build()
+    t1 = time.perf_counter()
+    result = screening.epimorphism_search(sub, a9)
+    t2 = time.perf_counter()
+    return {"subgroup_order": sub.order(), "nodes": result.nodes,
+            "epimorphisms": len(result.epimorphisms),
+            "index_build_s": round(t1 - t0, 3) if build is not None else None,
+            "search_s": round(t2 - t1, 3), "wall_s": round(t2 - t0, 3)}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_epi.json"))
+    args = ap.parse_args()
+
+    run = {"commit": (_git("rev-parse", "--short", "HEAD") or "").strip() or None,
+           "dirty": bool((_git("status", "--porcelain", "--untracked-files=no")
+                          or "").strip()),
+           "source_diff": _source_diff(),
+           "machine": _machine(), "load_before": list(os.getloadavg()),
+           "searches": []}
+    for index, sub in class_subgroups((2, 1)):
+        rec = dict(index=index, **time_search(sub))
+        print(json.dumps(rec), flush=True)
+        run["searches"].append(rec)
+    t0 = time.perf_counter()
+    report = screening.a9_chain()
+    run["a9_chain"] = {
+        "wall_s": round(time.perf_counter() - t0, 3),
+        "nodes": {s["index"]: s["nodes"] for s in report["epimorphism_searches"]},
+        "no_a9_action_in_dimension_7": report["no_a9_action_in_dimension_7"]}
+    print(json.dumps(run["a9_chain"]), flush=True)
+    run["load_after"] = list(os.getloadavg())
+
+    data = {"runs": []}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    data["runs"].append(run)
+    with open(args.out, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,8 +7,12 @@ certificates).  Elements are opaque handles: Permutation objects for the
 former, integer indices for the latter.
 """
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
 
 from .zlinalg import IntMatrix
 
@@ -21,8 +25,10 @@ class GroupError(Exception):
 # permutations
 
 def _pmul(a, b):
-    """Composition: apply b first, then a."""
-    return tuple(a[x] for x in b)
+    """Composition: apply b first, then a.  (On CPython 3.11 a list
+    comprehension is faster than tuple(map(a.__getitem__, b)), whose
+    method-wrapper calls cost more than the indexing.)"""
+    return tuple([a[x] for x in b])
 
 
 def _pinv(a):
@@ -32,8 +38,12 @@ def _pinv(a):
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Permutation:
+    """A permutation of 0..deg-1 by its image tuple.  The constructor
+    checks that the tuple is a permutation; results computed from
+    permutations are built unchecked by `_perm`."""
+
     images: tuple
 
     def __post_init__(self):
@@ -42,7 +52,7 @@ class Permutation:
 
     @staticmethod
     def identity(deg):
-        return Permutation(tuple(range(deg)))
+        return _perm(tuple(range(deg)))
 
     @staticmethod
     def from_cycles(deg, cycles):
@@ -57,12 +67,13 @@ class Permutation:
         return len(self.images)
 
     def __mul__(self, other):
-        if self.degree != other.degree:
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise GroupError("degree mismatch")
-        return Permutation(_pmul(self.images, other.images))
+        return _perm(_pmul(a, b))
 
     def inverse(self):
-        return Permutation(_pinv(self.images))
+        return _perm(_pinv(self.images))
 
     def __call__(self, point):
         return self.images[point]
@@ -71,13 +82,7 @@ class Permutation:
         return all(i == x for i, x in enumerate(self.images))
 
     def order(self):
-        n = 1
-        cur = self.images
-        ident = tuple(range(self.degree))
-        while cur != ident:
-            cur = _pmul(cur, self.images)
-            n += 1
-        return n
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self):
         seen = set()
@@ -104,16 +109,27 @@ class Permutation:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
 
 
+_set_images = Permutation.images.__set__
+
+
+def _perm(images):
+    """A Permutation from a tuple known to be a permutation (no check)."""
+    p = object.__new__(Permutation)
+    _set_images(p, images)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # stabilizer chains
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point):
         self.point = point
         self.gens = []
         self.transversal = {}
+        self.inverses = {}
 
 
 def _orbit_transversal(level, gens, deg):
@@ -131,6 +147,7 @@ def _orbit_transversal(level, gens, deg):
                     new_frontier.append(q)
         frontier = new_frontier
     level.transversal = trans
+    level.inverses = {q: _pinv(t) for q, t in trans.items()}
 
 
 class StabilizerChain:
@@ -172,7 +189,8 @@ class StabilizerChain:
 
     def _complete(self, level):
         """Verify Schreier generators at `level`; on failure add the
-        residue deeper, complete the deeper chain, and restart."""
+        residue deeper, complete every deeper level down to level+1 (all
+        of their generating sets grew), and restart."""
         while True:
             lev = self.levels[level]
             gens = self._gens_at(level)
@@ -182,11 +200,12 @@ class StabilizerChain:
                 tp = lev.transversal[p]
                 for g in gens:
                     q = g[p]
-                    schreier = _pmul(_pinv(lev.transversal[q]), _pmul(g, tp))
+                    schreier = _pmul(lev.inverses[q], _pmul(g, tp))
                     residue, stop = self._strip(schreier, level + 1)
                     if residue is not None:
                         self._place(residue, stop)
-                        self._complete(stop)
+                        for deeper in range(stop, level, -1):
+                            self._complete(deeper)
                         added = True
                         break
                 if added:
@@ -206,7 +225,7 @@ class StabilizerChain:
             img = cur[lev.point]
             if img not in lev.transversal:
                 return cur, idx
-            cur = _pmul(_pinv(lev.transversal[img]), cur)
+            cur = _pmul(lev.inverses[img], cur)
         if cur == ident:
             return None, len(self.levels)
         return cur, len(self.levels)
@@ -289,6 +308,7 @@ class PermGroup(FiniteGroup):
         self._gens = [g for g in generators if not g.is_identity()]
         self.chain = StabilizerChain([g.images for g in self._gens], degree)
         self._elements = None
+        self._index = None
 
     def order(self):
         return self.chain.order()
@@ -301,6 +321,9 @@ class PermGroup(FiniteGroup):
 
     def inverse(self, a):
         return a.inverse()
+
+    def element_order(self, a):
+        return a.order()
 
     def generators(self):
         return list(self._gens)
@@ -320,17 +343,29 @@ class PermGroup(FiniteGroup):
             gens = [g.images for g in self._gens]
             seen = {ident}
             frontier = [ident]
-            while frontier:
+            # with no generators the loop is skipped: the group is {ident}
+            while frontier and gens:
                 nxt = []
                 for e in frontier:
+                    # itemgetter(*e)(g) is g o e, one C call per generator;
+                    # e has at least two points, since a group of degree
+                    # 0 or 1 has no generators (one index would return a
+                    # bare int)
+                    compose_e = itemgetter(*e)
                     for g in gens:
-                        p = _pmul(g, e)
+                        p = compose_e(g)
                         if p not in seen:
                             seen.add(p)
                             nxt.append(p)
                 frontier = nxt
-            self._elements = [Permutation(t) for t in sorted(seen)]
+            self._elements = [_perm(t) for t in sorted(seen)]
         return self._elements
+
+    def element_index(self):
+        """The ElementIndex of this group, built on first use."""
+        if self._index is None:
+            self._index = ElementIndex(self)
+        return self._index
 
     @staticmethod
     def symmetric(n):
@@ -356,6 +391,102 @@ class PermGroup(FiniteGroup):
     def cyclic(n):
         return PermGroup([Permutation.from_cycles(n, [tuple(range(n))])]) if n > 1 \
             else PermGroup([], degree=1)
+
+
+def compose_rows(a, b):
+    """Row-wise composition of permutation rows: out[k] = a[k] o b[k]
+    (apply b[k] first).  A single row on either side is broadcast."""
+    if a.ndim == 1:
+        return a[b]
+    if b.ndim == 1 or a.shape[1] == 0:
+        return a[:, b]
+    return a.ravel()[b + np.arange(0, a.size, a.shape[1])[:, None]]
+
+
+def _row_keys(rows):
+    """One byte string per row, compared as the rows compare
+    lexicographically: the rows' entries in big-endian byte order."""
+    if rows.shape[1] == 0:
+        # rows of degree 0 are all the empty permutation
+        return np.zeros(len(rows), dtype="S1")
+    be = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
+
+
+def _row_orders(rows):
+    """The order of the permutation in each row, by powering all rows
+    that have not yet reached the identity at once."""
+    ident = np.arange(rows.shape[1], dtype=rows.dtype)
+    orders = np.ones(len(rows), dtype=np.int64)
+    todo = np.flatnonzero((rows != ident).any(axis=1))
+    base = power = rows[todo]
+    k = 1
+    while len(todo):
+        k += 1
+        power = compose_rows(base, power)
+        done = (power == ident).all(axis=1)
+        orders[todo[done]] = k
+        todo, base, power = todo[~done], base[~done], power[~done]
+    return orders
+
+
+class ElementIndex:
+    """The elements of a permutation group as arrays, for searches that
+    treat many elements in one numpy pass.
+
+    Row i of `rows` is the image tuple of `group.elements()[i]`, so the
+    rows are sorted; the dtype is the smallest unsigned one that holds a
+    point.  `orders[i]` is the order of element i, `class_of[i]` the
+    number of its conjugacy class in the order `conjugacy_classes` lists
+    them, and `class_reps[c]` the first element of class c.
+    """
+
+    def __init__(self, group):
+        els = group.elements()
+        deg = group.degree
+        dtype = np.min_scalar_type(max(deg - 1, 0))
+        self.rows = np.fromiter(chain.from_iterable(e.images for e in els),
+                                dtype, count=len(els) * deg).reshape(len(els), deg)
+        self._keys = _row_keys(self.rows)
+        self.orders = _row_orders(self.rows)
+        self.class_reps, self.class_of = np.unique(
+            self._class_labels(group.generators()), return_inverse=True)
+
+    def lookup(self, rows):
+        """Index of each row of `rows` among the elements, -1 for a row
+        that is not an element."""
+        keys = _row_keys(np.asarray(rows, dtype=self.rows.dtype))
+        idx = np.searchsorted(self._keys, keys)
+        hit = idx < len(self._keys)
+        hit[hit] = self._keys[idx[hit]] == keys[hit]
+        return np.where(hit, idx, -1)
+
+    def _class_labels(self, gens):
+        """The smallest element index in each element's conjugacy class:
+        the minimum is propagated along the conjugation maps of the
+        generators (and through the labels themselves) until stable."""
+        maps = []
+        for g in gens:
+            gi = np.array(g.images, dtype=self.rows.dtype)
+            m = self.lookup(gi[self.rows[:, np.argsort(gi)]])
+            if (m < 0).any():
+                raise GroupError("element list is not closed under conjugation")
+            maps.append(m)
+        labels = np.arange(len(self.rows))
+        while True:
+            new = labels
+            for m in maps:
+                new = np.minimum(new, new[m])
+            new = new[new]
+            if np.array_equal(new, labels):
+                return labels
+            labels = new
+
+    def classes(self):
+        """The element indices of each conjugacy class, ascending, in
+        class order."""
+        members = np.argsort(self.class_of, kind="stable")
+        return np.split(members, np.cumsum(np.bincount(self.class_of))[:-1])
 
 
 class TableGroup(FiniteGroup):
@@ -495,14 +626,13 @@ def is_normal(group, subgroup_gens):
     return True
 
 
-def group_order(group):
-    return group.order()
-
-
 def conjugacy_classes(group):
     """List of conjugacy classes, each a sorted list of elements; the
     class of the identity comes first, then by minimal element."""
     els = group.elements()
+    if isinstance(group, PermGroup):
+        return [[els[i] for i in cls.tolist()]
+                for cls in group.element_index().classes()]
     gens = group.generators()
     seen = set()
     classes = []
@@ -809,10 +939,6 @@ class IntegralRep:
                 return False
             seen.add(m.data)
         return True
-
-
-def rep_is_faithful(rep):
-    return rep.is_faithful()
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from flatact import fpgroups
 from flatact.fpgroups import (FpGroup, PresentationError, SearchBoundExceeded,
                               low_index_subgroups, todd_coxeter)
-from flatact.groups import PermGroup, Permutation, conjugacy_classes
+from flatact.groups import PermGroup, Permutation, compose_rows
 
 __all__ = [
     "ImfCatalog", "ScreeningHit", "partitions", "screen_dimensions",
@@ -189,36 +191,30 @@ class EpimorphismSearchResult:
         return len(self.epimorphisms) > 0
 
 
-def _element_orders(group):
-    return {x: group.element_order(x) for x in group.elements()}
-
-
 def _class_reps_up_to_aut(target):
-    """Conjugacy class representatives of the target, fused under an odd
-    relabeling for alternating-type permutation targets (so that the
-    first-image restriction is complete up to Aut(target))."""
-    classes = conjugacy_classes(target)
-    reps = [cls[0] for cls in classes]
-    if isinstance(target, PermGroup) and target.degree >= 2:
-        swap = Permutation.from_cycles(target.degree, [(0, 1)])
-        if not target.contains(swap):
-            cls_of = {}
-            for i, cls in enumerate(classes):
-                for x in cls:
-                    cls_of[x] = i
-            fused = []
-            seen = set()
-            for i, rep in enumerate(reps):
-                if i in seen:
-                    continue
-                seen.add(i)
-                twin = swap * rep * swap
-                j = cls_of.get(twin)
-                if j is not None:
-                    seen.add(j)
-                fused.append(rep)
-            reps = fused
-    return reps
+    """Conjugacy class representatives of the permutation group target,
+    as indices into target.elements(), fused under an odd relabeling for
+    alternating-type targets (so that the first-image restriction is
+    complete up to Aut(target))."""
+    index = target.element_index()
+    reps = index.class_reps.tolist()
+    if target.degree < 2:
+        return reps
+    swap = Permutation.from_cycles(target.degree, [(0, 1)])
+    if target.contains(swap):
+        return reps
+    sw = np.array(swap.images)
+    twins = index.lookup(sw[index.rows[index.class_reps][:, sw]])
+    fused = []
+    seen = set()
+    for i, (rep, twin) in enumerate(zip(reps, twins.tolist())):
+        if i in seen:
+            continue
+        seen.add(i)
+        if twin >= 0:
+            seen.add(int(index.class_of[twin]))
+        fused.append(rep)
+    return fused
 
 
 def _eval_word(word, images, group):
@@ -249,25 +245,21 @@ def _filter_words(ngens, rng, extra=16):
 
 
 def _dedup_up_to_aut(target, tuples):
-    """Deduplicate image tuples under conjugation by the target (and by
-    the ambient symmetric group for permutation targets)."""
+    """Deduplicate image tuples under conjugation by the symmetric group
+    on the target's points."""
     if not tuples:
         return []
-    if isinstance(target, PermGroup):
-        conj = PermGroup.symmetric(target.degree).elements()
-    else:
-        conj = target.elements()
+    # PermGroup.symmetric(0) has degree 1; S_0 is {()}
+    conj = PermGroup.symmetric(target.degree).elements() if target.degree \
+        else [target.identity()]
     out = []
     seen = set()
     for tup in tuples:
         if tup in seen:
             continue
-        orbit = set()
         for c in conj:
-            ci = target.inverse(c) if not isinstance(target, PermGroup) else c.inverse()
-            orbit.add(tuple(target.multiply(target.multiply(ci, t), c)
-                            for t in tup))
-        seen |= orbit
+            ci = c.inverse()
+            seen.add(tuple(ci * t * c for t in tup))
         out.append(tup)
     return out
 
@@ -295,39 +287,43 @@ def _find_small_generating_set(group, rng, tries=60):
 DEFAULT_NODE_LIMIT = 10 ** 7
 
 
+def _power_rows(x, e):
+    """Each row of x raised to the power e >= 1."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else compose_rows(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = compose_rows(x, x)
+
+
 def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
     """Exhaustive backtracking search for surjections source -> target,
     up to automorphisms of the target.
 
     `source` is an FpGroup or a concrete PermGroup; `target` is a
-    PermGroup.  For a presented source, candidate tuples are pruned by
-    relator checks; for a concrete source, by order divisibility of test
-    words, with every surviving tuple verified exactly (the graph of the
-    map must generate a subgroup of order |source|).  First-generator
-    images are restricted to class representatives, which is complete
-    because results are reported up to target conjugacy.
+    PermGroup.  Once images of the first i generators are fixed, the
+    candidates for generator i+1 are pruned by the test words whose
+    highest generator is i+1: a word of order o in the source must map
+    to an element whose o-th power is the identity.  For a presented
+    source the test words are the relators (o = 1); for a concrete source
+    they are short words whose orders are read in the source, and every
+    surviving tuple is verified exactly (the graph of the map must
+    generate a subgroup of order |source|).  The tests of one level run
+    on the whole candidate pool in one numpy pass over the target's
+    ElementIndex.  First-generator images are restricted to class
+    representatives, which is complete because results are reported up
+    to target conjugacy.
 
-    Raises SearchBoundExceeded when more than node_limit candidate
-    assignments are explored.
+    Every candidate of a pool counts as a node, pruned or not.  Raises
+    SearchBoundExceeded when more than node_limit nodes are explored.
     """
+    if not isinstance(target, PermGroup):
+        raise PresentationError("epimorphism search requires a permutation target")
     rng = random.Random(seed)
-    target_orders = _element_orders(target)
-    by_divisor = {}
-    for x, o in target_orders.items():
-        by_divisor.setdefault(o, []).append(x)
-    reps = _class_reps_up_to_aut(target)
-
-    def pool_for(order_bound, first):
-        if first:
-            base = reps
-        else:
-            base = target.elements()
-        if order_bound is None:
-            return list(base)
-        return [x for x in base if order_bound % target_orders[x] == 0]
-
-    nodes = 0
-    found = []
+    index = target.element_index()
 
     if isinstance(source, FpGroup):
         ngens = source.ngens
@@ -340,34 +336,22 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
                 g = letters.pop()
                 k = len(w)
                 order_bounds[g - 1] = math.gcd(order_bounds[g - 1] or 0, k) or k
-        by_level = [[] for _ in range(ngens + 1)]
-        for w in source.relators:
-            by_level[max(abs(s) for s in w)].append(w)
+        tests = [(w, 1) for w in source.relators]
         source_gens = tuple(range(1, ngens + 1))
 
         def verify(images):
             return PermGroup(list(images), degree=target.degree).order() \
                 == target.order()
 
-        def check_level(i, images):
-            ident = target.identity()
-            return all(_eval_word(w, images, target) == ident
-                       for w in by_level[i])
-
     else:
-        if not isinstance(source, PermGroup) or not isinstance(target, PermGroup):
+        if not isinstance(source, PermGroup):
             raise PresentationError(
                 "concrete epimorphism search requires permutation groups")
         source_gens = _find_small_generating_set(source, rng)
         ngens = len(source_gens)
         order_bounds = [source.element_order(g) for g in source_gens]
-        words = _filter_words(ngens, rng)
-        word_orders = []
-        for w in words:
-            word_orders.append(_eval_word(w, source_gens, source).order())
-        by_level = [[] for _ in range(ngens + 1)]
-        for w, o in zip(words, word_orders):
-            by_level[max(abs(s) for s in w)].append((w, o))
+        tests = [(w, _eval_word(w, source_gens, source).order())
+                 for w in _filter_words(ngens, rng)]
         d1, d2 = source.degree, target.degree
 
         def verify(images):
@@ -378,30 +362,72 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
                 return False
             return PermGroup(list(images), degree=d2).order() == target.order()
 
-        def check_level(i, images):
-            for w, o in by_level[i]:
-                if o % _eval_word(w, images, target).order() != 0:
-                    return False
-            return True
+    by_level = [[] for _ in range(ngens)]
+    for w, o in tests:
+        by_level[max(abs(s) for s in w) - 1].append((w, o))
 
-    pools = [pool_for(order_bounds[i], i == 0) for i in range(ngens)]
+    reps = np.array(_class_reps_up_to_aut(target), dtype=np.intp)
+    pools = []
+    for i, bound in enumerate(order_bounds):
+        pool = reps if i == 0 else np.arange(len(index.rows))
+        if bound is not None:
+            pool = pool[bound % index.orders[pool] == 0]
+        pools.append(pool)
+    pool_rows = [index.rows[pool] for pool in pools]
+    pool_invs = [np.argsort(rows, axis=1).astype(rows.dtype) for rows in pool_rows]
+    ident = np.arange(target.degree, dtype=index.rows.dtype)
+    chosen = [None] * ngens     # (row, inverse row) of each fixed image
+
+    def survivors(i):
+        """Positions in pools[i] of the candidates that pass every test
+        word of level i, given the images chosen for generators < i."""
+        alive = np.arange(len(pools[i]))
+        cand, cand_inv = pool_rows[i], pool_invs[i]
+        for word, o in by_level[i]:
+            if not len(alive):
+                break
+            x = None
+            for s in reversed(word):
+                g = abs(s) - 1
+                if g == i:
+                    y = cand if s > 0 else cand_inv
+                else:
+                    y = chosen[g][0 if s > 0 else 1]
+                x = y if x is None else compose_rows(y, x)
+            ok = (_power_rows(x, o) == ident).all(axis=1)
+            if not ok.all():
+                alive, cand, cand_inv = alive[ok], cand[ok], cand_inv[ok]
+        return alive
+
+    els = target.elements()
     images = [None] * ngens
+    nodes = 0
+    found = []
+
+    def count(n):
+        nonlocal nodes
+        nodes += n
+        if nodes > node_limit:
+            raise SearchBoundExceeded(
+                "epimorphism search node limit %d exceeded" % node_limit)
 
     def backtrack(i):
-        nonlocal nodes
         if i == ngens:
             if verify(tuple(images)):
                 found.append(tuple(images))
             return
-        for cand in pools[i]:
-            nodes += 1
-            if nodes > node_limit:
-                raise SearchBoundExceeded(
-                    "epimorphism search node limit %d exceeded" % node_limit)
-            images[i] = cand
-            if check_level(i + 1, images):
-                backtrack(i + 1)
-        images[i] = None
+        # the pruned candidates before a survivor are counted in one step;
+        # nothing else happens for them, so the limit raises at the same
+        # survivor (or level end) as counting them one at a time
+        pool = pools[i]
+        counted = 0
+        for pos in survivors(i).tolist():
+            count(pos + 1 - counted)
+            counted = pos + 1
+            images[i] = els[pool[pos]]
+            chosen[i] = (pool_rows[i][pos], pool_invs[i][pos])
+            backtrack(i + 1)
+        count(len(pool) - counted)
 
     backtrack(0)
     return EpimorphismSearchResult(

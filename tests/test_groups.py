@@ -1,11 +1,13 @@
 """Permutation and table groups, stabilizer chains, and subgroup queries."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatact.fpgroups import coxeter_group, todd_coxeter
 from flatact.groups import (GroupError, GroupHom, IntegralRep, PermGroup,
                             Permutation, TableGroup, abelian_normal_subgroups,
                             conjugacy_classes, find_isomorphism,
@@ -34,6 +36,32 @@ class TestPermutation:
             Permutation((0, 0, 1))
 
 
+def naive_order(t):
+    ident, cur, n = tuple(range(len(t))), t, 1
+    while cur != ident:
+        cur = tuple(t[x] for x in cur)
+        n += 1
+    return n
+
+
+permutation_pairs = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n))))
+
+
+@given(permutation_pairs)
+@settings(max_examples=200, deadline=None)
+def test_permutation_arithmetic_matches_tuple_definitions(pair):
+    a, b = (tuple(x) for x in pair)
+    pa, pb = Permutation(a), Permutation(b)
+    # a * b applies b first
+    assert (pa * pb).images == tuple(a[b[i]] for i in range(len(a)))
+    assert all(pa.inverse().images[a[i]] == i for i in range(len(a)))
+    assert pa.order() == naive_order(a)
+    assert PermGroup([pa, pb]).conjugate(pa, pb) == pa * pb * pa.inverse()
+    assert pa * pb == Permutation((pa * pb).images)
+    assert hash(pa * pb) == hash(Permutation((pa * pb).images))
+
+
 class TestStabilizerChain:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_symmetric_orders(self, n):
@@ -51,6 +79,41 @@ class TestStabilizerChain:
     def test_element_enumeration_matches_order(self):
         g = PermGroup.symmetric(5)
         assert len(g.elements()) == 120
+
+    def test_weyl_d5_on_ten_points(self):
+        # W(D5) = 2^4:S5 on the cosets of <s2..s5>; every deeper level has
+        # to be completed again when a residue lands below the next level
+        m = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
+        for a, b in [(0, 1), (1, 2), (2, 3), (2, 4)]:
+            m[a][b] = m[b][a] = 3
+        table = todd_coxeter(coxeter_group(m), [(i,) for i in range(2, 6)])
+        g = PermGroup(table.generator_permutations())
+        assert g.degree == 10
+        assert g.order() == 1920 == len(g.elements())
+
+    def test_random_groups_order_and_membership(self):
+        # groups generated by random involutions (products of disjoint
+        # transpositions, like Coxeter generators) of degree 4..10; those
+        # of order above 2000 are skipped to keep the enumeration cheap
+        checked = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            deg = rng.randrange(4, 11)
+            gens = []
+            for _ in range(rng.randrange(2, 5)):
+                images = list(range(deg))
+                pts = rng.sample(range(deg), 2 * rng.randrange(1, deg // 2 + 1))
+                for a, b in zip(pts[::2], pts[1::2]):
+                    images[a], images[b] = b, a
+                gens.append(Permutation(tuple(images)))
+            g = PermGroup(gens, degree=deg)
+            if g.order() > 2000:
+                continue
+            els = g.elements()
+            assert g.order() == len(els), seed
+            assert all(g.contains(x) for x in els), seed
+            checked += 1
+        assert checked >= 100
 
 
 class TestTableGroup:
@@ -89,6 +152,47 @@ class TestSubgroupQueries:
     def test_conjugacy_classes_s4(self):
         sizes = sorted(len(c) for c in conjugacy_classes(PermGroup.symmetric(4)))
         assert sizes == [1, 3, 6, 6, 8]
+
+    @pytest.mark.parametrize("group", [
+        PermGroup.symmetric(4), PermGroup.alternating(5), PermGroup.alternating(6),
+        PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                   Permutation.from_cycles(4, [(0, 2)])])],
+        ids=["S4", "A5", "A6", "D4"])
+    def test_conjugacy_classes_match_brute_force(self, group):
+        els = group.elements()
+        expected, seen = [], set()
+        for x in els:
+            if x not in seen:
+                cls = sorted({g * x * g.inverse() for g in els})
+                seen.update(cls)
+                expected.append(cls)
+        assert conjugacy_classes(group) == expected
+
+    @pytest.mark.parametrize("group,dtype", [
+        (PermGroup.alternating(6), "uint8"), (PermGroup.cyclic(6), "uint8"),
+        (PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                    Permutation.from_cycles(4, [(0, 2)])]), "uint8"),
+        (PermGroup.cyclic(300), "uint16")],
+        ids=["A6", "C6", "D4", "C300"])
+    def test_element_index(self, group, dtype):
+        index = group.element_index()
+        els = group.elements()
+        assert index.rows.dtype == dtype
+        assert [tuple(r) for r in index.rows.tolist()] == [x.images for x in els]
+        assert index.orders.tolist() == [x.order() for x in els]
+        assert index.lookup(index.rows[::-1]).tolist() == list(range(len(els)))[::-1]
+        assert index.lookup([[0] * group.degree]).tolist() == [-1]
+
+    @pytest.mark.parametrize("text", ["perm 0 0", "perm 1 0"])
+    def test_trivial_groups(self, text):
+        group = group_from_text(text)
+        ident = Permutation.identity(group.degree)
+        assert group.elements() == [ident]
+        assert conjugacy_classes(group) == [[ident]]
+        index = group.element_index()
+        assert index.rows.shape == (1, group.degree)
+        assert index.orders.tolist() == [1]
+        assert index.lookup(index.rows).tolist() == [0]
 
     def test_prime_order_class_reps(self):
         # C6 is abelian: singleton classes, one order-2 and two order-3 elements

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatact.fpgroups import FpGroup, SearchBoundExceeded, symmetric_presentation
-from flatact.groups import PermGroup
+from flatact.fpgroups import (FpGroup, SearchBoundExceeded, coxeter_group,
+                              symmetric_presentation, todd_coxeter)
+from flatact.groups import PermGroup, Permutation, conjugacy_classes
 from flatact.screening import (CatalogError, E7_WEYL_ORDER, ImfCatalog,
-                               ScreeningHit, alternating_order,
-                               e7_weyl_permutation_group, epimorphism_search,
-                               partitions, screen_dimensions)
+                               ScreeningHit, _class_reps_up_to_aut,
+                               alternating_order, e7_weyl_permutation_group,
+                               epimorphism_search, partitions, screen_dimensions)
 
 
 def partition_count_oracle(n):
@@ -116,7 +117,68 @@ class TestScreening:
             screen_dimensions(cat, dims=[4])
 
 
+def coset_action(edges, n, subgroup):
+    """The Coxeter group with the given diagram (all edges labelled 3)
+    acting on the cosets of <s_i : i in subgroup>."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        m[a - 1][b - 1] = m[b - 1][a - 1] = 3
+    table = todd_coxeter(coxeter_group(m), [(i,) for i in subgroup])
+    return PermGroup(table.generator_permutations())
+
+
+# (source, target, nodes, surjections found) at seed 0; the node counts
+# pin the search tree: the pools, their order and the pruning tests
+SEARCH_TREES = {
+    "A5 -> A5": (lambda: PermGroup.alternating(5), lambda: PermGroup.alternating(5), 52, 1),
+    "A6 -> A6": (lambda: PermGroup.alternating(6), lambda: PermGroup.alternating(6), 246, 2),
+    "S5 -> A5": (lambda: PermGroup.symmetric(5), lambda: PermGroup.alternating(5), 74, 0),
+    "S3 presented -> S3": (lambda: symmetric_presentation(3),
+                           lambda: PermGroup.symmetric(3), 10, 1),
+    "C4 -> S3": (lambda: FpGroup(1, ((1, 1, 1, 1),)), lambda: PermGroup.symmetric(3), 2, 0),
+    "W(D5) on 10 points -> S5": (
+        lambda: coset_action([(1, 2), (2, 3), (3, 4), (3, 5)], 5, range(2, 6)),
+        lambda: PermGroup.symmetric(5), 1459, 1),
+    "W(E6) on 27 points -> A7": (
+        lambda: coset_action([(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)], 6, range(2, 7)),
+        lambda: PermGroup.alternating(7), 35406, 0),
+}
+
+
 class TestEpimorphismSearch:
+    @pytest.mark.parametrize("case", SEARCH_TREES)
+    def test_search_tree_is_pinned(self, case):
+        source, target, nodes, count = SEARCH_TREES[case]
+        result = epimorphism_search(source(), target())
+        assert (result.nodes, len(result.epimorphisms)) == (nodes, count)
+
+    @pytest.mark.parametrize("case", ["A6 -> A6", "S3 presented -> S3", "C4 -> S3"])
+    def test_node_limit_is_exact(self, case):
+        source, target, nodes, count = SEARCH_TREES[case]
+        assert epimorphism_search(source(), target(), node_limit=nodes).nodes == nodes
+        with pytest.raises(SearchBoundExceeded):
+            epimorphism_search(source(), target(), node_limit=nodes - 1)
+
+    @pytest.mark.parametrize("target", [
+        PermGroup.alternating(5), PermGroup.alternating(6), PermGroup.symmetric(4),
+        PermGroup.cyclic(6)], ids=["A5", "A6", "S4", "C6"])
+    def test_class_reps_up_to_aut(self, target):
+        # first class representatives, a class dropped when the odd
+        # relabeling (0 1) maps its representative into an earlier class
+        classes = conjugacy_classes(target)
+        swap = Permutation.from_cycles(target.degree, [(0, 1)])
+        expected, fused = [], set()
+        for i, cls in enumerate(classes):
+            if i in fused:
+                continue
+            expected.append(cls[0])
+            if not target.contains(swap):
+                twin = swap * cls[0] * swap
+                fused.update(j for j, c in enumerate(classes) if twin in c)
+        els = target.elements()
+        assert [els[i] for i in _class_reps_up_to_aut(target)] == expected
+
+
     def test_a5_onto_itself(self):
         a5 = PermGroup.alternating(5)
         result = epimorphism_search(a5, a5)
@@ -146,6 +208,13 @@ class TestEpimorphismSearch:
         c6 = PermGroup.cyclic(6)
         result = epimorphism_search(FpGroup(1, ((1,) * 6,)), c6)
         assert len(result.epimorphisms) == 1
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_trivial_target(self, degree):
+        result = epimorphism_search(PermGroup.cyclic(2),
+                                    PermGroup([], degree=degree))
+        assert result.nodes == 1
+        assert result.epimorphisms == ((Permutation.identity(degree),),)
 
     def test_node_limit(self):
         with pytest.raises(SearchBoundExceeded):
