@@ -34,6 +34,7 @@ from .groups import (
 )
 from .zlinalg import (
     AbHom,
+    EchelonSolver,
     FinAbGroup,
     IntMatrix,
     ZLinAlgError,
@@ -42,10 +43,11 @@ from .zlinalg import (
     sublattice_index,
 )
 from .cohomology import (
+    DEFAULT_GROUP_BOUND,
+    DEFAULT_RANK_BOUND,
     Cocycle2,
     CohomologyError,
     ZQModule,
-    _SolveCache,
     _hcat,
     extension_class,
     h2,
@@ -465,7 +467,8 @@ def _equivariance_holds(alpha_matrix, lattice_mod, fin_mod, elem_pairs):
     return True
 
 
-def verify_torus_certificate(cert, group_bound=64, rank_bound=12):
+def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
+                             rank_bound=DEFAULT_RANK_BOUND):
     """Ordered checklist verification of a torus certificate."""
     cl = _Checklist()
     a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
@@ -688,7 +691,7 @@ def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
     h_phi = TableGroup.from_function(phi_els, cert.phi_star.multiply,
                                      cert.phi_star.identity())
     lookup = {i: x for i, x in enumerate(phi_els)}
-    solver = _SolveCache(basis.transpose())
+    solver = EchelonSolver(basis)
 
     def n_coords(vec):
         y = solver.solve(tuple(vec))

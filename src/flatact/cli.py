@@ -3,7 +3,7 @@ verification, Jordan witnesses, and the screening chain.
 
 Exit codes: 0 = accepted / success, 1 = certificate rejected or a
 definitive negative search verdict, 2 = malformed input, 3 = a resource
-bound (cosets, nodes, group order) was exceeded.
+bound (cosets, nodes, group order, coefficient rank) was exceeded.
 """
 
 import argparse
@@ -13,7 +13,8 @@ import sys
 from flatact.zlinalg import (IntMatrix, ZLinAlgError, smith_normal_form)
 from flatact.groups import GroupError, PermGroup, group_from_text
 from flatact import cohomology
-from flatact.cohomology import CohomologyError, ZQModule
+from flatact.cohomology import (CohomologyBoundExceeded, CohomologyError,
+                                ZQModule)
 from flatact.certificates import (CertificateError, FlatCertificate,
                                   JordanQuery, TorusCertificate,
                                   certificate_from_dict, jordan_witness,
@@ -34,7 +35,7 @@ EXIT_BOUND = 3
 _MALFORMED = (ZLinAlgError, GroupError, CohomologyError, CertificateError,
               PresentationError, CatalogError, ValueError,
               json.JSONDecodeError, OSError)
-_BOUND = (CosetLimitExceeded, SearchBoundExceeded)
+_BOUND = (CosetLimitExceeded, SearchBoundExceeded, CohomologyBoundExceeded)
 
 
 class _Malformed(Exception):
@@ -127,14 +128,6 @@ def _parse_module(text, group, path):
 def _cmd_h2(args):
     group = group_from_text(_read(args.group))
     module = _parse_module(_read(args.module), group, args.module)
-    if group.order() > args.group_order_limit:
-        print("group order %d exceeds limit %d"
-              % (group.order(), args.group_order_limit), file=sys.stderr)
-        return EXIT_BOUND
-    if module.rank > args.rank_limit:
-        print("module rank %d exceeds limit %d" % (module.rank, args.rank_limit),
-              file=sys.stderr)
-        return EXIT_BOUND
     fn = cohomology.h2 if args.degree == 2 else cohomology.h1
     coh = fn(module, group_bound=args.group_order_limit,
              rank_bound=args.rank_limit)
@@ -353,8 +346,10 @@ def _build_parser():
     sp.add_argument("module")
     sp.add_argument("--degree", type=int, choices=(1, 2), default=2)
     sp.add_argument("--class-of", metavar="COCYCLE")
-    sp.add_argument("--group-order-limit", type=int, default=64)
-    sp.add_argument("--rank-limit", type=int, default=12)
+    sp.add_argument("--group-order-limit", type=int,
+                    default=cohomology.DEFAULT_GROUP_BOUND)
+    sp.add_argument("--rank-limit", type=int,
+                    default=cohomology.DEFAULT_RANK_BOUND)
     fmt(sp)
     sp.set_defaults(fn=_cmd_h2)
 

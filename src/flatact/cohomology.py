@@ -23,13 +23,14 @@ from .groups import (
 )
 from .zlinalg import (
     AbHom,
+    EchelonSolver,
     FinAbGroup,
     IntMatrix,
     ZLinAlgError,
     hermite_normal_form,
     kernel_basis_of_matrix,
-    smith_normal_form,
     solve_integer,
+    sparse_kernel_hnf,
     cokernel,
 )
 
@@ -38,6 +39,19 @@ class CohomologyError(Exception):
     pass
 
 
+class CohomologyBoundExceeded(CohomologyError):
+    """The group order or the coefficient rank is over the bound of an
+    H^1/H^2 call."""
+
+
+# The envelope that benchmarks/bench_h2.py measures for both kinds of
+# coefficients (BENCH_h2.json, a 2-vCPU virtual machine).  Lattice
+# coefficients reach further: every lattice module there with |Q| <= 32
+# and rank <= 8 takes at most about 5 s.  Finite coefficients make the
+# cocycle lattice full-rank, and H^2 then reduces dense square matrices of
+# the cochain dimension (|Q|-1)^2 * rank: at order 16 and rank 8 that
+# takes up to about 25 s and 270 MB, and order 32 at rank 8 does not fit
+# in 1.5 GB.
 DEFAULT_GROUP_BOUND = 16
 DEFAULT_RANK_BOUND = 8
 
@@ -300,32 +314,6 @@ def _hcat(a, b):
                      tuple(ra + rb for ra, rb in zip(a.data, b.data)))
 
 
-class _SolveCache:
-    """Repeated integer solves a x = b against a fixed matrix a."""
-
-    def __init__(self, a):
-        self.a = a
-        self.snf = smith_normal_form(a)
-
-    def solve(self, b):
-        if len(b) != self.a.rows:
-            raise CohomologyError("right-hand side length mismatch")
-        snf = self.snf
-        c = snf.u.apply(b)
-        diag = snf.diagonal
-        y = [0] * self.a.cols
-        for i in range(self.a.rows):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % di != 0:
-                    return None
-                y[i] = c[i] // di
-        return snf.v.apply(y)
-
-
 class CohomologyGroup:
     """Computed H^degree with class coordinates, representatives and
     coboundary witnesses.
@@ -337,7 +325,7 @@ class CohomologyGroup:
     """
 
     def __init__(self, module, degree, group, cells_mid, cells_in,
-                 basis, proj, din, stacked_in):
+                 basis, proj, stacked_in):
         self.module = module
         self.degree = degree
         self.group = group
@@ -346,9 +334,8 @@ class CohomologyGroup:
         self._cells_in = cells_in
         self._basis = basis          # k x N_mid, rows span the cocycle lattice
         self._proj = proj            # group.rank x k
-        self._din = din              # N_mid x N_in coboundary matrix
         self._stacked_in = stacked_in  # [din | relations], for witnesses
-        self._solver = _SolveCache(basis.transpose()) if basis.rows else None
+        self._solver = EchelonSolver(basis) if basis.rows else None
 
     @property
     def order(self):
@@ -451,7 +438,7 @@ class CohomologyGroup:
 def _trivial_cohomology(module, degree):
     zero = IntMatrix.zero(0, 0)
     return CohomologyGroup(module, degree, FinAbGroup(()), [], [],
-                           zero, IntMatrix.zero(0, 0), zero, zero)
+                           zero, IntMatrix.zero(0, 0), zero)
 
 
 def _bar_cohomology(module, degree):
@@ -463,18 +450,101 @@ def _bar_cohomology(module, degree):
     if not nt or n == 0:
         return _trivial_cohomology(module, degree)
     idx = {x: i for i, x in enumerate(nt)}
+    m = len(nt)
 
     if degree == 2:
-        cells_mid = [(g, h) for g in nt for h in nt]
+        cells_mid = [(g, h) for g in nt for h in nt]  # (g, h) at g*m + h
         cells_in = list(nt)
-        cells_out_count = len(nt) ** 3
     else:
         cells_mid = list(nt)
         cells_in = [None]  # C^0 = one copy of the coefficients
-        cells_out_count = len(nt) ** 2
-    mid_index = {c: i for i, c in enumerate(cells_mid)}
     n_mid = len(cells_mid) * n
-    n_out = cells_out_count * n
+    factors = module.invariant_factors
+
+    # outgoing differential as sparse rows: per cell (g, h, k) or (g, h)
+    # of the next level and per coefficient, a row of g's action matrix
+    # plus at most three +-1 entries; for finite coefficients the row's
+    # relation column sits beside it, so the kernel is the cocycle lattice
+    # plus relation parts.  Only cells whose g is a group generator get
+    # rows: the cocycle identity at (g, h, k) says that elements over g
+    # associate on the left in the extension M x Q with product
+    # (m, g)(m', h) = (m + g m' + c(g, h), gh), and left-associating
+    # elements are closed under products, so the identity at the
+    # generators implies it everywhere (likewise, a crossed homomorphism
+    # condition at the generators makes q -> (b(q), q) multiplicative).
+    # The lattice is therefore the same as with all cells.
+    gens = sorted({idx[s] for s in grp.generators() if s != e})
+    prod_idx = [[idx.get(grp.multiply(g, h)) for h in nt] for g in nt]
+    act_rows = [[[(j, x) for j, x in enumerate(row) if x]
+                 for row in module.act_matrix(g).data] for g in nt]
+    dout = []
+
+    def emit(g, col0, units):
+        for i in range(n):
+            row = {col0 + j: x for j, x in act_rows[g][i]}
+            for c0, sign in units:
+                c = c0 + i
+                v = row.get(c, 0) + sign
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if factors is not None:
+                row[n_mid + len(dout)] = factors[i]
+            dout.append(row)
+
+    if degree == 2:
+        for g in gens:
+            for h in range(m):
+                gh = prod_idx[g][h]
+                for k in range(m):
+                    units = [((g * m + h) * n, -1)]
+                    if gh is not None:
+                        units.append(((gh * m + k) * n, -1))
+                    hk = prod_idx[h][k]
+                    if hk is not None:
+                        units.append(((g * m + hk) * n, 1))
+                    emit(g, (h * m + k) * n, units)
+    else:
+        for g in gens:
+            for h in range(m):
+                units = [(g * n, 1)]
+                gh = prod_idx[g][h]
+                if gh is not None:
+                    units.append((gh * n, -1))
+                emit(g, h * n, units)
+
+    # pivots in breadth-first order over the Cayley graph: a non-generator
+    # x is s h with s a generator and h nearer the identity, and the rows
+    # of the cells (s, h, ...) hold the x-columns in a -identity block while
+    # their other columns are generator columns or solved already.  So
+    # every solved column is a sum of action matrices applied to generator
+    # columns, and entries stay as small as the action's.
+    pivots = []
+    frontier, seen = list(gens), set(gens)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for gi, s in enumerate(gens):
+                x = prod_idx[s][h]
+                if x is None or x in seen:
+                    continue
+                seen.add(x)
+                nxt.append(x)
+                if degree == 2:
+                    pivots += [(((gi * m + h) * m + k) * n + i, (x * m + k) * n + i)
+                               for k in range(m) for i in range(n)]
+                else:
+                    pivots += [((gi * m + h) * n + i, x * n + i) for i in range(n)]
+        frontier = nxt
+
+    # cocycle lattice: integer vectors whose differential lies in the
+    # relation lattice of the next level.  For finite coefficients it holds
+    # the relation lattice of this level (f e_c for the factor f of each
+    # coordinate c), so its Hermite form can be taken modulo those factors.
+    ncols = n_mid + (len(dout) if factors is not None else 0)
+    moduli = None if factors is None else [factors[i % n] for i in range(n_mid)]
+    basis = sparse_kernel_hnf(dout, ncols, pivots, keep=n_mid, moduli=moduli)
 
     def block_add(rows, r0, c0, mat, sign):
         for i, row in enumerate(mat.data):
@@ -486,37 +556,6 @@ def _bar_cohomology(module, degree):
     def ident_add(rows, r0, c0, sign):
         for i in range(n):
             rows[r0 + i][c0 + i] += sign
-
-    # outgoing differential
-    dout = [[0] * n_mid for _ in range(n_out)]
-    if degree == 2:
-        ti = 0
-        for g in nt:
-            mg = module.act_matrix(g)
-            for h in nt:
-                gh = grp.multiply(g, h)
-                for k in nt:
-                    r0 = ti * n
-                    block_add(dout, r0, mid_index[(h, k)] * n, mg, 1)
-                    if gh != e:
-                        ident_add(dout, r0, mid_index[(gh, k)] * n, -1)
-                    hk = grp.multiply(h, k)
-                    if hk != e:
-                        ident_add(dout, r0, mid_index[(g, hk)] * n, 1)
-                    ident_add(dout, r0, mid_index[(g, h)] * n, -1)
-                    ti += 1
-    else:
-        ti = 0
-        for g in nt:
-            mg = module.act_matrix(g)
-            for h in nt:
-                r0 = ti * n
-                block_add(dout, r0, mid_index[h] * n, mg, 1)
-                gh = grp.multiply(g, h)
-                if gh != e:
-                    ident_add(dout, r0, mid_index[gh] * n, -1)
-                ident_add(dout, r0, mid_index[g] * n, 1)
-                ti += 1
 
     # incoming differential
     n_in = len(cells_in) * n
@@ -535,33 +574,11 @@ def _bar_cohomology(module, degree):
             block_add(din, r0, 0, module.act_matrix(g), 1)
             ident_add(din, r0, 0, -1)
 
-    dout_m = IntMatrix.from_rows(dout) if n_out else IntMatrix.zero(0, n_mid)
-    din_m = IntMatrix.from_rows(din) if n_mid else IntMatrix.zero(0, n_in)
-
-    factors = module.invariant_factors
-
-    def relation_diag(count):
-        return IntMatrix.diagonal([factors[i % n] for i in range(count * n)])
-
-    # cocycle lattice: integer vectors whose differential lies in the
-    # relation lattice of the next level
-    if factors is not None and n_out:
-        stacked_out = _hcat(dout_m, relation_diag(cells_out_count))
-        full_kernel = kernel_basis_of_matrix(stacked_out)
-        proj_rows = [row[:n_mid] for row in full_kernel.data]
-    else:
-        ker = kernel_basis_of_matrix(dout_m)
-        proj_rows = list(ker.data)
-    if proj_rows:
-        h, _ = hermite_normal_form(IntMatrix.from_rows(proj_rows))
-        rows = [r for r in h.data if any(r)]
-        basis = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n_mid)
-    else:
-        basis = IntMatrix.zero(0, n_mid)
+    din_m = IntMatrix.from_rows(din)
 
     # coboundary lattice generators: columns of din, plus the relation
     # lattice of the middle level for finite coefficients
-    imgens = [din_m.col(j) for j in range(din_m.cols)]
+    imgens = list(zip(*din_m.data))
     if factors is not None:
         for i in range(n_mid):
             v = [0] * n_mid
@@ -573,7 +590,7 @@ def _bar_cohomology(module, degree):
         grp_h = FinAbGroup(())
         proj = IntMatrix.zero(0, 0)
     else:
-        solver = _SolveCache(basis.transpose())
+        solver = EchelonSolver(basis)
         ycols = []
         for gvec in imgens:
             y = solver.solve(gvec)
@@ -590,23 +607,24 @@ def _bar_cohomology(module, degree):
             )
         proj = projection.matrix if projection is not None else IntMatrix.zero(0, k)
 
-    if factors is not None and n_mid:
-        stacked_in = _hcat(din_m, relation_diag(len(cells_mid)))
+    if factors is not None:
+        relations = IntMatrix.diagonal([factors[i % n] for i in range(n_mid)])
+        stacked_in = _hcat(din_m, relations)
     else:
         stacked_in = din_m
     return CohomologyGroup(module, degree, grp_h, cells_mid, cells_in,
-                           basis, proj, din_m, stacked_in)
+                           basis, proj, stacked_in)
 
 
 def _check_bounds(module, group_bound, rank_bound):
     if module.group.order() > group_bound:
-        raise CohomologyError(
+        raise CohomologyBoundExceeded(
             "group order %d exceeds bound %d; for cyclic groups use the "
             "periodic-resolution engine (CyclicCohomology)"
             % (module.group.order(), group_bound)
         )
     if module.rank > rank_bound:
-        raise CohomologyError(
+        raise CohomologyBoundExceeded(
             "coefficient rank %d exceeds bound %d" % (module.rank, rank_bound)
         )
 
@@ -683,7 +701,7 @@ class CyclicCohomology:
             self.proj = IntMatrix.zero(0, 0)
             self._solver = None
         else:
-            self._solver = _SolveCache(self.basis.transpose())
+            self._solver = EchelonSolver(self.basis)
             ycols = []
             for gvec in imgens:
                 y = self._solver.solve(gvec)

@@ -8,8 +8,8 @@ that outputs are reproducible across runs.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
+from heapq import heapify, heappop, heappush
+from math import gcd, prod
 
 
 class ZLinAlgError(Exception):
@@ -31,7 +31,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows_list):
-        rows_list = [tuple(int(x) for x in r) for r in rows_list]
+        rows_list = [tuple(map(int, r)) for r in rows_list]
         nrows = len(rows_list)
         ncols = len(rows_list[0]) if rows_list else 0
         return IntMatrix(nrows, ncols, tuple(rows_list))
@@ -160,32 +160,6 @@ class IntMatrix:
         return IntMatrix.from_rows([[next(it) for _ in range(cols)] for _ in range(rows)])
 
 
-def unimodular_inverse(m):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = m.rows
-    if m.cols != n:
-        raise ZLinAlgError("not square")
-    a = [[Fraction(m.data[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ZLinAlgError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        a[k] = [x / pk for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    inv = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ZLinAlgError("matrix is not unimodular")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in inv])
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     d: IntMatrix
@@ -204,47 +178,66 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def _min_abs_pivot(m, start, rows, cols):
+def _from_int_rows(rows_list):
+    """IntMatrix.from_rows for lists whose entries are ints already."""
+    ncols = len(rows_list[0]) if rows_list else 0
+    return IntMatrix(len(rows_list), ncols, tuple(map(tuple, rows_list)))
+
+
+def _min_abs_pivot(m, start, rows, cols, unitless):
     """Position of the nonzero entry of least absolute value in the
-    trailing block, lowest (row, col) on ties.  None if the block is zero."""
-    best = None
+    trailing block, lowest (row, col) on ties.  None if the block is zero.
+
+    unitless[i] true says that row i holds no +-1; rows found so are
+    marked, and the caller clears the mark of a row it changes."""
+    # a unit is least, so the first one in row order is the answer; the
+    # trailing rows are zero before column `start`, so whole rows are read
     for i in range(start, rows):
-        for j in range(start, cols):
-            x = m[i][j]
-            if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-                if abs(x) == 1:
-                    return best
+        if unitless[i]:
+            continue
+        r = m[i]
+        if 1 in r or -1 in r:
+            return (i, min(r.index(u) for u in (1, -1) if u in r))
+        unitless[i] = True
+    best, least = None, None
+    for i in range(start, rows):
+        seg = m[i][start:cols]
+        if any(seg):
+            a = min(abs(x) for x in seg if x)
+            if least is None or a < least:
+                j = next(j for j, x in enumerate(seg) if abs(x) == a)
+                best, least = (i, start + j), a
     return best
 
 
-def smith_normal_form(mat):
+def smith_normal_form(mat, with_v=True):
     """Smith decomposition u * mat * v = d with u, v unimodular and the
-    diagonal of d a non-negative divisibility chain."""
+    diagonal of d a non-negative divisibility chain.  With with_v false, v
+    is left out (None); the column operations never feed back into d or
+    u, so those are the same."""
     rows, cols = mat.rows, mat.cols
     m = [list(r) for r in mat.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    # v by columns, so that a column operation on v is a row operation
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)] if with_v else None
+
+    unitless = [False] * rows       # see _min_abs_pivot
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        unitless[i], unitless[j] = unitless[j], unitless[i]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
 
     def addmul_row(dst, src, f):
         m[dst] = [a + f * b for a, b in zip(m[dst], m[src])]
         u[dst] = [a + f * b for a, b in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, f):
-        for r in m:
-            r[dst] += f * r[src]
-        for r in v:
-            r[dst] += f * r[src]
+        unitless[dst] = False
 
     def negate_row(i):
         m[i] = [-a for a in m[i]]
@@ -254,7 +247,7 @@ def smith_normal_form(mat):
     limit = min(rows, cols)
     while t < limit:
         while True:
-            piv = _min_abs_pivot(m, t, rows, cols)
+            piv = _min_abs_pivot(m, t, rows, cols, unitless)
             if piv is None:
                 break
             if piv[0] != t:
@@ -262,26 +255,44 @@ def smith_normal_form(mat):
             if piv[1] != t:
                 swap_cols(t, piv[1])
             # one reduction sweep; leftovers trigger pivot re-selection,
-            # with a strictly smaller pivot each round
+            # with a strictly smaller pivot each round.  Row t and column t
+            # stay fixed during their sweeps, so only their nonzero entries
+            # are added.
+            p = m[t][t]
+            src_m = [(j, b) for j, b in enumerate(m[t]) if b]
+            src_u = [(j, b) for j, b in enumerate(u[t]) if b]
             for i in range(t + 1, rows):
                 if m[i][t] != 0:
-                    addmul_row(i, t, -(m[i][t] // m[t][t]))
+                    f = -(m[i][t] // p)
+                    for dst, src in ((m[i], src_m), (u[i], src_u)):
+                        for j, b in src:
+                            dst[j] += f * b
+                    unitless[i] = False
+            col = []
+            for i, r in enumerate(m):
+                if r[t]:
+                    col.append(r)
+                    unitless[i] = False
+            src_v = [] if vt is None else [(i, b) for i, b in enumerate(vt[t]) if b]
             for j in range(t + 1, cols):
                 if m[t][j] != 0:
-                    addmul_col(j, t, -(m[t][j] // m[t][t]))
+                    f = -(m[t][j] // p)
+                    for r in col:
+                        r[j] += f * r[t]
+                    if src_v:
+                        dst = vt[j]
+                        for i, b in src_v:
+                            dst[i] += f * b
             if any(m[i][t] for i in range(t + 1, rows)) or any(
                 m[t][j] for j in range(t + 1, cols)
             ):
                 continue
-            # pivot must divide the whole trailing block for the chain
+            # pivot must divide the whole trailing block for the chain (a
+            # unit divides everything)
             witness = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t] != 0:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            if p not in (1, -1):
+                witness = next((i for i in range(t + 1, rows)
+                                if any(x % p for x in m[i][t + 1:cols])), None)
             if witness is not None:
                 addmul_row(t, witness, 1)
                 continue
@@ -292,9 +303,9 @@ def smith_normal_form(mat):
             negate_row(t)
         t += 1
 
-    um = IntMatrix.from_rows(u)
-    vm = IntMatrix.from_rows(v)
-    dm = IntMatrix.from_rows(m)
+    um = _from_int_rows(u)
+    vm = None if vt is None else _from_int_rows(list(zip(*vt)))
+    dm = _from_int_rows(m)
     return SmithDecomposition(dm, um, vm, mat)
 
 
@@ -305,6 +316,17 @@ def hermite_normal_form(mat):
     rows, cols = mat.rows, mat.cols
     m = [list(r) for r in mat.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+
+    def nonzeros(k):
+        """The nonzero entries of row k of m and of u."""
+        return [(a, [(j, b) for j, b in enumerate(a[k]) if b]) for a in (m, u)]
+
+    def sub(i, src, q):
+        """Row i -= q * the row whose nonzero entries are src."""
+        for a, nz in src:
+            dst = a[i]
+            for j, b in nz:
+                dst[j] -= q * b
 
     r = 0
     for c in range(cols):
@@ -319,29 +341,33 @@ def hermite_normal_form(mat):
         u[r], u[piv] = u[piv], u[r]
         while True:
             done = True
+            src = None
             for i in range(r + 1, rows):
                 if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    if src is None:
+                        src = nonzeros(r)
+                    sub(i, src, m[i][c] // m[r][c])
                     if m[i][c] != 0:
                         m[r], m[i] = m[i], m[r]
                         u[r], u[i] = u[i], u[r]
+                        src = None
                         done = False
             if done:
                 break
         if m[r][c] < 0:
             m[r] = [-a for a in m[r]]
             u[r] = [-a for a in u[r]]
+        src = None
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q != 0:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                if src is None:
+                    src = nonzeros(r)
+                sub(i, src, q)
         r += 1
         if r == rows:
             break
-    return IntMatrix.from_rows(m), IntMatrix.from_rows(u)
+    return _from_int_rows(m), _from_int_rows(u)
 
 
 def kernel_basis_of_matrix(mat):
@@ -349,6 +375,209 @@ def kernel_basis_of_matrix(mat):
     h, u = hermite_normal_form(mat.transpose())
     kernel_rows = [u.data[i] for i in range(mat.cols) if not any(h.data[i])]
     return IntMatrix.from_rows(kernel_rows) if kernel_rows else IntMatrix.zero(0, mat.cols)
+
+
+def _substitute(values, exprs):
+    """Extend `values` (column -> {generator: nonzero entry}, a missing
+    column being all zero) by x_j = sum coeff * x_c for each (j, {c: coeff})
+    of `exprs`, in order."""
+    for j, expr in exprs:
+        acc = {}
+        for c, coeff in expr.items():
+            for t, v in values.get(c, {}).items():
+                acc[t] = acc.get(t, 0) + coeff * v
+        acc = {t: v for t, v in acc.items() if v}
+        if acc:
+            values[j] = acc
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x a + y b, g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _hnf_modulo(rows, moduli):
+    """The Hermite normal form of the lattice spanned by `rows` together
+    with moduli[c] e_c for every column c, a lattice of full rank.
+
+    Its columns are eliminated left to right, each starting from the row
+    moduli[c] e_c and taking in the rows with a nonzero entry there by an
+    extended gcd.  Adding multiples of the rows moduli[c'] e_c' of the
+    later columns stays in the lattice, so the later entries of every row
+    are kept reduced modulo them and stay small; the Hermite form of a
+    lattice is unique, so it is the same as hermite_normal_form's."""
+    n = len(moduli)
+    work = [v for v in ([x % f for x, f in zip(r, moduli)] for r in rows) if any(v)]
+    h = []
+    for c in range(n):
+        p = [0] * n
+        p[c] = moduli[c]
+        rest = []
+        for r in work:
+            b = r[c]
+            if not b:
+                rest.append(r)
+                continue
+            a = p[c]
+            g, x, y = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            # b is reduced and nonzero, so 0 < g < moduli[c]: p[c] is g
+            p, r = ([(x * u + y * v) % f for u, v, f in zip(p, r, moduli)],
+                    [(bg * u - ag * v) % f for u, v, f in zip(p, r, moduli)])
+            if any(r):
+                rest.append(r)
+        work = rest
+        h.append(p)
+    for c, pc in enumerate(h):      # entries above each pivot into [0, pivot)
+        d = pc[c]
+        nz = [(j, b) for j, b in enumerate(pc) if b]
+        for i in range(c):
+            q = h[i][c] // d
+            if q:
+                row = h[i]
+                for j, b in nz:
+                    row[j] -= q * b
+    return h
+
+
+def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
+    """The nonzero rows of the Hermite normal form of the lattice of the
+    first `keep` (default all) coordinates of {x : A x = 0} over the
+    integers, for A given as one {column: value} dict per row of `ncols`
+    columns: the same rows as hermite_normal_form of kernel_basis_of_matrix
+    of the dense A, cut to `keep` columns.
+
+    Unit pivots go first: a row with a +-1 entry in column j fixes x_j as
+    an integer combination of its other columns, and that expression is
+    substituted into every other row holding column j.  The (row index,
+    column) pairs of `pivots` are taken first, in their order, each one
+    whose entry is a unit by then; after them the next pivot column is the
+    one in the fewest rows among those with a unit entry (its shortest such
+    row is the pivot row).  Every row is kept divided by the gcd of its
+    entries, which leaves its kernel as it is.  The residual system goes to
+    kernel_basis_of_matrix, and the eliminated variables are recovered by
+    back-substitution: those of the later pivots in reverse order, then
+    those of `pivots` in their order, each from its row as given (short,
+    where the substituted row can be long).  So the given row of a pair in
+    `pivots` must have a unit in its column and hold no column of a later
+    pair.
+
+    `moduli`, if given, holds one positive integer m_c per kept column
+    such that m_c e_c lies in the cut lattice (as for cochains with
+    finite coefficients); the Hermite form is then taken modulo them
+    (see _hnf_modulo), which keeps its entries small.
+    """
+    live = {}                       # row index -> {col: val}
+    where = {}                      # col -> indices of the live rows holding it
+    for i, r in enumerate(rows):
+        row = {c: v for c, v in r.items() if v}
+        if row:
+            g = gcd(*row.values())
+            live[i] = {c: v // g for c, v in row.items()}
+            for c in row:
+                where.setdefault(c, set()).add(i)
+    solved = []                     # (j, {c: coeff}): x_j = sum coeff * x_c
+    chained = []                    # the same for `pivots`, from the given rows
+
+    def eliminate(p, j):
+        """Substitute row p, solved for x_j, into the other rows; return it
+        and the columns of the rows divided by their content."""
+        prow = live.pop(p)
+        a = prow[j]
+        rescaled = set()
+        for c in prow:
+            where[c].discard(p)
+        for i in list(where[j]):
+            row = live[i]
+            f = row[j] * a
+            for c, v in prow.items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    if c not in row:
+                        where[c].add(i)
+                    row[c] = nv
+                elif c in row:
+                    del row[c]
+                    where[c].discard(i)
+            if not row:
+                del live[i]
+                continue
+            # the kernel of a row is that of the row over its content, and
+            # dividing can leave a unit (2x + 2y + 2r = 0 gives x + y + r = 0)
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+                rescaled.update(row)
+        del where[j]
+        return prow, rescaled
+
+    for p, j in pivots:
+        if p in live and live[p].get(j) in (1, -1):
+            a = rows[p].get(j)
+            if a not in (1, -1):
+                raise ZLinAlgError("pivot row %d has no unit in column %d" % (p, j))
+            eliminate(p, j)
+            chained.append((j, {c: -a * v for c, v in rows[p].items() if c != j and v}))
+    order = {j: t for t, (j, _) in enumerate(chained)}
+    for t, (j, expr) in enumerate(chained):
+        if any(order.get(c, -1) > t for c in expr):
+            raise ZLinAlgError("pivot row for column %d holds a later pivot column" % j)
+    heap = [(len(ids), c) for c, ids in where.items() if ids]
+    heapify(heap)
+    while heap:
+        count, j = heappop(heap)
+        ids = where.get(j)
+        if not ids or len(ids) != count:
+            continue                # stale entry
+        units = [i for i in ids if live[i][j] in (1, -1)]
+        if not units:
+            continue                # pushed again when a row holding j changes
+        prow, rescaled = eliminate(min(units, key=lambda i: (len(live[i]), i)), j)
+        solved.append((j, {c: -prow[j] * v for c, v in prow.items() if c != j}))
+        for c in rescaled.union(prow):
+            if where.get(c):
+                heappush(heap, (len(where[c]), c))
+
+    # residual system on the columns still in use; the other unsolved
+    # columns are free
+    done = {j for j, _ in solved} | set(order)
+    cols = sorted(c for c, ids in where.items() if ids and c not in done)
+    pos = {c: k for k, c in enumerate(cols)}
+    gens = [{c: 1} for c in range(ncols) if c not in done and c not in pos]
+    if cols:
+        residual = sorted({tuple(sorted(row.items())) for row in live.values()})
+        dense = [[0] * len(cols) for _ in residual]
+        for drow, row in zip(dense, residual):
+            for c, v in row:
+                drow[pos[c]] = v
+        for krow in kernel_basis_of_matrix(IntMatrix.from_rows(dense)).data:
+            gens.append({c: v for c, v in zip(cols, krow) if v})
+
+    keep = ncols if keep is None else keep
+    if not gens:
+        return IntMatrix.zero(0, keep)
+    # back-substitution for all generators at once, one column at a time
+    k = len(gens)
+    values = {}                     # col -> {generator: its entry there}
+    for t, x in enumerate(gens):
+        for c, v in x.items():
+            values.setdefault(c, {})[t] = v
+    _substitute(values, list(reversed(solved)) + chained)
+    head = [[0] * keep for _ in range(k)]
+    for c in range(keep):
+        for t, v in values.get(c, {}).items():
+            head[t][c] = v
+    if moduli is not None:
+        h = _hnf_modulo(head, moduli)
+    else:
+        h = [r for r in hermite_normal_form(_from_int_rows(head))[0].data if any(r)]
+    return IntMatrix(len(h), keep, tuple(map(tuple, h))) if h else IntMatrix.zero(0, keep)
 
 
 def solve_integer(a, b):
@@ -369,6 +598,47 @@ def solve_integer(a, b):
                 return None
             y[i] = c[i] // di
     return snf.v.apply(y)
+
+
+class EchelonSolver:
+    """Repeated solves of sum_i y_i h_i = b against the rows h_i of an
+    echelon matrix (every row nonzero, pivot columns strictly increasing),
+    such as the nonzero rows of a Hermite normal form.
+
+    The rows are independent, so a solution is unique when it exists:
+    y_i is read off the i-th pivot column by forward substitution, and a
+    nonzero residual means b is outside the row lattice.
+    """
+
+    def __init__(self, h):
+        self.cols = h.cols
+        self.rows = []              # per row: [(col, val)] from its pivot on
+        last = -1
+        for row in h.data:
+            nz = [(c, x) for c, x in enumerate(row) if x]
+            if not nz or nz[0][0] <= last:
+                raise ZLinAlgError("rows are not in echelon form")
+            last = nz[0][0]
+            self.rows.append(nz)
+
+    def solve(self, b):
+        """The tuple y, or None if b is not in the row lattice."""
+        if len(b) != self.cols:
+            raise ZLinAlgError("right-hand side length mismatch")
+        r = [int(x) for x in b]
+        y = []
+        for nz in self.rows:
+            p, d = nz[0]
+            if not r[p]:
+                y.append(0)
+                continue
+            q, rem = divmod(r[p], d)
+            if rem:
+                return None
+            y.append(q)
+            for c, x in nz:
+                r[c] -= q * x
+        return None if any(r) else tuple(y)
 
 
 @dataclass(frozen=True)
@@ -568,7 +838,7 @@ def cokernel(f):
         full = m
     if full.cols == 0:
         full = IntMatrix.zero(cn, 1)  # image is 0
-    snf = smith_normal_form(full)
+    snf = smith_normal_form(full, with_v=False)
     diag = list(snf.diagonal) + [0] * (cn - len(snf.diagonal))
     factors = [d for d in diag if d not in (0, 1)]
     free_rank = sum(1 for d in diag if d == 0)

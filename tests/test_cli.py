@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from flatact.certificates import build_a4_certificate
+from flatact.certificates import TorusCertificate, build_a4_certificate
 from flatact.cli import (EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE, EXIT_OK,
                          main)
-from flatact.cohomology import ZQModule, cocycle_to_text, h2
+from flatact.cohomology import (DEFAULT_GROUP_BOUND, ZQModule, cocycle_to_text,
+                                h2)
 from flatact.fpgroups import symmetric_presentation
 from flatact.groups import PermGroup, TableGroup, group_to_text
 from flatact.zlinalg import IntMatrix
@@ -127,6 +128,18 @@ class TestVerify:
     def test_invalid_json_is_malformed(self, write):
         cert = write("c.json", "{not json")
         assert main(["verify-torus", cert]) == EXIT_MALFORMED
+
+    def test_quotient_over_the_h2_bound(self, write, capsys):
+        # C_2q over its central C_2: Q = C_q with q one over the default
+        # group bound, acting on Z^q by the cyclic shift, alpha = sum mod 2
+        q = DEFAULT_GROUP_BOUND + 1
+        shift = IntMatrix.from_rows([[1 if i == (j + 1) % q else 0 for j in range(q)]
+                                     for i in range(q)])
+        cert = TorusCertificate(TableGroup.cyclic(2 * q), [q], q, [shift],
+                                IntMatrix.from_rows([[1] * q]))
+        path = write("c.json", json.dumps(cert.to_dict()))
+        assert main(["verify-torus", path]) == EXIT_BOUND
+        assert "exceeds bound %d" % DEFAULT_GROUP_BOUND in capsys.readouterr().err
 
 
 class TestJordan:

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: normal forms and abelian-group helpers."""
 
+import hashlib
 import math
 import random
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatact.zlinalg import (AbHom, FinAbGroup, IntMatrix, ZLinAlgError,
-                             cokernel, hermite_normal_form, kernel_basis,
-                             kernel_basis_of_matrix, smith_normal_form,
-                             solve_integer, sublattice_index)
+from flatact.zlinalg import (AbHom, EchelonSolver, FinAbGroup, IntMatrix,
+                             ZLinAlgError, _hnf_modulo, cokernel,
+                             hermite_normal_form,
+                             kernel_basis, kernel_basis_of_matrix,
+                             smith_normal_form, solve_integer,
+                             sparse_kernel_hnf, sublattice_index)
 
 
 def _mat(rows):
@@ -81,6 +84,30 @@ class TestSmith:
     def test_known_example(self):
         snf = smith_normal_form(_mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
         assert snf.diagonal == (2, 2, 156)
+
+
+def _seeded_matrices():
+    rng = random.Random(2024)
+    for _ in range(300):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        span = rng.choice([1, 2, 5, 30])
+        density = rng.choice([0.3, 0.6, 1.0])
+        yield _mat([[rng.randint(-span, span) if rng.random() < density else 0
+                     for _ in range(c)] for _ in range(r)])
+
+
+def test_normal_forms_and_transforms_as_recorded():
+    # The transforms are not unique, and H^2 class coordinates are read off
+    # the Smith transform of the cokernel, so the elimination order is part
+    # of the contract.  Digests recorded before the sparse row updates.
+    snf_digest, hnf_digest = hashlib.sha256(), hashlib.sha256()
+    for m in _seeded_matrices():
+        snf = smith_normal_form(m)
+        snf_digest.update(repr((snf.d.data, snf.u.data, snf.v.data)).encode())
+        h, u = hermite_normal_form(m)
+        hnf_digest.update(repr((h.data, u.data)).encode())
+    assert snf_digest.hexdigest()[:16] == "9207825b312b665a"
+    assert hnf_digest.hexdigest()[:16] == "916558c095deec9d"
 
 
 class TestHermite:
@@ -180,3 +207,139 @@ class TestAbHomCokernel:
         basis = _mat([[1, 1], [0, 2]])
         assert sublattice_index(basis, 2) == 2
         assert sublattice_index(IntMatrix.identity(3), 3) == 1
+
+
+def _hnf_rows(m):
+    return [r for r in hermite_normal_form(m)[0].data if any(r)]
+
+
+def _sparse(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m.data]
+
+
+def _sparse_matrices(entries):
+    """Matrices with entries from `entries`, optionally with a zero row, a
+    zero column and a relation column (a factor >= 2) beside every row."""
+    return st.tuples(
+        st.integers(0, 7).flatmap(lambda r: st.integers(1, 7).flatmap(
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
+                               min_size=r, max_size=r))),
+        st.booleans(), st.booleans(),
+        st.one_of(st.none(), st.lists(st.integers(2, 6), min_size=7, max_size=7)))
+
+
+def _assemble(rows, zero_row, zero_col, relations):
+    cols = len(rows[0]) if rows else 3
+    rows = [list(r) for r in rows] or [[0] * cols]
+    if zero_row:
+        rows.insert(len(rows) // 2, [0] * cols)
+    if zero_col:
+        rows = [r[:1] + [0] + r[1:] for r in rows]
+    if relations is not None:
+        rows = [r + [relations[i % 7] if j == i else 0 for j in range(len(rows))]
+                for i, r in enumerate(rows)]
+    return _mat(rows)
+
+
+with_units = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2, 3, -5])
+without_units = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9])
+
+
+class TestSparseKernel:
+    @given(st.one_of(_sparse_matrices(with_units), _sparse_matrices(without_units)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_hnf_as_dense_kernel(self, parts):
+        m = _assemble(*parts)
+        dense = kernel_basis_of_matrix(m)
+        want = _hnf_rows(dense) if dense.rows else []
+        assert list(sparse_kernel_hnf(_sparse(m), m.cols).data) == want
+        # the relation columns dropped, as for finite coefficients
+        keep = len(parts[0][0]) + parts[2] if parts[0] else m.cols
+        cut = [row[:keep] for row in dense.data]
+        want = _hnf_rows(_mat(cut)) if cut else []
+        got = sparse_kernel_hnf(_sparse(m), m.cols, keep=keep)
+        assert got.cols == keep and list(got.data) == want
+
+    @given(st.integers(1, 4), st.integers(0, 4),
+           st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=8, max_size=8),
+                    min_size=8, max_size=8),
+           st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -4, 6]),
+                             min_size=8, max_size=8), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_given_pivots_back_substitute_from_their_rows(self, base, chained, coeffs,
+                                                          relations):
+        # columns base.. are given pivots, each -x_j + (earlier columns) = 0,
+        # then a few free relations over all columns
+        n = base + chained
+        rows = [{j: -1, **{c: coeffs[j][c] for c in range(j) if coeffs[j][c]}}
+                for j in range(base, n)]
+        rows += [{c: x for c, x in enumerate(r[:n]) if x} for r in relations]
+        pivots = [(t, base + t) for t in range(chained)]
+        m = _mat([[row.get(c, 0) for c in range(n)] for row in rows] or [[0] * n])
+        dense = kernel_basis_of_matrix(m)
+        want = _hnf_rows(dense) if dense.rows else []
+        assert list(sparse_kernel_hnf(rows, n, pivots).data) == want
+
+    @given(_sparse_matrices(with_units), _sparse_matrices(without_units),
+           st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_moduli_give_the_same_hnf(self, with_u, without_u, f):
+        # one relation factor f for every row: f e_c is in the cut lattice
+        for rows, zero_row, zero_col, _ in (with_u, without_u):
+            m = _assemble(rows, zero_row, zero_col, [f] * 7)
+            keep = m.cols - m.rows
+            want = sparse_kernel_hnf(_sparse(m), m.cols, keep=keep)
+            got = sparse_kernel_hnf(_sparse(m), m.cols, keep=keep, moduli=[f] * keep)
+            assert got == want
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), max_size=6),
+        st.lists(st.integers(1, 12), min_size=n, max_size=n))))
+    @settings(max_examples=300, deadline=None)
+    def test_hnf_modulo_matches_hermite_normal_form(self, parts):
+        rows, moduli = parts
+        n = len(moduli)
+        full = list(rows) + [[f if j == c else 0 for j in range(n)]
+                             for c, f in enumerate(moduli)]
+        assert [tuple(r) for r in _hnf_modulo(rows, moduli)] == _hnf_rows(_mat(full))
+
+    def test_pivot_row_must_not_hold_a_later_pivot(self):
+        rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+        with pytest.raises(ZLinAlgError):
+            sparse_kernel_hnf(rows, 3, pivots=[(0, 0), (1, 1)])
+
+    def test_no_rows_gives_every_unit_vector(self):
+        assert sparse_kernel_hnf([], 3).data == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_full_rank_has_empty_kernel(self):
+        k = sparse_kernel_hnf([{0: 1, 1: 2}, {1: 1}], 2)
+        assert (k.rows, k.cols) == (0, 2)
+
+
+class TestEchelonSolver:
+    @given(matrices, st.lists(st.integers(-10, 10), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_unique_solution_on_hnf_rows(self, rows, y):
+        rows = _hnf_rows(_mat(rows))
+        if not rows:
+            return
+        h = _mat(rows)
+        y = tuple((y * h.rows)[:h.rows])
+        b = h.transpose().apply(y)
+        assert EchelonSolver(h).solve(b) == y
+        snf_solution = solve_integer(h.transpose(), b)
+        assert tuple(snf_solution) == y
+
+    def test_outside_the_lattice(self):
+        solver = EchelonSolver(_mat([[2, 1, 0], [0, 0, 3]]))
+        assert solver.solve((1, 0, 0)) is None      # pivot does not divide
+        assert solver.solve((2, 0, 0)) is None      # nonzero residual
+        assert solver.solve((4, 2, -3)) == (2, -1)
+
+    def test_rejects_non_echelon_rows(self):
+        with pytest.raises(ZLinAlgError):
+            EchelonSolver(_mat([[0, 1], [1, 0]]))
+        with pytest.raises(ZLinAlgError):
+            EchelonSolver(_mat([[1, 0], [0, 0]]))
+        with pytest.raises(ZLinAlgError):
+            EchelonSolver(_mat([[1, 0]])).solve((1, 0, 0))
