@@ -12,59 +12,24 @@ time on a fresh A9:
 
 It then times the whole chain, `screening.a9_chain()`, with the node
 counts and the verdict it reports.  The record also holds `nodes`, the
-surjections found, the machine, its load average before and after, the
-commit, and for a checkout with uncommitted changes to `src/` or
-`benchmarks/` the SHA-256 of `git diff HEAD` over those two directories
-(`source_diff`, null for a clean checkout), which names the tree that
-ran.  It is appended to the `runs` list of the
-output file, so one file can hold runs of several checkouts: copy this
-script into another checkout and point `--out` at the same file.
+surjections found, and what `benchrun.start_run` records (machine, load,
+commit, `source_diff`); it is appended to the output file.
 
 Usage: python3 benchmarks/bench_epi.py [--out BENCH_epi.json]
 """
 
 import argparse
-import hashlib
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from benchrun import ROOT, finish_run, start_run
+
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from flatact import fpgroups, screening  # noqa: E402
 from flatact.groups import Permutation, PermGroup  # noqa: E402
-
-
-def _git(*args):
-    try:
-        return subprocess.run(["git", "-C", ROOT] + list(args), check=True,
-                              capture_output=True, text=True).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
-def _source_diff():
-    diff = _git("diff", "HEAD", "--", "src", "benchmarks")
-    # the same digest as `git diff HEAD -- src benchmarks | sha256sum`
-    return hashlib.sha256(diff.encode()).hexdigest() if diff else None
-
-
-def _machine():
-    model = None
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {"platform": platform.platform(), "cpu": model or platform.processor(),
-            "cores": os.cpu_count(), "python": platform.python_version()}
 
 
 def class_subgroups(indices):
@@ -112,12 +77,7 @@ def main():
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_epi.json"))
     args = ap.parse_args()
 
-    run = {"commit": (_git("rev-parse", "--short", "HEAD") or "").strip() or None,
-           "dirty": bool((_git("status", "--porcelain", "--untracked-files=no")
-                          or "").strip()),
-           "source_diff": _source_diff(),
-           "machine": _machine(), "load_before": list(os.getloadavg()),
-           "searches": []}
+    run = start_run(searches=[])
     for index, sub in class_subgroups((2, 1)):
         rec = dict(index=index, **time_search(sub))
         print(json.dumps(rec), flush=True)
@@ -129,16 +89,7 @@ def main():
         "nodes": {s["index"]: s["nodes"] for s in report["epimorphism_searches"]},
         "no_a9_action_in_dimension_7": report["no_a9_action_in_dimension_7"]}
     print(json.dumps(run["a9_chain"]), flush=True)
-    run["load_after"] = list(os.getloadavg())
-
-    data = {"runs": []}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            data = json.load(fh)
-    data["runs"].append(run)
-    with open(args.out, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    finish_run(run, args.out)
 
 
 if __name__ == "__main__":

@@ -26,28 +26,22 @@ A4 torus certificate (C3 on (Z/2)^2), C16 on Z/2, (Z/2)^4, (Z/4)^8 and
 outside the default bounds of `cohomology.h2` (order 16, rank 8) C32 on
 Z/2 and (Z/2)^8.
 
-The run record also holds the machine, its load average before and after,
-the commit, and for a checkout with uncommitted changes to `src/` or
-`benchmarks/` the SHA-256 of `git diff HEAD` over those two directories
-(`source_diff`, null for a clean checkout), which names the tree that ran.
-It is appended to the `runs` list of the output file, so one file can
-hold runs of several checkouts: copy this script into another checkout
-and point `--out` at the same file.
+The run record also holds what `benchrun.start_run` records (machine,
+load, commit, `source_diff`); it is appended to the output file.
 
 Usage: python3 benchmarks/bench_h2.py [--out BENCH_h2.json]
 """
 
 import argparse
-import hashlib
 import json
 import os
-import platform
 import resource
 import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from benchrun import ROOT, finish_run, start_run
+
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from flatact.certificates import (abelian_identification,  # noqa: E402
@@ -160,34 +154,6 @@ CASES = [
 ]
 
 
-def _git(*args):
-    try:
-        return subprocess.run(["git", "-C", ROOT] + list(args), check=True,
-                              capture_output=True, text=True).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
-def _source_diff():
-    diff = _git("diff", "HEAD", "--", "src", "benchmarks")
-    # the same digest as `git diff HEAD -- src benchmarks | sha256sum`
-    return hashlib.sha256(diff.encode()).hexdigest() if diff else None
-
-
-def _machine():
-    model = None
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {"platform": platform.platform(), "cpu": model or platform.processor(),
-            "cores": os.cpu_count(), "python": platform.python_version()}
-
-
 def child(name):
     """Run one case in this process and print its record as JSON."""
     limit = MEMORY_MB * 1024 * 1024
@@ -234,27 +200,12 @@ def main():
         child(args.child)
         return
 
-    run = {"commit": (_git("rev-parse", "--short", "HEAD") or "").strip() or None,
-           "dirty": bool((_git("status", "--porcelain", "--untracked-files=no")
-                          or "").strip()),
-           "source_diff": _source_diff(),
-           "machine": _machine(), "timeout_s": TIMEOUT_S,
-           "memory_mb": MEMORY_MB, "load_before": list(os.getloadavg()),
-           "cases": []}
+    run = start_run(timeout_s=TIMEOUT_S, memory_mb=MEMORY_MB, cases=[])
     for name, _ in CASES:
         rec = run_case(name)
         print(json.dumps(rec), flush=True)
         run["cases"].append(rec)
-    run["load_after"] = list(os.getloadavg())
-
-    data = {"runs": []}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            data = json.load(fh)
-    data["runs"].append(run)
-    with open(args.out, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    finish_run(run, args.out)
 
 
 if __name__ == "__main__":

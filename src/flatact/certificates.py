@@ -539,10 +539,10 @@ def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
     return cl.report()
 
 
-def verify_flat_certificate(cert, group_bound=64, rank_bound=12):
+def verify_flat_certificate(cert):
     """Ordered checklist verification of a flat-manifold certificate."""
     best = None
-    for report in _flat_attempts(cert, group_bound, rank_bound):
+    for report in _flat_attempts(cert):
         if report.verdict:
             return report
         passes = sum(1 for c in report.checklist if c.passed)
@@ -551,7 +551,7 @@ def verify_flat_certificate(cert, group_bound=64, rank_bound=12):
     return best[1]
 
 
-def _flat_attempts(cert, group_bound, rank_bound):
+def _flat_attempts(cert):
     cl = _Checklist()
     a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
 
@@ -616,12 +616,11 @@ def _flat_attempts(cert, group_bound, rank_bound):
         cl2.record("quotient-match", True,
                    "quotients of order %d identified" % q_star.order())
         yield _flat_verify_with_iso(cert, cl2, a_els, a_group, ident, ext,
-                                    star_mod, star_proj, iso,
-                                    group_bound, rank_bound)
+                                    star_mod, star_proj, iso)
 
 
 def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
-                          star_mod, star_proj, iso, group_bound, rank_bound):
+                          star_mod, star_proj, iso):
     # bar: map phi_star -> G/A coset group
     def bar(g):
         return iso(star_proj(g))

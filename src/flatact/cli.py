@@ -11,7 +11,8 @@ import json
 import sys
 
 from flatact.zlinalg import (IntMatrix, ZLinAlgError, smith_normal_form)
-from flatact.groups import GroupError, PermGroup, group_from_text
+from flatact.groups import (GroupBoundExceeded, GroupError, PermGroup,
+                            group_from_text)
 from flatact import cohomology
 from flatact.cohomology import (CohomologyBoundExceeded, CohomologyError,
                                 ZQModule)
@@ -35,7 +36,8 @@ EXIT_BOUND = 3
 _MALFORMED = (ZLinAlgError, GroupError, CohomologyError, CertificateError,
               PresentationError, CatalogError, ValueError,
               json.JSONDecodeError, OSError)
-_BOUND = (CosetLimitExceeded, SearchBoundExceeded, CohomologyBoundExceeded)
+_BOUND = (CosetLimitExceeded, SearchBoundExceeded, CohomologyBoundExceeded,
+          GroupBoundExceeded)
 
 
 class _Malformed(Exception):

@@ -6,24 +6,124 @@ Words are tuples of nonzero signed integers: +k is generator k (1-based),
 enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 2*i + 1, so letter inversion is xor with 1.
 
-The compiled enumeration engine is preferred when its extension module
-imported successfully; the pure-Python engine is the fallback and the
-differential-testing reference.
+Coset enumeration runs in the compiled engine, `_coset.c`, when it can be
+loaded: plain C called through ctypes.  On first import the source is
+compiled with `cc -O2 -shared -fPIC` into the per-user cache directory
+(`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode 0700), under a name
+made from the SHA-256 of the source, the compile command and the
+interpreter's cache tag, so later imports only load it.  If anything fails
+(no compiler, an unwritable or foreign cache, a load error), ENGINE is
+"pure" and the pure-Python engine in `_coset_pure` runs instead; it is
+also the differential-testing reference.  Both give identical tables.
 """
 
+import ctypes
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# CPython's own SHA-256, as random.py takes its SHA-512: hashlib would load
+# OpenSSL, about 3.5 MB of resident memory in every process
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from flatact._coset_pure import CosetLimitExceeded, enumerate_cosets as _enumerate_pure
 
-try:
-    from flatact._coset_cy import enumerate_cosets as _enumerate_compiled
-except ImportError:  # pragma: no cover - build without the extension
-    _enumerate_compiled = None
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coset.c")
+_CC = ("cc", "-O2", "-shared", "-fPIC")
+_INT32_MAX = 2 ** 31 - 1
 
-ENGINE = "compiled" if _enumerate_compiled is not None else "pure"
-_enumerate = _enumerate_compiled if _enumerate_compiled is not None else _enumerate_pure
+
+def _cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "flatact")
+
+
+def _check_owned(path, private):
+    st = os.stat(path)
+    if st.st_uid != os.getuid() or (private and st.st_mode & 0o022):
+        raise OSError("%s is not owned by this user or is writable by others" % path)
+
+
+def _load_compiled():
+    """The ctypes library built from _coset.c, compiled into the cache
+    first when no library for this source, command and interpreter is
+    there yet."""
+    with open(_C_SOURCE, "rb") as fh:
+        source = fh.read()
+    key = sha256(b"\0".join(
+        [source, " ".join(_CC).encode(), str(sys.implementation.cache_tag).encode()]))
+    cache = _cache_dir()
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    _check_owned(cache, private=True)
+    path = os.path.join(cache, "coset-%s.so" % key.hexdigest())
+    if not os.path.exists(path):
+        import subprocess  # only on a cache miss: it costs every import 5 ms
+        tmp = "%s.%d" % (path, os.getpid())
+        try:
+            subprocess.run(_CC + ("-o", tmp, _C_SOURCE), check=True,
+                           capture_output=True, timeout=300)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    _check_owned(path, private=False)
+    lib = ctypes.CDLL(path)
+    lib.fa_enumerate.restype = ctypes.c_int
+    lib.fa_enumerate.argtypes = [
+        ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_void_p),
+        ctypes.POINTER(ctypes.c_int64)]
+    lib.fa_compact.restype = None
+    lib.fa_compact.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    return lib
+
+
+try:
+    _LIB, _LOAD_ERROR = _load_compiled(), None
+except Exception as exc:  # any failure leaves the pure engine
+    _LIB, _LOAD_ERROR = None, exc
+
+
+def _enumerate_compiled(ngens, relators, subgens, coset_limit):
+    """Compiled twin of flatact._coset_pure.enumerate_cosets.  Raises
+    MemoryError when the table does not fit, and ValueError for a limit
+    above 2**31 - 1 or a letter out of range."""
+    subs = [tuple(w) for w in subgens]
+    words = subs + [tuple(w) for w in relators]
+    letters = np.array([x for w in words for x in w], dtype=np.int32)
+    ends = np.cumsum([len(w) for w in words], dtype=np.int64)
+    state = ctypes.c_void_p()
+    nlive = ctypes.c_int64()
+    status = _LIB.fa_enumerate(
+        ngens, letters.ctypes.data, ends.ctypes.data, len(subs), len(words),
+        max(0, min(coset_limit, _INT32_MAX + 1)), ctypes.byref(state),
+        ctypes.byref(nlive))
+    if status == 1:
+        raise CosetLimitExceeded("coset limit %d exceeded" % coset_limit)
+    if status == 2:
+        raise MemoryError("coset table does not fit in memory")
+    if status != 0:
+        raise ValueError("coset limit above 2**31 - 1 or letter out of range")
+    out = None
+    try:
+        out = np.empty((nlive.value, 2 * ngens), dtype=np.int32)
+    finally:
+        _LIB.fa_compact(state, None if out is None else out.ctypes.data)
+    return out
+
+
+ENGINE = "compiled" if _LIB is not None else "pure"
+_enumerate = _enumerate_compiled if _LIB is not None else _enumerate_pure
 
 DEFAULT_COSET_LIMIT = 10 ** 6
 
@@ -227,19 +327,19 @@ def _validate_table(g, table):
     n, nl = table.shape
     if n == 0:
         raise PresentationError("coset table must have at least one row")
-    if ((table < 0) | (table >= n)).any():
+    if nl and (table.min() < 0 or table.max() >= n):
         raise PresentationError("coset table entry out of range")
+    # gathers from contiguous columns run several times faster than table[cur, x]
+    cols = [np.ascontiguousarray(table[:, x]) for x in range(nl)]
+    ident = np.arange(n, dtype=np.int32)
     for i in range(g.ngens):
-        fwd = table[:, 2 * i]
-        bwd = table[:, 2 * i + 1]
-        if not np.array_equal(bwd[fwd], np.arange(n, dtype=np.int32)):
+        if not np.array_equal(cols[2 * i + 1].take(cols[2 * i]), ident):
             raise PresentationError("generator column %d is not a bijection" % (i + 1))
     for w in g.relators:
-        letters = word_to_letters(w)
-        cur = np.arange(n, dtype=np.int32)
-        for x in letters:
-            cur = table[cur, x]
-        if not np.array_equal(cur, np.arange(n, dtype=np.int32)):
+        cur = ident
+        for x in word_to_letters(w):
+            cur = cols[x].take(cur)
+        if not np.array_equal(cur, ident):
             raise PresentationError("coset table does not satisfy relator %r" % (w,))
 
 
@@ -251,14 +351,19 @@ def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT,
     Returns a closed, relator-validated CosetTable.  Raises
     CosetLimitExceeded when the enumeration would define more than
     coset_limit cosets (dead cosets included); an incomplete table is
-    never returned.
+    never returned.  Tables are int32, so coset_limit is at most 2**31 - 1.
     """
+    if coset_limit > _INT32_MAX:
+        raise PresentationError("coset limit %d is above 2**31 - 1" % coset_limit)
+    for w in subgroup_words:
+        if any(s == 0 or abs(s) > g.ngens for s in w):
+            raise PresentationError("subgroup word %r has a letter out of range" % (tuple(w),))
     if engine is None:
         fn = _enumerate
     elif engine == "pure":
         fn = _enumerate_pure
     elif engine == "compiled":
-        if _enumerate_compiled is None:
+        if _LIB is None:
             raise PresentationError("compiled enumeration engine unavailable")
         fn = _enumerate_compiled
     else:

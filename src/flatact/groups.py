@@ -21,6 +21,10 @@ class GroupError(Exception):
     pass
 
 
+class GroupBoundExceeded(GroupError):
+    """A group is over an order bound (enumeration, subgroup search)."""
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -338,7 +342,7 @@ class PermGroup(FiniteGroup):
     def elements(self):
         if self._elements is None:
             if self.order() > _ENUM_LIMIT:
-                raise GroupError("group too large to enumerate")
+                raise GroupBoundExceeded("group too large to enumerate")
             ident = tuple(range(self.degree))
             gens = [g.images for g in self._gens]
             seen = {ident}
@@ -724,7 +728,7 @@ def abelian_normal_subgroups(group, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
     filtering the normal subgroup lattice is exhaustive.
     """
     if group.order() > order_bound:
-        raise GroupError(
+        raise GroupBoundExceeded(
             "group order %d exceeds bound %d" % (group.order(), order_bound)
         )
     out = []

@@ -152,6 +152,12 @@ class TestJordan:
         group = write("g.txt", group_to_text(PermGroup.alternating(5)))
         assert main(["jordan", group, "--bound", "10"]) == EXIT_NEGATIVE
 
+    def test_group_order_limit(self, write, capsys):
+        group = write("g.txt", group_to_text(PermGroup.alternating(5)))
+        assert main(["jordan", group, "--bound", "10",
+                     "--group-order-limit", "59"]) == EXIT_BOUND
+        assert "group order 60 exceeds bound 59" in capsys.readouterr().err
+
 
 class TestScreen:
     def test_default_range_hits(self, capsys):
@@ -193,6 +199,10 @@ class TestCosetAndLowIndex:
     def test_bad_subgroup_word(self, write):
         pres = write("p.txt", symmetric_presentation(3).to_text())
         assert main(["coset", pres, "--subgroup", "1,x"]) == EXIT_MALFORMED
+
+    def test_subgroup_letter_out_of_range(self, write):
+        pres = write("p.txt", symmetric_presentation(3).to_text())
+        assert main(["coset", pres, "--subgroup", "1,3"]) == EXIT_MALFORMED
 
     def test_low_index(self, write, capsys):
         pres = write("p.txt", symmetric_presentation(3).to_text())

@@ -2,12 +2,17 @@
 search, and subgroup presentation rewriting."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatact import fpgroups
 from flatact.fpgroups import (CosetLimitExceeded, CosetTable, FpGroup,
                               PresentationError, SearchBoundExceeded,
                               coxeter_group, cyclic_reduce,
@@ -20,6 +25,44 @@ from flatact.fpgroups import (CosetLimitExceeded, CosetTable, FpGroup,
 from flatact.groups import PermGroup
 
 words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(tuple)
+
+
+@st.composite
+def small_presentations(draw):
+    """A 2- or 3-generator presentation (a power relator of exponent 2..4
+    for some generators, and one to three random relators) with at most one
+    random subgroup word."""
+    ngens = draw(st.integers(2, 3))
+    letter = st.sampled_from([s for k in range(1, ngens + 1) for s in (k, -k)])
+    powers = [draw(st.sampled_from([0, 2, 3, 4])) for _ in range(ngens)]
+    rels = [(k + 1,) * e for k, e in enumerate(powers) if e]
+    rels += draw(st.lists(st.lists(letter, min_size=2, max_size=10).map(tuple),
+                          min_size=1, max_size=3))
+    sub = draw(st.lists(st.lists(letter, max_size=3).map(tuple), max_size=1))
+    return FpGroup(ngens, tuple(rels)), sub
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+
+
+def _outcome(g, sub, engine, limit):
+    try:
+        return todd_coxeter(g, sub, coset_limit=limit, engine=engine).table
+    except CosetLimitExceeded:
+        return None
+
+
+ENGINE_CASES = (
+    [pytest.param(e7_weyl_presentation(), [(i,) for i in range(1, 8) if i != drop],
+                  id="E7/without-s%d" % drop) for drop in range(1, 8)]
+    + [pytest.param(symmetric_presentation(n), [], id="S%d" % n) for n in range(3, 8)]
+    + [pytest.param(symmetric_presentation(5), [(1,)], id="S5/<s1>")]
+    + [pytest.param(dihedral_presentation(m), sub, id="D%d/%d" % (m, len(sub)))
+       for m in (2, 3, 5, 8, 12) for sub in ([], [(1,)])]
+    # an order-8 group whose relator scans leave two or more entries of a
+    # coset to the fill-in loop, so that loop's definition order shows
+    + [pytest.param(FpGroup(2, ((1, 1, 2, 2), (-2, -1, 2, -1))), [], id="fill-in")]
+)
 
 
 class TestWords:
@@ -91,14 +134,16 @@ class TestToddCoxeter:
     def test_dihedral(self, m):
         assert todd_coxeter(dihedral_presentation(m)).index == 2 * m
 
-    def test_engines_agree(self):
-        g = symmetric_presentation(5)
-        pure = todd_coxeter(g, [(1,)], engine="pure")
-        try:
-            comp = todd_coxeter(g, [(1,)], engine="compiled")
-        except PresentationError:
-            pytest.skip("compiled engine unavailable")
-        assert np.array_equal(pure.table, comp.table)
+    def test_coset_subgroup_letters_and_limit_checked(self):
+        g = symmetric_presentation(3)
+        for engine in ("pure", None):
+            with pytest.raises(PresentationError):
+                todd_coxeter(g, [(3,)], engine=engine)
+            with pytest.raises(PresentationError):
+                todd_coxeter(g, [(0,)], engine=engine)
+            with pytest.raises(PresentationError):
+                todd_coxeter(g, coset_limit=2 ** 31, engine=engine)
+        assert todd_coxeter(g, coset_limit=2 ** 31 - 1).index == 6
 
     def test_coset_limit(self):
         with pytest.raises(CosetLimitExceeded):
@@ -120,6 +165,123 @@ class TestToddCoxeter:
         bad[0, 0], bad[1, 0] = bad[1, 0], bad[0, 0]
         with pytest.raises(PresentationError):
             CosetTable(ct.group, ct.subgroup_words, bad)
+
+    @pytest.mark.parametrize("entry", [-1, 3])
+    def test_validation_rejects_entry_out_of_range(self, entry):
+        ct = todd_coxeter(symmetric_presentation(3), [(1,)])
+        bad = ct.table.copy()
+        bad[2, 3] = entry
+        with pytest.raises(PresentationError, match="out of range"):
+            CosetTable(ct.group, ct.subgroup_words, bad)
+
+    def test_validation_rejects_unsatisfied_relator(self):
+        # the regular table of C3 is a closed table for <a | a^2>'s letters
+        # but not for its relator
+        ct = todd_coxeter(FpGroup(1, ((1, 1, 1),)))
+        with pytest.raises(PresentationError, match="relator"):
+            CosetTable(FpGroup(1, ((1, 1),)), (), ct.table)
+
+
+class TestEngines:
+    """The compiled engine against the pure one, which is its reference."""
+
+    @pytest.mark.parametrize("g,sub", ENGINE_CASES)
+    def test_engines_agree(self, g, sub):
+        if shutil.which("cc"):
+            assert fpgroups.ENGINE == "compiled", fpgroups._LOAD_ERROR
+        pure = todd_coxeter(g, sub, engine="pure")
+        comp = todd_coxeter(g, sub)
+        assert comp.table.dtype == pure.table.dtype == np.int32
+        assert comp.table.tobytes() == pure.table.tobytes()
+
+    @given(small_presentations())
+    @settings(max_examples=150, deadline=None)
+    def test_engines_agree_on_random_presentations(self, case):
+        g, sub = case
+        pure = _outcome(g, sub, "pure", 300)
+        comp = _outcome(g, sub, None, 300)
+        if pure is None:
+            assert comp is None
+        else:
+            assert comp is not None and comp.tobytes() == pure.tobytes()
+
+    def test_coset_limit_boundary(self):
+        # the largest limit at which the pure engine raises for S6, found by
+        # bisection: below it every limit raises, above it none does
+        g = symmetric_presentation(6)
+        lo, hi = 0, 10 ** 5
+        assert _outcome(g, [], "pure", lo) is None
+        assert _outcome(g, [], "pure", hi) is not None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _outcome(g, [], "pure", mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        assert lo >= 720
+        assert _outcome(g, [], None, lo) is None
+        pure = _outcome(g, [], "pure", lo + 1)
+        comp = _outcome(g, [], None, lo + 1)
+        assert comp is not None and comp.tobytes() == pure.tobytes()
+
+    @needs_cc
+    def test_compiled_engine_rejects_bad_arguments(self):
+        rels = [(0, 0)]
+        with pytest.raises(ValueError):
+            fpgroups._enumerate_compiled(1, rels, [], 2 ** 31)
+        with pytest.raises(ValueError):
+            fpgroups._enumerate_compiled(1, rels, [(2,)], 10)
+        with pytest.raises(ValueError):
+            fpgroups._enumerate_compiled(1, [(-1,)], [], 10)
+        assert fpgroups._enumerate_compiled(1, rels, [], 2 ** 31 - 1).shape == (2, 2)
+        assert fpgroups._enumerate_compiled(0, [], [], 0).shape == (1, 0)
+
+    @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
+                        reason="needs a C compiler and /proc")
+    def test_allocation_failure_is_memory_error(self):
+        # the full E7 table needs about 500 MB; allow 256 MB past the imports
+        code = """if True:
+            import resource
+            from flatact import fpgroups as f
+            assert f.ENGINE == "compiled"
+            with open("/proc/self/status") as fh:
+                vm = [int(l.split()[1]) for l in fh if l.startswith("VmSize")][0]
+            limit = vm * 1024 + (256 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            g = f.e7_weyl_presentation()
+            rels = [f.word_to_letters(w) for w in g.relators]
+            try:
+                f._enumerate_compiled(g.ngens, rels, [], 10 ** 7)
+            except MemoryError as exc:
+                print("MemoryError", exc)
+            """
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "MemoryError coset table does not fit in memory"
+
+    @needs_cc
+    def test_library_cached_per_user(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        fpgroups._load_compiled()
+        cache = tmp_path / "flatact"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        (lib,) = cache.iterdir()
+        assert lib.name.startswith("coset-") and lib.name.endswith(".so")
+        assert len(lib.name) == len("coset-.so") + 64
+        mtime = lib.stat().st_mtime_ns
+        fpgroups._load_compiled()
+        assert [p.name for p in cache.iterdir()] == [lib.name]
+        assert lib.stat().st_mtime_ns == mtime
+
+    def test_cache_writable_by_others_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        (tmp_path / "flatact").mkdir()
+        os.chmod(tmp_path / "flatact", 0o777)
+        with pytest.raises(OSError):
+            fpgroups._load_compiled()
+        assert list((tmp_path / "flatact").iterdir()) == []
 
 
 class TestLowIndex:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatact.fpgroups import coxeter_group, todd_coxeter
-from flatact.groups import (GroupError, GroupHom, IntegralRep, PermGroup,
+from flatact.groups import (GroupBoundExceeded, GroupError, GroupHom, IntegralRep, PermGroup,
                             Permutation, TableGroup, abelian_normal_subgroups,
                             conjugacy_classes, find_isomorphism,
                             group_from_text, group_to_text, is_normal,
@@ -218,6 +218,13 @@ class TestSubgroupQueries:
         for a in els:
             for b in els[:5]:
                 assert proj(a * b) == q.multiply(proj(a), proj(b))
+
+    def test_order_bounds_raise_group_bound_exceeded(self):
+        with pytest.raises(GroupBoundExceeded, match="exceeds bound 59"):
+            abelian_normal_subgroups(PermGroup.alternating(5), order_bound=59)
+        with pytest.raises(GroupBoundExceeded, match="too large"):
+            PermGroup.symmetric(11).elements()
+        assert issubclass(GroupBoundExceeded, GroupError)
 
 
 class TestHomsAndIsos:
