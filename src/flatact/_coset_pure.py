@@ -8,8 +8,10 @@ the reference for differential testing.
 
 import numpy as np
 
+from flatact import BoundExceeded
 
-class CosetLimitExceeded(Exception):
+
+class CosetLimitExceeded(BoundExceeded):
     pass
 
 

@@ -3,7 +3,8 @@ verification, Jordan witnesses, and the screening chain.
 
 Exit codes: 0 = accepted / success, 1 = certificate rejected or a
 definitive negative search verdict, 2 = malformed input, 3 = a resource
-bound (cosets, nodes, group order, coefficient rank) was exceeded.
+bound (cosets, nodes, group order, coefficient rank) was exceeded: any
+flatact.BoundExceeded.
 """
 
 import argparse
@@ -11,18 +12,16 @@ import json
 import sys
 
 from flatact.zlinalg import (IntMatrix, ZLinAlgError, smith_normal_form)
-from flatact.groups import (GroupBoundExceeded, GroupError, PermGroup,
-                            group_from_text)
+from flatact import BoundExceeded
+from flatact.groups import GroupError, PermGroup, group_from_text
 from flatact import cohomology
-from flatact.cohomology import (CohomologyBoundExceeded, CohomologyError,
-                                ZQModule)
+from flatact.cohomology import CohomologyError, ZQModule
 from flatact.certificates import (CertificateError, FlatCertificate,
                                   JordanQuery, TorusCertificate,
                                   certificate_from_dict, jordan_witness,
                                   verify_flat_certificate,
                                   verify_torus_certificate)
-from flatact.fpgroups import (CosetLimitExceeded, DEFAULT_COSET_LIMIT, FpGroup,
-                              PresentationError, SearchBoundExceeded,
+from flatact.fpgroups import (DEFAULT_COSET_LIMIT, FpGroup, PresentationError,
                               low_index_subgroups, todd_coxeter)
 from flatact import screening
 from flatact.screening import (CatalogError, ImfCatalog, a9_chain,
@@ -36,8 +35,7 @@ EXIT_BOUND = 3
 _MALFORMED = (ZLinAlgError, GroupError, CohomologyError, CertificateError,
               PresentationError, CatalogError, ValueError,
               json.JSONDecodeError, OSError)
-_BOUND = (CosetLimitExceeded, SearchBoundExceeded, CohomologyBoundExceeded,
-          GroupBoundExceeded)
+_BOUND = BoundExceeded
 
 
 class _Malformed(Exception):

@@ -13,10 +13,14 @@ in two independent implementations (linear-system element search and
 restriction classes).
 """
 
+from operator import mul
+
+from . import BoundExceeded
 from .groups import (
     FiniteGroup,
     GroupError,
     TableGroup,
+    _walk,
     prime_order_class_reps,
     quotient_group,
     subgroup_closure,
@@ -39,7 +43,7 @@ class CohomologyError(Exception):
     pass
 
 
-class CohomologyBoundExceeded(CohomologyError):
+class CohomologyBoundExceeded(CohomologyError, BoundExceeded):
     """The group order or the coefficient rank is over the bound of an
     H^1/H^2 call."""
 
@@ -128,30 +132,16 @@ class ZQModule:
 
     def _build_cache(self):
         grp = self.group
-        gens = grp.generators()
-        mats = dict(zip(gens, self.gen_matrices))
-        cache = {grp.identity(): self._reduce_matrix(IntMatrix.identity(self.rank))
-                 if self.is_finite else IntMatrix.identity(self.rank)}
-        frontier = [grp.identity()]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                me = cache[e]
-                for g in gens:
-                    p = grp.multiply(e, g)
-                    mp = me * mats[g]
-                    if self.is_finite:
-                        mp = self._reduce_matrix(mp)
-                    if p in cache:
-                        if cache[p].data != mp.data:
-                            raise CohomologyError(
-                                "matrices do not define a group action"
-                            )
-                    else:
-                        cache[p] = mp
-                        nxt.append(p)
-            frontier = nxt
-        self._cache = cache
+        ident = IntMatrix.identity(self.rank)
+        step = mul
+        if self.is_finite:
+            ident = self._reduce_matrix(ident)
+            step = lambda m, a: self._reduce_matrix(m * a)  # noqa: E731
+        try:
+            self._cache = _walk(grp.identity(), grp.generators(), grp.multiply,
+                                ident, self.gen_matrices, step)
+        except GroupError:
+            raise CohomologyError("matrices do not define a group action")
 
     def act_matrix(self, g):
         return self._cache[g]
@@ -717,10 +707,6 @@ class CyclicCohomology:
             self.group = grp
             self.proj = projection.matrix if projection is not None else IntMatrix.zero(0, k)
 
-    @property
-    def order_of_group(self):
-        return self.group.order
-
     def class_of_vector(self, w):
         """Class coordinates of a vector in the kernel sublattice."""
         if self.group.rank == 0:
@@ -742,22 +728,6 @@ class CyclicCohomology:
             total = cocycle.module.add(total, cocycle.value(cur, t_element))
             cur = grp.multiply(cur, t_element)
         return self.class_of_vector(total)
-
-    def representative_vector(self, coords):
-        coords = self.group.reduce(coords)
-        if self.group.rank == 0:
-            return (0,) * self.n
-        rel = IntMatrix.diagonal(self.group.invariant_factors)
-        sol = solve_integer(_hcat(self.proj, rel), coords)
-        if sol is None:
-            raise CohomologyError("coordinates outside the group")
-        y = sol[:self.basis.rows]
-        v = [0] * self.n
-        for i, yi in enumerate(y):
-            if yi:
-                for j, x in enumerate(self.basis.data[i]):
-                    v[j] += yi * x
-        return tuple(v)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from flatact import BoundExceeded
 from flatact._coset_pure import CosetLimitExceeded, enumerate_cosets as _enumerate_pure
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coset.c")
@@ -132,7 +133,7 @@ class PresentationError(Exception):
     pass
 
 
-class SearchBoundExceeded(Exception):
+class SearchBoundExceeded(BoundExceeded):
     """A configured search bound (cosets, nodes) was exceeded."""
 
 
@@ -239,22 +240,15 @@ def _coxeter_matrix_from_edges(n, edges3):
     return m
 
 
-# Coxeter diagrams in Bourbaki numbering: the branch node of E_n is node 2,
-# attached to node 4 of the chain 1-3-4-5-...-n.
+# The Coxeter diagram of E7 in Bourbaki numbering: the branch node 2 is
+# attached to node 4 of the chain 1-3-4-5-6-7.
 E7_COXETER_MATRIX = _coxeter_matrix_from_edges(
     7, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)])
-E8_COXETER_MATRIX = _coxeter_matrix_from_edges(
-    8, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)])
 
 
 def e7_weyl_presentation():
     """Coxeter presentation of the Weyl group of type E7 (order 2903040)."""
     return coxeter_group(E7_COXETER_MATRIX)
-
-
-def e8_weyl_presentation():
-    """Coxeter presentation of the Weyl group of type E8 (order 696729600)."""
-    return coxeter_group(E8_COXETER_MATRIX)
 
 
 def symmetric_presentation(n):

@@ -14,14 +14,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .zlinalg import IntMatrix
+from . import BoundExceeded
 
 
 class GroupError(Exception):
     pass
 
 
-class GroupBoundExceeded(GroupError):
+class GroupBoundExceeded(GroupError, BoundExceeded):
     """A group is over an order bound (enumeration, subgroup search)."""
 
 
@@ -136,6 +136,7 @@ class _Level:
         self.inverses = {}
 
 
+# Not _walk: a hot path of raw image tuples, with no Permutation or call per edge.
 def _orbit_transversal(level, gens, deg):
     ident = tuple(range(deg))
     trans = {level.point: ident}
@@ -343,6 +344,7 @@ class PermGroup(FiniteGroup):
         if self._elements is None:
             if self.order() > _ENUM_LIMIT:
                 raise GroupBoundExceeded("group too large to enumerate")
+            # not _walk: a hot path of raw image tuples, composed in C per edge
             ident = tuple(range(self.degree))
             gens = [g.images for g in self._gens]
             seen = {ident}
@@ -564,7 +566,7 @@ class TableGroup(FiniteGroup):
             for x in range(self.n):
                 if x not in current:
                     gens.append(x)
-                    current = _closure_indices(self, gens)
+                    current = set(subgroup_closure(self, gens))
                     if len(current) == self.n:
                         break
             self._gens = gens
@@ -583,38 +585,42 @@ class TableGroup(FiniteGroup):
         return TableGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
-def _closure_indices(group, gens):
-    out = {group.identity()}
-    frontier = [group.identity()]
+def _walk(start, gens, step, image=None, gen_images=None, image_step=None):
+    """Breadth-first walk from `start` along the edges x -> step(x, g),
+    g in `gens`.
+
+    Without `image_step`, returns the elements reached (a dict's keys).
+    With it, carries an image along every edge, from `image` at `start`
+    to image_step(image of x, gen_images[i]) at step(x, gens[i]), and
+    returns the dict element -> image; it raises GroupError where two
+    paths give one element different images.
+    """
+    if gen_images is None:
+        gen_images = [None] * len(gens)
+    edges = list(zip(gens, gen_images))
+    reached = {start: image}
+    frontier = [start]
     while frontier:
         nxt = []
-        for e in frontier:
-            for g in gens:
-                p = group.multiply(e, g)
-                if p not in out:
-                    out.add(p)
-                    nxt.append(p)
+        for x in frontier:
+            fx = reached[x]
+            for g, a in edges:
+                y = step(x, g)
+                if y not in reached:
+                    reached[y] = fx if image_step is None else image_step(fx, a)
+                    nxt.append(y)
+                elif image_step is not None and reached[y] != image_step(fx, a):
+                    raise GroupError("generator images do not define a homomorphism")
         frontier = nxt
-    return out
+    return reached if image_step is not None else reached.keys()
 
 
 def subgroup_closure(group, gens):
-    """All elements of <gens> inside `group`, as a sorted list."""
-    gens = list(gens)
-    closed = {group.identity()}
-    frontier = [group.identity()]
-    inv_gens = [group.inverse(g) for g in gens]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens + inv_gens:
-                p = group.multiply(e, g)
-                if p not in closed:
-                    closed.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return sorted(closed) if closed and isinstance(next(iter(closed)), int) \
-        else sorted(closed, key=lambda p: p.images)
+    """All elements of <gens> inside `group`, as a sorted list.  Products
+    of `gens` alone reach them all: in a finite group every inverse is a
+    positive power."""
+    return sorted(_walk(group.identity(), list(gens), group.multiply),
+                  key=_element_key)
 
 
 def is_normal(group, subgroup_gens):
@@ -643,18 +649,8 @@ def conjugacy_classes(group):
     for x in els:
         if x in seen:
             continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = group.conjugate(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        seen |= orbit
+        orbit = _walk(x, gens, lambda y, g: group.conjugate(g, y))
+        seen.update(orbit)
         classes.append(sorted(orbit, key=_element_key))
     return classes
 
@@ -766,24 +762,8 @@ class GroupHom:
 
     def _build_map(self):
         dom, cod = self.domain, self.codomain
-        gens = dom.generators()
-        images = dict(zip(gens, self.gen_images))
-        mapping = {dom.identity(): cod.identity()}
-        frontier = [dom.identity()]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                fe = mapping[e]
-                for g in gens:
-                    p = dom.multiply(e, g)
-                    fp = cod.multiply(fe, images[g])
-                    if p in mapping:
-                        if mapping[p] != fp:
-                            raise GroupError("generator images do not define a homomorphism")
-                    else:
-                        mapping[p] = fp
-                        nxt.append(p)
-            frontier = nxt
+        mapping = _walk(dom.identity(), dom.generators(), dom.multiply,
+                        cod.identity(), self.gen_images, cod.multiply)
         if len(mapping) != dom.order():
             raise GroupError("generators do not generate the domain")
         self._map = mapping
@@ -805,12 +785,6 @@ class GroupHom:
         if self._map is None:
             self._build_map()
         return len(set(self._map.values())) == self.domain.order()
-
-    def kernel_elements(self):
-        if self._map is None:
-            self._build_map()
-        e = self.codomain.identity()
-        return sorted((x for x, y in self._map.items() if y == e), key=_element_key)
 
 
 def iter_isomorphisms(g, h):
@@ -883,66 +857,6 @@ def quotient_group(group, normal_elements):
     proj = GroupHom(group, q, [coset_of[g] for g in group.generators()], check=False)
     proj._map = dict(coset_of)
     return q, proj, cosets
-
-
-# ---------------------------------------------------------------------------
-# integral representations
-
-class IntegralRep:
-    """Homomorphism group -> GL_n(Z), given by one matrix per generator."""
-
-    def __init__(self, group, dimension, gen_matrices, check=True):
-        self.group = group
-        self.dimension = dimension
-        gens = group.generators()
-        if len(gen_matrices) != len(gens):
-            raise GroupError("need one matrix per generator")
-        for m in gen_matrices:
-            if m.rows != dimension or m.cols != dimension:
-                raise GroupError("matrix dimension mismatch")
-            if m.det() not in (1, -1):
-                raise GroupError("matrix is not in GL_n(Z)")
-        self.gen_matrices = list(gen_matrices)
-        self._cache = None
-        if check:
-            self._build_cache()
-
-    def _build_cache(self):
-        grp = self.group
-        gens = grp.generators()
-        mats = dict(zip(gens, self.gen_matrices))
-        cache = {grp.identity(): IntMatrix.identity(self.dimension)}
-        frontier = [grp.identity()]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                me = cache[e]
-                for g in gens:
-                    p = grp.multiply(e, g)
-                    mp = me * mats[g]
-                    if p in cache:
-                        if cache[p].data != mp.data:
-                            raise GroupError("matrices do not define a representation")
-                    else:
-                        cache[p] = mp
-                        nxt.append(p)
-            frontier = nxt
-        self._cache = cache
-
-    def matrix(self, x):
-        if self._cache is None:
-            self._build_cache()
-        return self._cache[x]
-
-    def is_faithful(self):
-        if self._cache is None:
-            self._build_cache()
-        seen = set()
-        for m in self._cache.values():
-            if m.data in seen:
-                return False
-            seen.add(m.data)
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ import json
 
 import pytest
 
+from flatact import BoundExceeded
 from flatact.certificates import TorusCertificate, build_a4_certificate
-from flatact.cli import (EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE, EXIT_OK,
-                         main)
-from flatact.cohomology import (DEFAULT_GROUP_BOUND, ZQModule, cocycle_to_text,
-                                h2)
-from flatact.fpgroups import symmetric_presentation
-from flatact.groups import PermGroup, TableGroup, group_to_text
+from flatact.cli import (_BOUND, EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE,
+                         EXIT_OK, main)
+from flatact.cohomology import (DEFAULT_GROUP_BOUND, CohomologyBoundExceeded,
+                                CohomologyError, ZQModule, cocycle_to_text, h2)
+from flatact.fpgroups import (CosetLimitExceeded, SearchBoundExceeded,
+                              symmetric_presentation)
+from flatact.groups import (GroupBoundExceeded, GroupError, PermGroup,
+                            TableGroup, group_to_text)
 from flatact.zlinalg import IntMatrix
 
 
@@ -23,6 +26,15 @@ def write(tmp_path):
         p.write_text(text)
         return str(p)
     return _write
+
+
+@pytest.mark.parametrize("cls,base", [
+    (CosetLimitExceeded, Exception), (SearchBoundExceeded, Exception),
+    (CohomologyBoundExceeded, CohomologyError), (GroupBoundExceeded, GroupError)],
+    ids=lambda c: c.__name__)
+def test_every_bound_error_is_one_bound_exceeded(cls, base):
+    assert _BOUND is BoundExceeded
+    assert issubclass(cls, BoundExceeded) and issubclass(cls, base)
 
 
 class TestSnf:

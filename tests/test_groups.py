@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatact.fpgroups import coxeter_group, todd_coxeter
-from flatact.groups import (GroupBoundExceeded, GroupError, GroupHom, IntegralRep, PermGroup,
+from flatact.groups import (GroupBoundExceeded, GroupError, GroupHom, PermGroup,
                             Permutation, TableGroup, abelian_normal_subgroups,
                             conjugacy_classes, find_isomorphism,
                             group_from_text, group_to_text, is_normal,
                             iter_isomorphisms, normal_subgroups,
                             prime_order_class_reps, quotient_group,
                             subgroup_closure)
-from flatact.zlinalg import IntMatrix
 
 
 class TestPermutation:
@@ -142,6 +141,32 @@ class TestSubgroupQueries:
                                   Permutation.from_cycles(4, [(0, 2), (1, 3)])])
         assert len(v) == 4
 
+    @pytest.mark.parametrize("group", [
+        PermGroup.symmetric(4), PermGroup.alternating(5),
+        PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                   Permutation.from_cycles(4, [(0, 2)])]),
+        TableGroup.cyclic(1), TableGroup.cyclic(6), TableGroup.cyclic(12)],
+        ids=["S4", "A5", "D4", "C1", "C6", "C12"])
+    def test_closure_needs_no_inverse_generators(self, group):
+        def closure_with_inverses(gens):
+            steps = list(gens) + [group.inverse(g) for g in gens]
+            closed, frontier = {group.identity()}, [group.identity()]
+            while frontier:
+                frontier = [p for p in {group.multiply(e, g)
+                                        for e in frontier for g in steps}
+                            if p not in closed]
+                closed.update(frontier)
+            return closed
+
+        rng = random.Random(7)
+        els = group.elements()
+        for _ in range(40):
+            gens = rng.sample(els, rng.randint(0, min(3, len(els))))
+            expected = closure_with_inverses(gens)
+            got = subgroup_closure(group, gens)
+            assert set(got) == expected and len(got) == len(expected)
+            assert got == sorted(got, key=lambda x: getattr(x, "images", x))
+
     def test_is_normal(self):
         s4 = PermGroup.symmetric(4)
         v_gens = [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
@@ -231,11 +256,11 @@ class TestHomsAndIsos:
     def test_hom_validation(self):
         c4 = TableGroup.cyclic(4)
         c2 = TableGroup.cyclic(2)
-        f = GroupHom(c4, c2, {1: 1})
+        f = GroupHom(c4, c2, [1])
         assert f(2) == 0
         assert f.is_surjective()
         with pytest.raises(GroupError):
-            GroupHom(c4, TableGroup.cyclic(3), {1: 1})
+            GroupHom(c4, TableGroup.cyclic(3), [1])
 
     def test_find_isomorphism(self):
         a = PermGroup.cyclic(6)
@@ -253,19 +278,6 @@ class TestHomsAndIsos:
     def test_iter_isomorphisms_counts_automorphisms(self):
         c5 = TableGroup.cyclic(5)
         assert len(list(iter_isomorphisms(c5, c5))) == 4
-
-
-class TestIntegralRep:
-    def test_faithful_rep(self):
-        c3 = TableGroup.cyclic(3)
-        rep = IntegralRep(c3, 2, [IntMatrix.from_rows([[0, -1], [1, -1]])])
-        assert rep.is_faithful()
-        assert rep.matrix(0) == IntMatrix.identity(2)
-
-    def test_non_representation_rejected(self):
-        c3 = TableGroup.cyclic(3)
-        with pytest.raises(GroupError):
-            IntegralRep(c3, 2, [IntMatrix.from_rows([[1, 1], [0, 1]])])
 
 
 class TestTextFormat:
