@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .groups import (
-    FiniteGroup,
     GroupError,
-    GroupHom,
     PermGroup,
     Permutation,
     TableGroup,

@@ -17,7 +17,6 @@ from operator import mul
 
 from . import BoundExceeded
 from .groups import (
-    FiniteGroup,
     GroupError,
     TableGroup,
     _walk,

@@ -6,15 +6,18 @@ Words are tuples of nonzero signed integers: +k is generator k (1-based),
 enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 2*i + 1, so letter inversion is xor with 1.
 
-Coset enumeration runs in the compiled engine, `_coset.c`, when it can be
-loaded: plain C called through ctypes.  On first import the source is
+Coset enumeration and the backtracking of the low-index search run in the
+compiled engine, `_coset.c`, when it can be loaded: plain C called through
+ctypes.  On first import the source is
 compiled with `cc -O2 -shared -fPIC` into the per-user cache directory
 (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode 0700), under a name
 made from the SHA-256 of the source, the compile command and the
 interpreter's cache tag, so later imports only load it.  If anything fails
 (no compiler, an unwritable or foreign cache, a load error), ENGINE is
-"pure" and the pure-Python engine in `_coset_pure` runs instead; it is
-also the differential-testing reference.  Both give identical tables.
+"pure" and the pure-Python engines run instead: `_coset_pure` and
+`_low_index_pure`.  They are also the differential-testing references.
+Both engines give identical tables, and the low-index searches visit the
+same nodes.
 """
 
 import ctypes
@@ -86,6 +89,13 @@ def _load_compiled():
         ctypes.POINTER(ctypes.c_int64)]
     lib.fa_compact.restype = None
     lib.fa_compact.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.fa_low_index.restype = ctypes.c_int
+    lib.fa_low_index.argtypes = [
+        ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_void_p),
+        ctypes.POINTER(ctypes.c_int64)]
+    lib.fa_low_index_take.restype = None
+    lib.fa_low_index_take.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     return lib
 
 
@@ -124,7 +134,21 @@ def _enumerate_compiled(ngens, relators, subgens, coset_limit):
 
 
 ENGINE = "compiled" if _LIB is not None else "pure"
-_enumerate = _enumerate_compiled if _LIB is not None else _enumerate_pure
+
+
+def _engine(engine, pure, compiled):
+    """`compiled` or `pure` as `engine` asks: None for the compiled engine
+    when it loaded, "pure" or "compiled" to choose."""
+    if engine is None:
+        return compiled if _LIB is not None else pure
+    if engine == "pure":
+        return pure
+    if engine == "compiled":
+        if _LIB is None:
+            raise PresentationError("compiled engine unavailable")
+        return compiled
+    raise PresentationError("unknown engine %r" % engine)
+
 
 DEFAULT_COSET_LIMIT = 10 ** 6
 
@@ -352,16 +376,7 @@ def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT,
     for w in subgroup_words:
         if any(s == 0 or abs(s) > g.ngens for s in w):
             raise PresentationError("subgroup word %r has a letter out of range" % (tuple(w),))
-    if engine is None:
-        fn = _enumerate
-    elif engine == "pure":
-        fn = _enumerate_pure
-    elif engine == "compiled":
-        if _LIB is None:
-            raise PresentationError("compiled enumeration engine unavailable")
-        fn = _enumerate_compiled
-    else:
-        raise PresentationError("unknown engine %r" % engine)
+    fn = _engine(engine, _enumerate_pure, _enumerate_compiled)
     rel_letters = [word_to_letters(w) for w in g.relators]
     sub_letters = [word_to_letters(free_reduce(w)) for w in subgroup_words]
     table = fn(g.ngens, rel_letters, sub_letters, coset_limit)
@@ -386,18 +401,12 @@ def _relator_rotations(g):
     return by_letter
 
 
-def low_index_subgroups(g, max_index, node_limit=10 ** 7):
-    """One closed coset table per conjugacy class of subgroups of index
-    <= max_index, paired with Schreier generator words for the subgroup.
-
-    Returns a list of (CosetTable, tuple of signed generator words),
-    sorted by index then by table entries.  Raises SearchBoundExceeded if
-    the backtracking search visits more than node_limit nodes.
-    """
-    if max_index < 1:
-        raise PresentationError("max_index must be at least 1")
-    nl = 2 * g.ngens
-    rotations = _relator_rotations(g)
+def _low_index_pure(rotations, max_index, node_limit):
+    """The complete coset tables of the backtracking search, in the order
+    found, as int32 arrays; `rotations` is `_relator_rotations` of the
+    group.  Raises SearchBoundExceeded when the search would visit more
+    than node_limit nodes."""
+    nl = len(rotations)
     UNDEF = -1
     table = [[UNDEF] * nl for _ in range(max_index)]
     nrows = 1
@@ -484,6 +493,58 @@ def low_index_subgroups(g, max_index, node_limit=10 ** 7):
                 nrows -= 1
 
     search()
+    return complete
+
+
+def _low_index_compiled(rotations, max_index, node_limit):
+    """Compiled twin of _low_index_pure.  Raises MemoryError when the
+    search state does not fit."""
+    nl = len(rotations)
+    words = [rot for rots in rotations for rot in rots]
+    letters = np.array([x for w in words for x in w], dtype=np.int32)
+    ends = np.cumsum([len(w) for w in words], dtype=np.int64)
+    first = np.cumsum([0] + [len(rots) for rots in rotations], dtype=np.int64)
+    state = ctypes.c_void_p()
+    nints = ctypes.c_int64()
+    status = _LIB.fa_low_index(
+        nl // 2, letters.ctypes.data, ends.ctypes.data, first.ctypes.data,
+        max_index, min(node_limit, 2 ** 63 - 1), ctypes.byref(state),
+        ctypes.byref(nints))
+    if status == 1:
+        raise SearchBoundExceeded("low-index node limit %d exceeded" % node_limit)
+    if status == 2:
+        raise MemoryError("low-index search does not fit in memory")
+    if status != 0:
+        raise ValueError("max_index out of range or letter out of range")
+    out = None
+    try:
+        out = np.empty(nints.value, dtype=np.int32)
+    finally:
+        _LIB.fa_low_index_take(state, None if out is None else out.ctypes.data)
+    complete, pos = [], 0
+    while pos < len(out):
+        n = int(out[pos])
+        complete.append(out[pos + 1:pos + 1 + n * nl].reshape(n, nl))
+        pos += 1 + n * nl
+    return complete
+
+
+def low_index_subgroups(g, max_index, node_limit=10 ** 7, engine=None):
+    """One closed coset table per conjugacy class of subgroups of index
+    <= max_index, paired with Schreier generator words for the subgroup.
+
+    Returns a list of (CosetTable, tuple of signed generator words),
+    sorted by index then by table entries.  Raises SearchBoundExceeded if
+    the backtracking search visits more than node_limit nodes.  `engine`
+    chooses the backtracking as for todd_coxeter; both engines visit the
+    same nodes and find the same tables.
+    """
+    if max_index < 1:
+        raise PresentationError("max_index must be at least 1")
+    if max_index > _INT32_MAX:
+        raise PresentationError("max_index %d is above 2**31 - 1" % max_index)
+    fn = _engine(engine, _low_index_pure, _low_index_compiled)
+    complete = fn(_relator_rotations(g), max_index, node_limit)
 
     by_class = {}
     for t in complete:

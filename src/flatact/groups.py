@@ -9,8 +9,6 @@ former, integer indices for the latter.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -313,6 +311,7 @@ class PermGroup(FiniteGroup):
         self._gens = [g for g in generators if not g.is_identity()]
         self.chain = StabilizerChain([g.images for g in self._gens], degree)
         self._elements = None
+        self._rows = None
         self._index = None
 
     def order(self):
@@ -342,30 +341,27 @@ class PermGroup(FiniteGroup):
 
     def elements(self):
         if self._elements is None:
+            self._elements = [_perm(tuple(r)) for r in self._sorted_rows()[0].tolist()]
+        return self._elements
+
+    def _sorted_rows(self):
+        """The elements as rows in ascending order, with their `_row_keys`,
+        built once.  Each element is one product u_0 u_1 ... of one
+        transversal element per chain level, so the rows are the products
+        of the level transversals, deepest level first."""
+        if self._rows is None:
             if self.order() > _ENUM_LIMIT:
                 raise GroupBoundExceeded("group too large to enumerate")
-            # not _walk: a hot path of raw image tuples, composed in C per edge
-            ident = tuple(range(self.degree))
-            gens = [g.images for g in self._gens]
-            seen = {ident}
-            frontier = [ident]
-            # with no generators the loop is skipped: the group is {ident}
-            while frontier and gens:
-                nxt = []
-                for e in frontier:
-                    # itemgetter(*e)(g) is g o e, one C call per generator;
-                    # e has at least two points, since a group of degree
-                    # 0 or 1 has no generators (one index would return a
-                    # bare int)
-                    compose_e = itemgetter(*e)
-                    for g in gens:
-                        p = compose_e(g)
-                        if p not in seen:
-                            seen.add(p)
-                            nxt.append(p)
-                frontier = nxt
-            self._elements = [_perm(t) for t in sorted(seen)]
-        return self._elements
+            deg = self.degree
+            dtype = np.min_scalar_type(max(deg - 1, 0))
+            rows = np.arange(deg, dtype=dtype)[None, :]
+            for lev in reversed(self.chain.levels):
+                trans = np.array(list(lev.transversal.values()), dtype=dtype)
+                rows = trans[:, rows].reshape(-1, deg)
+            keys = _row_keys(rows)
+            ranks = np.argsort(keys)
+            self._rows = rows[ranks], keys[ranks]
+        return self._rows
 
     def element_index(self):
         """The ElementIndex of this group, built on first use."""
@@ -448,12 +444,7 @@ class ElementIndex:
     """
 
     def __init__(self, group):
-        els = group.elements()
-        deg = group.degree
-        dtype = np.min_scalar_type(max(deg - 1, 0))
-        self.rows = np.fromiter(chain.from_iterable(e.images for e in els),
-                                dtype, count=len(els) * deg).reshape(len(els), deg)
-        self._keys = _row_keys(self.rows)
+        self.rows, self._keys = group._sorted_rows()
         self.orders = _row_orders(self.rows)
         self.class_reps, self.class_of = np.unique(
             self._class_labels(group.generators()), return_inverse=True)

@@ -136,7 +136,9 @@ def alternating_order(m):
 def screen_dimensions(catalog, dims=range(3, 25)):
     """For each dimension k, each partition of k, and each choice of one
     catalogue order per part, record a hit iff the product of the chosen
-    orders is divisible by |A_{k+2}|."""
+    orders is divisible by |A_{k+2}|.  Hits come in the order of the
+    partitions, then of the choices (the last part's order varying
+    fastest)."""
     dims = list(dims)
     if not catalog.covers(d for k in dims for d in range(1, k + 1)):
         raise CatalogError("catalogue does not cover the screening range")
@@ -145,25 +147,36 @@ def screen_dimensions(catalog, dims=range(3, 25)):
         target = alternating_order(k + 2)
         for part in partitions(k):
             pools = [catalog.orders(p) for p in part]
-            idx = [0] * len(pools)
-            while True:
-                prod = 1
-                for i, j in enumerate(idx):
-                    prod *= pools[i][j]
-                if prod % target == 0:
-                    hits.append(ScreeningHit(
-                        k, part, tuple(pools[i][j] for i, j in enumerate(idx)),
-                        prod, target))
-                pos = len(idx) - 1
-                while pos >= 0:
-                    idx[pos] += 1
-                    if idx[pos] < len(pools[pos]):
-                        break
-                    idx[pos] = 0
-                    pos -= 1
-                if pos < 0:
-                    break
+            for orders, prod in _divisible_choices(pools, target):
+                hits.append(ScreeningHit(k, part, orders, prod, target))
     return hits
+
+
+def _divisible_choices(pools, target):
+    """(orders, product) for each choice of one order per pool whose
+    product is a multiple of target, depth first.  A prefix with product
+    p is dropped when p times the lcm of each later pool is not a multiple
+    of target: the product of every completion divides that number."""
+    tail = [1]
+    for pool in reversed(pools):
+        tail.append(tail[-1] * math.lcm(*pool))
+    tail.reverse()
+    out = []
+    chosen = []
+
+    def walk(i, prod):
+        if prod * tail[i] % target:
+            return
+        if i == len(pools):
+            out.append((tuple(chosen), prod))
+            return
+        for o in pools[i]:
+            chosen.append(o)
+            walk(i + 1, prod * o)
+            chosen.pop()
+
+    walk(0, 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +412,6 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
                 alive, cand, cand_inv = alive[ok], cand[ok], cand_inv[ok]
         return alive
 
-    els = target.elements()
-    images = [None] * ngens
     nodes = 0
     found = []
 
@@ -413,8 +424,9 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
 
     def backtrack(i):
         if i == ngens:
-            if verify(tuple(images)):
-                found.append(tuple(images))
+            perms = tuple(Permutation(tuple(row.tolist())) for row, _ in chosen)
+            if verify(perms):
+                found.append(perms)
             return
         # the pruned candidates before a survivor are counted in one step;
         # nothing else happens for them, so the limit raises at the same
@@ -424,7 +436,6 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
         for pos in survivors(i).tolist():
             count(pos + 1 - counted)
             counted = pos + 1
-            images[i] = els[pool[pos]]
             chosen[i] = (pool_rows[i][pos], pool_invs[i][pos])
             backtrack(i + 1)
         count(len(pool) - counted)

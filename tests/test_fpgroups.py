@@ -320,6 +320,103 @@ class TestLowIndex:
     def test_invalid_index(self):
         with pytest.raises(PresentationError):
             low_index_subgroups(symmetric_presentation(3), 0)
+        with pytest.raises(PresentationError):
+            low_index_subgroups(symmetric_presentation(3), 2 ** 31)
+
+    def test_unknown_engine(self):
+        with pytest.raises(PresentationError, match="unknown engine"):
+            low_index_subgroups(symmetric_presentation(3), 3, engine="fast")
+
+
+def _complete_tables(g, max_index, engine, node_limit=10 ** 7):
+    """The complete tables of the low-index backtracking, as (shape, bytes)
+    pairs in the order found, or None when the node limit is exceeded."""
+    search = {"pure": fpgroups._low_index_pure,
+              "compiled": fpgroups._low_index_compiled}[engine]
+    try:
+        tables = search(fpgroups._relator_rotations(g), max_index, node_limit)
+    except SearchBoundExceeded:
+        return None
+    assert all(t.dtype == np.int32 for t in tables)
+    return [(t.shape, t.tobytes()) for t in tables]
+
+
+def _classes(g, max_index, engine):
+    return [(ct.index, ct.table.tobytes(), gens)
+            for ct, gens in low_index_subgroups(g, max_index, engine=engine)]
+
+
+LOW_INDEX_CASES = (
+    [pytest.param(symmetric_presentation(n), k, id="S%d/%d" % (n, k))
+     for n, k in ((3, 6), (4, 24), (5, 24), (6, 15))]
+    + [pytest.param(dihedral_presentation(m), k, id="D%d/%d" % (m, k))
+       for m, k in ((2, 4), (3, 6), (5, 10), (8, 16), (12, 24))]
+    + [pytest.param(FpGroup(1, ((1, 1, 1, 1),)), 4, id="C4/4"),
+       pytest.param(FpGroup(1, ()), 8, id="Z/8")]
+)
+
+needs_compiled = pytest.mark.skipif(fpgroups.ENGINE != "compiled",
+                                    reason="needs the compiled engine")
+
+
+@needs_compiled
+class TestLowIndexEngines:
+    """The compiled low-index search against the pure one, its reference."""
+
+    @pytest.mark.parametrize("g,max_index", LOW_INDEX_CASES)
+    def test_engines_agree(self, g, max_index):
+        pure = _complete_tables(g, max_index, "pure")
+        assert pure and _complete_tables(g, max_index, "compiled") == pure
+        assert _classes(g, max_index, "compiled") == _classes(g, max_index, "pure")
+
+    def test_e7_to_index_16(self):
+        # 45,875 nodes: the pure search passes at that limit and the
+        # compiled one raises one node below it.  The classes are computed
+        # from the complete tables by shared code, so equal tables give
+        # equal classes.
+        g = e7_weyl_presentation()
+        pure = _complete_tables(g, 16, "pure", node_limit=45_875)
+        assert pure is not None and len(pure) == 2
+        assert _complete_tables(g, 16, "compiled", node_limit=45_875) == pure
+        with pytest.raises(SearchBoundExceeded):
+            low_index_subgroups(g, 16, node_limit=45_874)
+        classes = low_index_subgroups(g, 16, node_limit=45_875)
+        assert [ct.index for ct, _ in classes] == [1, 2]
+        assert [(ct.table.shape, ct.table.tobytes()) for ct, _ in classes] == sorted(pure)
+
+    @given(small_presentations(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_engines_agree_on_random_presentations(self, case, max_index):
+        g, _ = case
+        pure = _complete_tables(g, max_index, "pure", node_limit=3000)
+        assert _complete_tables(g, max_index, "compiled", node_limit=3000) == pure
+
+    def test_node_limit_boundary(self):
+        # the largest limit at which the pure search raises for S5 to index
+        # 10, found by bisection; the compiled search raises there too, and
+        # both give the same tables at one more
+        g = symmetric_presentation(5)
+        lo, hi = 0, 10 ** 5
+        assert _complete_tables(g, 10, "pure", lo) is None
+        assert _complete_tables(g, 10, "pure", hi) is not None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _complete_tables(g, 10, "pure", mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        assert lo > 28
+        assert _complete_tables(g, 10, "compiled", lo) is None
+        pure = _complete_tables(g, 10, "pure", lo + 1)
+        assert _complete_tables(g, 10, "compiled", lo + 1) == pure
+
+    def test_compiled_search_rejects_bad_arguments(self):
+        rot = fpgroups._relator_rotations(symmetric_presentation(3))
+        with pytest.raises(ValueError):
+            fpgroups._low_index_compiled(rot, 2 ** 31, 10)
+        with pytest.raises(ValueError):
+            fpgroups._low_index_compiled(rot[:2], 3, 10)
+        assert fpgroups._low_index_compiled([], 3, 10)[0].shape == (1, 0)
 
 
 class TestRewriting:

@@ -115,6 +115,71 @@ class TestStabilizerChain:
         assert checked >= 100
 
 
+def closure_by_bfs(gens, degree):
+    """The elements of the group generated by the image tuples `gens`,
+    sorted: a breadth-first closure under composition, without the
+    stabilizer chain."""
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                p = tuple(g[x] for x in e)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _weyl_d5_on_ten_points():
+    m = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
+    for a, b in [(0, 1), (1, 2), (2, 3), (2, 4)]:
+        m[a][b] = m[b][a] = 3
+    table = todd_coxeter(coxeter_group(m), [(i,) for i in range(2, 6)])
+    return PermGroup(table.generator_permutations())
+
+
+def _random_group(seed):
+    rng = random.Random(seed)
+    deg = rng.randrange(2, 9)
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        images = list(range(deg))
+        rng.shuffle(images)
+        gens.append(Permutation(tuple(images)))
+    return PermGroup(gens, degree=deg)
+
+
+ELEMENT_CASES = (
+    [pytest.param(lambda n=n: PermGroup.symmetric(n), id="S%d" % n) for n in range(1, 8)]
+    + [pytest.param(lambda n=n: PermGroup.alternating(n), id="A%d" % n) for n in range(3, 9)]
+    + [pytest.param(lambda n=n: PermGroup.cyclic(n), id="C%d" % n) for n in (1, 2, 7, 12)]
+    + [pytest.param(lambda n=n: PermGroup([Permutation.from_cycles(n, [tuple(range(n))]),
+                                           Permutation.from_cycles(n, [(1, n - 1)])]),
+                    id="D%d" % n) for n in (4, 5, 8)]
+    + [pytest.param(_weyl_d5_on_ten_points, id="W(D5)"),
+       pytest.param(lambda: PermGroup([Permutation.identity(5)]), id="trivial"),
+       pytest.param(lambda: PermGroup([], degree=0), id="degree-0"),
+       pytest.param(lambda: PermGroup([], degree=1), id="degree-1")]
+    + [pytest.param(lambda seed=seed: _random_group(seed), id="random-%d" % seed)
+       for seed in range(20)]
+)
+
+
+@pytest.mark.parametrize("make", ELEMENT_CASES)
+def test_elements_match_a_closure(make):
+    # the element rows come from products of the chain's transversals; the
+    # reference closes the generators under composition
+    group = make()
+    expected = closure_by_bfs([g.images for g in group.generators()], group.degree)
+    els = group.elements()
+    assert [x.images for x in els] == expected
+    assert len(els) == group.order()
+    assert [tuple(r) for r in group.element_index().rows.tolist()] == expected
+
+
 class TestTableGroup:
     def test_cyclic(self):
         c6 = TableGroup.cyclic(6)

@@ -1,6 +1,7 @@
 """Order screening over the rational irreducible maximal finite subgroup
 catalogue, and the epimorphism search."""
 
+import itertools
 import math
 
 import pytest
@@ -115,6 +116,40 @@ class TestScreening:
         cat = ImfCatalog.from_text("1: 2\n2: 8 12\n3: 48\n", check=False)
         with pytest.raises(CatalogError):
             screen_dimensions(cat, dims=[4])
+
+
+def brute_force_hits(catalog, dims):
+    """Every choice of one order per part, tried in itertools.product
+    order, kept when |A_{k+2}| divides the product."""
+    out = []
+    for k in dims:
+        target = alternating_order(k + 2)
+        for part in partitions(k):
+            for orders in itertools.product(*(catalog.orders(p) for p in part)):
+                if math.prod(orders) % target == 0:
+                    out.append(ScreeningHit(k, part, orders, math.prod(orders), target))
+    return out
+
+
+# 335 hits among 8401 choices, in every dimension 3..6
+SYNTHETIC_CATALOG = """
+1: 2 7 15 4
+2: 8 12 10 14 72
+3: 48 60 120 7
+4: 1152 720 14 240 9
+5: 3840 5040 11 720
+6: 103680 2903040 40320 13 46080
+"""
+
+
+@pytest.mark.parametrize("catalog,dims,count", [
+    (ImfCatalog.from_text(SYNTHETIC_CATALOG, check=False), range(3, 7), 335),
+    (ImfCatalog.load(), range(3, 13), 2)], ids=["synthetic", "shipped"])
+def test_screening_matches_brute_force(catalog, dims, count):
+    # the pruned depth-first walk against trying every choice
+    hits = screen_dimensions(catalog, dims)
+    assert hits == brute_force_hits(catalog, dims)
+    assert len(hits) == count
 
 
 def coset_action(edges, n, subgroup):
