@@ -134,21 +134,7 @@ def _enumerate_compiled(ngens, relators, subgens, coset_limit):
 
 
 ENGINE = "compiled" if _LIB is not None else "pure"
-
-
-def _engine(engine, pure, compiled):
-    """`compiled` or `pure` as `engine` asks: None for the compiled engine
-    when it loaded, "pure" or "compiled" to choose."""
-    if engine is None:
-        return compiled if _LIB is not None else pure
-    if engine == "pure":
-        return pure
-    if engine == "compiled":
-        if _LIB is None:
-            raise PresentationError("compiled engine unavailable")
-        return compiled
-    raise PresentationError("unknown engine %r" % engine)
-
+_enumerate = _enumerate_compiled if _LIB is not None else _enumerate_pure
 
 DEFAULT_COSET_LIMIT = 10 ** 6
 
@@ -376,7 +362,16 @@ def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT,
     for w in subgroup_words:
         if any(s == 0 or abs(s) > g.ngens for s in w):
             raise PresentationError("subgroup word %r has a letter out of range" % (tuple(w),))
-    fn = _engine(engine, _enumerate_pure, _enumerate_compiled)
+    if engine is None:
+        fn = _enumerate
+    elif engine == "pure":
+        fn = _enumerate_pure
+    elif engine == "compiled":
+        if _LIB is None:
+            raise PresentationError("compiled enumeration engine unavailable")
+        fn = _enumerate_compiled
+    else:
+        raise PresentationError("unknown engine %r" % engine)
     rel_letters = [word_to_letters(w) for w in g.relators]
     sub_letters = [word_to_letters(free_reduce(w)) for w in subgroup_words]
     table = fn(g.ngens, rel_letters, sub_letters, coset_limit)
@@ -529,22 +524,22 @@ def _low_index_compiled(rotations, max_index, node_limit):
     return complete
 
 
-def low_index_subgroups(g, max_index, node_limit=10 ** 7, engine=None):
+_low_index = _low_index_compiled if _LIB is not None else _low_index_pure
+
+
+def low_index_subgroups(g, max_index, node_limit=10 ** 7):
     """One closed coset table per conjugacy class of subgroups of index
     <= max_index, paired with Schreier generator words for the subgroup.
 
     Returns a list of (CosetTable, tuple of signed generator words),
     sorted by index then by table entries.  Raises SearchBoundExceeded if
-    the backtracking search visits more than node_limit nodes.  `engine`
-    chooses the backtracking as for todd_coxeter; both engines visit the
-    same nodes and find the same tables.
+    the backtracking search visits more than node_limit nodes.
     """
     if max_index < 1:
         raise PresentationError("max_index must be at least 1")
     if max_index > _INT32_MAX:
         raise PresentationError("max_index %d is above 2**31 - 1" % max_index)
-    fn = _engine(engine, _low_index_pure, _low_index_compiled)
-    complete = fn(_relator_rotations(g), max_index, node_limit)
+    complete = _low_index(_relator_rotations(g), max_index, node_limit)
 
     by_class = {}
     for t in complete:

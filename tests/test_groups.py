@@ -61,60 +61,6 @@ def test_permutation_arithmetic_matches_tuple_definitions(pair):
     assert hash(pa * pb) == hash(Permutation((pa * pb).images))
 
 
-class TestStabilizerChain:
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_symmetric_orders(self, n):
-        assert PermGroup.symmetric(n).order() == math.factorial(n)
-
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_alternating_orders(self, n):
-        assert PermGroup.alternating(n).order() == math.factorial(n) // 2
-
-    def test_membership(self):
-        a4 = PermGroup.alternating(4)
-        assert a4.contains(Permutation.from_cycles(4, [(0, 1), (2, 3)]))
-        assert not a4.contains(Permutation.from_cycles(4, [(0, 1)]))
-
-    def test_element_enumeration_matches_order(self):
-        g = PermGroup.symmetric(5)
-        assert len(g.elements()) == 120
-
-    def test_weyl_d5_on_ten_points(self):
-        # W(D5) = 2^4:S5 on the cosets of <s2..s5>; every deeper level has
-        # to be completed again when a residue lands below the next level
-        m = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
-        for a, b in [(0, 1), (1, 2), (2, 3), (2, 4)]:
-            m[a][b] = m[b][a] = 3
-        table = todd_coxeter(coxeter_group(m), [(i,) for i in range(2, 6)])
-        g = PermGroup(table.generator_permutations())
-        assert g.degree == 10
-        assert g.order() == 1920 == len(g.elements())
-
-    def test_random_groups_order_and_membership(self):
-        # groups generated by random involutions (products of disjoint
-        # transpositions, like Coxeter generators) of degree 4..10; those
-        # of order above 2000 are skipped to keep the enumeration cheap
-        checked = 0
-        for seed in range(200):
-            rng = random.Random(seed)
-            deg = rng.randrange(4, 11)
-            gens = []
-            for _ in range(rng.randrange(2, 5)):
-                images = list(range(deg))
-                pts = rng.sample(range(deg), 2 * rng.randrange(1, deg // 2 + 1))
-                for a, b in zip(pts[::2], pts[1::2]):
-                    images[a], images[b] = b, a
-                gens.append(Permutation(tuple(images)))
-            g = PermGroup(gens, degree=deg)
-            if g.order() > 2000:
-                continue
-            els = g.elements()
-            assert g.order() == len(els), seed
-            assert all(g.contains(x) for x in els), seed
-            checked += 1
-        assert checked >= 100
-
-
 def closure_by_bfs(gens, degree):
     """The elements of the group generated by the image tuples `gens`,
     sorted: a breadth-first closure under composition, without the
@@ -139,6 +85,61 @@ def _weyl_d5_on_ten_points():
         m[a][b] = m[b][a] = 3
     table = todd_coxeter(coxeter_group(m), [(i,) for i in range(2, 6)])
     return PermGroup(table.generator_permutations())
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_symmetric_orders(self, n):
+        assert PermGroup.symmetric(n).order() == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_alternating_orders(self, n):
+        assert PermGroup.alternating(n).order() == math.factorial(n) // 2
+
+    def test_membership(self):
+        a4 = PermGroup.alternating(4)
+        assert a4.contains(Permutation.from_cycles(4, [(0, 1), (2, 3)]))
+        assert not a4.contains(Permutation.from_cycles(4, [(0, 1)]))
+
+    def test_element_enumeration_matches_order(self):
+        g = PermGroup.symmetric(5)
+        assert len(g.elements()) == 120
+
+    def test_weyl_d5_on_ten_points(self):
+        # W(D5) = 2^4:S5 on the cosets of <s2..s5>; every deeper level has
+        # to be completed again when a residue lands below the next level
+        g = _weyl_d5_on_ten_points()
+        assert g.degree == 10
+        closure = closure_by_bfs([x.images for x in g.generators()], 10)
+        assert g.order() == 1920 == len(closure)
+        assert [x.images for x in g.elements()] == closure
+
+    def test_random_groups_order_and_membership(self):
+        # groups generated by random involutions (products of disjoint
+        # transpositions, like Coxeter generators) of degree 4..10; those
+        # of order above 2000 are skipped to keep the enumeration cheap.
+        # The elements come from the chain, so they are checked against a
+        # closure that does not use it.
+        checked = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            deg = rng.randrange(4, 11)
+            gens = []
+            for _ in range(rng.randrange(2, 5)):
+                images = list(range(deg))
+                pts = rng.sample(range(deg), 2 * rng.randrange(1, deg // 2 + 1))
+                for a, b in zip(pts[::2], pts[1::2]):
+                    images[a], images[b] = b, a
+                gens.append(Permutation(tuple(images)))
+            g = PermGroup(gens, degree=deg)
+            if g.order() > 2000:
+                continue
+            closure = closure_by_bfs([x.images for x in gens], deg)
+            assert g.order() == len(closure), seed
+            assert [x.images for x in g.elements()] == closure, seed
+            assert all(g.contains(Permutation(x)) for x in closure), seed
+            checked += 1
+        assert checked >= 100
 
 
 def _random_group(seed):
