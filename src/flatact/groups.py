@@ -415,23 +415,6 @@ def _row_keys(rows):
     return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
 
 
-def _row_orders(rows):
-    """The order of the permutation in each row, by powering all rows
-    that have not yet reached the identity at once."""
-    ident = np.arange(rows.shape[1], dtype=rows.dtype)
-    orders = np.ones(len(rows), dtype=np.int64)
-    todo = np.flatnonzero((rows != ident).any(axis=1))
-    base = power = rows[todo]
-    k = 1
-    while len(todo):
-        k += 1
-        power = compose_rows(base, power)
-        done = (power == ident).all(axis=1)
-        orders[todo[done]] = k
-        todo, base, power = todo[~done], base[~done], power[~done]
-    return orders
-
-
 class ElementIndex:
     """The elements of a permutation group as arrays, for searches that
     treat many elements in one numpy pass.
@@ -445,9 +428,13 @@ class ElementIndex:
 
     def __init__(self, group):
         self.rows, self._keys = group._sorted_rows()
-        self.orders = _row_orders(self.rows)
         self.class_reps, self.class_of = np.unique(
             self._class_labels(group.generators()), return_inverse=True)
+        # conjugates have the same order: one cycle-type order per class
+        rep_orders = np.array(
+            [_perm(tuple(r)).order() for r in self.rows[self.class_reps].tolist()],
+            dtype=np.int64)
+        self.orders = rep_orders[self.class_of]
 
     def lookup(self, rows):
         """Index of each row of `rows` among the elements, -1 for a row
