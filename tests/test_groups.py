@@ -2,14 +2,17 @@
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatact.fpgroups import coxeter_group, todd_coxeter
-from flatact.groups import (GroupBoundExceeded, GroupError, GroupHom, PermGroup,
-                            Permutation, TableGroup, abelian_normal_subgroups,
+from flatact.groups import (FiniteGroup, GroupBoundExceeded, GroupError,
+                            GroupHom, PermGroup, Permutation, TableGroup,
+                            abelian_normal_subgroups,
                             conjugacy_classes, find_isomorphism,
                             group_from_text, group_to_text, is_normal,
                             iter_isomorphisms, normal_subgroups,
@@ -181,6 +184,16 @@ def test_elements_match_a_closure(make):
     assert [tuple(r) for r in group.element_index().rows.tolist()] == expected
 
 
+def _partitions(n, largest=None):
+    """The partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
 class TestTableGroup:
     def test_cyclic(self):
         c6 = TableGroup.cyclic(6)
@@ -263,16 +276,38 @@ class TestSubgroupQueries:
         (PermGroup.alternating(6), "uint8"), (PermGroup.cyclic(6), "uint8"),
         (PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
                     Permutation.from_cycles(4, [(0, 2)])]), "uint8"),
-        (PermGroup.cyclic(300), "uint16")],
-        ids=["A6", "C6", "D4", "C300"])
+        (PermGroup.cyclic(300), "uint16"), (PermGroup.symmetric(7), "uint8"),
+        (PermGroup.alternating(8), "uint8"), (_weyl_d5_on_ten_points(), "uint8")],
+        ids=["A6", "C6", "D4", "C300", "S7", "A8", "W(D5)"])
     def test_element_index(self, group, dtype):
         index = group.element_index()
         els = group.elements()
         assert index.rows.dtype == dtype
         assert [tuple(r) for r in index.rows.tolist()] == [x.images for x in els]
+        assert index.orders.dtype == np.int64
         assert index.orders.tolist() == [x.order() for x in els]
+        # the generic loop multiplies until the identity, with no cycles
+        assert index.orders.tolist() == [FiniteGroup.element_order(group, x) for x in els]
         assert index.lookup(index.rows[::-1]).tolist() == list(range(len(els)))[::-1]
         assert index.lookup([[0] * group.degree]).tolist() == [-1]
+
+    def test_a9_orders_match_cycle_type_counts(self):
+        # an even cycle type with m_k cycles of length k has
+        # n!/prod(k^m_k m_k!) elements, all of order lcm(k); orders spread
+        # along wrong class labels would change these counts
+        n = 9
+        expected = Counter()
+        for parts in _partitions(n):
+            if sum(k - 1 for k in parts) % 2:
+                continue
+            size = math.factorial(n)
+            for k, m in Counter(parts).items():
+                size //= k ** m * math.factorial(m)
+            expected[math.lcm(*parts)] += size
+        index = PermGroup.alternating(n).element_index()
+        assert len(index.class_reps) == 18
+        assert np.bincount(index.orders).tolist() == [
+            expected[k] for k in range(max(expected) + 1)]
 
     @pytest.mark.parametrize("text", ["perm 0 0", "perm 1 0"])
     def test_trivial_groups(self, text):

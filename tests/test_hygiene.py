@@ -1,8 +1,10 @@
 """Source hygiene that no linter checks here: every name a module of the
-package imports is used in that module."""
+package imports is used in that module, and every private function, class
+and method of the package is used somewhere in it."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -30,6 +32,46 @@ def unused_imports(source):
     return [name for name in imported if name not in used]
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _referenced(node):
+    """The names that `node` and everything below it read: bare names and
+    attribute names."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+    return out
+
+
+def unused_private_definitions(sources):
+    """The module-level `_name` functions and classes and the `_name`
+    methods of module-level classes, over the modules `sources` maps names
+    to, that no module reads outside the definition itself, as sorted
+    "module.name" or "module.Class.name" strings.  Dunders are not private.
+    A name counts as read wherever it appears as a bare name or as an
+    attribute, so a read through any object keeps every definition of that
+    name."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _referenced(tree))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for mod, tree in trees.items():
+        found = [(mod + "." + n.name, n) for n in tree.body if isinstance(n, defs)]
+        found += [(mod + "." + c.name + "." + n.name, n)
+                  for c in tree.body if isinstance(c, ast.ClassDef)
+                  for n in c.body if isinstance(n, defs[:2])]
+        for label, node in found:
+            if _private(node.name) and \
+                    reads[node.name] == _referenced(node).count(node.name):
+                unused.append(label)
+    return sorted(unused)
+
+
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -47,3 +89,25 @@ def test_the_check_sees_an_unused_import():
     src = ("import os\nimport numpy as np\nfrom a import (b, c)\n"
            "from d import e\n__all__ = ['e']\nprint(np.pi, c)\n")
     assert unused_imports(src) == ["os", "b"]
+
+
+def test_no_unused_private_definitions():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_private_definitions(sources) == []
+
+
+def test_the_check_sees_an_unused_private_definition():
+    sources = {
+        "a": ("def _used():\n    pass\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _dead():\n    pass\n"
+              "class _Box:\n"
+              "    def __init__(self):\n        self._kept()\n"
+              "    def _kept(self):\n        pass\n"
+              "    def _stale(self):\n        return self._stale()\n"
+              "    def __repr__(self):\n        return ''\n"
+              "def public():\n    return _used\n"),
+        "b": "from a import _Box\n_Box()\n",
+    }
+    assert unused_private_definitions(sources) == [
+        "a._Box._stale", "a._dead", "a._recursive"]
