@@ -12,6 +12,16 @@
  * undo by trail, so both find the same complete tables in the same order
  * after the same number of nodes.
  *
+ * And it builds the Schreier-Sims stabilizer chain step for step as
+ * groups.StabilizerChain: the same base points (the first point a residue
+ * moves), the input generators sifted in order, the breadth-first orbit
+ * and transversal (points in the order reached, generators in level
+ * order), the Schreier generators by ascending orbit point and then
+ * generator, the restart at the first that leaves a residue, and the
+ * re-completion of every level from the residue's up.  So each level has
+ * the same point, strong generators, orbit order and transversal.  A
+ * level's transversal is allocated at its orbit length.
+ *
  * Plain C with no Python headers: flatact.fpgroups compiles this file into
  * a shared library and calls it through ctypes.
  *
@@ -34,6 +44,17 @@
  *       writes the result to out, unless out is NULL, and frees state: for
  *       each complete table in the order found, its row count n and then
  *       its n x 2*ngens entries.
+ *   fa_schreier_sims(n, ngens, gens, &state, &nints)
+ *       the chain of the group generated by the ngens permutations
+ *       gens[k*n .. (k+1)*n) of 0..n-1.  Returns FA_OK and sets state and
+ *       nints (the length of the result), or an error status (and frees
+ *       everything): FA_BADARG when a generator is not a permutation.
+ *   fa_schreier_sims_take(state, out)
+ *       writes the result to out, unless out is NULL, and frees state: the
+ *       level count, then for each level its point, generator count g and
+ *       orbit length m, its g x n generators, its m orbit points in
+ *       breadth-first order, the m x n transversal (row k maps the point
+ *       to orbit point k) and the m x n inverses of its rows.
  */
 
 #include <stdint.h>
@@ -487,4 +508,275 @@ void fa_low_index_take(void *state, int32_t *out)
     if (out && s->nout)
         memcpy(out, s->out, (size_t)s->nout * sizeof *out);
     lix_free(s);
+}
+
+/* ---- Schreier-Sims stabilizer chain ---- */
+
+typedef struct {
+    int32_t point, norbit;
+    int64_t ngens, gcap;
+    int32_t *gens;      /* ngens x n: the strong generators placed here */
+    int32_t *orbit;     /* the orbit of point, in breadth-first order */
+    int32_t *where;     /* n: the position of each point in orbit, or -1 */
+    int32_t *trans;     /* norbit x n: row k maps point to orbit[k] */
+    int32_t *inv;       /* norbit x n: the inverse of each row of trans */
+} ss_level;
+
+typedef struct {
+    int64_t n, nlevels;
+    ss_level *levels;   /* room for n: every level fixes one more point */
+    int32_t *cur, *tmp; /* n: the permutation being sifted, and scratch */
+    int32_t *parent, *via;  /* n: the breadth-first tree of an orbit */
+} ssc;
+
+static void ss_free(ssc *s)
+{
+    int64_t i;
+    if (s) {
+        for (i = 0; s->levels && i < s->nlevels; i++) {
+            free(s->levels[i].gens);
+            free(s->levels[i].orbit);
+            free(s->levels[i].where);
+            free(s->levels[i].trans);
+            free(s->levels[i].inv);
+        }
+        free(s->levels);
+        free(s->cur);
+        free(s->tmp);
+        free(s->parent);
+        free(s->via);
+        free(s);
+    }
+}
+
+/* Resize *p to rows x n ints. */
+static int ss_resize(int32_t **p, int64_t rows, int64_t n)
+{
+    int32_t *t;
+    if (n && rows > (int64_t)(SIZE_MAX / sizeof *t) / n)
+        return FA_NOMEM;
+    if ((t = realloc(*p, (size_t)(rows * n + 1) * sizeof *t)) == NULL)
+        return FA_NOMEM;
+    *p = t;
+    return FA_OK;
+}
+
+static int ss_is_identity(const int32_t *g, int64_t n)
+{
+    int64_t i;
+    for (i = 0; i < n && g[i] == i; i++)
+        ;
+    return i == n;
+}
+
+/* Sift s->cur through the levels from start on (StabilizerChain._strip).
+ * Returns 1 with the residue in s->cur and its level in *stop, or 0 when
+ * it sifts to the identity. */
+static int ss_strip(ssc *s, int64_t start, int64_t *stop)
+{
+    int64_t n = s->n, idx, i;
+    for (idx = start; idx < s->nlevels; idx++) {
+        ss_level *lev = s->levels + idx;
+        int32_t k, *inv, *t;
+        if (ss_is_identity(s->cur, n))
+            return 0;
+        if ((k = lev->where[s->cur[lev->point]]) < 0) {
+            *stop = idx;
+            return 1;
+        }
+        inv = lev->inv + k * n;
+        for (i = 0; i < n; i++)
+            s->tmp[i] = inv[s->cur[i]];
+        t = s->cur;
+        s->cur = s->tmp;
+        s->tmp = t;
+    }
+    *stop = s->nlevels;
+    return !ss_is_identity(s->cur, n);
+}
+
+/* Append s->cur to the generators of level `level`, which is new when it
+ * equals nlevels: its point is the first point s->cur moves. */
+static int ss_place(ssc *s, int64_t level)
+{
+    int64_t n = s->n, i;
+    ss_level *lev = s->levels + level;
+    int status;
+    if (level == s->nlevels) {
+        memset(lev, 0, sizeof *lev);
+        s->nlevels++;
+        for (i = 0; s->cur[i] == i; i++)
+            ;
+        lev->point = (int32_t)i;
+        if ((lev->where = malloc((size_t)n * sizeof *lev->where)) == NULL)
+            return FA_NOMEM;
+        memset(lev->where, 0xff, (size_t)n * sizeof *lev->where);
+    }
+    if (lev->ngens == lev->gcap) {
+        if ((status = ss_resize(&lev->gens, lev->gcap ? 2 * lev->gcap : 4, n)) != FA_OK)
+            return status;
+        lev->gcap = lev->gcap ? 2 * lev->gcap : 4;
+    }
+    memcpy(lev->gens + lev->ngens++ * n, s->cur, (size_t)n * sizeof *s->cur);
+    return FA_OK;
+}
+
+/* The orbit of the level's point under gens in breadth-first order (points
+ * in the order reached, generators in order), with a transversal element
+ * g * t_p for each new point q = g(p) (groups._orbit_transversal). */
+static int ss_orbit(ssc *s, ss_level *lev, int32_t **gens, int64_t ng)
+{
+    int64_t n = s->n, norb = 1, k, j, x;
+    int32_t *order = s->tmp;
+    int status;
+    for (k = 0; k < lev->norbit; k++)
+        lev->where[lev->orbit[k]] = -1;
+    order[0] = lev->point;
+    lev->where[lev->point] = 0;
+    for (k = 0; k < norb; k++)
+        for (j = 0; j < ng; j++) {
+            int32_t q = gens[j][order[k]];
+            if (lev->where[q] < 0) {
+                lev->where[q] = (int32_t)norb;
+                order[norb] = q;
+                s->parent[norb] = (int32_t)k;
+                s->via[norb++] = (int32_t)j;
+            }
+        }
+    if ((status = ss_resize(&lev->orbit, norb, 1)) != FA_OK
+        || (status = ss_resize(&lev->trans, norb, n)) != FA_OK
+        || (status = ss_resize(&lev->inv, norb, n)) != FA_OK)
+        return status;
+    lev->norbit = (int32_t)norb;
+    memcpy(lev->orbit, order, (size_t)norb * sizeof *order);
+    for (x = 0; x < n; x++)
+        lev->trans[x] = lev->inv[x] = (int32_t)x;
+    for (k = 1; k < norb; k++) {
+        int32_t *t = lev->trans + k * n, *u = lev->inv + k * n;
+        const int32_t *g = gens[s->via[k]], *tp = lev->trans + s->parent[k] * n;
+        for (x = 0; x < n; x++) {
+            t[x] = g[tp[x]];
+            u[t[x]] = (int32_t)x;
+        }
+    }
+    return FA_OK;
+}
+
+/* StabilizerChain._complete: build the level's orbit under the generators
+ * of it and every deeper level, then sift the Schreier generators
+ * t_q^-1 * g * t_p, p in ascending order, g in order.  At the first that
+ * leaves a residue, place it, complete every level from the residue's
+ * down to level + 1, and start again. */
+static int ss_complete(ssc *s, int64_t level)
+{
+    int64_t n = s->n;
+    for (;;) {
+        ss_level *lev = s->levels + level;
+        int32_t **gens;
+        int64_t ng = 0, i, j, p, x, stop;
+        int status, added = 0;
+        for (i = level; i < s->nlevels; i++)
+            ng += s->levels[i].ngens;
+        if ((gens = malloc((size_t)(ng + 1) * sizeof *gens)) == NULL)
+            return FA_NOMEM;
+        for (i = level, ng = 0; i < s->nlevels; i++)
+            for (j = 0; j < s->levels[i].ngens; j++)
+                gens[ng++] = s->levels[i].gens + j * n;
+        status = ss_orbit(s, lev, gens, ng);
+        for (p = 0; status == FA_OK && !added && p < n; p++) {
+            const int32_t *tp;
+            if (lev->where[p] < 0)
+                continue;
+            tp = lev->trans + lev->where[p] * n;
+            for (j = 0; j < ng; j++) {
+                const int32_t *g = gens[j], *u = lev->inv + lev->where[g[p]] * n;
+                for (x = 0; x < n; x++)
+                    s->cur[x] = u[g[tp[x]]];
+                if (ss_strip(s, level + 1, &stop)) {
+                    status = ss_place(s, stop);
+                    for (i = stop; status == FA_OK && i > level; i--)
+                        status = ss_complete(s, i);
+                    added = 1;
+                    break;
+                }
+            }
+        }
+        free(gens);
+        if (status != FA_OK || !added)
+            return status;
+    }
+}
+
+int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
+                     void **state, int64_t *nints)
+{
+    ssc *s;
+    int64_t i, k, stop, level, total;
+    int status = FA_OK;
+    *state = NULL;
+    if (n < 0 || n > INT32_MAX || ngens < 0)
+        return FA_BADARG;
+    if ((s = calloc(1, sizeof *s)) == NULL)
+        return FA_NOMEM;
+    s->n = n;
+    s->levels = malloc((size_t)(n + 1) * sizeof *s->levels);
+    s->cur = malloc((size_t)(n + 1) * sizeof *s->cur);
+    s->tmp = malloc((size_t)(n + 1) * sizeof *s->tmp);
+    s->parent = malloc((size_t)(n + 1) * sizeof *s->parent);
+    s->via = malloc((size_t)(n + 1) * sizeof *s->via);
+    if (!s->levels || !s->cur || !s->tmp || !s->parent || !s->via)
+        status = FA_NOMEM;
+    /* every generator must be a permutation of 0..n-1 */
+    for (k = 0; status == FA_OK && k < ngens; k++) {
+        memset(s->cur, 0, (size_t)n * sizeof *s->cur);
+        for (i = 0; i < n; i++) {
+            int32_t x = gens[k * n + i];
+            if (x < 0 || x >= n || s->cur[x]++) {
+                status = FA_BADARG;
+                break;
+            }
+        }
+    }
+    /* StabilizerChain.__init__: sift the generators, then complete the
+     * levels from the deepest up */
+    for (k = 0; status == FA_OK && k < ngens; k++) {
+        memcpy(s->cur, gens + k * n, (size_t)n * sizeof *s->cur);
+        if (!ss_is_identity(s->cur, n) && ss_strip(s, 0, &stop))
+            status = ss_place(s, stop);
+    }
+    for (level = s->nlevels - 1; status == FA_OK && level >= 0; level--)
+        status = ss_complete(s, level);
+    if (status != FA_OK) {
+        ss_free(s);
+        return status;
+    }
+    for (i = 0, total = 1; i < s->nlevels; i++)
+        total += 3 + s->levels[i].ngens * n + s->levels[i].norbit * (1 + 2 * n);
+    *state = s;
+    *nints = total;
+    return FA_OK;
+}
+
+void fa_schreier_sims_take(void *state, int32_t *out)
+{
+    ssc *s = state;
+    int64_t n = s->n, i, m;
+    if (out) {
+        *out++ = (int32_t)s->nlevels;
+        for (i = 0; i < s->nlevels; i++) {
+            ss_level *lev = s->levels + i;
+            *out++ = lev->point;
+            *out++ = (int32_t)lev->ngens;
+            *out++ = lev->norbit;
+            memcpy(out, lev->gens, (size_t)(m = lev->ngens * n) * sizeof *out);
+            out += m;
+            memcpy(out, lev->orbit, (size_t)lev->norbit * sizeof *out);
+            out += lev->norbit;
+            memcpy(out, lev->trans, (size_t)(m = lev->norbit * n) * sizeof *out);
+            out += m;
+            memcpy(out, lev->inv, (size_t)m * sizeof *out);
+            out += m;
+        }
+    }
+    ss_free(s);
 }

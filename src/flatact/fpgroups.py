@@ -8,16 +8,17 @@ enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 
 Coset enumeration and the backtracking of the low-index search run in the
 compiled engine, `_coset.c`, when it can be loaded: plain C called through
-ctypes.  On first import the source is
+ctypes.  The same library builds the stabilizer chains of
+`groups.StabilizerChain`.  On first import the source is
 compiled with `cc -O2 -shared -fPIC` into the per-user cache directory
 (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode 0700), under a name
 made from the SHA-256 of the source, the compile command and the
 interpreter's cache tag, so later imports only load it.  If anything fails
 (no compiler, an unwritable or foreign cache, a load error), ENGINE is
-"pure" and the pure-Python engines run instead: `_coset_pure` and
-`_low_index_pure`.  They are also the differential-testing references.
-Both engines give identical tables, and the low-index searches visit the
-same nodes.
+"pure" and the pure-Python engines run instead: `_coset_pure`,
+`_low_index_pure` and `StabilizerChain._schreier_sims`.  They are also the
+differential-testing references.  Both engines give identical tables and
+chains, and the low-index searches visit the same nodes.
 """
 
 import ctypes
@@ -96,6 +97,12 @@ def _load_compiled():
         ctypes.POINTER(ctypes.c_int64)]
     lib.fa_low_index_take.restype = None
     lib.fa_low_index_take.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.fa_schreier_sims.restype = ctypes.c_int
+    lib.fa_schreier_sims.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
+    lib.fa_schreier_sims_take.restype = None
+    lib.fa_schreier_sims_take.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     return lib
 
 

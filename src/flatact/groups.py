@@ -5,14 +5,20 @@ Schreier-Sims stabilizer chain (membership, order, large groups), table
 groups carry an explicit multiplication table (quotients, extensions,
 certificates).  Elements are opaque handles: Permutation objects for the
 former, integer indices for the latter.
+
+The stabilizer chain is built by the compiled engine of `fpgroups`
+(`fa_schreier_sims` in `_coset.c`) when it is loaded, and otherwise by
+the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
+give identical levels.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import BoundExceeded
+from . import BoundExceeded, fpgroups
 
 
 class GroupError(Exception):
@@ -153,18 +159,64 @@ def _orbit_transversal(level, gens, deg):
     level.inverses = {q: _pinv(t) for q, t in trans.items()}
 
 
+def _schreier_sims_compiled(generators, degree):
+    """The levels of the StabilizerChain of `generators` (image tuples),
+    built by `fa_schreier_sims` of the compiled engine.  Raises MemoryError
+    when the chain does not fit."""
+    gens = np.array(generators, dtype=np.int32).reshape(len(generators), degree)
+    state = ctypes.c_void_p()
+    nints = ctypes.c_int64()
+    status = fpgroups._LIB.fa_schreier_sims(
+        degree, len(gens), gens.ctypes.data, ctypes.byref(state), ctypes.byref(nints))
+    if status == 2:
+        raise MemoryError("stabilizer chain does not fit in memory")
+    if status != 0:
+        raise ValueError("generator is not a permutation of 0..degree-1")
+    out = None
+    try:
+        out = np.empty(nints.value, dtype=np.int32)
+    finally:
+        fpgroups._LIB.fa_schreier_sims_take(state, None if out is None else out.ctypes.data)
+    # per level: point, generator count, orbit length, the generators, the
+    # orbit, its transversal and the inverses
+    levels, pos = [], 1
+    for _ in range(out[0]):
+        point, ngens, norbit = out[pos:pos + 3].tolist()
+        pos += 3
+        lev = _Level(point)
+        lev.gens = list(map(tuple, out[pos:pos + ngens * degree].reshape(ngens, degree).tolist()))
+        pos += ngens * degree
+        orbit = out[pos:pos + norbit].tolist()
+        pos += norbit
+        trans = out[pos:pos + 2 * norbit * degree].reshape(2, norbit, degree).tolist()
+        pos += 2 * norbit * degree
+        lev.transversal = dict(zip(orbit, map(tuple, trans[0])))
+        lev.inverses = dict(zip(orbit, map(tuple, trans[1])))
+        levels.append(lev)
+    return levels
+
+
 class StabilizerChain:
     """Deterministic Schreier-Sims chain over raw image tuples.
 
     Level i stores the strong generators first stuck at level i; the
     generating set acting at level i is the union over levels >= i (all of
-    those fix the first i base points).
+    those fix the first i base points).  The compiled engine builds the
+    levels when it is loaded; `_schreier_sims` is the same algorithm step
+    for step, the fallback and the differential reference.
     """
 
     def __init__(self, generators, degree):
         self.degree = degree
         self.levels = []
-        ident = tuple(range(degree))
+        if fpgroups._LIB is None:
+            self._schreier_sims(generators)
+        else:
+            self.levels = _schreier_sims_compiled(generators, degree)
+
+    def _schreier_sims(self, generators):
+        """Sift the generators, then complete the levels from the deepest up."""
+        ident = tuple(range(self.degree))
         for g in generators:
             if g == ident:
                 continue
@@ -415,6 +467,26 @@ def _row_keys(rows):
     return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
 
 
+def _row_orders(rows):
+    """The order of each permutation row, as int64: the lcm of the lengths
+    of its cycles.  Each point's cycle is labelled by its least point,
+    found by doubling: after j steps a label is the least of the point's
+    first 2**j images, and a step that changes no label shows that every
+    such window already holds its cycle's least point."""
+    k, deg = rows.shape
+    step = rows.astype(np.intp)
+    labels = np.broadcast_to(np.arange(deg), rows.shape)
+    span = 1
+    while span < deg:
+        new = np.minimum(labels, compose_rows(labels, step))
+        if np.array_equal(new, labels):
+            break
+        labels, step, span = new, compose_rows(step, step), 2 * span
+    keys = labels + np.arange(k)[:, None] * deg
+    lengths = np.bincount(keys.ravel(), minlength=k * deg)[keys]
+    return np.lcm.reduce(lengths, axis=1, initial=1).astype(np.int64)
+
+
 class ElementIndex:
     """The elements of a permutation group as arrays, for searches that
     treat many elements in one numpy pass.
@@ -431,10 +503,7 @@ class ElementIndex:
         self.class_reps, self.class_of = np.unique(
             self._class_labels(group.generators()), return_inverse=True)
         # conjugates have the same order: one cycle-type order per class
-        rep_orders = np.array(
-            [_perm(tuple(r)).order() for r in self.rows[self.class_reps].tolist()],
-            dtype=np.int64)
-        self.orders = rep_orders[self.class_of]
+        self.orders = _row_orders(self.rows[self.class_reps])[self.class_of]
 
     def lookup(self, rows):
         """Index of each row of `rows` among the elements, -1 for a row

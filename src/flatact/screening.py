@@ -287,7 +287,11 @@ def _random_element(group, rng, length=24):
 
 def _find_small_generating_set(group, rng, tries=60):
     """A small generating set found by seeded random search (products of
-    random generator words), falling back to the given generators."""
+    random generator words), falling back to the given generators.  The
+    words have a fixed even length, so when every generator is an
+    involution they all lie in the subgroup of products of an even number
+    of generators; when that subgroup is proper, as the rotation subgroup
+    of W(E7) is, every try fails and the search falls back."""
     order = group.order()
     for size in (2, 3):
         for _ in range(tries):

@@ -1,7 +1,11 @@
 """Permutation and table groups, stabilizer chains, and subgroup queries."""
 
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -9,15 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatact import fpgroups, groups
 from flatact.fpgroups import coxeter_group, todd_coxeter
 from flatact.groups import (FiniteGroup, GroupBoundExceeded, GroupError,
-                            GroupHom, PermGroup, Permutation, TableGroup,
+                            GroupHom, PermGroup, Permutation,
+                            StabilizerChain, TableGroup,
                             abelian_normal_subgroups,
                             conjugacy_classes, find_isomorphism,
                             group_from_text, group_to_text, is_normal,
                             iter_isomorphisms, normal_subgroups,
                             prime_order_class_reps, quotient_group,
                             subgroup_closure)
+from flatact.screening import _random_element, e7_weyl_permutation_group
 
 
 class TestPermutation:
@@ -82,12 +89,38 @@ def closure_by_bfs(gens, degree):
     return sorted(seen)
 
 
-def _weyl_d5_on_ten_points():
-    m = [[1 if i == j else 2 for j in range(5)] for i in range(5)]
-    for a, b in [(0, 1), (1, 2), (2, 3), (2, 4)]:
+def _weyl_on_cosets(n, edges):
+    """The Weyl group of the diagram on n nodes with `edges` (0-based, all
+    labelled 3) acting on the cosets of <s2..sn>."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for a, b in edges:
         m[a][b] = m[b][a] = 3
-    table = todd_coxeter(coxeter_group(m), [(i,) for i in range(2, 6)])
+    table = todd_coxeter(coxeter_group(m), [(i,) for i in range(2, n + 1)])
     return PermGroup(table.generator_permutations())
+
+
+def _weyl_d5_on_ten_points():
+    return _weyl_on_cosets(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+
+
+def _weyl_e6_on_27_points():
+    # Bourbaki numbering: node 2 hangs off node 4 of the chain 1-3-4-5-6
+    return _weyl_on_cosets(6, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+
+
+def _random_involutions(seed):
+    """(degree, generators): two to four random involutions (products of
+    disjoint transpositions, like Coxeter generators) of degree 4..10."""
+    rng = random.Random(seed)
+    deg = rng.randrange(4, 11)
+    gens = []
+    for _ in range(rng.randrange(2, 5)):
+        images = list(range(deg))
+        pts = rng.sample(range(deg), 2 * rng.randrange(1, deg // 2 + 1))
+        for a, b in zip(pts[::2], pts[1::2]):
+            images[a], images[b] = b, a
+        gens.append(Permutation(tuple(images)))
+    return deg, gens
 
 
 class TestStabilizerChain:
@@ -118,22 +151,13 @@ class TestStabilizerChain:
         assert [x.images for x in g.elements()] == closure
 
     def test_random_groups_order_and_membership(self):
-        # groups generated by random involutions (products of disjoint
-        # transpositions, like Coxeter generators) of degree 4..10; those
-        # of order above 2000 are skipped to keep the enumeration cheap.
-        # The elements come from the chain, so they are checked against a
-        # closure that does not use it.
+        # groups generated by random involutions; those of order above
+        # 2000 are skipped to keep the enumeration cheap.  The elements
+        # come from the chain, so they are checked against a closure that
+        # does not use it.
         checked = 0
         for seed in range(200):
-            rng = random.Random(seed)
-            deg = rng.randrange(4, 11)
-            gens = []
-            for _ in range(rng.randrange(2, 5)):
-                images = list(range(deg))
-                pts = rng.sample(range(deg), 2 * rng.randrange(1, deg // 2 + 1))
-                for a, b in zip(pts[::2], pts[1::2]):
-                    images[a], images[b] = b, a
-                gens.append(Permutation(tuple(images)))
+            deg, gens = _random_involutions(seed)
             g = PermGroup(gens, degree=deg)
             if g.order() > 2000:
                 continue
@@ -143,6 +167,111 @@ class TestStabilizerChain:
             assert all(g.contains(Permutation(x)) for x in closure), seed
             checked += 1
         assert checked >= 100
+
+
+def _pure_chain(gens, degree):
+    """The chain of the image tuples `gens` built by the pure-Python
+    Schreier-Sims, whatever engine is loaded."""
+    chain = StabilizerChain([], degree)
+    chain._schreier_sims(gens)
+    return chain
+
+
+def _levels(chain):
+    return [(lev.point, lev.gens, list(lev.transversal.items()),
+             list(lev.inverses.items())) for lev in chain.levels]
+
+
+def _images(group):
+    return [g.images for g in group.generators()], group.degree
+
+
+CHAIN_CASES = (
+    [pytest.param(lambda n=n: _images(PermGroup.symmetric(n)), id="S%d" % n)
+     for n in range(2, 10)]
+    + [pytest.param(lambda n=n: _images(PermGroup.alternating(n)), id="A%d" % n)
+       for n in range(3, 10)]
+    + [pytest.param(lambda: _images(_weyl_d5_on_ten_points()), id="W(D5)"),
+       pytest.param(lambda: _images(_weyl_e6_on_27_points()), id="W(E6)"),
+       pytest.param(lambda: _images(e7_weyl_permutation_group()[0]), id="W(E7)"),
+       pytest.param(lambda: ([], 0), id="degree-0"),
+       pytest.param(lambda: ([(0,)], 1), id="degree-1"),
+       pytest.param(lambda: ([tuple(range(5))] * 2, 5), id="identity-only"),
+       pytest.param(lambda: ([tuple(range(1, 11)) + (0,)], 11), id="11-cycle")]
+)
+
+
+class TestCompiledChain:
+    """The chain built by the compiled engine against the pure-Python one,
+    its reference: the same base points, strong generators in order, and
+    transversal keys in order with the same values."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self):
+        if shutil.which("cc"):
+            assert fpgroups.ENGINE == "compiled", fpgroups._LOAD_ERROR
+
+    @pytest.mark.parametrize("make", CHAIN_CASES)
+    def test_chains_agree(self, make):
+        gens, deg = make()
+        assert _levels(StabilizerChain(gens, deg)) == _levels(_pure_chain(gens, deg))
+
+    def test_chains_agree_on_random_involution_groups(self):
+        for seed in range(200):
+            deg, gens = _random_involutions(seed)
+            gens = [g.images for g in gens]
+            assert _levels(StabilizerChain(gens, deg)) == _levels(_pure_chain(gens, deg)), seed
+
+    def test_chains_agree_on_generating_set_tries(self):
+        # the first 30 pair tries of _find_small_generating_set on W(E7)
+        # under epimorphism_search's default seed
+        e7, _ = e7_weyl_permutation_group()
+        rng = random.Random(0)
+        for k in range(30):
+            gens = [_random_element(e7, rng).images for _ in range(2)]
+            assert _levels(StabilizerChain(gens, 56)) == _levels(_pure_chain(gens, 56)), k
+
+    def test_cyclic_group_of_degree_2000(self):
+        # one level of 2000 transversal rows: storage grows with the orbit,
+        # not with degree x degree per level
+        g = PermGroup.cyclic(2000)
+        assert len(g.chain.levels) == 1
+        assert g.order() == 2000
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_compiled_chain_rejects_a_non_permutation(self):
+        with pytest.raises(ValueError):
+            groups._schreier_sims_compiled([(0, 0)], 2)
+        with pytest.raises(ValueError):
+            groups._schreier_sims_compiled([(0, 2)], 2)
+
+    @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
+                        reason="needs a C compiler and /proc")
+    def test_allocation_failure_is_memory_error(self):
+        # ten disjoint 1000-cycles on 10,000 points: ten levels, each with a
+        # transversal and its inverses of 80 MB; allow 256 MB past the
+        # imports, so an allocation fails while deeper levels are completed
+        code = """if True:
+            import resource
+            from flatact import fpgroups
+            from flatact.groups import PermGroup, Permutation
+            assert fpgroups.ENGINE == "compiled"
+            with open("/proc/self/status") as fh:
+                vm = [int(l.split()[1]) for l in fh if l.startswith("VmSize")][0]
+            limit = vm * 1024 + (256 << 20)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            gens = [Permutation.from_cycles(10000, [tuple(range(k, k + 1000))])
+                    for k in range(0, 10000, 1000)]
+            try:
+                PermGroup(gens)
+            except MemoryError as exc:
+                print("MemoryError", exc)
+            """
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "MemoryError stabilizer chain does not fit in memory"
 
 
 def _random_group(seed):
@@ -277,8 +406,10 @@ class TestSubgroupQueries:
         (PermGroup([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
                     Permutation.from_cycles(4, [(0, 2)])]), "uint8"),
         (PermGroup.cyclic(300), "uint16"), (PermGroup.symmetric(7), "uint8"),
-        (PermGroup.alternating(8), "uint8"), (_weyl_d5_on_ten_points(), "uint8")],
-        ids=["A6", "C6", "D4", "C300", "S7", "A8", "W(D5)"])
+        (PermGroup.alternating(8), "uint8"), (_weyl_d5_on_ten_points(), "uint8"),
+        (PermGroup([Permutation.from_cycles(28, [(2 * i, 2 * i + 1)]) for i in range(14)]),
+         "uint8")],
+        ids=["A6", "C6", "D4", "C300", "S7", "A8", "W(D5)", "2^14"])
     def test_element_index(self, group, dtype):
         index = group.element_index()
         els = group.elements()
