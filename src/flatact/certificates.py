@@ -27,7 +27,9 @@ from .groups import (
     find_isomorphism,
     group_from_text,
     group_to_text,
+    is_normal,
     iter_isomorphisms,
+    quotient_group,
     subgroup_closure,
 )
 from .zlinalg import (
@@ -37,7 +39,7 @@ from .zlinalg import (
     IntMatrix,
     ZLinAlgError,
     kernel_basis,
-    solve_integer,
+    solve_modulo,
     sublattice_index,
 )
 from .cohomology import (
@@ -46,10 +48,10 @@ from .cohomology import (
     Cocycle2,
     CohomologyError,
     ZQModule,
-    _hcat,
     extension_class,
     h2,
     induced_h2,
+    is_equivariant,
     is_in_image,
     torsion_free_check,
 )
@@ -252,7 +254,7 @@ class FlatCertificate(TorusCertificate):
         d = super().to_dict()
         d["phi"] = [_encode_element(x) for x in self.phi]
         d["phi_star"] = group_to_text(self.phi_star)
-        els = _sorted_elements(self.phi_star)
+        els = self.phi_star.elements()
         order = {x: i for i, x in enumerate(els)}
         d["cocycle"] = [
             [_encode_element(g), _encode_element(h), list(v)]
@@ -271,29 +273,37 @@ def _encode_element(x):
     return list(x.images) if isinstance(x, Permutation) else int(x)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _decode_ints(obj, what):
+    """A JSON list of integers as a tuple.  Anything else, a float, a bool
+    or a numeric string among the entries included, is malformed."""
+    if not isinstance(obj, list) or not all(_is_int(x) for x in obj):
+        raise CertificateError("%s: expected a list of integers" % what)
+    return tuple(obj)
+
+
 def _decode_element(group, obj, what):
     if isinstance(group, PermGroup):
-        if not isinstance(obj, list):
-            raise CertificateError("%s: expected a permutation image list" % what)
+        images = _decode_ints(obj, what)
         try:
-            return Permutation(tuple(int(v) for v in obj))
+            return Permutation(images)
         except (GroupError, ValueError, TypeError):
             raise CertificateError("%s: not a valid permutation" % what)
-    if not isinstance(obj, int) or isinstance(obj, bool):
+    if not _is_int(obj):
         raise CertificateError("%s: expected an element index" % what)
     return obj
 
 
-def _sorted_elements(group):
-    return group.elements()
-
-
 def _decode_matrix(obj, what):
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+    if not isinstance(obj, list):
         raise CertificateError("%s: expected a list of rows" % what)
+    rows = [_decode_ints(r, "%s[%d]" % (what, i)) for i, r in enumerate(obj)]
     try:
-        return IntMatrix.from_rows(obj)
-    except (ZLinAlgError, TypeError, ValueError):
+        return IntMatrix.from_rows(rows)
+    except ZLinAlgError:
         raise CertificateError("%s: not a valid integer matrix" % what)
 
 
@@ -324,7 +334,7 @@ def certificate_from_dict(d):
         group = group_from_text(d["group"])
     except (GroupError, ValueError, TypeError, IndexError) as exc:
         raise CertificateError("group: %s" % exc)
-    if not isinstance(d["n"], int) or isinstance(d["n"], bool):
+    if not _is_int(d["n"]):
         raise CertificateError("n must be an integer")
     n = d["n"]
     q = None
@@ -372,9 +382,7 @@ def certificate_from_dict(d):
             raise CertificateError("cocycle[%d]: expected [g, h, value]" % i)
         g = _decode_element(phi_star, entry[0], "cocycle[%d].g" % i)
         h = _decode_element(phi_star, entry[1], "cocycle[%d].h" % i)
-        if not isinstance(entry[2], list):
-            raise CertificateError("cocycle[%d]: value must be a list" % i)
-        cocycle[(g, h)] = tuple(int(x) for x in entry[2])
+        cocycle[(g, h)] = _decode_ints(entry[2], "cocycle[%d].value" % i)
     if not isinstance(d["coboundary_witness"], list):
         raise CertificateError("coboundary_witness must be a list of entries")
     witness = {}
@@ -384,9 +392,7 @@ def certificate_from_dict(d):
                 "coboundary_witness[%d]: expected [g, value]" % i
             )
         g = _decode_element(phi_star, entry[0], "coboundary_witness[%d].g" % i)
-        if not isinstance(entry[1], list):
-            raise CertificateError("coboundary_witness[%d]: value must be a list" % i)
-        witness[g] = tuple(int(x) for x in entry[1])
+        witness[g] = _decode_ints(entry[1], "coboundary_witness[%d].value" % i)
     return FlatCertificate(group, a_gens, n, rho, alpha, phi, phi_star,
                            cocycle, witness, q=q)
 
@@ -450,21 +456,6 @@ class _Checklist:
         return VerificationReport(verdict, self.items, self.witnesses)
 
 
-def _equivariance_holds(alpha_matrix, lattice_mod, fin_mod, elem_pairs):
-    """alpha . rho(g) == act_A(g') . alpha modulo the invariant factors,
-    over the supplied (g, g') pairs."""
-    factors = fin_mod.invariant_factors
-    for g, gq in elem_pairs:
-        left = alpha_matrix * lattice_mod.act_matrix(g)
-        right = fin_mod.act_matrix(gq) * alpha_matrix
-        diff = left + (-right)
-        for r in range(diff.rows):
-            for x in diff.data[r]:
-                if x % factors[r] != 0:
-                    return False
-    return True
-
-
 def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
                              rank_bound=DEFAULT_RANK_BOUND):
     """Ordered checklist verification of a torus certificate."""
@@ -514,7 +505,7 @@ def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
     pairs = [(qe, qe) for qe in ext.quotient.elements()]
     if not cl.record(
         "alpha-equivariant",
-        _equivariance_holds(cert.alpha, lat_mod, ext.module, pairs),
+        is_equivariant(cert.alpha, lat_mod, ext.module, pairs),
         "alpha(g.x) must equal g.alpha(x)",
     ):
         return cl.report()
@@ -559,7 +550,6 @@ def _flat_attempts(cert):
             raise CertificateError("phi element outside phi_star")
     phi_els = subgroup_closure(cert.phi_star, cert.phi) if cert.phi else \
         [cert.phi_star.identity()]
-    from .groups import is_normal
     normal = (not cert.phi) or is_normal(cert.phi_star, cert.phi)
     if not cl.record("phi-normal", normal, "phi must be normal in phi_star"):
         yield cl.report()
@@ -584,7 +574,6 @@ def _flat_attempts(cert):
         return
 
     # 3. Q = phi_star/phi matches G/A
-    from .groups import quotient_group
     q_star, star_proj, _ = quotient_group(cert.phi_star, phi_els)
     try:
         ext = extension_class(cert.group, a_els, ident, a_group)
@@ -634,7 +623,7 @@ def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
     pairs = [(g, bar(g)) for g in cert.phi_star.elements()]
     if not cl.record(
         "alpha-equivariant",
-        _equivariance_holds(cert.alpha, star_mod, ext.module, pairs),
+        is_equivariant(cert.alpha, star_mod, ext.module, pairs),
         "alpha(g.x) must equal bar(g).alpha(x)",
     ):
         return cl.report()
@@ -645,7 +634,6 @@ def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
     if not cl.record("cocycle-valid", cstar.is_cocycle(),
                      "c* fails the cocycle identity"):
         return cl.report()
-    factors = a_group.invariant_factors
     e_star = cert.phi_star.identity()
 
     def bval(g):
@@ -711,17 +699,15 @@ def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
         return cl.report()
 
     # section adjustment s with alpha(s(phi)) = -b(phi)
-    rel = IntMatrix.diagonal(factors)
-    stacked = _hcat(cert.alpha, rel)
     s_of = {h_phi.identity(): (0,) * cert.n}
     for hg in h_phi.elements():
         if hg == h_phi.identity():
             continue
         target = tuple(-x for x in bval(lookup[hg]))
-        sol = solve_integer(stacked, target)
+        sol = solve_modulo(cert.alpha, a_group.invariant_factors, target)
         if sol is None:
             raise CertificateError("alpha is not surjective onto the witness values")
-        s_of[hg] = tuple(sol[:cert.n])
+        s_of[hg] = sol
 
     values = {}
     for g1 in h_phi.elements():

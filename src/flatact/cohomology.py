@@ -8,6 +8,11 @@ whole computation stays in exact integer arithmetic.
 
 A separate periodic-resolution engine covers cyclic groups; it is much
 cheaper and serves as an independent cross-check of the bar computation.
+The two engines find their lattices independently (the bar complex
+through sparse_kernel_hnf, the periodic one through the dense
+kernel_basis) and then take the same one quotient step, `_quotient`:
+the cocycle lattice, given by its Hermite basis, modulo the coboundaries,
+as a FinAbGroup with the projection onto its coordinates.
 The torsion-freeness test for crystallographic extensions lives here too,
 in two independent implementations (linear-system element search and
 restriction classes).
@@ -18,11 +23,9 @@ from operator import mul
 from . import BoundExceeded
 from .groups import (
     GroupError,
-    TableGroup,
     _walk,
     prime_order_class_reps,
     quotient_group,
-    subgroup_closure,
 )
 from .zlinalg import (
     AbHom,
@@ -30,9 +33,10 @@ from .zlinalg import (
     FinAbGroup,
     IntMatrix,
     ZLinAlgError,
-    hermite_normal_form,
-    kernel_basis_of_matrix,
+    hstack,
+    kernel_basis,
     solve_integer,
+    solve_modulo,
     sparse_kernel_hnf,
     cokernel,
 )
@@ -163,12 +167,6 @@ class ZQModule:
     def sub(self, a, b):
         return self.reduce(tuple(x - y for x, y in zip(a, b)))
 
-    def neg(self, a):
-        return self.reduce(tuple(-x for x in a))
-
-    def equal(self, a, b):
-        return self.reduce(a) == self.reduce(b)
-
     def is_faithful(self):
         seen = set()
         for m in self._cache.values():
@@ -176,18 +174,6 @@ class ZQModule:
                 return False
             seen.add(m.data)
         return True
-
-
-def restrict_module(module, sub_elements):
-    """(submodule over a TableGroup built from sub_elements, lookup) where
-    lookup maps new element handles back to handles of module.group."""
-    grp = module.group
-    sub = subgroup_closure(grp, list(sub_elements))
-    h = TableGroup.from_function(sub, grp.multiply, grp.identity())
-    lookup = {i: x for i, x in enumerate(sub)}
-    gen_mats = [module.act_matrix(lookup[g]) for g in h.generators()]
-    submod = ZQModule(h, module.coeff, gen_mats)
-    return submod, lookup
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +282,30 @@ def cyclic_cocycle_from_invariant(module, t, a):
 # ---------------------------------------------------------------------------
 # bar-resolution cohomology
 
-def _hcat(a, b):
-    if a.rows != b.rows:
-        raise CohomologyError("row mismatch in hcat")
-    return IntMatrix(a.rows, a.cols + b.cols,
-                     tuple(ra + rb for ra, rb in zip(a.data, b.data)))
+def _quotient(basis, imgens):
+    """The quotient of the lattice spanned by the rows of `basis` (an
+    echelon matrix) by the sublattice that the vectors `imgens` generate,
+    which must lie in it: (the quotient as a FinAbGroup, the matrix taking
+    coordinates over the basis rows to coordinates in it, an EchelonSolver
+    of basis or None when basis has no rows)."""
+    k = basis.rows
+    if k == 0:
+        return FinAbGroup(()), IntMatrix.zero(0, 0), None
+    solver = EchelonSolver(basis)
+    ycols = []
+    for gvec in imgens:
+        y = solver.solve(gvec)
+        if y is None:
+            raise CohomologyError("coboundary outside the cocycle lattice")
+        ycols.append(y)
+    ymat = IntMatrix.from_rows(
+        [[ycols[j][i] for j in range(len(ycols))] for i in range(k)]
+    ) if ycols else IntMatrix.zero(k, 0)
+    (group, free_rank), projection = cokernel(AbHom(ymat.cols, k, ymat))
+    if free_rank:
+        raise CohomologyError("unexpected free part in finite-group cohomology")
+    proj = projection.matrix if projection is not None else IntMatrix.zero(0, k)
+    return group, proj, solver
 
 
 class CohomologyGroup:
@@ -372,9 +377,6 @@ class CohomologyGroup:
         if self._solver.solve(self._flatten_cochain(cochain)) is None:
             raise CohomologyError("cochain is not a cocycle")
 
-    def is_zero_class(self, cochain):
-        return not any(self.class_of(cochain))
-
     def coboundary_witness(self, cochain):
         """A 1-cochain (degree 2) or coefficient vector (degree 1) whose
         coboundary equals the given cocycle, or None when the class is
@@ -400,12 +402,9 @@ class CohomologyGroup:
         if self.group.rank == 0:
             y = (0,) * self._basis.rows
         else:
-            rel = IntMatrix.diagonal(self.group.invariant_factors)
-            stacked = _hcat(self._proj, rel)
-            sol = solve_integer(stacked, coords)
-            if sol is None:
+            y = solve_modulo(self._proj, self.group.invariant_factors, coords)
+            if y is None:
                 raise CohomologyError("coordinates outside the group")
-            y = sol[:self._basis.rows]
         v = [0] * (len(self._cells_mid) * self.module.rank)
         for i, yi in enumerate(y):
             if yi:
@@ -574,31 +573,10 @@ def _bar_cohomology(module, degree):
             v[i] = factors[i % n]
             imgens.append(tuple(v))
 
-    k = basis.rows
-    if k == 0:
-        grp_h = FinAbGroup(())
-        proj = IntMatrix.zero(0, 0)
-    else:
-        solver = EchelonSolver(basis)
-        ycols = []
-        for gvec in imgens:
-            y = solver.solve(gvec)
-            if y is None:
-                raise CohomologyError("coboundary outside the cocycle lattice")
-            ycols.append(y)
-        ymat = IntMatrix.from_rows(
-            [[ycols[j][i] for j in range(len(ycols))] for i in range(k)]
-        ) if ycols else IntMatrix.zero(k, 0)
-        (grp_h, free_rank), projection = cokernel(AbHom(ymat.cols, k, ymat))
-        if free_rank:
-            raise CohomologyError(
-                "unexpected free part in finite-group cohomology"
-            )
-        proj = projection.matrix if projection is not None else IntMatrix.zero(0, k)
-
+    grp_h, proj, _ = _quotient(basis, imgens)
     if factors is not None:
         relations = IntMatrix.diagonal([factors[i % n] for i in range(n_mid)])
-        stacked_in = _hcat(din_m, relations)
+        stacked_in = hstack(din_m, relations)
     else:
         stacked_in = din_m
     return CohomologyGroup(module, degree, grp_h, cells_mid, cells_in,
@@ -667,16 +645,8 @@ class CyclicCohomology:
 
         # basis of the kernel sublattice (vectors killed by ker_of, modulo
         # the relation lattice for finite coefficients)
-        if self.factors is not None:
-            stacked = _hcat(ker_of, IntMatrix.diagonal(self.factors))
-            full = kernel_basis_of_matrix(stacked)
-            rows = [r[:n] for r in full.data]
-        else:
-            rows = list(kernel_basis_of_matrix(ker_of).data)
-        if rows:
-            h, _ = hermite_normal_form(IntMatrix.from_rows(rows))
-            rows = [r for r in h.data if any(r)]
-        self.basis = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n)
+        codomain = n if self.factors is None else FinAbGroup(self.factors)
+        self.basis = kernel_basis(AbHom(n, codomain, ker_of))
 
         imgens = [im_of.col(j) for j in range(n)]
         if self.factors is not None:
@@ -684,27 +654,7 @@ class CyclicCohomology:
                 v = [0] * n
                 v[i] = self.factors[i]
                 imgens.append(tuple(v))
-        k = self.basis.rows
-        if k == 0:
-            self.group = FinAbGroup(())
-            self.proj = IntMatrix.zero(0, 0)
-            self._solver = None
-        else:
-            self._solver = EchelonSolver(self.basis)
-            ycols = []
-            for gvec in imgens:
-                y = self._solver.solve(gvec)
-                if y is None:
-                    raise CohomologyError("image vector outside the kernel lattice")
-                ycols.append(y)
-            ymat = IntMatrix.from_rows(
-                [[ycols[j][i] for j in range(len(ycols))] for i in range(k)]
-            )
-            (grp, free_rank), projection = cokernel(AbHom(ymat.cols, k, ymat))
-            if free_rank:
-                raise CohomologyError("unexpected free part in cyclic cohomology")
-            self.group = grp
-            self.proj = projection.matrix if projection is not None else IntMatrix.zero(0, k)
+        self.group, self.proj, self._solver = _quotient(self.basis, imgens)
 
     def class_of_vector(self, w):
         """Class coordinates of a vector in the kernel sublattice."""
@@ -730,7 +680,7 @@ class CyclicCohomology:
 
 
 # ---------------------------------------------------------------------------
-# induced maps, restriction, image membership
+# induced maps and image membership
 
 class InducedMap:
     """Map between two computed cohomology groups, as a matrix between
@@ -743,6 +693,20 @@ class InducedMap:
 
     def apply(self, coords):
         return self.target.group.reduce(self.matrix.apply(coords))
+
+
+def is_equivariant(alpha_matrix, source, target, pairs):
+    """Whether alpha . source(g) == target(g') . alpha for every pair
+    (g, g') of `pairs`, with g acting on the module `source` and g' on
+    `target`: modulo the invariant factors of a finite target, exactly on
+    a lattice."""
+    factors = target.invariant_factors
+    for g, gt in pairs:
+        diff = alpha_matrix * source.act_matrix(g) + -(target.act_matrix(gt) * alpha_matrix)
+        for r, row in enumerate(diff.data):
+            if any(x % factors[r] if factors is not None else x for x in row):
+                return False
+    return True
 
 
 def induced_h2(alpha, source, target, require_surjective=True):
@@ -763,15 +727,9 @@ def induced_h2(alpha, source, target, require_surjective=True):
             raise CohomologyError("surjectivity check needs finite target")
         if not alpha.is_surjective():
             raise CohomologyError("alpha is not surjective")
-    for g in smod.group.elements():
-        left = alpha.matrix * smod.act_matrix(g)
-        right = tmod.act_matrix(g) * alpha.matrix
-        diff = left + (-right)
-        for r in range(diff.rows):
-            for x in diff.data[r]:
-                fr = tmod.invariant_factors[r] if tmod.is_finite else 0
-                if (x % fr if fr else x) != 0:
-                    raise CohomologyError("alpha is not equivariant")
+    if not is_equivariant(alpha.matrix, smod, tmod,
+                          [(g, g) for g in smod.group.elements()]):
+        raise CohomologyError("alpha is not equivariant")
 
     cols = []
     for rep in source.generator_representatives():
@@ -795,38 +753,8 @@ def is_in_image(target_coords, induced):
     coords = tgrp.reduce(target_coords)
     if tgrp.rank == 0:
         return sgrp.zero()
-    rel = IntMatrix.diagonal(tgrp.invariant_factors)
-    stacked = _hcat(induced.matrix, rel) if induced.matrix.cols else rel
-    sol = solve_integer(stacked, coords)
-    if sol is None:
-        return None
-    pre = tuple(sol[:induced.matrix.cols]) + (0,) * max(
-        0, sgrp.rank - induced.matrix.cols
-    )
-    return sgrp.reduce(pre[:sgrp.rank])
-
-
-def restriction_h2(source, sub_elements,
-                   group_bound=DEFAULT_GROUP_BOUND,
-                   rank_bound=DEFAULT_RANK_BOUND):
-    """Restriction map from a computed H^2 to H^2 of the subgroup
-    generated by sub_elements (same coefficients)."""
-    module = source.module
-    submod, lookup = restrict_module(module, sub_elements)
-    target = h2(submod, group_bound=group_bound, rank_bound=rank_bound)
-    cols = []
-    for rep in source.generator_representatives():
-        restricted = Cocycle2(
-            submod,
-            {(g, h): rep.value(lookup[g], lookup[h])
-             for g in submod.group.elements() for h in submod.group.elements()},
-        )
-        cols.append(target.class_of(restricted))
-    tr = target.group.rank
-    matrix = IntMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(tr)]
-    ) if cols else IntMatrix.zero(tr, 0)
-    return InducedMap(source, target, matrix), target
+    pre = solve_modulo(induced.matrix, tgrp.invariant_factors, coords)
+    return None if pre is None else sgrp.reduce(pre)
 
 
 # ---------------------------------------------------------------------------

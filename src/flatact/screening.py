@@ -515,19 +515,10 @@ def a9_chain(coset_limit=fpgroups.DEFAULT_COSET_LIMIT,
     target_order = a9.order()
     searches = []
     any_found = False
-    for ct, gens in filtered:
-        words = [fpgroups.word_to_letters(w) for w in gens]
-        sub_gens = []
-        perm_of = {i: p for i, p in enumerate(group.generators())}
-        for letters in words:
-            p = Permutation.identity(group.degree)
-            for x in letters:
-                q = perm_of[x // 2]
-                p = p * (q if x % 2 == 0 else q.inverse())
-            sub_gens.append(p)
-        sub = PermGroup(sub_gens, degree=group.degree) if sub_gens else group
-        if ct.index == 1:
-            sub = group
+    gens = group.generators()
+    for ct, words in filtered:
+        sub = group if ct.index == 1 else PermGroup(
+            [_eval_word(w, gens, group) for w in words], degree=group.degree)
         if sub.order() * ct.index != E7_WEYL_ORDER:
             raise CatalogError("subgroup order does not match its index")
         result = epimorphism_search(sub, a9, node_limit=node_limit)

@@ -9,7 +9,7 @@ that outputs are reproducible across runs.
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 
 class ZLinAlgError(Exception):
@@ -600,6 +600,14 @@ def solve_integer(a, b):
     return snf.v.apply(y)
 
 
+def solve_modulo(a, factors, b):
+    """One integer x with a . x = b modulo the factors (row i modulo
+    factors[i]): the first a.cols entries of solve_integer's solution of
+    [a | diag(factors)] . (x, z) = b, or None if there is none."""
+    sol = solve_integer(hstack(a, IntMatrix.diagonal(factors)), b)
+    return None if sol is None else sol[:a.cols]
+
+
 class EchelonSolver:
     """Repeated solves of sum_i y_i h_i = b against the rows h_i of an
     echelon matrix (every row nonzero, pivot columns strictly increasing),
@@ -672,10 +680,6 @@ class FinAbGroup:
     def order(self):
         return prod(self.invariant_factors)
 
-    @property
-    def exponent(self):
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
     def zero(self):
         return (0,) * self.rank
 
@@ -687,14 +691,8 @@ class FinAbGroup:
     def add(self, a, b):
         return tuple((x + y) % f for x, y, f in zip(a, b, self.invariant_factors))
 
-    def neg(self, a):
-        return tuple((-x) % f for x, f in zip(a, self.invariant_factors))
-
     def sub(self, a, b):
         return tuple((x - y) % f for x, y, f in zip(a, b, self.invariant_factors))
-
-    def scale(self, k, a):
-        return tuple((k * x) % f for x, f in zip(a, self.invariant_factors))
 
     def elements(self):
         def rec(i):
@@ -710,24 +708,13 @@ class FinAbGroup:
         n = 1
         for x, f in zip(a, self.invariant_factors):
             if x:
-                g = _gcd(x, f)
-                n = _lcm(n, f // g)
+                n = lcm(n, f // gcd(x, f))
         return n
 
     def __str__(self):
         if not self.invariant_factors:
             return "0"
         return " x ".join("Z/%d" % f for f in self.invariant_factors)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b) if a and b else 0
 
 
 LATTICE = "lattice"
@@ -781,23 +768,19 @@ class AbHom:
 
 
 def kernel_basis(f):
-    """Basis (rows) of ker f for f with lattice domain Z^n."""
+    """The nonzero rows of the Hermite normal form of ker f, for f with
+    lattice domain Z^n; for a finite codomain the kernel is taken modulo
+    its invariant factors."""
     if isinstance(f.domain, FinAbGroup):
         raise ZLinAlgError("kernel_basis expects a lattice domain")
     n = f.domain_rank
+    m = f.matrix
     if isinstance(f.codomain, FinAbGroup):
-        rel = IntMatrix.diagonal(f.codomain.invariant_factors)
-        stacked = _hstack(f.matrix, rel)
-        ker = kernel_basis_of_matrix(stacked)
-        proj = IntMatrix.from_rows([row[:n] for row in ker.data]) if ker.rows else IntMatrix.zero(0, n)
-        # drop dependent rows via HNF
-        h, _ = hermite_normal_form(proj)
-        rows = [r for r in h.data if any(r)]
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n)
-    ker = kernel_basis_of_matrix(f.matrix)
-    if ker.rows == 0:
+        m = hstack(m, IntMatrix.diagonal(f.codomain.invariant_factors))
+    ker = kernel_basis_of_matrix(m)
+    if not ker.rows:
         return IntMatrix.zero(0, n)
-    h, _ = hermite_normal_form(ker)
+    h, _ = hermite_normal_form(IntMatrix(ker.rows, n, tuple(r[:n] for r in ker.data)))
     rows = [r for r in h.data if any(r)]
     return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n)
 
@@ -816,7 +799,8 @@ def sublattice_index(basis, n):
     return idx
 
 
-def _hstack(a, b):
+def hstack(a, b):
+    """The columns of a, then those of b."""
     if a.rows != b.rows:
         raise ZLinAlgError("row mismatch in hstack")
     return IntMatrix(a.rows, a.cols + b.cols,
@@ -832,8 +816,7 @@ def cokernel(f):
     m = f.matrix
     cn = f.codomain_rank
     if isinstance(f.codomain, FinAbGroup):
-        rel = IntMatrix.diagonal(f.codomain.invariant_factors)
-        full = _hstack(m, rel) if m.cols else rel
+        full = hstack(m, IntMatrix.diagonal(f.codomain.invariant_factors))
     else:
         full = m
     if full.cols == 0:

@@ -17,7 +17,7 @@ from flatact.certificates import (CertificateError, CrystalElement,
                                   verify_torus_certificate)
 from flatact.cohomology import (Cocycle2, ZQModule, extension_class, h2,
                                 induced_h2, is_in_image)
-from flatact.groups import (PermGroup, Permutation, TableGroup,
+from flatact.groups import (PermGroup, Permutation, TableGroup, group_to_text,
                             iter_isomorphisms, quotient_group)
 from flatact.zlinalg import AbHom, IntMatrix
 
@@ -139,6 +139,19 @@ class TestTorusCertificate:
         with pytest.raises(CertificateError):
             certificate_from_dict(d)
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", [[1.9, 0], [0, 1]]), ("alpha", [[1, 0], [0, True]]),
+        ("alpha", [[1, "0"], [0, 1]]), ("rho", [[[0, -1], [1.0, -1]]]),
+        ("rho", [[[0, -1], [1, "-1"]]]), ("A_generators", [[1.0, 0.2, 3, 2], [2, 3, 0, 1]]),
+        ("A_generators", [[1, 0, 3, 2], [2, 3, False, 1]]),
+        ("A_generators", [[1, 0, 3, 2], ["2", 3, 0, 1]])])
+    def test_non_integer_entries_are_malformed(self, field, value):
+        # int() would read each of these as an integer: 1.9 as 1, True as 1
+        d = build_a4_certificate().to_dict()
+        d[field] = value
+        with pytest.raises(CertificateError, match="expected a list of integers"):
+            certificate_from_dict(d)
+
     def test_report_serialization(self):
         report = verify_torus_certificate(build_a4_certificate())
         d = report.to_dict()
@@ -222,6 +235,27 @@ class TestFlatCertificate:
             {k: v for k, v in cstar.values.items()}, witness)
         report = verify_flat_certificate(cert)
         assert report.verdict, report.failed_check()
+
+    @pytest.mark.parametrize("field,value", [
+        ("cocycle", [[1, 1, [1.0, 0]]]), ("cocycle", [[1, 1, [1, True]]]),
+        ("cocycle", [[1, 1, ["1", 0]]]), ("coboundary_witness", [[1, [0.5]]]),
+        ("coboundary_witness", [[1, [False]]]), ("coboundary_witness", [[1, ["0"]]]),
+        ("rho", [[[1, 0], [0, -1.0]]])])
+    def test_non_integer_entries_are_malformed(self, field, value):
+        d = klein_bottle_certificate().to_dict()
+        d[field] = value
+        with pytest.raises(CertificateError, match="expected a list of integers"):
+            certificate_from_dict(d)
+
+    def test_non_integer_phi_images_are_malformed(self):
+        # phi_star as a permutation group: C2 acting on two points
+        d = klein_bottle_certificate().to_dict()
+        c2 = group_to_text(PermGroup([(1, 0)]))
+        d.update(phi_star=c2, phi=[[1.0, 0]], cocycle=[], coboundary_witness=[])
+        with pytest.raises(CertificateError, match="expected a list of integers"):
+            certificate_from_dict(d)
+        d["phi"] = [[1, 0]]
+        assert certificate_from_dict(d).phi == [Permutation((1, 0))]
 
     def test_phi_outside_phi_star_rejected(self):
         trivial = TableGroup.cyclic(1)

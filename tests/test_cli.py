@@ -3,6 +3,7 @@ exit-code contract (0 accepted/success, 1 definitive negative, 2
 malformed input, 3 resource bound)."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -134,6 +135,14 @@ class TestVerify:
     def test_unknown_field_is_malformed(self, write):
         d = build_a4_certificate().to_dict()
         d["comment"] = "hello"
+        cert = write("c.json", json.dumps(d))
+        assert main(["verify-torus", cert]) == EXIT_MALFORMED
+
+    def test_non_integer_entries_are_malformed(self, write):
+        # each of these used to be truncated by int() and then accepted
+        d = json.loads((resources.files("flatact") / "data" / "a4.cert.json").read_text())
+        d["alpha"] = [[1.9, 0], [0, True]]
+        d["A_generators"][0] = [1.0, 0.2, 3, 2]
         cert = write("c.json", json.dumps(d))
         assert main(["verify-torus", cert]) == EXIT_MALFORMED
 

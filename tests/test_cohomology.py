@@ -1,5 +1,5 @@
 """Group cohomology: bar resolution vs the periodic cyclic resolution,
-induced and restriction maps, extension classes, torsion tests."""
+induced maps, extension classes, torsion tests."""
 
 import hashlib
 import json
@@ -12,7 +12,7 @@ from flatact.cohomology import (Cocycle2, CohomologyBoundExceeded,
                                 ZQModule, cocycle_from_text, cocycle_to_text,
                                 cyclic_cocycle_from_invariant, extension_class,
                                 h1, h2, induced_h2, is_in_image,
-                                restriction_h2, torsion_free_check,
+                                torsion_free_check,
                                 torsion_free_check_by_restriction)
 from flatact.certificates import abelian_identification
 from flatact.groups import PermGroup, Permutation, TableGroup
@@ -119,11 +119,11 @@ class TestCocycles:
                  for x in group.elements() if x != group.identity()}
             cob = Cocycle2.coboundary(module, b)
             assert cob.is_cocycle()
-            assert coh.is_zero_class(cob)
+            assert not any(coh.class_of(cob))
             witness = coh.coboundary_witness(cob)
             assert witness is not None
             again = Cocycle2.coboundary(module, witness)
-            assert all(module.equal(cob.value(g, h), again.value(g, h))
+            assert all(module.reduce(cob.value(g, h)) == module.reduce(again.value(g, h))
                        for g in group.elements() for h in group.elements())
 
     def test_representative_has_its_class(self):
@@ -166,16 +166,6 @@ class TestInducedAndRestriction:
         pre = is_in_image((1,), ind)
         assert pre is not None and ind.apply(pre) == (1,)
 
-    def test_restriction_c4_to_c2(self):
-        group = TableGroup.cyclic(4)
-        module = trivial_lattice_module(group)
-        src = h2(module)
-        res, tgt = restriction_h2(src, [2])
-        assert tgt.group.invariant_factors == (2,)
-        # generator restricts to the generator; its double restricts to zero
-        assert res.apply((1,)) == (1,)
-        assert res.apply((2,)) == (0,)
-
     def test_equivariance_enforced(self):
         group, module = cyclic_with_matrix(2, IntMatrix.from_rows([[-1]]))
         fin = ZQModule.finite(group, FinAbGroup.of(3), [IntMatrix.identity(1)])
@@ -184,6 +174,17 @@ class TestInducedAndRestriction:
         alpha = AbHom(1, FinAbGroup.of(3), IntMatrix.identity(1))
         with pytest.raises(CohomologyError):
             induced_h2(alpha, src, tgt)
+
+    def test_equivariance_enforced_on_a_lattice(self):
+        # the identity of Z is equivariant from the trivial module to
+        # itself, not to the sign module; on a lattice the check is exact
+        group, sign = cyclic_with_matrix(2, IntMatrix.from_rows([[-1]]))
+        src = h2(trivial_lattice_module(group))
+        alpha = AbHom(1, 1, IntMatrix.identity(1))
+        ind = induced_h2(alpha, src, src, require_surjective=False)
+        assert ind.apply((1,)) == (1,)
+        with pytest.raises(CohomologyError, match="alpha is not equivariant"):
+            induced_h2(alpha, src, h2(sign), require_surjective=False)
 
 
 class TestExtensionClass:

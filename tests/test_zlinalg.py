@@ -1,6 +1,7 @@
 """Exact integer linear algebra: normal forms and abelian-group helpers."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -12,7 +13,7 @@ from flatact.zlinalg import (AbHom, EchelonSolver, FinAbGroup, IntMatrix,
                              ZLinAlgError, _hnf_modulo, cokernel,
                              hermite_normal_form,
                              kernel_basis, kernel_basis_of_matrix,
-                             smith_normal_form, solve_integer,
+                             smith_normal_form, solve_integer, solve_modulo,
                              sparse_kernel_hnf, sublattice_index)
 
 
@@ -147,6 +148,18 @@ class TestSolvers:
     def test_solve_unsolvable(self):
         assert solve_integer(_mat([[2, 0], [0, 2]]), (1, 0)) is None
 
+    def test_solve_modulo(self):
+        a = _mat([[2, 1], [3, 0]])
+        x = solve_modulo(a, (4, 9), (3, 6))
+        assert len(x) == 2
+        assert [(v - b) % f for v, b, f in zip(a.apply(x), (3, 6), (4, 9))] == [0, 0]
+        # 2x = 1 has no solution modulo 4, nor 3x = 1 modulo 9
+        assert solve_modulo(_mat([[2]]), (4,), (1,)) is None
+        assert solve_modulo(_mat([[3, 6]]), (9,), (1,)) is None
+        # no columns: solvable exactly when b is zero modulo the factors
+        assert solve_modulo(IntMatrix.zero(2, 0), (2, 3), (4, -6)) == ()
+        assert solve_modulo(IntMatrix.zero(2, 0), (2, 3), (1, 0)) is None
+
     @given(matrices)
     @settings(max_examples=100, deadline=None)
     def test_kernel_annihilates(self, rows):
@@ -176,7 +189,7 @@ class TestFinAbGroup:
     def test_arithmetic(self):
         g = FinAbGroup.of(5)
         assert g.add((3,), (4,)) == (2,)
-        assert g.neg((2,)) == (3,)
+        assert g.sub(g.zero(), (2,)) == (3,)
 
     def test_elements_count(self):
         g = FinAbGroup.of(2, 6)
@@ -202,6 +215,37 @@ class TestAbHomCokernel:
         f = AbHom(2, FinAbGroup.of(2), _mat([[1, 1]]))
         k = kernel_basis(f)
         assert sublattice_index(k, 2) == 2
+
+    @pytest.mark.parametrize("codomain", [None, (2,), (3,), (2, 4), (2, 2, 6)],
+                             ids=["lattice", "Z2", "Z3", "Z2xZ4", "Z2xZ2xZ6"])
+    def test_kernel_basis_of_seeded_maps(self, codomain):
+        """Every row maps to zero, the rows are a Hermite form, and every
+        small kernel vector is in their span; for a finite codomain the
+        index of the kernel is the order of the image, counted."""
+        rng = random.Random(repr(codomain))
+        for _ in range(40):
+            n = rng.randrange(1, 4)
+            rows = rng.randrange(1, 3) if codomain is None else len(codomain)
+            mat = _mat([[rng.randrange(-4, 5) for _ in range(n)] for _ in range(rows)])
+            factors = codomain or (0,) * rows
+            f = AbHom(n, FinAbGroup(codomain) if codomain else rows, mat)
+            k = kernel_basis(f)
+            assert k.cols == n
+            for row in k.data:
+                assert all((x % q if q else x) == 0 for x, q in zip(mat.apply(row), factors))
+            assert k.data == hermite_normal_form(k)[0].data and all(any(r) for r in k.data)
+            # small box: [-2, 2]^n for a lattice, one period per coordinate
+            # (Z^n maps onto the image through it) for a finite codomain
+            span = range(-2, 3) if codomain is None else range(max(codomain))
+            solver = EchelonSolver(k) if k.rows else None
+            images = set()
+            for x in itertools.product(span, repeat=n):
+                y = mat.apply(x)
+                images.add(tuple(v % q if q else v for v, q in zip(y, factors)))
+                if all((v % q if q else v) == 0 for v, q in zip(y, factors)) and any(x):
+                    assert solver is not None and solver.solve(x) is not None
+            if codomain is not None:
+                assert sublattice_index(k, n) == len(images)
 
     def test_sublattice_index(self):
         basis = _mat([[1, 1], [0, 2]])
