@@ -21,11 +21,17 @@ change kept every output of a family byte for byte.  The families:
   torus certificate and its five `perfbench` mutations, of the Klein
   bottle flat certificate (and its zero cocycle), of the A4 flat
   certificate, and of a flat certificate whose section adjustment solves
-  modulo A.
+  modulo A;
+* `jordan` -- the element keys and the index of `jordan_witness` on the
+  `small-queries` Jordan queries, on `_jordan_corpus` of
+  `tests/test_acceptance.py`, and on C2 wr C4, C2 wr C2^2, D4 x C2 and
+  D4^3, which have several largest abelian normal subgroups.
 
 It uses only names that have been in the package since the sparse bar
 complex, so the same file runs on older checkouts.  A whole run takes
-about 8 s on a 2-core VM, most of it the A9 chain.
+about 8 s on a 2-core VM, most of it the A9 chain; on checkouts that
+still filter the normal-subgroup lattice, `jordan` takes far longer
+(D4^3 alone over an hour).
 
 Usage: PYTHONPATH=src python3 benchmarks/digest_outputs.py [family ...]
 """
@@ -39,11 +45,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from flatact import certificates, cohomology, fpgroups, screening  # noqa: E402
-from flatact.groups import PermGroup, TableGroup  # noqa: E402
+from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
-from workloads import _a4_flat_query, _module_cases  # noqa: E402
+from test_acceptance import _jordan_corpus  # noqa: E402
+from workloads import _a4_flat_query, _jordan_ops, _module_cases  # noqa: E402
 
 M = IntMatrix.from_rows
 
@@ -251,6 +259,46 @@ def certificates_family():
     return _sha([r.to_dict() for r in reports])
 
 
+def _on_disjoint_points(*gen_lists):
+    """Permutation generators of the direct product of the groups given
+    by image-tuple generator lists, each on its own points."""
+    degree = sum(len(gens[0]) for gens in gen_lists)
+    out, offset = [], 0
+    for gens in gen_lists:
+        for g in gens:
+            images = list(range(degree))
+            images[offset:offset + len(g)] = [offset + x for x in g]
+            out.append(Permutation(tuple(images)))
+        offset += len(gens[0])
+    return PermGroup(out, degree=degree)
+
+
+def _jordan_ties():
+    """C2 wr C4 and C2 wr C2^2 on 8 points (point 2i + b is bit b of
+    block i), D4 x C2 and D4^3."""
+    flip = (1, 0, 2, 3, 4, 5, 6, 7)
+    d4 = [(1, 2, 3, 0), (0, 3, 2, 1)]
+    return [PermGroup([flip, (2, 3, 4, 5, 6, 7, 0, 1)]),
+            PermGroup([flip, (2, 3, 0, 1, 6, 7, 4, 5), (4, 5, 6, 7, 0, 1, 2, 3)]),
+            _on_disjoint_points(d4, [(1, 0)]),
+            _on_disjoint_points(d4, d4, d4)]
+
+
+def jordan():
+    def record(res):
+        if res is None:
+            return None
+        sub, index = res
+        return [[list(x.images) if isinstance(x, Permutation) else x for x in sub], index]
+
+    out = [record(op.query(None)[1]) for op in _jordan_ops()]
+    out += [record(certificates.jordan_witness(certificates.JordanQuery(1, 200, g)))
+            for g in _jordan_corpus()]
+    out += [record(certificates.jordan_witness(certificates.JordanQuery(1, g.order(), g)))
+            for g in _jordan_ties()]
+    return _sha(out)
+
+
 FAMILIES = {
     "a9_chain": a9_chain,
     "coset_tables": coset_tables,
@@ -259,6 +307,7 @@ FAMILIES = {
     "cyclic_cohomology": cyclic_cohomology,
     "kernel_basis": kernel_basis_family,
     "certificates": certificates_family,
+    "jordan": jordan,
 }
 
 

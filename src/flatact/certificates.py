@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .groups import (
+    DEFAULT_SUBGROUP_ORDER_BOUND,
     GroupError,
     PermGroup,
     Permutation,
     TableGroup,
-    abelian_normal_subgroups,
     find_isomorphism,
     group_from_text,
     group_to_text,
     is_normal,
     iter_isomorphisms,
+    largest_abelian_normal_subgroup,
     quotient_group,
     subgroup_closure,
 )
@@ -548,9 +549,8 @@ def _flat_attempts(cert):
     for x in cert.phi:
         if not cert.phi_star.contains(x):
             raise CertificateError("phi element outside phi_star")
-    phi_els = subgroup_closure(cert.phi_star, cert.phi) if cert.phi else \
-        [cert.phi_star.identity()]
-    normal = (not cert.phi) or is_normal(cert.phi_star, cert.phi)
+    phi_els = subgroup_closure(cert.phi_star, cert.phi)
+    normal = is_normal(cert.phi_star, cert.phi)
     if not cl.record("phi-normal", normal, "phi must be normal in phi_star"):
         yield cl.report()
         return
@@ -603,11 +603,11 @@ def _flat_attempts(cert):
         cl2.record("quotient-match", True,
                    "quotients of order %d identified" % q_star.order())
         yield _flat_verify_with_iso(cert, cl2, a_els, a_group, ident, ext,
-                                    star_mod, star_proj, iso)
+                                    star_mod, star_proj, iso, phi_els)
 
 
 def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
-                          star_mod, star_proj, iso):
+                          star_mod, star_proj, iso, phi_els):
     # bar: map phi_star -> G/A coset group
     def bar(g):
         return iso(star_proj(g))
@@ -671,8 +671,6 @@ def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
     cl.witnesses["kernel_index"] = idx
 
     # 7. the subextension over phi with lattice N is torsion-free
-    phi_els = subgroup_closure(cert.phi_star, cert.phi) if cert.phi else \
-        [cert.phi_star.identity()]
     h_phi = TableGroup.from_function(phi_els, cert.phi_star.multiply,
                                      cert.phi_star.identity())
     lookup = {i: x for i, x in enumerate(phi_els)}
@@ -747,11 +745,10 @@ class JordanQuery:
             raise CertificateError("bound must be at least 1")
 
 
-def jordan_witness(query, order_bound=20000):
+def jordan_witness(query, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
     """The abelian normal subgroup of minimal index, or None when that
     index exceeds the query bound.  Returns (subgroup elements, index)."""
-    subs = abelian_normal_subgroups(query.group, order_bound=order_bound)
-    best = max(subs, key=len)
+    best = largest_abelian_normal_subgroup(query.group, order_bound=order_bound)
     index = query.group.order() // len(best)
     if index > query.bound:
         return None

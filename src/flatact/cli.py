@@ -13,7 +13,7 @@ import sys
 
 from flatact.zlinalg import (IntMatrix, ZLinAlgError, smith_normal_form)
 from flatact import BoundExceeded
-from flatact.groups import GroupError, PermGroup, group_from_text
+from flatact.groups import DEFAULT_SUBGROUP_ORDER_BOUND, GroupError, PermGroup, group_from_text
 from flatact import cohomology
 from flatact.cohomology import CohomologyError, ZQModule
 from flatact.certificates import (CertificateError, FlatCertificate,
@@ -367,7 +367,7 @@ def _build_parser():
     sp.add_argument("group")
     sp.add_argument("--bound", type=int, required=True)
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--group-order-limit", type=int, default=20000)
+    sp.add_argument("--group-order-limit", type=int, default=DEFAULT_SUBGROUP_ORDER_BOUND)
     fmt(sp)
     sp.set_defaults(fn=_cmd_jordan)
 

@@ -319,7 +319,7 @@ class CohomologyGroup:
     """
 
     def __init__(self, module, degree, group, cells_mid, cells_in,
-                 basis, proj, stacked_in):
+                 basis, proj, stacked_in, solver):
         self.module = module
         self.degree = degree
         self.group = group
@@ -329,7 +329,7 @@ class CohomologyGroup:
         self._basis = basis          # k x N_mid, rows span the cocycle lattice
         self._proj = proj            # group.rank x k
         self._stacked_in = stacked_in  # [din | relations], for witnesses
-        self._solver = EchelonSolver(basis) if basis.rows else None
+        self._solver = solver          # EchelonSolver of basis, None without rows
 
     @property
     def order(self):
@@ -426,7 +426,7 @@ class CohomologyGroup:
 def _trivial_cohomology(module, degree):
     zero = IntMatrix.zero(0, 0)
     return CohomologyGroup(module, degree, FinAbGroup(()), [], [],
-                           zero, IntMatrix.zero(0, 0), zero)
+                           zero, IntMatrix.zero(0, 0), zero, None)
 
 
 def _bar_cohomology(module, degree):
@@ -573,14 +573,14 @@ def _bar_cohomology(module, degree):
             v[i] = factors[i % n]
             imgens.append(tuple(v))
 
-    grp_h, proj, _ = _quotient(basis, imgens)
+    grp_h, proj, solver = _quotient(basis, imgens)
     if factors is not None:
         relations = IntMatrix.diagonal([factors[i % n] for i in range(n_mid)])
         stacked_in = hstack(din_m, relations)
     else:
         stacked_in = din_m
     return CohomologyGroup(module, degree, grp_h, cells_mid, cells_in,
-                           basis, proj, stacked_in)
+                           basis, proj, stacked_in, solver)
 
 
 def _check_bounds(module, group_bound, rank_bound):
@@ -637,7 +637,9 @@ class CyclicCohomology:
         for _ in range(order):
             norm = norm + power
             power = power * t_matrix
-        if power.data != ident.data and factors is None:
+        # t^order = 1, row r modulo factors[r] for finite coefficients
+        moduli = self.factors if self.factors is not None else (0,) * n
+        if any(x % f if f else x for row, f in zip((power + (-ident)).data, moduli) for x in row):
             raise CohomologyError("matrix does not have the stated order")
         self.norm = norm
         tm1 = t_matrix + (-ident)

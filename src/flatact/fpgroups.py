@@ -281,11 +281,6 @@ def symmetric_presentation(n):
     return coxeter_group(m)
 
 
-def dihedral_presentation(m):
-    """Coxeter presentation of the dihedral group of order 2m."""
-    return coxeter_group([[1, m], [m, 1]])
-
-
 @dataclass(frozen=True)
 class CosetTable:
     """A closed coset table for a subgroup of an FpGroup.
@@ -315,9 +310,6 @@ class CosetTable:
         for x in letters:
             c = int(self.table[c, x])
         return c
-
-    def trace_word(self, coset, word):
-        return self.trace(coset, word_to_letters(word))
 
     def generator_permutations(self):
         """The action of each generator as a Permutation on the cosets."""

@@ -107,9 +107,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def is_even(self):
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
     def __str__(self):
         cyc = self.cycles()
         if not cyc:
@@ -551,11 +548,10 @@ class TableGroup(FiniteGroup):
         self.n = len(self.table)
         self.e = identity_index
         self.names = names
-        self._inv = None
         self._gens = None
         if check:
             self._check_axioms()
-        self._build_inverses()
+        self._inv = [row.index(self.e) for row in self.table]
 
     def _check_axioms(self):
         n = self.n
@@ -580,12 +576,6 @@ class TableGroup(FiniteGroup):
                 rb = self.table[b]
                 if self.table[ab] != tuple(ra[rb[c]] for c in range(n)):
                     raise GroupError("table is not associative")
-
-    def _build_inverses(self):
-        inv = [None] * self.n
-        for i in range(self.n):
-            inv[i] = self.table[i].index(self.e)
-        self._inv = inv
 
     def order(self):
         return self.n
@@ -713,80 +703,92 @@ def prime_order_class_reps(group):
     for cls in conjugacy_classes(group):
         rep = cls[0]
         n = group.element_order(rep)
-        if n >= 2 and _is_prime(n):
+        if n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)):
             out.append((rep, n))
     return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 DEFAULT_SUBGROUP_ORDER_BOUND = 20000
+# vertices the pivot choices of the clique search may look at, a few seconds:
+# 2^(1+8) with 2,295 maximal abelian normal subgroups takes 1.9 million
+CLIQUE_SEARCH_LIMIT = 5_000_000
 
 
-def normal_subgroups(group):
-    """All normal subgroups, each as a sorted element list.
+def largest_abelian_normal_subgroup(group, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
+    """The abelian normal subgroup of largest order as a sorted element
+    list; of several, the first by element keys.
 
-    Built as joins of normal closures of conjugacy classes; every normal
-    subgroup is such a join.
-    """
-    classes = conjugacy_classes(group)
-    closures = []
-    seen = set()
-    for cls in classes:
-        c = frozenset(subgroup_closure(group, cls))
-        if c not in seen:
-            seen.add(c)
-            closures.append(c)
-    result = set(closures)
-    result.add(frozenset({group.identity()}))
-    frontier = set(result)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in closures:
-                if b <= a:
-                    continue
-                join = frozenset(subgroup_closure(group, sorted(a | b, key=_element_key)))
-                if join not in result:
-                    new.add(join)
-        result |= new
-        frontier = new
-    return sorted((sorted(s, key=_element_key) for s in result), key=lambda s: (len(s), [_element_key(x) for x in s]))
-
-
-def abelian_normal_subgroups(group, order_bound=DEFAULT_SUBGROUP_ORDER_BOUND):
-    """All abelian normal subgroups (as sorted element lists).
-
-    Every abelian normal subgroup is a normal subgroup that happens to be
-    abelian, and every normal subgroup is a join of class closures, so
-    filtering the normal subgroup lattice is exhaustive.
+    An abelian normal subgroup is a union of pairwise commuting conjugacy
+    classes, and the union of a maximal set of them is a subgroup: the
+    subgroup it generates is abelian and normal, so its classes commute
+    with the set.  So the candidates are the maximal cliques of the graph
+    on the classes that commute with themselves, two adjacent when they
+    commute.  Classes with the same neighbours are taken as one vertex.
     """
     if group.order() > order_bound:
-        raise GroupBoundExceeded(
-            "group order %d exceeds bound %d" % (group.order(), order_bound)
-        )
-    out = []
-    for sub in normal_subgroups(group):
-        if _is_abelian_subset(group, sub):
-            out.append(sub)
-    return out
+        raise GroupBoundExceeded("group order %d exceeds bound %d" % (group.order(), order_bound))
+    els = group.elements()
+    if group.is_abelian():
+        return list(els)
+    # the elements as rows of a faithful permutation representation, a base
+    # of it, and the classes as ascending arrays of row numbers; a table
+    # group acts by left multiplication, known by its image of the identity
+    if isinstance(group, PermGroup):
+        index = group.element_index()
+        rows, base, classes = index.rows, [lv.point for lv in group.chain.levels], index.classes()
+    else:
+        rows, base = np.array(group.table), [group.e]
+        classes = [np.array(c) for c in conjugacy_classes(group)]
+    # commute[c, d]: the first element r of class c commutes with class d,
+    # so all of c does and the matrix is symmetric.  Rows that agree on a
+    # base are equal, so x r = r x is tested on the base points.
+    rows = rows[np.concatenate(classes)]
+    starts = np.cumsum([0] + [len(c) for c in classes[:-1]])
+    commute = np.zeros((len(classes),) * 2, dtype=bool)
+    for c, start in enumerate(starts):
+        r, tail = rows[start], rows[start:]
+        ok = (tail[:, r[base]] == r[tail[:, base]]).all(axis=1)
+        commute[c, c:] = commute[c:, c] = np.logical_and.reduceat(ok, starts[c:] - start)
+    twins = {}
+    for c in np.flatnonzero(commute.diagonal()).tolist():
+        twins.setdefault(commute[c].tobytes(), []).append(c)
+    # bit i of a clique is blocks[i]; the block of the least element is the
+    # highest bit, so of two cliques of one order the larger int comes first
+    blocks = list(twins.values())[::-1]
+    heads = [b[0] for b in blocks]
+    nbrs = [int.from_bytes(np.packbits(commute[c, heads], bitorder="little").tobytes(),
+                           "little") & ~(1 << i) for i, c in enumerate(heads)]
+    weight = [sum(len(classes[c]) for c in b) for b in blocks]
+    best = max(_maximal_cliques(nbrs), key=lambda c: (sum(weight[i] for i in _bits(c)), c))
+    return [els[i] for i in np.sort(np.concatenate(
+        [classes[c] for i in _bits(best) for c in blocks[i]])).tolist()]
 
 
-def _is_abelian_subset(group, elements):
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            if group.multiply(a, b) != group.multiply(b, a):
-                return False
-    return True
+def _bits(mask):
+    """The positions of the set bits of an int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(nbrs):
+    """Every maximal clique, as a bitmask, of the graph in which vertex i
+    has the neighbour bitmask nbrs[i]: Bron-Kerbosch (1973) with Tomita's
+    pivot, the vertex of P | X with most neighbours in P."""
+    stack, work = [(0, (1 << len(nbrs)) - 1, 0)], 0
+    while stack:
+        clique, cand, done = stack.pop()
+        if not cand | done:
+            yield clique
+        elif cand:
+            work += (cand | done).bit_count()
+            if work > CLIQUE_SEARCH_LIMIT:
+                raise GroupBoundExceeded("clique search over %d steps" % CLIQUE_SEARCH_LIMIT)
+            pivot = max(_bits(cand | done), key=lambda u: (cand & nbrs[u]).bit_count())
+            for v in _bits(cand & ~nbrs[pivot]):
+                stack.append((clique | 1 << v, cand & nbrs[v], done & nbrs[v]))
+                cand, done = cand & ~(1 << v), done | 1 << v
 
 
 # ---------------------------------------------------------------------------

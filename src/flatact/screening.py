@@ -84,9 +84,6 @@ class ImfCatalog:
         text = (resources.files("flatact") / "data" / "imf_orders.txt").read_text()
         return ImfCatalog.from_text(text, check=check)
 
-    def dimensions(self):
-        return sorted(self._orders)
-
     def orders(self, k):
         try:
             return self._orders[k]

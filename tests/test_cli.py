@@ -15,8 +15,8 @@ from flatact.cohomology import (DEFAULT_GROUP_BOUND, CohomologyBoundExceeded,
                                 CohomologyError, ZQModule, cocycle_to_text, h2)
 from flatact.fpgroups import (CosetLimitExceeded, SearchBoundExceeded,
                               symmetric_presentation)
-from flatact.groups import (GroupBoundExceeded, GroupError, PermGroup,
-                            TableGroup, group_to_text)
+from flatact.groups import (DEFAULT_SUBGROUP_ORDER_BOUND, GroupBoundExceeded,
+                            GroupError, PermGroup, TableGroup, group_to_text)
 from flatact.zlinalg import IntMatrix
 
 
@@ -178,6 +178,17 @@ class TestJordan:
         assert main(["jordan", group, "--bound", "10",
                      "--group-order-limit", "59"]) == EXIT_BOUND
         assert "group order 60 exceeds bound 59" in capsys.readouterr().err
+
+    def test_s7_within_the_default_limit(self, write, capsys):
+        group = write("g.txt", group_to_text(PermGroup.symmetric(7)))
+        assert main(["jordan", group, "--bound", "5040"]) == EXIT_OK
+        assert "order 1, index 5040" in capsys.readouterr().out
+
+    def test_default_limit(self, write, capsys):
+        group = write("g.txt", group_to_text(PermGroup.symmetric(8)))
+        assert main(["jordan", group, "--bound", "10"]) == EXIT_BOUND
+        assert ("group order 40320 exceeds bound %d" % DEFAULT_SUBGROUP_ORDER_BOUND
+                in capsys.readouterr().err)
 
 
 class TestScreen:

@@ -87,6 +87,13 @@ class TestBarVsCyclicOracle:
         cc = CyclicCohomology(3, mat)
         assert cc.class_of_cocycle(coc, 1) == (1,)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("factors", [(4,), (3,)])
+    def test_order_checked_modulo_factors(self, factors, degree):
+        # -1 cubed is -1, which is not 1 modulo 4 or modulo 3
+        with pytest.raises(CohomologyError, match="does not have the stated order"):
+            CyclicCohomology(3, IntMatrix.from_rows([[-1]]), factors, degree=degree)
+
 
 class TestKnownGroups:
     def test_h2_s3_trivial_z(self):

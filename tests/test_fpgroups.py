@@ -16,7 +16,7 @@ from flatact import fpgroups
 from flatact.fpgroups import (CosetLimitExceeded, CosetTable, FpGroup,
                               PresentationError, SearchBoundExceeded,
                               coxeter_group, cyclic_reduce,
-                              dihedral_presentation, e7_weyl_presentation,
+                              e7_weyl_presentation,
                               free_reduce, invert_word, letters_to_word,
                               low_index_subgroups,
                               rewrite_subgroup_presentation,
@@ -57,7 +57,7 @@ ENGINE_CASES = (
                   id="E7/without-s%d" % drop) for drop in range(1, 8)]
     + [pytest.param(symmetric_presentation(n), [], id="S%d" % n) for n in range(3, 8)]
     + [pytest.param(symmetric_presentation(5), [(1,)], id="S5/<s1>")]
-    + [pytest.param(dihedral_presentation(m), sub, id="D%d/%d" % (m, len(sub)))
+    + [pytest.param(coxeter_group([[1, m], [m, 1]]), sub, id="D%d/%d" % (m, len(sub)))
        for m in (2, 3, 5, 8, 12) for sub in ([], [(1,)])]
     # an order-8 group whose relator scans leave two or more entries of a
     # coset to the fill-in loop, so that loop's definition order shows
@@ -132,7 +132,7 @@ class TestToddCoxeter:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_dihedral(self, m):
-        assert todd_coxeter(dihedral_presentation(m)).index == 2 * m
+        assert todd_coxeter(coxeter_group([[1, m], [m, 1]])).index == 2 * m
 
     def test_coset_subgroup_letters_and_limit_checked(self):
         g = symmetric_presentation(3)
@@ -156,8 +156,8 @@ class TestToddCoxeter:
 
     def test_trace_word(self):
         ct = todd_coxeter(symmetric_presentation(3), [(1,)])
-        assert ct.trace_word(0, (1,)) == 0
-        assert ct.trace_word(0, (2, -2)) == 0
+        assert ct.trace(0, word_to_letters((1,))) == 0
+        assert ct.trace(0, word_to_letters((2, -2))) == 0
 
     def test_validation_rejects_tampered_table(self):
         ct = todd_coxeter(symmetric_presentation(3), [(1,)])
@@ -311,7 +311,7 @@ class TestLowIndex:
         g = symmetric_presentation(4)
         for table, gen_words in low_index_subgroups(g, 4):
             for w in gen_words:
-                assert table.trace_word(0, w) == 0
+                assert table.trace(0, word_to_letters(w)) == 0
 
     def test_node_limit(self):
         with pytest.raises(SearchBoundExceeded):
@@ -340,7 +340,7 @@ def _complete_tables(g, max_index, engine, node_limit=10 ** 7):
 LOW_INDEX_CASES = (
     [pytest.param(symmetric_presentation(n), k, id="S%d/%d" % (n, k))
      for n, k in ((3, 6), (4, 24), (5, 24), (6, 15))]
-    + [pytest.param(dihedral_presentation(m), k, id="D%d/%d" % (m, k))
+    + [pytest.param(coxeter_group([[1, m], [m, 1]]), k, id="D%d/%d" % (m, k))
        for m, k in ((2, 4), (3, 6), (5, 10), (8, 16), (12, 24))]
     + [pytest.param(FpGroup(1, ((1, 1, 1, 1),)), 4, id="C4/4"),
        pytest.param(FpGroup(1, ()), 8, id="Z/8")]
@@ -413,7 +413,7 @@ class TestRewriting:
     def test_schreier_generators_lie_in_subgroup(self):
         ct = todd_coxeter(symmetric_presentation(4), [(1,), (2,)])
         for w in schreier_generators(ct):
-            assert ct.trace_word(0, w) == 0
+            assert ct.trace(0, word_to_letters(w)) == 0
 
     def test_alternating_subgroup_of_s4(self):
         g = symmetric_presentation(4)
@@ -421,7 +421,7 @@ class TestRewriting:
         sub, gen_words = rewrite_subgroup_presentation(table)
         assert todd_coxeter(sub).index == 12
         for w in gen_words:
-            assert table.trace_word(0, w) == 0
+            assert table.trace(0, word_to_letters(w)) == 0
 
     def test_index_three_subgroup_of_s3_is_c2(self):
         g = symmetric_presentation(3)

@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -18,13 +19,13 @@ from flatact.fpgroups import coxeter_group, todd_coxeter
 from flatact.groups import (FiniteGroup, GroupBoundExceeded, GroupError,
                             GroupHom, PermGroup, Permutation,
                             StabilizerChain, TableGroup,
-                            abelian_normal_subgroups,
                             conjugacy_classes, find_isomorphism,
                             group_from_text, group_to_text, is_normal,
-                            iter_isomorphisms, normal_subgroups,
+                            iter_isomorphisms, largest_abelian_normal_subgroup,
                             prime_order_class_reps, quotient_group,
                             subgroup_closure)
 from flatact.screening import _random_element, e7_weyl_permutation_group
+from test_acceptance import _jordan_corpus
 
 
 class TestPermutation:
@@ -37,8 +38,8 @@ class TestPermutation:
     def test_order_and_parity(self):
         p = Permutation.from_cycles(6, [(0, 1, 2), (3, 4)])
         assert p.order() == 6
-        assert not p.is_even()
-        assert Permutation.from_cycles(5, [(0, 1, 2)]).is_even()
+        assert not PermGroup.alternating(6).contains(p)
+        assert PermGroup.alternating(5).contains(Permutation.from_cycles(5, [(0, 1, 2)]))
 
     def test_invalid_rejected(self):
         with pytest.raises(GroupError):
@@ -461,8 +462,12 @@ class TestSubgroupQueries:
         assert orders == [1, 4, 12]
 
     def test_abelian_normal_subgroups_a4(self):
-        subs = abelian_normal_subgroups(PermGroup.alternating(4))
+        a4 = PermGroup.alternating(4)
+        subs = abelian_normal_subgroups(a4)
         assert max(len(s) for s in subs) == 4
+        klein = largest_abelian_normal_subgroup(a4)
+        assert klein == max(subs, key=len)
+        assert sorted(x.order() for x in klein) == [1, 2, 2, 2]
 
     def test_quotient_group(self):
         s4 = PermGroup.symmetric(4)
@@ -478,10 +483,156 @@ class TestSubgroupQueries:
 
     def test_order_bounds_raise_group_bound_exceeded(self):
         with pytest.raises(GroupBoundExceeded, match="exceeds bound 59"):
-            abelian_normal_subgroups(PermGroup.alternating(5), order_bound=59)
+            largest_abelian_normal_subgroup(PermGroup.alternating(5), order_bound=59)
         with pytest.raises(GroupBoundExceeded, match="too large"):
             PermGroup.symmetric(11).elements()
         assert issubclass(GroupBoundExceeded, GroupError)
+
+
+def normal_subgroups(group):
+    """All normal subgroups as sorted element lists, in (order, element
+    keys) order: the joins of the normal closures of the conjugacy
+    classes, each a subgroup closure.  The reference that
+    `largest_abelian_normal_subgroup` is checked against."""
+    classes = conjugacy_classes(group)
+    closures = []
+    for cls in classes:
+        c = frozenset(subgroup_closure(group, cls))
+        if c not in closures:
+            closures.append(c)
+    result = set(closures) | {frozenset({group.identity()})}
+    frontier = set(result)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in closures:
+                if not b <= a:
+                    join = frozenset(subgroup_closure(group, sorted(a | b, key=groups._element_key)))
+                    if join not in result:
+                        new.add(join)
+        result |= new
+        frontier = new
+    subs = [sorted(s, key=groups._element_key) for s in result]
+    return sorted(subs, key=lambda s: (len(s), [groups._element_key(x) for x in s]))
+
+
+def abelian_normal_subgroups(group):
+    return [sub for sub in normal_subgroups(group)
+            if all(group.multiply(a, b) == group.multiply(b, a)
+                   for i, a in enumerate(sub) for b in sub[i + 1:])]
+
+
+def _direct_product(*factors):
+    """The direct product of permutation groups, on disjoint points."""
+    degree = sum(f.degree for f in factors)
+    gens, offset = [], 0
+    for f in factors:
+        for g in f.generators():
+            images = list(range(degree))
+            images[offset:offset + f.degree] = [offset + x for x in g.images]
+            gens.append(Permutation(tuple(images)))
+        offset += f.degree
+    return PermGroup(gens, degree=degree)
+
+
+def _dihedral(m):
+    return PermGroup([tuple((i + 1) % m for i in range(m)),
+                      tuple((m - i) % m for i in range(m))])
+
+
+def _wreath_c2(top):
+    """C2 wr T on 2k points, T a group of block permutations of degree k:
+    point 2i + b is bit b of block i."""
+    gens = [Permutation.from_cycles(2 * top.degree, [(0, 1)])]
+    gens += [Permutation(tuple(2 * t.images[p // 2] + p % 2 for p in range(2 * top.degree)))
+             for t in top.generators()]
+    return PermGroup(gens)
+
+
+def _extraspecial(k):
+    """The extraspecial group 2^(1+2k) of + type on the points (v, s) of
+    F_2^k x F_2, numbered 2v + s: the translations of v and the sign
+    changes s += v_j.  Its largest abelian normal subgroups are the
+    preimages of the Lagrangian subspaces of F_2^2k, all of one order."""
+    gens = []
+    for j in range(k):
+        gens.append(tuple(p ^ 2 << j for p in range(2 ** (k + 1))))
+        gens.append(tuple(p ^ (p >> j + 1 & 1) for p in range(2 ** (k + 1))))
+    return PermGroup(gens)
+
+
+def _random_subgroup(seed):
+    """The subgroup of one to three seeded random elements of a small
+    imprimitive or product group."""
+    rng = random.Random(seed)
+    ambient = rng.choice([
+        lambda: _wreath_c2(PermGroup.symmetric(3)),
+        lambda: _wreath_c2(PermGroup.cyclic(4)),
+        lambda: _direct_product(PermGroup.symmetric(4), PermGroup.symmetric(3)),
+        lambda: _direct_product(_dihedral(4), _dihedral(4)),
+        lambda: _direct_product(_dihedral(6), PermGroup.cyclic(2)),
+    ])()
+    els = ambient.elements()
+    return PermGroup([rng.choice(els) for _ in range(rng.randrange(1, 4))],
+                     degree=ambient.degree)
+
+
+def _small_query_groups():
+    """The groups of the `small-queries` Jordan witnesses."""
+    out = [TableGroup.cyclic(n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 60)]
+    out += [_dihedral(m) for m in range(3, 13)]
+    return out + [PermGroup.symmetric(3), PermGroup.symmetric(4), PermGroup.symmetric(5),
+                  PermGroup.alternating(4), PermGroup.alternating(5)]
+
+
+ORACLE_CASES = (
+    [pytest.param(g, id="small-queries-%d" % i) for i, g in enumerate(_small_query_groups())]
+    + [pytest.param(g, id="jordan-corpus-%d" % i) for i, g in enumerate(_jordan_corpus())]
+    + [pytest.param(_random_subgroup(seed), id="random-%d" % seed) for seed in range(30)]
+    # several abelian normal subgroups of the largest order
+    + [pytest.param(_wreath_c2(PermGroup.cyclic(4)), id="C2wrC4"),
+       pytest.param(_wreath_c2(PermGroup([(1, 0, 3, 2), (2, 3, 0, 1)])), id="C2wrC2^2"),
+       pytest.param(_direct_product(_dihedral(4), PermGroup.cyclic(2)), id="D4xC2"),
+       pytest.param(_extraspecial(2), id="2^(1+4)"),
+       pytest.param(_direct_product(*[PermGroup.cyclic(2)] * 4), id="C2^4")]
+)
+
+
+class TestLargestAbelianNormalSubgroup:
+    @pytest.mark.parametrize("group", ORACLE_CASES)
+    def test_matches_the_lattice_filter(self, group):
+        # the largest abelian normal subgroup, and of several the first by
+        # (order, element keys), as the normal-subgroup lattice gives it
+        expected = max(abelian_normal_subgroups(group), key=len)
+        assert largest_abelian_normal_subgroup(group) == expected
+
+    def test_ties_are_broken_by_element_keys(self):
+        d4 = _dihedral(4)
+        subs = [s for s in abelian_normal_subgroups(d4) if len(s) == 4]
+        assert len(subs) == 3
+        assert largest_abelian_normal_subgroup(d4) == subs[0]
+
+    @pytest.mark.parametrize("make, size", [
+        (lambda: PermGroup.symmetric(7), 1),
+        (lambda: _direct_product(*[PermGroup.cyclic(2)] * 10), 1024),
+    ], ids=["S7", "C2^10"])
+    def test_groups_beyond_the_lattice(self, make, size):
+        # the normal-subgroup lattice took minutes on S7 and on C2^6
+        group = make()
+        t0 = time.perf_counter()
+        sub = largest_abelian_normal_subgroup(group)
+        assert len(sub) == size
+        assert time.perf_counter() - t0 < 5
+
+    def test_clique_search_limit(self, monkeypatch):
+        # 2^(1+6) has 135 maximal abelian normal subgroups, all of order
+        # 16; their search looks at 9,569 vertices to choose pivots
+        group = _extraspecial(3)
+        monkeypatch.setattr(groups, "CLIQUE_SEARCH_LIMIT", 9569)
+        assert len(largest_abelian_normal_subgroup(group)) == 16
+        monkeypatch.setattr(groups, "CLIQUE_SEARCH_LIMIT", 9568)
+        with pytest.raises(GroupBoundExceeded, match="clique search over 9568 steps"):
+            largest_abelian_normal_subgroup(group)
 
 
 class TestHomsAndIsos:
