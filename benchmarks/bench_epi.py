@@ -1,8 +1,10 @@
 """Time the epimorphism searches of the dimension-7 chain onto A9.
 
-For the index-2 and the index-1 class of the low-index stage of
-`screening.a9_chain`, build the subgroup exactly as the chain does, then
-time on a fresh A9:
+First the stages before the searches: `screen_s`, the order screening of
+dimensions 3..24, and `low_index_s`, the low-index search of W(E7) to
+index 16, with its class count and `fpgroups.ENGINE`.  Then, for the
+index-2 and the index-1 class of that search, build the subgroup exactly
+as `screening.a9_chain` does, and time on a fresh A9:
 
 * `index_build_s` -- building the target's element index (sorted element
   rows, element orders, conjugacy-class labels); null on checkouts that
@@ -11,14 +13,17 @@ time on a fresh A9:
 * `wall_s` -- the two together, which is what one chain search costs.
 
 It then times the whole chain, `screening.a9_chain()`, with the node
-counts and the verdict it reports.  The record also holds `nodes`, the
-surjections found, and what `benchrun.start_run` records (machine, load,
-commit, `source_diff`); it is appended to the output file.
+counts and the verdict it reports, and the SHA-256 of the report as JSON
+with sorted keys (`report_sha256`; the report holds no timings).  The
+record also holds `nodes`, the surjections found, and what
+`benchrun.start_run` records (machine, load, commit, `source_diff`); it
+is appended to the output file.
 
 Usage: python3 benchmarks/bench_epi.py [--out BENCH_epi.json]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -32,12 +37,11 @@ from flatact import fpgroups, screening  # noqa: E402
 from flatact.groups import Permutation, PermGroup  # noqa: E402
 
 
-def class_subgroups(indices):
+def class_subgroups(classes, indices):
     """(index, subgroup) for the low-index classes of W(E7) with the given
     indices, in that order, each subgroup built from its Schreier generators as
     `screening.a9_chain` builds it."""
     group, _ = screening.e7_weyl_permutation_group()
-    classes = fpgroups.low_index_subgroups(fpgroups.e7_weyl_presentation(), 16)
     gens = group.generators()
     out = {}
     for ct, words in classes:
@@ -78,7 +82,15 @@ def main():
     args = ap.parse_args()
 
     run = start_run(searches=[])
-    for index, sub in class_subgroups((2, 1)):
+    t0 = time.perf_counter()
+    screening.screen_dimensions(screening.ImfCatalog.load())
+    t1 = time.perf_counter()
+    classes = fpgroups.low_index_subgroups(fpgroups.e7_weyl_presentation(), 16)
+    t2 = time.perf_counter()
+    run["stages"] = {"screen_s": round(t1 - t0, 3), "low_index_s": round(t2 - t1, 3),
+                     "low_index_classes": len(classes), "engine": fpgroups.ENGINE}
+    print(json.dumps(run["stages"]), flush=True)
+    for index, sub in class_subgroups(classes, (2, 1)):
         rec = dict(index=index, **time_search(sub))
         print(json.dumps(rec), flush=True)
         run["searches"].append(rec)
@@ -87,7 +99,9 @@ def main():
     run["a9_chain"] = {
         "wall_s": round(time.perf_counter() - t0, 3),
         "nodes": {s["index"]: s["nodes"] for s in report["epimorphism_searches"]},
-        "no_a9_action_in_dimension_7": report["no_a9_action_in_dimension_7"]}
+        "no_a9_action_in_dimension_7": report["no_a9_action_in_dimension_7"],
+        "report_sha256": hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()}
     print(json.dumps(run["a9_chain"]), flush=True)
     finish_run(run, args.out)
 

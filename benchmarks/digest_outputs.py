@@ -25,10 +25,15 @@ change kept every output of a family byte for byte.  The families:
 * `jordan` -- the element keys and the index of `jordan_witness` on the
   `small-queries` Jordan queries, on `_jordan_corpus` of
   `tests/test_acceptance.py`, and on C2 wr C4, C2 wr C2^2, D4 x C2 and
-  D4^3, which have several largest abelian normal subgroups.
+  D4^3, which have several largest abelian normal subgroups;
+* `element_index` -- `element_index_digest` of `tests/test_groups.py`:
+  rows, orders, class labels and `lookup` of the element indices of
+  A3..A9, S2..S8, C16, C300, 2^6, W(E6) on 27 points and W(D5) on 10
+  points.
 
 It uses only names that have been in the package since the sparse bar
-complex, so the same file runs on older checkouts.  A whole run takes
+complex, so the same file runs on older checkouts, copied there with
+`tests/test_groups.py`, which holds `element_index_digest`.  A whole run takes
 about 8 s on a 2-core VM, most of it the A9 chain; on checkouts that
 still filter the normal-subgroup lattice, `jordan` takes far longer
 (D4^3 alone over an hour).
@@ -51,6 +56,7 @@ from flatact import certificates, cohomology, fpgroups, screening  # noqa: E402
 from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
 from test_acceptance import _jordan_corpus  # noqa: E402
+from test_groups import element_index_digest  # noqa: E402
 from workloads import _a4_flat_query, _jordan_ops, _module_cases  # noqa: E402
 
 M = IntMatrix.from_rows
@@ -308,6 +314,7 @@ FAMILIES = {
     "kernel_basis": kernel_basis_family,
     "certificates": certificates_family,
     "jordan": jordan,
+    "element_index": element_index_digest,
 }
 
 

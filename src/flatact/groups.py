@@ -455,11 +455,19 @@ def compose_rows(a, b):
 
 
 def _row_keys(rows):
-    """One byte string per row, compared as the rows compare
-    lexicographically: the rows' entries in big-endian byte order."""
-    if rows.shape[1] == 0:
-        # rows of degree 0 are all the empty permutation
-        return np.zeros(len(rows), dtype="S1")
+    """One key per row, compared as the rows compare lexicographically.
+    With b = bit_length(degree - 1) and degree * b <= 64 (every degree up
+    to 16) a row is one uint64, b bits per entry, the first entry highest;
+    longer rows are the big-endian bytes of their entries.  The entries
+    must be points, below the degree."""
+    deg = rows.shape[1]
+    bits = max(deg - 1, 0).bit_length()
+    if deg * bits <= 64:
+        keys = np.zeros(len(rows), dtype=np.uint64)
+        for col in rows.T:
+            keys <<= np.uint64(bits)
+            keys |= col
+        return keys
     be = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
     return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
 
@@ -497,17 +505,23 @@ class ElementIndex:
 
     def __init__(self, group):
         self.rows, self._keys = group._sorted_rows()
-        self.class_reps, self.class_of = np.unique(
-            self._class_labels(group.generators()), return_inverse=True)
+        labels = self._class_labels(group.generators())
+        # each label is the least index of its class, so the classes are
+        # numbered by their fixed points in ascending order
+        first = labels == np.arange(len(labels))
+        self.class_reps = np.flatnonzero(first)
+        self.class_of = (np.cumsum(first) - 1)[labels]
         # conjugates have the same order: one cycle-type order per class
         self.orders = _row_orders(self.rows[self.class_reps])[self.class_of]
 
     def lookup(self, rows):
         """Index of each row of `rows` among the elements, -1 for a row
         that is not an element."""
-        keys = _row_keys(np.asarray(rows, dtype=self.rows.dtype))
+        rows = np.asarray(rows, dtype=self.rows.dtype)
+        keys = _row_keys(rows)
         idx = np.searchsorted(self._keys, keys)
-        hit = idx < len(self._keys)
+        # a packed key is only faithful to rows of points
+        hit = (idx < len(self._keys)) & (rows < self.rows.shape[1]).all(axis=1)
         hit[hit] = self._keys[idx[hit]] == keys[hit]
         return np.where(hit, idx, -1)
 
@@ -515,14 +529,23 @@ class ElementIndex:
         """The smallest element index in each element's conjugacy class:
         the minimum is propagated along the conjugation maps of the
         generators (and through the labels themselves) until stable."""
+        n = len(self.rows)
+        if all(_pmul(g.images, h.images) == _pmul(h.images, g.images)
+               for i, g in enumerate(gens) for h in gens[:i]):
+            # commuting generators: every class is a single element
+            return np.arange(n)
         maps = []
         for g in gens:
             gi = np.array(g.images, dtype=self.rows.dtype)
-            m = self.lookup(gi[self.rows[:, np.argsort(gi)]])
-            if (m < 0).any():
+            # the conjugates by g are the elements in another order, and
+            # the sort that puts them back is the conjugation map of g^-1,
+            # whose orbits are the same
+            keys = _row_keys(gi[self.rows[:, np.argsort(gi)]])
+            ranks = np.argsort(keys)
+            if not np.array_equal(keys[ranks], self._keys):
                 raise GroupError("element list is not closed under conjugation")
-            maps.append(m)
-        labels = np.arange(len(self.rows))
+            maps.append(ranks)
+        labels = np.arange(n)
         while True:
             new = labels
             for m in maps:

@@ -118,11 +118,12 @@ def partitions(n):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for part in range(min(cap, remaining), 0, -1):
+        # smaller parts first: no tuple is a prefix of another, so the
+        # depth-first order is the lexicographic one
+        for part in range(1, min(cap, remaining) + 1):
             build(remaining - part, part, prefix + [part])
 
     build(n, n, [])
-    out.sort()
     return out
 
 
@@ -142,7 +143,12 @@ def screen_dimensions(catalog, dims=range(3, 25)):
     hits = []
     for k in dims:
         target = alternating_order(k + 2)
+        lcms = [None] + [math.lcm(*catalog.orders(p)) for p in range(1, k + 1)]
         for part in partitions(k):
+            # the product of every choice divides the product of the
+            # pools' lcms, so _divisible_choices would stop at its root
+            if math.prod(lcms[p] for p in part) % target:
+                continue
             pools = [catalog.orders(p) for p in part]
             for orders, prod in _divisible_choices(pools, target):
                 hits.append(ScreeningHit(k, part, orders, prod, target))
@@ -364,8 +370,9 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
         source_gens = _find_small_generating_set(source, rng)
         ngens = len(source_gens)
         order_bounds = [source.element_order(g) for g in source_gens]
+        # a one-letter word tests the order bound that filtered the pool
         tests = [(w, _eval_word(w, source_gens, source).order())
-                 for w in _filter_words(ngens, rng)]
+                 for w in _filter_words(ngens, rng) if len(w) > 1]
         d1, d2 = source.degree, target.degree
 
         def verify(images):
@@ -376,9 +383,20 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
                 return False
             return PermGroup(list(images), degree=d2).order() == target.order()
 
+    # each test word is rotated to start at a letter of its level's
+    # generator (conjugate words have the same order) and cut into pieces,
+    # (inverse?, the fixed letters after it), one per such letter
     by_level = [[] for _ in range(ngens)]
     for w, o in tests:
-        by_level[max(abs(s) for s in w) - 1].append((w, o))
+        top = max(abs(s) for s in w)
+        start = next(k for k, s in enumerate(w) if abs(s) == top)
+        pieces = []
+        for s in w[start:] + w[:start]:
+            if abs(s) == top:
+                pieces.append((s < 0, []))
+            else:
+                pieces[-1][1].append(s)
+        by_level[top - 1].append((pieces, o))
 
     reps = np.array(_class_reps_up_to_aut(target), dtype=np.intp)
     pools = []
@@ -388,8 +406,12 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
             pool = pool[bound % index.orders[pool] == 0]
         pools.append(pool)
     pool_rows = [index.rows[pool] for pool in pools]
-    pool_invs = [np.argsort(rows, axis=1).astype(rows.dtype) for rows in pool_rows]
-    ident = np.arange(target.degree, dtype=index.rows.dtype)
+    points = np.arange(target.degree, dtype=index.rows.dtype)
+    pool_invs = []
+    for rows in pool_rows:
+        inv = np.empty_like(rows)
+        np.put_along_axis(inv, rows, points[None, :], axis=1)
+        pool_invs.append(inv)
     chosen = [None] * ngens     # (row, inverse row) of each fixed image
 
     def survivors(i):
@@ -397,18 +419,21 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
         word of level i, given the images chosen for generators < i."""
         alive = np.arange(len(pools[i]))
         cand, cand_inv = pool_rows[i], pool_invs[i]
-        for word, o in by_level[i]:
+        for pieces, o in by_level[i]:
             if not len(alive):
                 break
+            # x = c1 f1 c2 f2 ..., each fixed segment f one degree-n row
             x = None
-            for s in reversed(word):
-                g = abs(s) - 1
-                if g == i:
-                    y = cand if s > 0 else cand_inv
-                else:
-                    y = chosen[g][0 if s > 0 else 1]
-                x = y if x is None else compose_rows(y, x)
-            ok = (_power_rows(x, o) == ident).all(axis=1)
+            for inverse, fixed in reversed(pieces):
+                f = None
+                for s in reversed(fixed):
+                    row = chosen[abs(s) - 1][0 if s > 0 else 1]
+                    f = row if f is None else row[f]
+                if f is not None:
+                    x = f if x is None else f[x]
+                c = cand_inv if inverse else cand
+                x = c if x is None else compose_rows(c, x)
+            ok = (_power_rows(x, o) == points).all(axis=1)
             if not ok.all():
                 alive, cand, cand_inv = alive[ok], cand[ok], cand_inv[ok]
         return alive

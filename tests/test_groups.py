@@ -1,5 +1,6 @@
 """Permutation and table groups, stabilizer chains, and subgroup queries."""
 
+import hashlib
 import math
 import os
 import random
@@ -107,6 +108,39 @@ def _weyl_d5_on_ten_points():
 def _weyl_e6_on_27_points():
     # Bourbaki numbering: node 2 hangs off node 4 of the chain 1-3-4-5-6
     return _weyl_on_cosets(6, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+
+
+def _index_groups():
+    """The groups of `element_index_digest`: W(E6) on 27 points has the
+    only byte-string keys, C16, C300 and 2^6 are abelian."""
+    out = [PermGroup.alternating(n) for n in range(3, 10)]
+    out += [PermGroup.symmetric(n) for n in range(2, 9)]
+    out += [PermGroup.cyclic(16), PermGroup.cyclic(300),
+            PermGroup([Permutation.from_cycles(12, [(2 * i, 2 * i + 1)])
+                       for i in range(6)]),
+            _weyl_e6_on_27_points(), _weyl_d5_on_ten_points()]
+    return out
+
+
+def element_index_digest():
+    """SHA-256 over the element index of each `_index_groups` group: the
+    dtype, shape and bytes of `rows`, `orders`, `class_of`, `class_reps`,
+    and of `lookup` on the members in a seeded order followed by seeded
+    rows of points (mostly not permutations) and seeded permutations."""
+    sha = hashlib.sha256()
+    for seed, group in enumerate(_index_groups()):
+        index = group.element_index()
+        rng = np.random.default_rng(seed)
+        deg = group.degree
+        queries = np.concatenate([
+            index.rows[rng.permutation(len(index.rows))],
+            rng.integers(0, deg, size=(200, deg)),
+            np.argsort(rng.random((200, deg)), axis=1)])
+        for arr in (index.rows, index.orders, index.class_of, index.class_reps,
+                    index.lookup(queries)):
+            sha.update(("%s %s;" % (arr.dtype, arr.shape)).encode())
+            sha.update(np.ascontiguousarray(arr).tobytes())
+    return sha.hexdigest()
 
 
 def _random_involutions(seed):
@@ -440,6 +474,41 @@ class TestSubgroupQueries:
         assert len(index.class_reps) == 18
         assert np.bincount(index.orders).tolist() == [
             expected[k] for k in range(max(expected) + 1)]
+
+    def test_element_index_digest(self):
+        # computed before the row keys were packed into uint64 and the
+        # conjugation maps were read off a sort
+        assert element_index_digest() == \
+            "332a7a419c5848ddddf3d8c24026798f0c14b595e8c30bd25a324c7de4d1d5be"
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 9, 16, 17])
+    def test_row_keys_sort_like_rows(self, degree):
+        rng = np.random.default_rng(degree)
+        rows = rng.integers(0, max(degree, 1), size=(400, degree))
+        # repeated rows, and rows that differ only in their last entry
+        rows = np.concatenate([rows, rows[:40], rows[:40]])
+        if degree:
+            rows[-40:, -1] = rng.integers(0, degree, size=40)
+        rows = rows.astype(np.min_scalar_type(max(degree - 1, 0)))
+        keys = groups._row_keys(rows)
+        assert keys.dtype.kind == ("u" if degree <= 16 else "S")
+        tuples = [tuple(r) for r in rows.tolist()]
+        rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+        # equal ranks among the keys and among the rows, in the same order
+        assert np.unique(keys, return_inverse=True)[1].tolist() == \
+            [rank[t] for t in tuples]
+
+    def test_lookup_rejects_entries_beyond_the_degree(self):
+        # at 2 bits an entry, (0, 4, 2) packs to the key of (1, 0, 2)
+        index = PermGroup.symmetric(3).element_index()
+        assert index.lookup([[1, 0, 2], [0, 4, 2]]).tolist() == [2, -1]
+
+    def test_index_of_a_non_closed_element_list_raises(self):
+        group = PermGroup.symmetric(3)
+        rows, keys = group._sorted_rows()
+        group._rows = rows[:-1], keys[:-1]
+        with pytest.raises(GroupError):
+            group.element_index()
 
     @pytest.mark.parametrize("text", ["perm 0 0", "perm 1 0"])
     def test_trivial_groups(self, text):

@@ -3,6 +3,7 @@ catalogue, and the epimorphism search."""
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from flatact.fpgroups import (FpGroup, SearchBoundExceeded, coxeter_group,
 from flatact.groups import PermGroup, Permutation, conjugacy_classes
 from flatact.screening import (CatalogError, E7_WEYL_ORDER, ImfCatalog,
                                ScreeningHit, _class_reps_up_to_aut,
+                               _divisible_choices,
                                alternating_order, e7_weyl_permutation_group,
                                epimorphism_search, partitions, screen_dimensions)
 
@@ -52,6 +54,22 @@ class TestPartitions:
     def test_invalid(self):
         with pytest.raises(ValueError):
             partitions(0)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_sorted_enumeration(self, n):
+        # largest parts first, then sorted: the enumeration partitions
+        # had before it produced ascending order itself
+        out = []
+
+        def build(remaining, cap, prefix):
+            if remaining == 0:
+                out.append(tuple(prefix))
+                return
+            for part in range(min(cap, remaining), 0, -1):
+                build(remaining - part, part, prefix + [part])
+
+        build(n, n, [])
+        assert partitions(n) == sorted(out)
 
 
 class TestCatalog:
@@ -150,6 +168,37 @@ def test_screening_matches_brute_force(catalog, dims, count):
     hits = screen_dimensions(catalog, dims)
     assert hits == brute_force_hits(catalog, dims)
     assert len(hits) == count
+
+
+def unfiltered_hits(catalog, dims):
+    """The hits of `_divisible_choices` on every partition, with no
+    partition dropped beforehand."""
+    out = []
+    for k in dims:
+        target = alternating_order(k + 2)
+        for part in partitions(k):
+            pools = [catalog.orders(p) for p in part]
+            out += [ScreeningHit(k, part, orders, prod, target)
+                    for orders, prod in _divisible_choices(pools, target)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lcm_prefilter_keeps_every_hit(seed):
+    # orders made of the primes of |A_5| .. |A_9|, so that some
+    # partitions hit and others fail on the product of their pools' lcms
+    rng = random.Random(seed)
+    orders = {d: [2 ** rng.randrange(d + 2) * 3 ** rng.randrange(d) *
+                  5 ** rng.randrange(2) * 7 ** rng.randrange(2)
+                  for _ in range(rng.randrange(1, 4))] for d in range(1, 8)}
+    catalog = ImfCatalog(orders, check=False)
+    dims = range(3, 8)
+    dropped = sum(
+        math.prod(math.lcm(*catalog.orders(p)) for p in part) % alternating_order(k + 2) != 0
+        for k in dims for part in partitions(k))
+    hits = screen_dimensions(catalog, dims)
+    assert hits == unfiltered_hits(catalog, dims)
+    assert dropped > 0
 
 
 def coset_action(edges, n, subgroup):
