@@ -529,11 +529,6 @@ class ElementIndex:
         """The smallest element index in each element's conjugacy class:
         the minimum is propagated along the conjugation maps of the
         generators (and through the labels themselves) until stable."""
-        n = len(self.rows)
-        if all(_pmul(g.images, h.images) == _pmul(h.images, g.images)
-               for i, g in enumerate(gens) for h in gens[:i]):
-            # commuting generators: every class is a single element
-            return np.arange(n)
         maps = []
         for g in gens:
             gi = np.array(g.images, dtype=self.rows.dtype)
@@ -545,7 +540,7 @@ class ElementIndex:
             if not np.array_equal(keys[ranks], self._keys):
                 raise GroupError("element list is not closed under conjugation")
             maps.append(ranks)
-        labels = np.arange(n)
+        labels = np.arange(len(self.rows))
         while True:
             new = labels
             for m in maps:
