@@ -20,8 +20,10 @@ change kept every output of a family byte for byte.  The families:
 * `certificates` -- `to_dict()` of the verification reports of the A4
   torus certificate and its five `perfbench` mutations, of the Klein
   bottle flat certificate (and its zero cocycle), of the A4 flat
-  certificate, and of a flat certificate whose section adjustment solves
-  modulo A;
+  certificate, of a flat certificate whose section adjustment solves
+  modulo A, and of `a4_flat_certificate` of `tests/test_certificates.py`
+  built through the second isomorphism Q -> G/A, as it is and with a
+  wrong witness value;
 * `jordan` -- the element keys and the index of `jordan_witness` on the
   `small-queries` Jordan queries, on `_jordan_corpus` of
   `tests/test_acceptance.py`, and on C2 wr C4, C2 wr C2^2, D4 x C2 and
@@ -33,7 +35,8 @@ change kept every output of a family byte for byte.  The families:
 
 It uses only names that have been in the package since the sparse bar
 complex, so the same file runs on older checkouts, copied there with
-`tests/test_groups.py`, which holds `element_index_digest`.  A whole run takes
+`tests/test_groups.py`, which holds `element_index_digest`, and
+`tests/test_certificates.py`, which holds `a4_flat_certificate`.  A whole run takes
 about 8 s on a 2-core VM, most of it the A9 chain; on checkouts that
 still filter the normal-subgroup lattice, `jordan` takes far longer
 (D4^3 alone over an hour).
@@ -56,6 +59,7 @@ from flatact import certificates, cohomology, fpgroups, screening  # noqa: E402
 from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
 from test_acceptance import _jordan_corpus  # noqa: E402
+from test_certificates import a4_flat_certificate  # noqa: E402
 from test_groups import element_index_digest  # noqa: E402
 from workloads import _a4_flat_query, _jordan_ops, _module_cases  # noqa: E402
 
@@ -262,6 +266,8 @@ def certificates_family():
             [1], TableGroup.cyclic(2), {(1, 1): value}, {})))
     reports.append(_a4_flat_query({}))
     reports.append(certificates.verify_flat_certificate(_section_certificate()))
+    reports += [certificates.verify_flat_certificate(a4_flat_certificate(1, wrong))
+                for wrong in (False, True)]
     return _sha([r.to_dict() for r in reports])
 
 

@@ -16,6 +16,7 @@ failing condition; structural problems raise CertificateError instead
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
 
 from .groups import (
@@ -457,12 +458,46 @@ class _Checklist:
         return VerificationReport(verdict, self.items, self.witnesses)
 
 
+def _check_rho(cl, cert, group, what):
+    """The lattice module of rho over `group` (whose generators are the
+    `what` generators), or None after recording why it is not a faithful
+    representation."""
+    if len(cert.rho) != len(group.generators()):
+        raise CertificateError(
+            "rho needs %d matrices (one per %s generator), got %d"
+            % (len(group.generators()), what, len(cert.rho))
+        )
+    try:
+        lat_mod = ZQModule.lattice(group, cert.rho, rank=cert.n)
+    except CohomologyError as exc:
+        cl.record("rho-representation", False, str(exc))
+        return None
+    cl.record("rho-representation", True)
+    faithful = lat_mod.is_faithful()
+    if not cl.record("rho-faithful", faithful,
+                     "" if faithful else "kernel is nontrivial"):
+        return None
+    return lat_mod
+
+
+def _check_alpha_surjective(cl, cert, a_group):
+    """alpha as a homomorphism Z^n -> A, or None after recording that it
+    is not onto."""
+    try:
+        alpha_hom = AbHom(cert.n, a_group, cert.alpha)
+    except ZLinAlgError as exc:
+        raise CertificateError("alpha: %s" % exc)
+    if not cl.record("alpha-surjective", alpha_hom.is_surjective(),
+                     "image must be all of A"):
+        return None
+    return alpha_hom
+
+
 def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
                              rank_bound=DEFAULT_RANK_BOUND):
     """Ordered checklist verification of a torus certificate."""
     cl = _Checklist()
     a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
-    k = a_group.rank
 
     # 1. exactness of 1 -> A -> G -> Q -> 1
     try:
@@ -478,28 +513,13 @@ def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
     cl.record("extension-exact", True, detail)
 
     # 2. rho is a faithful integral representation of Q
-    if len(cert.rho) != len(ext.quotient.generators()):
-        raise CertificateError(
-            "rho needs %d matrices (one per quotient generator), got %d"
-            % (len(ext.quotient.generators()), len(cert.rho))
-        )
-    try:
-        lat_mod = ZQModule.lattice(ext.quotient, cert.rho, rank=cert.n)
-    except CohomologyError as exc:
-        cl.record("rho-representation", False, str(exc))
-        return cl.report()
-    cl.record("rho-representation", True)
-    if not cl.record("rho-faithful", lat_mod.is_faithful(),
-                     "" if lat_mod.is_faithful() else "kernel is nontrivial"):
+    lat_mod = _check_rho(cl, cert, ext.quotient, "quotient")
+    if lat_mod is None:
         return cl.report()
 
     # 3. alpha surjective
-    try:
-        alpha_hom = AbHom(cert.n, a_group, cert.alpha)
-    except ZLinAlgError as exc:
-        raise CertificateError("alpha: %s" % exc)
-    if not cl.record("alpha-surjective", alpha_hom.is_surjective(),
-                     "image must be all of A"):
+    alpha_hom = _check_alpha_surjective(cl, cert, a_group)
+    if alpha_hom is None:
         return cl.report()
 
     # 4. alpha equivariant for the conjugation action of Q on A
@@ -530,18 +550,13 @@ def verify_torus_certificate(cert, group_bound=DEFAULT_GROUP_BOUND,
 
 
 def verify_flat_certificate(cert):
-    """Ordered checklist verification of a flat-manifold certificate."""
-    best = None
-    for report in _flat_attempts(cert):
-        if report.verdict:
-            return report
-        passes = sum(1 for c in report.checklist if c.passed)
-        if best is None or passes > best[0]:
-            best = (passes, report)
-    return best[1]
+    """Ordered checklist verification of a flat-manifold certificate.
 
-
-def _flat_attempts(cert):
+    Only `alpha-equivariant` and `coboundary-witness` read the
+    identification of phi_star/phi with G/A.  Each of them takes the first
+    isomorphism that passes it and every check before it, so the report is
+    that of the first isomorphism under which the certificate gets
+    furthest."""
     cl = _Checklist()
     a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
 
@@ -552,26 +567,12 @@ def _flat_attempts(cert):
     phi_els = subgroup_closure(cert.phi_star, cert.phi)
     normal = is_normal(cert.phi_star, cert.phi)
     if not cl.record("phi-normal", normal, "phi must be normal in phi_star"):
-        yield cl.report()
-        return
+        return cl.report()
 
     # 2. rho faithful on phi_star
-    if len(cert.rho) != len(cert.phi_star.generators()):
-        raise CertificateError(
-            "rho needs %d matrices (one per phi_star generator), got %d"
-            % (len(cert.phi_star.generators()), len(cert.rho))
-        )
-    try:
-        star_mod = ZQModule.lattice(cert.phi_star, cert.rho, rank=cert.n)
-    except CohomologyError as exc:
-        cl.record("rho-representation", False, str(exc))
-        yield cl.report()
-        return
-    cl.record("rho-representation", True)
-    if not cl.record("rho-faithful", star_mod.is_faithful(),
-                     "" if star_mod.is_faithful() else "kernel is nontrivial"):
-        yield cl.report()
-        return
+    star_mod = _check_rho(cl, cert, cert.phi_star, "phi_star")
+    if star_mod is None:
+        return cl.report()
 
     # 3. Q = phi_star/phi matches G/A
     q_star, star_proj, _ = quotient_group(cert.phi_star, phi_els)
@@ -579,53 +580,34 @@ def _flat_attempts(cert):
         ext = extension_class(cert.group, a_els, ident, a_group)
     except CohomologyError as exc:
         cl.record("quotient-match", False, str(exc))
-        yield cl.report()
-        return
+        return cl.report()
     if cert.q is not None and find_isomorphism(q_star, cert.q) is None:
         cl.record("quotient-match", False,
                   "phi_star/phi is not isomorphic to the supplied Q")
-        yield cl.report()
-        return
-    isos = list(iter_isomorphisms(q_star, ext.quotient))
-    if not isos:
+        return cl.report()
+    isos = iter_isomorphisms(q_star, ext.quotient)
+    iso = next(isos, None)
+    if iso is None:
         cl.record("quotient-match", False,
                   "phi_star/phi (order %d) is not isomorphic to G/A (order %d)"
                   % (q_star.order(), ext.quotient.order()))
-        yield cl.report()
-        return
-
-    base_items = list(cl.items)
-    base_witnesses = dict(cl.witnesses)
-    for iso in isos:
-        cl2 = _Checklist()
-        cl2.items = list(base_items)
-        cl2.witnesses = dict(base_witnesses)
-        cl2.record("quotient-match", True,
-                   "quotients of order %d identified" % q_star.order())
-        yield _flat_verify_with_iso(cert, cl2, a_els, a_group, ident, ext,
-                                    star_mod, star_proj, iso, phi_els)
-
-
-def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
-                          star_mod, star_proj, iso, phi_els):
-    # bar: map phi_star -> G/A coset group
-    def bar(g):
-        return iso(star_proj(g))
-
-    # 4. alpha surjective and (phi_star, Q)-equivariant
-    try:
-        alpha_hom = AbHom(cert.n, a_group, cert.alpha)
-    except ZLinAlgError as exc:
-        raise CertificateError("alpha: %s" % exc)
-    if not cl.record("alpha-surjective", alpha_hom.is_surjective(),
-                     "image must be all of A"):
         return cl.report()
-    pairs = [(g, bar(g)) for g in cert.phi_star.elements()]
-    if not cl.record(
-        "alpha-equivariant",
-        is_equivariant(cert.alpha, star_mod, ext.module, pairs),
-        "alpha(g.x) must equal bar(g).alpha(x)",
-    ):
+    cl.record("quotient-match", True,
+              "quotients of order %d identified" % q_star.order())
+
+    # 4. alpha surjective and (phi_star, Q)-equivariant, where phi_star
+    #    maps onto G/A by bar(g) = iso(star_proj(g))
+    alpha_hom = _check_alpha_surjective(cl, cert, a_group)
+    if alpha_hom is None:
+        return cl.report()
+    star_els = cert.phi_star.elements()
+    equivariant = (
+        f for f in chain([iso], isos)
+        if is_equivariant(cert.alpha, star_mod, ext.module,
+                          [(g, f(star_proj(g))) for g in star_els]))
+    iso = next(equivariant, None)
+    if not cl.record("alpha-equivariant", iso is not None,
+                     "alpha(g.x) must equal bar(g).alpha(x)"):
         return cl.report()
 
     # 5. the supplied c* is a cocycle and the witness b satisfies
@@ -641,20 +623,21 @@ def _flat_verify_with_iso(cert, cl, a_els, a_group, ident, ext,
             return a_group.zero()
         return a_group.reduce(cert.coboundary_witness.get(g, a_group.zero()))
 
-    witness_ok = True
-    for g in cert.phi_star.elements():
-        for h in cert.phi_star.elements():
-            lhs = a_group.reduce(alpha_hom.apply(cstar.value(g, h)))
-            lhs = a_group.sub(lhs, ext.cocycle.value(bar(g), bar(h)))
-            rhs = ext.module.act(bar(g), bval(h))
-            rhs = a_group.sub(rhs, bval(cert.phi_star.multiply(g, h)))
-            rhs = a_group.add(rhs, bval(g))
-            if lhs != rhs:
-                witness_ok = False
-                break
-        if not witness_ok:
-            break
-    if not cl.record("coboundary-witness", witness_ok,
+    def witness_ok(f):
+        bar = {g: f(star_proj(g)) for g in star_els}
+        for g in star_els:
+            for h in star_els:
+                lhs = a_group.reduce(alpha_hom.apply(cstar.value(g, h)))
+                lhs = a_group.sub(lhs, ext.cocycle.value(bar[g], bar[h]))
+                rhs = ext.module.act(bar[g], bval(h))
+                rhs = a_group.sub(rhs, bval(cert.phi_star.multiply(g, h)))
+                rhs = a_group.add(rhs, bval(g))
+                if lhs != rhs:
+                    return False
+        return True
+
+    if not cl.record("coboundary-witness",
+                     any(witness_ok(f) for f in chain([iso], equivariant)),
                      "alpha-pushforward of c* must differ from the extension "
                      "class of G by the coboundary of b"):
         return cl.report()

@@ -18,6 +18,7 @@ in two independent implementations (linear-system element search and
 restriction classes).
 """
 
+from itertools import product
 from operator import mul
 
 from . import BoundExceeded
@@ -33,7 +34,6 @@ from .zlinalg import (
     FinAbGroup,
     IntMatrix,
     ZLinAlgError,
-    hstack,
     kernel_basis,
     solve_integer,
     solve_modulo,
@@ -319,7 +319,7 @@ class CohomologyGroup:
     """
 
     def __init__(self, module, degree, group, cells_mid, cells_in,
-                 basis, proj, stacked_in, solver):
+                 basis, proj, din, solver):
         self.module = module
         self.degree = degree
         self.group = group
@@ -328,7 +328,7 @@ class CohomologyGroup:
         self._cells_in = cells_in
         self._basis = basis          # k x N_mid, rows span the cocycle lattice
         self._proj = proj            # group.rank x k
-        self._stacked_in = stacked_in  # [din | relations], for witnesses
+        self._din = din              # N_mid x N_in incoming differential
         self._solver = solver          # EchelonSolver of basis, None without rows
 
     @property
@@ -382,16 +382,18 @@ class CohomologyGroup:
         coboundary equals the given cocycle, or None when the class is
         nonzero."""
         v = self._flatten_cochain(cochain)
-        if self._stacked_in.cols == 0:
+        factors = self.module.invariant_factors
+        if self._din.cols == 0:
             if any(v):
                 return None
-            x = ()
+            b = ()
+        elif factors is None:
+            b = solve_integer(self._din, v)
         else:
-            x = solve_integer(self._stacked_in, v)
-            if x is None:
-                return None
-        n_in = len(self._cells_in) * self.module.rank
-        b = list(x[:n_in]) + [0] * (n_in - len(x[:n_in]))
+            n = self.module.rank
+            b = solve_modulo(self._din, [factors[i % n] for i in range(len(v))], v)
+        if b is None:
+            return None
         if self.degree == 2:
             return self._unflatten(b, self._cells_in)
         return self.module.reduce(tuple(b))
@@ -440,21 +442,55 @@ def _bar_cohomology(module, degree):
     idx = {x: i for i, x in enumerate(nt)}
     m = len(nt)
 
-    if degree == 2:
-        cells_mid = [(g, h) for g in nt for h in nt]  # (g, h) at g*m + h
-        cells_in = list(nt)
-    else:
-        cells_mid = list(nt)
-        cells_in = [None]  # C^0 = one copy of the coefficients
+    # p-cells are the p-tuples of nontrivial elements, a 1-cell the element
+    # itself, with (x_1, ..., x_p) at the base-m number of its indices
+    def cells(p):
+        return [c[0] if p == 1 else c for c in product(nt, repeat=p)]
+
+    def at(cell):
+        out = 0
+        for x in cell:
+            out = out * m + x
+        return out
+
+    cells_mid, cells_in = cells(degree), cells(degree - 1)
     n_mid = len(cells_mid) * n
     factors = module.invariant_factors
+    prod_idx = [[idx.get(grp.multiply(g, h)) for h in nt] for g in nt]
+    act_rows = [[[(j, x) for j, x in enumerate(row) if x]
+                 for row in module.act_matrix(g).data] for g in nt]
 
-    # outgoing differential as sparse rows: per cell (g, h, k) or (g, h)
-    # of the next level and per coefficient, a row of g's action matrix
-    # plus at most three +-1 entries; for finite coefficients the row's
-    # relation column sits beside it, so the kernel is the cocycle lattice
-    # plus relation parts.  Only cells whose g is a group generator get
-    # rows: the cocycle identity at (g, h, k) says that elements over g
+    def coboundary(p, firsts):
+        """Sparse rows of d^p at the (p+1)-cells (g, x_1, ..., x_p) with g in
+        firsts, in order, one per coefficient: row i of g's action matrix
+        at the cell x, then (-1)^(p+1) at (g, x_1, ..., x_(p-1)) and (-1)^k
+        at the cell with x_(k-1) x_k merged, unless that is the identity."""
+        out = []
+        for g in firsts:
+            for x in product(range(m), repeat=p):
+                cell = (g,) + x
+                units = [(at(cell[:-1]) * n, (-1) ** (p + 1))]
+                for k in range(1, p + 1):
+                    y = prod_idx[cell[k - 1]][cell[k]]
+                    if y is not None:
+                        units.append((at(cell[:k - 1] + (y,) + cell[k + 1:]) * n, (-1) ** k))
+                col0 = at(x) * n
+                for i in range(n):
+                    row = {col0 + j: v for j, v in act_rows[g][i]}
+                    for c0, sign in units:
+                        c = c0 + i
+                        v = row.get(c, 0) + sign
+                        if v:
+                            row[c] = v
+                        else:
+                            del row[c]
+                    out.append(row)
+        return out
+
+    # outgoing differential: for finite coefficients each row's relation
+    # column sits beside it, so the kernel is the cocycle lattice plus
+    # relation parts.  Only cells whose g is a group generator get rows:
+    # the cocycle identity at (g, h, k) says that elements over g
     # associate on the left in the extension M x Q with product
     # (m, g)(m', h) = (m + g m' + c(g, h), gh), and left-associating
     # elements are closed under products, so the identity at the
@@ -462,45 +498,10 @@ def _bar_cohomology(module, degree):
     # condition at the generators makes q -> (b(q), q) multiplicative).
     # The lattice is therefore the same as with all cells.
     gens = sorted({idx[s] for s in grp.generators() if s != e})
-    prod_idx = [[idx.get(grp.multiply(g, h)) for h in nt] for g in nt]
-    act_rows = [[[(j, x) for j, x in enumerate(row) if x]
-                 for row in module.act_matrix(g).data] for g in nt]
-    dout = []
-
-    def emit(g, col0, units):
-        for i in range(n):
-            row = {col0 + j: x for j, x in act_rows[g][i]}
-            for c0, sign in units:
-                c = c0 + i
-                v = row.get(c, 0) + sign
-                if v:
-                    row[c] = v
-                else:
-                    del row[c]
-            if factors is not None:
-                row[n_mid + len(dout)] = factors[i]
-            dout.append(row)
-
-    if degree == 2:
-        for g in gens:
-            for h in range(m):
-                gh = prod_idx[g][h]
-                for k in range(m):
-                    units = [((g * m + h) * n, -1)]
-                    if gh is not None:
-                        units.append(((gh * m + k) * n, -1))
-                    hk = prod_idx[h][k]
-                    if hk is not None:
-                        units.append(((g * m + hk) * n, 1))
-                    emit(g, (h * m + k) * n, units)
-    else:
-        for g in gens:
-            for h in range(m):
-                units = [(g * n, 1)]
-                gh = prod_idx[g][h]
-                if gh is not None:
-                    units.append((gh * n, -1))
-                emit(g, h * n, units)
+    dout = coboundary(degree, gens)
+    if factors is not None:
+        for r, row in enumerate(dout):
+            row[n_mid + r] = factors[r % n]
 
     # pivots in breadth-first order over the Cayley graph: a non-generator
     # x is s h with s a generator and h nearer the identity, and the rows
@@ -509,6 +510,7 @@ def _bar_cohomology(module, degree):
     # every solved column is a sum of action matrices applied to generator
     # columns, and entries stay as small as the action's.
     pivots = []
+    tail = m ** (degree - 1)        # the cells (h, ...) of one h
     frontier, seen = list(gens), set(gens)
     while frontier:
         nxt = []
@@ -519,11 +521,8 @@ def _bar_cohomology(module, degree):
                     continue
                 seen.add(x)
                 nxt.append(x)
-                if degree == 2:
-                    pivots += [(((gi * m + h) * m + k) * n + i, (x * m + k) * n + i)
-                               for k in range(m) for i in range(n)]
-                else:
-                    pivots += [((gi * m + h) * n + i, x * n + i) for i in range(n)]
+                pivots += [(((gi * m + h) * tail + k) * n + i, (x * tail + k) * n + i)
+                           for k in range(tail) for i in range(n)]
         frontier = nxt
 
     # cocycle lattice: integer vectors whose differential lies in the
@@ -534,53 +533,26 @@ def _bar_cohomology(module, degree):
     moduli = None if factors is None else [factors[i % n] for i in range(n_mid)]
     basis = sparse_kernel_hnf(dout, ncols, pivots, keep=n_mid, moduli=moduli)
 
-    def block_add(rows, r0, c0, mat, sign):
-        for i, row in enumerate(mat.data):
-            target = rows[r0 + i]
-            for j, x in enumerate(row):
-                if x:
-                    target[c0 + j] += sign * x
-
-    def ident_add(rows, r0, c0, sign):
-        for i in range(n):
-            rows[r0 + i][c0 + i] += sign
-
-    # incoming differential
+    # incoming differential, dense, at every cell
     n_in = len(cells_in) * n
     din = [[0] * n_in for _ in range(n_mid)]
-    if degree == 2:
-        for pi, (g, h) in enumerate(cells_mid):
-            r0 = pi * n
-            block_add(din, r0, idx[h] * n, module.act_matrix(g), 1)
-            gh = grp.multiply(g, h)
-            if gh != e:
-                ident_add(din, r0, idx[gh] * n, -1)
-            ident_add(din, r0, idx[g] * n, 1)
-    else:
-        for gi, g in enumerate(cells_mid):
-            r0 = gi * n
-            block_add(din, r0, 0, module.act_matrix(g), 1)
-            ident_add(din, r0, 0, -1)
-
-    din_m = IntMatrix.from_rows(din)
+    for drow, row in zip(din, coboundary(degree - 1, range(m))):
+        for c, v in row.items():
+            drow[c] = v
+    din = IntMatrix.from_rows(din)
 
     # coboundary lattice generators: columns of din, plus the relation
     # lattice of the middle level for finite coefficients
-    imgens = list(zip(*din_m.data))
+    imgens = list(zip(*din.data))
     if factors is not None:
         for i in range(n_mid):
             v = [0] * n_mid
-            v[i] = factors[i % n]
+            v[i] = moduli[i]
             imgens.append(tuple(v))
 
     grp_h, proj, solver = _quotient(basis, imgens)
-    if factors is not None:
-        relations = IntMatrix.diagonal([factors[i % n] for i in range(n_mid)])
-        stacked_in = hstack(din_m, relations)
-    else:
-        stacked_in = din_m
     return CohomologyGroup(module, degree, grp_h, cells_mid, cells_in,
-                           basis, proj, stacked_in, solver)
+                           basis, proj, din, solver)
 
 
 def _check_bounds(module, group_bound, rank_bound):

@@ -112,6 +112,29 @@ except Exception as exc:  # any failure leaves the pure engine
     _LIB, _LOAD_ERROR = None, exc
 
 
+def _run_compiled(entry, take, args, errors, width=None):
+    """Call the compiled `entry` with `args` and its state and length
+    out-parameters, and hand its result over to a new int32 array.
+
+    A nonzero status raises errors[status - 1]: the limit, memory and
+    argument errors of the C engine's FA_LIMIT, FA_NOMEM and FA_BADARG.
+    Otherwise `take` writes the result into an array of that length (rows
+    of `width` entries, if given) and frees the state, also when the array
+    cannot be allocated."""
+    state = ctypes.c_void_p()
+    length = ctypes.c_int64()
+    status = entry(*args, ctypes.byref(state), ctypes.byref(length))
+    if status:
+        raise errors[status - 1]
+    shape = length.value if width is None else (length.value, width)
+    out = None
+    try:
+        out = np.empty(shape, dtype=np.int32)
+    finally:
+        take(state, None if out is None else out.ctypes.data)
+    return out
+
+
 def _enumerate_compiled(ngens, relators, subgens, coset_limit):
     """Compiled twin of flatact._coset_pure.enumerate_cosets.  Raises
     MemoryError when the table does not fit, and ValueError for a limit
@@ -120,24 +143,14 @@ def _enumerate_compiled(ngens, relators, subgens, coset_limit):
     words = subs + [tuple(w) for w in relators]
     letters = np.array([x for w in words for x in w], dtype=np.int32)
     ends = np.cumsum([len(w) for w in words], dtype=np.int64)
-    state = ctypes.c_void_p()
-    nlive = ctypes.c_int64()
-    status = _LIB.fa_enumerate(
-        ngens, letters.ctypes.data, ends.ctypes.data, len(subs), len(words),
-        max(0, min(coset_limit, _INT32_MAX + 1)), ctypes.byref(state),
-        ctypes.byref(nlive))
-    if status == 1:
-        raise CosetLimitExceeded("coset limit %d exceeded" % coset_limit)
-    if status == 2:
-        raise MemoryError("coset table does not fit in memory")
-    if status != 0:
-        raise ValueError("coset limit above 2**31 - 1 or letter out of range")
-    out = None
-    try:
-        out = np.empty((nlive.value, 2 * ngens), dtype=np.int32)
-    finally:
-        _LIB.fa_compact(state, None if out is None else out.ctypes.data)
-    return out
+    return _run_compiled(
+        _LIB.fa_enumerate, _LIB.fa_compact,
+        (ngens, letters.ctypes.data, ends.ctypes.data, len(subs), len(words),
+         max(0, min(coset_limit, _INT32_MAX + 1))),
+        (CosetLimitExceeded("coset limit %d exceeded" % coset_limit),
+         MemoryError("coset table does not fit in memory"),
+         ValueError("coset limit above 2**31 - 1 or letter out of range")),
+        width=2 * ngens)
 
 
 ENGINE = "compiled" if _LIB is not None else "pure"
@@ -346,8 +359,7 @@ def _validate_table(g, table):
             raise PresentationError("coset table does not satisfy relator %r" % (w,))
 
 
-def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT,
-                 engine=None):
+def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT):
     """Enumerate the cosets of the subgroup generated by `subgroup_words`
     (signed words) in the group presented by g.
 
@@ -361,19 +373,9 @@ def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT,
     for w in subgroup_words:
         if any(s == 0 or abs(s) > g.ngens for s in w):
             raise PresentationError("subgroup word %r has a letter out of range" % (tuple(w),))
-    if engine is None:
-        fn = _enumerate
-    elif engine == "pure":
-        fn = _enumerate_pure
-    elif engine == "compiled":
-        if _LIB is None:
-            raise PresentationError("compiled enumeration engine unavailable")
-        fn = _enumerate_compiled
-    else:
-        raise PresentationError("unknown engine %r" % engine)
     rel_letters = [word_to_letters(w) for w in g.relators]
     sub_letters = [word_to_letters(free_reduce(w)) for w in subgroup_words]
-    table = fn(g.ngens, rel_letters, sub_letters, coset_limit)
+    table = _enumerate(g.ngens, rel_letters, sub_letters, coset_limit)
     return CosetTable(g, tuple(free_reduce(w) for w in subgroup_words), table)
 
 
@@ -498,23 +500,13 @@ def _low_index_compiled(rotations, max_index, node_limit):
     letters = np.array([x for w in words for x in w], dtype=np.int32)
     ends = np.cumsum([len(w) for w in words], dtype=np.int64)
     first = np.cumsum([0] + [len(rots) for rots in rotations], dtype=np.int64)
-    state = ctypes.c_void_p()
-    nints = ctypes.c_int64()
-    status = _LIB.fa_low_index(
-        nl // 2, letters.ctypes.data, ends.ctypes.data, first.ctypes.data,
-        max_index, min(node_limit, 2 ** 63 - 1), ctypes.byref(state),
-        ctypes.byref(nints))
-    if status == 1:
-        raise SearchBoundExceeded("low-index node limit %d exceeded" % node_limit)
-    if status == 2:
-        raise MemoryError("low-index search does not fit in memory")
-    if status != 0:
-        raise ValueError("max_index out of range or letter out of range")
-    out = None
-    try:
-        out = np.empty(nints.value, dtype=np.int32)
-    finally:
-        _LIB.fa_low_index_take(state, None if out is None else out.ctypes.data)
+    out = _run_compiled(
+        _LIB.fa_low_index, _LIB.fa_low_index_take,
+        (nl // 2, letters.ctypes.data, ends.ctypes.data, first.ctypes.data,
+         max_index, min(node_limit, 2 ** 63 - 1)),
+        (SearchBoundExceeded("low-index node limit %d exceeded" % node_limit),
+         MemoryError("low-index search does not fit in memory"),
+         ValueError("max_index out of range or letter out of range")))
     complete, pos = [], 0
     while pos < len(out):
         n = int(out[pos])

@@ -12,7 +12,6 @@ the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
 give identical levels.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -161,19 +160,12 @@ def _schreier_sims_compiled(generators, degree):
     built by `fa_schreier_sims` of the compiled engine.  Raises MemoryError
     when the chain does not fit."""
     gens = np.array(generators, dtype=np.int32).reshape(len(generators), degree)
-    state = ctypes.c_void_p()
-    nints = ctypes.c_int64()
-    status = fpgroups._LIB.fa_schreier_sims(
-        degree, len(gens), gens.ctypes.data, ctypes.byref(state), ctypes.byref(nints))
-    if status == 2:
-        raise MemoryError("stabilizer chain does not fit in memory")
-    if status != 0:
-        raise ValueError("generator is not a permutation of 0..degree-1")
-    out = None
-    try:
-        out = np.empty(nints.value, dtype=np.int32)
-    finally:
-        fpgroups._LIB.fa_schreier_sims_take(state, None if out is None else out.ctypes.data)
+    bad = ValueError("generator is not a permutation of 0..degree-1")
+    lib = fpgroups._LIB
+    out = fpgroups._run_compiled(
+        lib.fa_schreier_sims, lib.fa_schreier_sims_take,
+        (degree, len(gens), gens.ctypes.data),
+        (bad, MemoryError("stabilizer chain does not fit in memory"), bad))
     # per level: point, generator count, orbit length, the generators, the
     # orbit, its transversal and the inverses
     levels, pos = [], 1

@@ -169,6 +169,68 @@ def klein_bottle_certificate(cocycle_value=(1, 0)):
         {(1, 1): tuple(cocycle_value)}, {})
 
 
+FLAT_CHECKS = ["phi-normal", "rho-representation", "rho-faithful",
+               "quotient-match", "alpha-surjective", "alpha-equivariant",
+               "cocycle-valid", "coboundary-witness", "kernel-lattice",
+               "phi-effective", "torsion-free"]
+
+
+def a4_flat_certificate(iso_index, wrong_witness=False):
+    """A4 on a torus viewed through the flat criterion: trivial holonomy,
+    phi_star = Q, and the cocycle and coboundary witness built through the
+    iso_index-th isomorphism Q -> G/A.  Q is cyclic of order 3, so there
+    are two; the verifier tries them in that order, and under the second
+    the certificate of the first fails alpha-equivariant.  With
+    wrong_witness, the witness value of the first element it lists is
+    changed."""
+    g = PermGroup.alternating(4)
+    gens = [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+            Permutation.from_cycles(4, [(0, 2), (1, 3)])]
+    a_els, a_group, ident = abelian_identification(g, gens)
+    ext = extension_class(g, a_els, ident, a_group)
+    phi_star = ext.quotient
+    q_star, star_proj, _ = quotient_group(phi_star, [phi_star.identity()])
+    iso = list(iter_isomorphisms(q_star, ext.quotient))[iso_index]
+
+    def bar(x):
+        return iso(star_proj(x))
+
+    r = IntMatrix.from_rows([[0, -1], [1, -1]])
+    rho = []
+    for qg in phi_star.generators():
+        m2 = ext.module.act_matrix(bar(qg))
+        cand = [r, r * r]
+        rho.append(next(
+            c for c in cand
+            if all((c[i, j] - m2[i, j]) % 2 == 0
+                   for i in range(2) for j in range(2))))
+    lat_mod = ZQModule.lattice(phi_star, rho)
+    fin_mod = ZQModule.finite(
+        phi_star, a_group,
+        [ext.module.act_matrix(bar(qg)) for qg in phi_star.generators()])
+    pulled = Cocycle2(
+        fin_mod,
+        {(x, y): ext.cocycle.value(bar(x), bar(y))
+         for x in phi_star.elements() for y in phi_star.elements()})
+    h_lat = h2(lat_mod)
+    h_fin = h2(fin_mod)
+    alpha = AbHom(2, a_group, IntMatrix.identity(2))
+    induced = induced_h2(alpha, h_lat, h_fin)
+    pre = is_in_image(h_fin.class_of(pulled), induced)
+    assert pre is not None
+    cstar = h_lat.representative(pre)
+    pushed = Cocycle2(
+        fin_mod, {k: alpha.apply(v) for k, v in cstar.values.items()})
+    witness = h_fin.coboundary_witness(pushed.sub(pulled))
+    assert witness is not None
+    if wrong_witness:
+        x = next(iter(witness))
+        witness[x] = ((witness[x][0] + 1) % 2,) + witness[x][1:]
+    return FlatCertificate(
+        g, gens, 2, rho, IntMatrix.identity(2), [], phi_star,
+        {k: v for k, v in cstar.values.items()}, witness)
+
+
 class TestFlatCertificate:
     def test_klein_bottle_accepted(self):
         report = verify_flat_certificate(klein_bottle_certificate())
@@ -187,54 +249,27 @@ class TestFlatCertificate:
         assert isinstance(again, FlatCertificate)
         assert verify_flat_certificate(again).verdict
 
-    def test_a4_flat_certificate_accepted(self):
-        # A4 on a torus viewed through the flat criterion: trivial holonomy,
-        # explicit cocycle and coboundary witness over phi_star = Q
-        g = PermGroup.alternating(4)
-        gens = [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
-                Permutation.from_cycles(4, [(0, 2), (1, 3)])]
-        a_els, a_group, ident = abelian_identification(g, gens)
-        ext = extension_class(g, a_els, ident, a_group)
-        phi_star = ext.quotient
-        q_star, star_proj, _ = quotient_group(phi_star, [phi_star.identity()])
-        iso = next(iter_isomorphisms(q_star, ext.quotient))
-
-        def bar(x):
-            return iso(star_proj(x))
-
-        r = IntMatrix.from_rows([[0, -1], [1, -1]])
-        rho = []
-        for qg in phi_star.generators():
-            m2 = ext.module.act_matrix(bar(qg))
-            cand = [r, r * r]
-            rho.append(next(
-                c for c in cand
-                if all((c[i, j] - m2[i, j]) % 2 == 0
-                       for i in range(2) for j in range(2))))
-        lat_mod = ZQModule.lattice(phi_star, rho)
-        fin_mod = ZQModule.finite(
-            phi_star, a_group,
-            [ext.module.act_matrix(bar(qg)) for qg in phi_star.generators()])
-        pulled = Cocycle2(
-            fin_mod,
-            {(x, y): ext.cocycle.value(bar(x), bar(y))
-             for x in phi_star.elements() for y in phi_star.elements()})
-        h_lat = h2(lat_mod)
-        h_fin = h2(fin_mod)
-        alpha = AbHom(2, a_group, IntMatrix.identity(2))
-        induced = induced_h2(alpha, h_lat, h_fin)
-        pre = is_in_image(h_fin.class_of(pulled), induced)
-        assert pre is not None
-        cstar = h_lat.representative(pre)
-        pushed = Cocycle2(
-            fin_mod, {k: alpha.apply(v) for k, v in cstar.values.items()})
-        witness = h_fin.coboundary_witness(pushed.sub(pulled))
-        assert witness is not None
-        cert = FlatCertificate(
-            g, gens, 2, rho, IntMatrix.identity(2), [], phi_star,
-            {k: v for k, v in cstar.values.items()}, witness)
-        report = verify_flat_certificate(cert)
+    @pytest.mark.parametrize("iso_index", [0, 1])
+    def test_a4_flat_certificate_accepted(self, iso_index):
+        report = verify_flat_certificate(a4_flat_certificate(iso_index))
         assert report.verdict, report.failed_check()
+        assert [c.name for c in report.checklist] == FLAT_CHECKS
+
+    @pytest.mark.parametrize("iso_index", [0, 1])
+    def test_a4_flat_certificate_with_a_wrong_witness_rejected(self, iso_index):
+        report = verify_flat_certificate(a4_flat_certificate(iso_index, True))
+        assert [(c.name, c.passed, c.detail) for c in report.checklist] == [
+            ("phi-normal", True, "phi must be normal in phi_star"),
+            ("rho-representation", True, ""),
+            ("rho-faithful", True, ""),
+            ("quotient-match", True, "quotients of order 3 identified"),
+            ("alpha-surjective", True, "image must be all of A"),
+            ("alpha-equivariant", True, "alpha(g.x) must equal bar(g).alpha(x)"),
+            ("cocycle-valid", True, "c* fails the cocycle identity"),
+            ("coboundary-witness", False,
+             "alpha-pushforward of c* must differ from the extension class "
+             "of G by the coboundary of b")]
+        assert not report.verdict and report.witnesses == {}
 
     @pytest.mark.parametrize("field,value", [
         ("cocycle", [[1, 1, [1.0, 0]]]), ("cocycle", [[1, 1, [1, True]]]),

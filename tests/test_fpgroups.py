@@ -46,8 +46,14 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C comp
 
 
 def _outcome(g, sub, engine, limit):
+    """The table that `engine`, "pure" or "compiled", enumerates for the
+    subgroup words of g, handed over as todd_coxeter hands them, or None
+    when the coset limit is exceeded."""
+    enumerate_cosets = {"pure": fpgroups._enumerate_pure,
+                        "compiled": fpgroups._enumerate_compiled}[engine]
     try:
-        return todd_coxeter(g, sub, coset_limit=limit, engine=engine).table
+        return enumerate_cosets(g.ngens, [word_to_letters(w) for w in g.relators],
+                                [word_to_letters(free_reduce(w)) for w in sub], limit)
     except CosetLimitExceeded:
         return None
 
@@ -136,13 +142,12 @@ class TestToddCoxeter:
 
     def test_coset_subgroup_letters_and_limit_checked(self):
         g = symmetric_presentation(3)
-        for engine in ("pure", None):
-            with pytest.raises(PresentationError):
-                todd_coxeter(g, [(3,)], engine=engine)
-            with pytest.raises(PresentationError):
-                todd_coxeter(g, [(0,)], engine=engine)
-            with pytest.raises(PresentationError):
-                todd_coxeter(g, coset_limit=2 ** 31, engine=engine)
+        with pytest.raises(PresentationError):
+            todd_coxeter(g, [(3,)])
+        with pytest.raises(PresentationError):
+            todd_coxeter(g, [(0,)])
+        with pytest.raises(PresentationError):
+            todd_coxeter(g, coset_limit=2 ** 31)
         assert todd_coxeter(g, coset_limit=2 ** 31 - 1).index == 6
 
     def test_coset_limit(self):
@@ -185,26 +190,29 @@ class TestToddCoxeter:
 class TestEngines:
     """The compiled engine against the pure one, which is its reference."""
 
+    @needs_cc
     @pytest.mark.parametrize("g,sub", ENGINE_CASES)
     def test_engines_agree(self, g, sub):
-        if shutil.which("cc"):
-            assert fpgroups.ENGINE == "compiled", fpgroups._LOAD_ERROR
-        pure = todd_coxeter(g, sub, engine="pure")
-        comp = todd_coxeter(g, sub)
-        assert comp.table.dtype == pure.table.dtype == np.int32
-        assert comp.table.tobytes() == pure.table.tobytes()
+        assert fpgroups.ENGINE == "compiled", fpgroups._LOAD_ERROR
+        pure = _outcome(g, sub, "pure", fpgroups.DEFAULT_COSET_LIMIT)
+        comp = _outcome(g, sub, "compiled", fpgroups.DEFAULT_COSET_LIMIT)
+        assert comp.dtype == pure.dtype == np.int32
+        assert comp.tobytes() == pure.tobytes()
+        assert todd_coxeter(g, sub).table.tobytes() == pure.tobytes()
 
+    @needs_cc
     @given(small_presentations())
     @settings(max_examples=150, deadline=None)
     def test_engines_agree_on_random_presentations(self, case):
         g, sub = case
         pure = _outcome(g, sub, "pure", 300)
-        comp = _outcome(g, sub, None, 300)
+        comp = _outcome(g, sub, "compiled", 300)
         if pure is None:
             assert comp is None
         else:
             assert comp is not None and comp.tobytes() == pure.tobytes()
 
+    @needs_cc
     def test_coset_limit_boundary(self):
         # the largest limit at which the pure engine raises for S6, found by
         # bisection: below it every limit raises, above it none does
@@ -219,9 +227,9 @@ class TestEngines:
             else:
                 hi = mid
         assert lo >= 720
-        assert _outcome(g, [], None, lo) is None
+        assert _outcome(g, [], "compiled", lo) is None
         pure = _outcome(g, [], "pure", lo + 1)
-        comp = _outcome(g, [], None, lo + 1)
+        comp = _outcome(g, [], "compiled", lo + 1)
         assert comp is not None and comp.tobytes() == pure.tobytes()
 
     @needs_cc

@@ -1,6 +1,7 @@
 """Source hygiene that no linter checks here: every name a module of the
-package imports is used in that module, and every private function, class
-and method of the package is used somewhere in it."""
+package imports is used in that module, every private function, class
+and method of the package is used somewhere in it, and every local that a
+function assigns is read."""
 
 import ast
 import pathlib
@@ -111,3 +112,44 @@ def test_the_check_sees_an_unused_private_definition():
     }
     assert unused_private_definitions(sources) == [
         "a._Box._stale", "a._dead", "a._recursive"]
+
+
+def unused_locals(source):
+    """The names that a function of `source`, nested ones included,
+    assigns by a plain `name = ...` and that nothing in the function reads,
+    closures included, as sorted "function.name" strings.  A name the
+    function declares global or nonlocal is not its local."""
+    out = set()
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, funcs[:2]):
+            continue
+        outer, stack = [], [func]
+        while stack:        # the nodes of func, not those of nested functions
+            node = stack.pop()
+            outer.append(node)
+            stack += [c for c in ast.iter_child_nodes(node) if not isinstance(c, funcs)]
+        declared = {n for node in outer if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for n in node.names}
+        assigned = {t.id for node in outer if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        read = {n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out |= {func.name + "." + name for name in assigned - declared - read}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_local():
+    src = ("def f(xs):\n"
+           "    total = 0\n    dead = len(xs)\n    a, b = xs\n"
+           "    def g():\n        stale = total\n        return xs\n"
+           "    def h():\n        nonlocal total\n        total = 1\n"
+           "    return g, h, a\n"
+           "def k():\n    global G\n    G = 1\n    kept = 2\n"
+           "    return lambda: kept\n")
+    assert unused_locals(src) == ["f.dead", "g.stale"]
