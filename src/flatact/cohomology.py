@@ -461,11 +461,11 @@ def _bar_cohomology(module, degree):
                  for row in module.act_matrix(g).data] for g in nt]
 
     def coboundary(p, firsts):
-        """Sparse rows of d^p at the (p+1)-cells (g, x_1, ..., x_p) with g in
-        firsts, in order, one per coefficient: row i of g's action matrix
-        at the cell x, then (-1)^(p+1) at (g, x_1, ..., x_(p-1)) and (-1)^k
-        at the cell with x_(k-1) x_k merged, unless that is the identity."""
-        out = []
+        """Yield the sparse rows of d^p at the (p+1)-cells (g, x_1, ..., x_p)
+        with g in firsts, in order, one per coefficient: row i of g's action
+        matrix at the cell x, then (-1)^(p+1) at (g, x_1, ..., x_(p-1)) and
+        (-1)^k at the cell with x_(k-1) x_k merged, unless that is the
+        identity."""
         for g in firsts:
             for x in product(range(m), repeat=p):
                 cell = (g,) + x
@@ -484,8 +484,7 @@ def _bar_cohomology(module, degree):
                             row[c] = v
                         else:
                             del row[c]
-                    out.append(row)
-        return out
+                    yield row
 
     # outgoing differential: for finite coefficients each row's relation
     # column sits beside it, so the kernel is the cocycle lattice plus
@@ -498,7 +497,7 @@ def _bar_cohomology(module, degree):
     # condition at the generators makes q -> (b(q), q) multiplicative).
     # The lattice is therefore the same as with all cells.
     gens = sorted({idx[s] for s in grp.generators() if s != e})
-    dout = coboundary(degree, gens)
+    dout = list(coboundary(degree, gens))
     if factors is not None:
         for r, row in enumerate(dout):
             row[n_mid + r] = factors[r % n]
