@@ -10,7 +10,14 @@
  * node for node as fpgroups._low_index_pure: the same first undefined cell
  * (row-major), candidate order, relator-rotation scans and deductions, and
  * undo by trail, so both find the same complete tables in the same order
- * after the same number of nodes.
+ * after the same number of nodes.  Both keep explicit stacks: a search
+ * frame (40 bytes) per node on the path, holding its undefined entry as a
+ * row and a letter, its next candidate, row count and trail mark; and,
+ * while an assignment is propagated, a deduction frame (24 bytes) per new
+ * entry whose scans are not done, holding the coset to scan at, the
+ * letter the rotations start with, the next rotation and the phase (the
+ * entry's row, then its image with the inverse letter).  So the scans
+ * divide nothing by the letter count.
  *
  * And it builds the Schreier-Sims stabilizer chain step for step as
  * groups.StabilizerChain: the same base points (the first point a residue
@@ -21,6 +28,11 @@
  * re-completion of every level from the residue's up.  So each level has
  * the same point, strong generators, orbit order and transversal.  A
  * level's transversal is allocated at its orbit length.
+ *
+ * Last, it labels each element of a group by the least element of its
+ * conjugacy class, by union-find over the conjugation maps of the
+ * generators: the fixpoint that groups._min_labels reaches by propagating
+ * minima.
  *
  * Plain C with no Python headers: flatact.fpgroups compiles this file into
  * a shared library and calls it through ctypes.
@@ -55,6 +67,10 @@
  *       orbit length m, its g x n generators, its m orbit points in
  *       breadth-first order, the m x n transversal (row k maps the point
  *       to orbit point k) and the m x n inverses of its rows.
+ *   fa_min_labels(n, nmaps, maps, out)
+ *       writes to out[i] the least index in the component of i among
+ *       0..n-1 under the nmaps maps maps[k*n .. (k+1)*n) (int64).
+ *       Returns FA_OK, or FA_BADARG when a map entry is outside 0..n-1.
  */
 
 #include <stdint.h>
@@ -281,14 +297,35 @@ void fa_compact(void *state, int32_t *out)
 
 enum { LI_FAIL, LI_OK, LI_DEDUCED };
 
+/* An entry (row, letter) of the table. */
+typedef struct {
+    int32_t row, letter;
+} li_cell;
+
+/* A deduction frame: the rotations next .. first[letter + 1] - 1 are still
+ * to be scanned at coset `row`.  In phase 0 row and letter are the new
+ * entry's, in phase 1 its image and the inverse letter. */
+typedef struct {
+    int64_t row, next;
+    int32_t letter, phase;
+} li_deduction;
+
+/* A search frame: a node whose children are being tried.  (row, letter)
+ * is its first undefined entry, next its next candidate, rows the row
+ * count and mark the trail length when the node was entered. */
+typedef struct {
+    int64_t row, next, rows, mark;
+    int32_t letter;
+} li_node;
+
 typedef struct {
     int64_t nl, max_index, nrows, ntrail, nout, outcap;
     const int32_t *letters;
     const int64_t *ends, *first;
-    int32_t *tbl;       /* max_index x nl, -1 for an undefined entry */
-    int64_t *trail;     /* the cells a*nl + x set since the search began */
-    int64_t *stack;     /* deduction frames: cell, next rotation */
-    int64_t *frames;    /* search frames: cell, next candidate, rows, mark, grew */
+    int32_t *tbl;           /* max_index x nl, -1 for an undefined entry */
+    li_cell *trail;         /* the entries set since the search began */
+    li_deduction *stack;    /* one frame per entry set by li_assign */
+    li_node *frames;        /* one frame per node on the search path */
     int32_t *out;
 } lix;
 
@@ -304,15 +341,28 @@ static void lix_free(lix *s)
     }
 }
 
-/* Scan rotation r at coset `start`: LI_FAIL on a contradiction; with
- * exactly one gap fill it, record the cell in *cell and the trail, and
- * return LI_DEDUCED. */
-static int li_scan(lix *s, int64_t r, int64_t start, int64_t *cell)
+/* Set entry (a, x) to b and its mirror, record it in the trail, and make
+ * fr the deduction frame of the new entry. */
+static void li_set(lix *s, li_deduction *fr, int64_t a, int32_t x, int64_t b)
 {
-    int64_t nl = s->nl, lo = r ? s->ends[r - 1] : 0;
-    int64_t i = 0, j = s->ends[r] - lo - 1, f = start, b = start, t;
-    const int32_t *w = s->letters + lo;
-    int32_t *tbl = s->tbl;
+    s->tbl[a * s->nl + x] = (int32_t)b;
+    s->tbl[b * s->nl + (x ^ 1)] = (int32_t)a;
+    s->trail[s->ntrail].row = (int32_t)a;
+    s->trail[s->ntrail++].letter = x;
+    fr->row = a;
+    fr->next = s->first[x];
+    fr->letter = x;
+    fr->phase = 0;
+}
+
+/* Scan the rotation w[0 .. len) at coset `start`: LI_FAIL on a
+ * contradiction; with exactly one gap return LI_DEDUCED and the entry
+ * (*row, *letter) that fills it with *image. */
+static int li_scan(const lix *s, const int32_t *w, int64_t len, int64_t start,
+                   int64_t *row, int32_t *letter, int64_t *image)
+{
+    int64_t nl = s->nl, i = 0, j = len - 1, f = start, b = start, t;
+    const int32_t *tbl = s->tbl;
     while (i <= j && (t = tbl[f * nl + w[i]]) != -1) {
         f = t;
         i++;
@@ -327,48 +377,43 @@ static int li_scan(lix *s, int64_t r, int64_t start, int64_t *cell)
         return f == b ? LI_OK : LI_FAIL;
     if (j > i)
         return LI_OK;   /* more than one gap: nothing to deduce yet */
-    tbl[f * nl + w[i]] = (int32_t)b;
-    tbl[b * nl + (w[i] ^ 1)] = (int32_t)f;
-    *cell = f * nl + w[i];
-    s->trail[s->ntrail++] = *cell;
+    *row = f;
+    *letter = w[i];
+    *image = b;
     return LI_DEDUCED;
 }
 
 /* Set entry (a, x) to b and its mirror, then scan the rotations through
- * every new entry, depth first: at a cell (c, y) the rotations starting
+ * every new entry, depth first: at an entry (c, y) the rotations starting
  * with y at c, then those starting with y^-1 at the image of c.  Returns 0
  * on a contradiction. */
-static int li_assign(lix *s, int64_t a, int64_t x, int64_t b)
+static int li_assign(lix *s, int64_t a, int32_t x, int64_t b)
 {
-    int64_t nl = s->nl, sp = 1, cell = a * nl + x;
-    int64_t *stack = s->stack;
-    const int64_t *first = s->first;
-    s->tbl[cell] = (int32_t)b;
-    s->tbl[b * nl + (x ^ 1)] = (int32_t)a;
-    s->trail[s->ntrail++] = cell;
-    stack[0] = cell;
-    stack[1] = 0;
+    const int64_t *first = s->first, *ends = s->ends;
+    li_deduction *stack = s->stack;
+    int64_t sp = 1;
+    li_set(s, stack, a, x, b);
     while (sp > 0) {
-        int64_t *fr = stack + 2 * (sp - 1), c = fr[0], k = fr[1]++;
-        int64_t y = c % nl, n1 = first[y + 1] - first[y];
-        int64_t r, start;
-        if (k < n1) {
-            r = first[y] + k;
-            start = c / nl;
-        } else if (k < n1 + first[(y ^ 1) + 1] - first[y ^ 1]) {
-            r = first[y ^ 1] + k - n1;
-            start = s->tbl[c];
-        } else {
-            sp--;
+        li_deduction *fr = stack + sp - 1;
+        int64_t r = fr->next, lo;
+        if (r == first[fr->letter + 1]) {
+            if (fr->phase) {
+                sp--;
+                continue;
+            }
+            fr->row = s->tbl[fr->row * s->nl + fr->letter];
+            fr->letter ^= 1;
+            fr->next = first[fr->letter];
+            fr->phase = 1;
             continue;
         }
-        switch (li_scan(s, r, start, &cell)) {
+        fr->next = r + 1;
+        lo = r ? ends[r - 1] : 0;
+        switch (li_scan(s, s->letters + lo, ends[r] - lo, fr->row, &a, &x, &b)) {
         case LI_FAIL:
             return 0;
         case LI_DEDUCED:
-            stack[2 * sp] = cell;
-            stack[2 * sp + 1] = 0;
-            sp++;
+            li_set(s, stack + sp++, a, x, b);
         }
     }
     return 1;
@@ -378,11 +423,11 @@ static void li_undo(lix *s, int64_t mark)
 {
     int64_t nl = s->nl;
     while (s->ntrail > mark) {
-        int64_t c = s->trail[--s->ntrail];
-        int32_t b = s->tbl[c];
-        s->tbl[c] = -1;
+        li_cell c = s->trail[--s->ntrail];
+        int32_t *e = s->tbl + c.row * nl + c.letter, b = *e;
+        *e = -1;
         if (b != -1)
-            s->tbl[b * nl + ((c % nl) ^ 1)] = -1;
+            s->tbl[b * nl + (c.letter ^ 1)] = -1;
     }
 }
 
@@ -406,10 +451,11 @@ static int li_record(lix *s)
 }
 
 /* The backtracking of the search, with an explicit stack of frames in
- * place of recursion: a frame is a node whose children are being tried. */
+ * place of recursion. */
 static int li_search(lix *s, int64_t node_limit)
 {
-    int64_t nl = s->nl, d = 0, nodes = 0, c, b, *fr;
+    int64_t nl = s->nl, d = 0, nodes = 0, c, b;
+    li_node *fr;
     int status;
     for (;;) {
         /* enter a node */
@@ -421,34 +467,31 @@ static int li_search(lix *s, int64_t node_limit)
             if ((status = li_record(s)) != FA_OK)
                 return status;
         } else {
-            fr = s->frames + 5 * d++;
-            fr[0] = c;
-            fr[1] = 0;
-            fr[2] = s->nrows;
-            fr[3] = -1;
+            fr = s->frames + d++;
+            fr->row = c / nl;
+            fr->letter = (int32_t)(c % nl);
+            fr->next = 0;
+            fr->rows = s->nrows;
+            fr->mark = s->ntrail;
         }
         /* enter the next candidate of the deepest frame that has one: an
-         * existing row whose x^-1 entry is undefined, then a new row */
+         * existing row whose letter^-1 entry is undefined, then a new row */
         for (;;) {
             if (d == 0)
                 return FA_OK;
-            fr = s->frames + 5 * (d - 1);
-            if (fr[3] >= 0) {
-                li_undo(s, fr[3]);
-                s->nrows -= fr[4];
-                fr[3] = -1;
-            }
-            for (b = fr[1]; b < fr[2] && s->tbl[b * nl + ((fr[0] % nl) ^ 1)] != -1; b++)
+            fr = s->frames + d - 1;
+            li_undo(s, fr->mark);
+            s->nrows = fr->rows;
+            for (b = fr->next; b < fr->rows && s->tbl[b * nl + (fr->letter ^ 1)] != -1; b++)
                 ;
-            if (b > fr[2] || (b == fr[2] && fr[2] >= s->max_index)) {
+            if (b > fr->rows || (b == fr->rows && fr->rows >= s->max_index)) {
                 d--;
                 continue;
             }
-            fr[1] = b + 1;
-            fr[4] = b == fr[2];
-            s->nrows += fr[4];
-            fr[3] = s->ntrail;
-            if (li_assign(s, fr[0] / nl, fr[0] % nl, b))
+            fr->next = b + 1;
+            if (b == fr->rows)
+                s->nrows++;
+            if (li_assign(s, fr->row, fr->letter, b))
                 break;
         }
     }
@@ -470,7 +513,8 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
     for (k = 0; k < (first[nl] ? ends[first[nl] - 1] : 0); k++)
         if (letters[k] < 0 || letters[k] >= nl)
             return FA_BADARG;
-    /* the frames take 40 bytes a cell: refuse sizes whose byte counts overflow */
+    /* a search frame takes 40 bytes a cell, a deduction frame 24 and a
+     * trail entry 8: refuse sizes whose byte counts overflow */
     if (nl && max_index > INT64_MAX / 64 / nl)
         return FA_NOMEM;
     if ((s = calloc(1, sizeof *s)) == NULL)
@@ -482,11 +526,11 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
     s->letters = letters;
     s->ends = ends;
     s->first = first;
-    /* every trail entry, deduction frame and search level fills a cell */
+    /* every trail entry, deduction frame and search frame fills a cell */
     s->tbl = malloc((size_t)(ncells + 1) * sizeof *s->tbl);
     s->trail = malloc((size_t)(ncells + 1) * sizeof *s->trail);
-    s->stack = malloc((size_t)(2 * ncells + 2) * sizeof *s->stack);
-    s->frames = malloc((size_t)(5 * ncells + 5) * sizeof *s->frames);
+    s->stack = malloc((size_t)(ncells + 1) * sizeof *s->stack);
+    s->frames = malloc((size_t)(ncells + 1) * sizeof *s->frames);
     if (!s->tbl || !s->trail || !s->stack || !s->frames)
         status = FA_NOMEM;
     else {
@@ -508,6 +552,45 @@ void fa_low_index_take(void *state, int32_t *out)
     if (out && s->nout)
         memcpy(out, s->out, (size_t)s->nout * sizeof *out);
     lix_free(s);
+}
+
+/* ---- class labels ---- */
+
+/* The root of i's component, halving the path on the way: every parent
+ * is below its child. */
+static int64_t ml_root(int64_t *parent, int64_t i)
+{
+    while (parent[i] != i) {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    return i;
+}
+
+int fa_min_labels(int64_t n, int64_t nmaps, const int64_t *maps, int64_t *out)
+{
+    int64_t i, k;
+    if (n < 0 || nmaps < 0)
+        return FA_BADARG;
+    for (k = 0; k < nmaps * n; k++)
+        if (maps[k] < 0 || maps[k] >= n)
+            return FA_BADARG;
+    for (i = 0; i < n; i++)
+        out[i] = i;
+    /* union by smaller root, so a component's root is its least index */
+    for (k = 0; k < nmaps; k++)
+        for (i = 0; i < n; i++) {
+            int64_t u = ml_root(out, i), v = ml_root(out, maps[k * n + i]);
+            if (u < v)
+                out[v] = u;
+            else
+                out[u] = v;
+        }
+    /* a parent is below its child, so it holds its root when the child
+     * is reached */
+    for (i = 0; i < n; i++)
+        out[i] = out[out[i]];
+    return FA_OK;
 }
 
 /* ---- Schreier-Sims stabilizer chain ---- */

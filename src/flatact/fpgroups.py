@@ -9,16 +9,18 @@ enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 Coset enumeration and the backtracking of the low-index search run in the
 compiled engine, `_coset.c`, when it can be loaded: plain C called through
 ctypes.  The same library builds the stabilizer chains of
-`groups.StabilizerChain`.  On first import the source is
+`groups.StabilizerChain` and the conjugacy-class labels of
+`groups.ElementIndex`.  On first import the source is
 compiled with `cc -O2 -shared -fPIC` into the per-user cache directory
 (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode 0700), under a name
 made from the SHA-256 of the source, the compile command and the
 interpreter's cache tag, so later imports only load it.  If anything fails
 (no compiler, an unwritable or foreign cache, a load error), ENGINE is
 "pure" and the pure-Python engines run instead: `_coset_pure`,
-`_low_index_pure` and `StabilizerChain._schreier_sims`.  They are also the
-differential-testing references.  Both engines give identical tables and
-chains, and the low-index searches visit the same nodes.
+`_low_index_pure`, `StabilizerChain._schreier_sims` and
+`groups._min_labels`.  They are also the differential-testing references.
+Both engines give identical tables, chains and labels, and the low-index
+searches visit the same nodes.
 """
 
 import ctypes
@@ -103,6 +105,9 @@ def _load_compiled():
         ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
     lib.fa_schreier_sims_take.restype = None
     lib.fa_schreier_sims_take.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    lib.fa_min_labels.restype = ctypes.c_int
+    lib.fa_min_labels.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     return lib
 
 
@@ -384,8 +389,10 @@ def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT):
 # ---------------------------------------------------------------------------
 
 def _relator_rotations(g):
-    """For each engine letter x, the rotations (as letter tuples) of each
-    relator that start with x; used to process deductions."""
+    """For each engine letter x, the distinct rotations (as letter tuples)
+    of the relators that start with x, in order of first appearance; used
+    to process deductions.  A proper power such as (s_i s_j)^3 repeats its
+    rotations, and a repeated scan at the same coset finds nothing new."""
     nl = 2 * g.ngens
     by_letter = [[] for _ in range(nl)]
     for w in g.relators:
@@ -394,102 +401,105 @@ def _relator_rotations(g):
         for p in range(k):
             rot = letters[p:] + letters[:p]
             by_letter[rot[0]].append(rot)
-    return by_letter
+    return [list(dict.fromkeys(rots)) for rots in by_letter]
 
 
 def _low_index_pure(rotations, max_index, node_limit):
     """The complete coset tables of the backtracking search, in the order
     found, as int32 arrays; `rotations` is `_relator_rotations` of the
     group.  Raises SearchBoundExceeded when the search would visit more
-    than node_limit nodes."""
+    than node_limit nodes.
+
+    The search and the deductions keep explicit stacks of frames, as
+    `li_search` and `li_assign` of `_coset.c` do, so neither the index nor
+    the search depth is bounded by the Python stack."""
     nl = len(rotations)
     UNDEF = -1
     table = [[UNDEF] * nl for _ in range(max_index)]
-    nrows = 1
+    trail = []
     complete = []
-    nodes = 0
 
-    def scan(rot, start, trail):
-        """Scan a relator rotation at a coset: fill at most one gap, or
-        report a contradiction.  Returns False on contradiction."""
-        i, j = 0, len(rot) - 1
-        f = b = start
+    def assign(a, x, b):
+        """Set table[a][x] = b and its mirror, then scan the rotations
+        through every new entry, depth first: at an entry (c, y) those
+        starting with y at c, then those starting with y^-1 at its image.
+        A scan fills the gap when exactly one is left.  Returns False on a
+        contradiction."""
+        # each new entry pushes the second of its sweeps, then the first
+        pending = []
         while True:
-            while i <= j and table[f][rot[i]] != UNDEF:
-                f = table[f][rot[i]]
-                i += 1
-            if i > j:
-                return f == b
-            while j >= i and table[b][rot[j] ^ 1] != UNDEF:
-                b = table[b][rot[j] ^ 1]
-                j -= 1
-            if j < i:
-                return f == b
-            if j == i:
-                x = rot[i]
-                table[f][x] = b
-                table[b][x ^ 1] = f
-                trail.append((f, x))
-                return process_deduction(f, x, trail)
-            return True  # more than one gap: nothing to deduce yet
+            table[a][x] = b
+            table[b][x ^ 1] = a
+            trail.append((a, x))
+            pending += ((iter(rotations[x ^ 1]), b), (iter(rotations[x]), a))
+            while pending:
+                rots, start = pending[-1]
+                for rot in rots:
+                    i, j = 0, len(rot) - 1
+                    f = b = start
+                    while i <= j and table[f][rot[i]] != UNDEF:
+                        f = table[f][rot[i]]
+                        i += 1
+                    if i > j:
+                        if f != b:
+                            return False
+                        continue
+                    while j >= i and table[b][rot[j] ^ 1] != UNDEF:
+                        b = table[b][rot[j] ^ 1]
+                        j -= 1
+                    if j < i:
+                        if f != b:
+                            return False
+                        continue
+                    if j == i:
+                        break  # one gap: entry (f, rot[i]) is b
+                    # more than one gap: nothing to deduce yet
+                else:
+                    pending.pop()
+                    continue
+                a, x = f, rot[i]
+                break
+            else:
+                return True
 
-    def process_deduction(a, x, trail):
-        for rot in rotations[x]:
-            if not scan(rot, a, trail):
-                return False
-        for rot in rotations[x ^ 1]:
-            if not scan(rot, table[a][x], trail):
-                return False
-        return True
-
-    def assign(a, x, b, trail):
-        """Set table[a][x] = b (and the mirror entry) and propagate."""
-        table[a][x] = b
-        table[b][x ^ 1] = a
-        trail.append((a, x))
-        return process_deduction(a, x, trail)
-
-    def undo(trail):
-        for a, x in reversed(trail):
+    def undo(mark):
+        for a, x in reversed(trail[mark:]):
             b = table[a][x]
             table[a][x] = UNDEF
             if b != UNDEF:
                 table[b][x ^ 1] = UNDEF
+        del trail[mark:]
 
-    def first_undefined():
-        for a in range(nrows):
-            row = table[a]
-            for x in range(nl):
-                if row[x] == UNDEF:
-                    return a, x
-        return None
-
-    def search():
-        nonlocal nrows, nodes
+    # a frame is a node whose children are being tried: its first undefined
+    # entry, its row count, the trail length on entry and its candidates
+    # (the rows whose x^-1 entry is undefined, then a new row)
+    frames = []
+    nrows, nodes = 1, 0
+    while True:
         nodes += 1
         if nodes > node_limit:
             raise SearchBoundExceeded("low-index node limit %d exceeded" % node_limit)
-        cell = first_undefined()
-        if cell is None:
+        a = next((a for a in range(nrows) if UNDEF in table[a]), None)
+        if a is None:
             complete.append(np.array(table[:nrows], dtype=np.int32))
-            return
-        a, x = cell
-        candidates = [b for b in range(nrows) if table[b][x ^ 1] == UNDEF]
-        if nrows < max_index:
-            candidates.append(nrows)
-        for b in candidates:
-            grew = b == nrows
-            if grew:
-                nrows += 1
-            trail = []
-            if assign(a, x, b, trail):
-                search()
-            undo(trail)
-            if grew:
-                nrows -= 1
-
-    search()
-    return complete
+        else:
+            x = table[a].index(UNDEF)
+            candidates = [b for b in range(nrows) if table[b][x ^ 1] == UNDEF]
+            if nrows < max_index:
+                candidates.append(nrows)
+            frames.append((a, x, nrows, len(trail), iter(candidates)))
+        while frames:
+            a, x, nrows, mark, candidates = frames[-1]
+            undo(mark)
+            b = next(candidates, None)
+            if b is None:
+                frames.pop()
+                continue
+            nrows = max(nrows, b + 1)
+            if assign(a, x, b):
+                break
+        else:
+            return complete
 
 
 def _low_index_compiled(rotations, max_index, node_limit):

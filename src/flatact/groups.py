@@ -9,7 +9,8 @@ former, integer indices for the latter.
 The stabilizer chain is built by the compiled engine of `fpgroups`
 (`fa_schreier_sims` in `_coset.c`) when it is loaded, and otherwise by
 the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
-give identical levels.
+give identical levels.  Likewise the conjugacy-class labels of an
+`ElementIndex` come from `fa_min_labels`, or else from `_min_labels`.
 """
 
 import math
@@ -484,6 +485,33 @@ def _row_orders(rows):
     return np.lcm.reduce(lengths, axis=1, initial=1).astype(np.int64)
 
 
+def _min_labels(n, maps):
+    """The least index in the orbit of each of 0..n-1 under the group that
+    the permutations `maps` (int arrays) generate: the minimum is
+    propagated along the maps (and through the labels themselves) until
+    stable.  The fallback and the differential reference of
+    `_min_labels_compiled`."""
+    labels = np.arange(n)
+    while True:
+        new = labels
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _min_labels_compiled(n, maps):
+    """`_min_labels` by union-find in `fa_min_labels` of the compiled
+    engine.  Raises ValueError for a map entry outside 0..n-1."""
+    arr = np.array(maps, dtype=np.int64).reshape(len(maps), n)
+    labels = np.empty(n, dtype=np.int64)
+    if fpgroups._LIB.fa_min_labels(n, len(maps), arr.ctypes.data, labels.ctypes.data):
+        raise ValueError("map entry outside 0..n-1")
+    return labels
+
+
 class ElementIndex:
     """The elements of a permutation group as arrays, for searches that
     treat many elements in one numpy pass.
@@ -519,8 +547,8 @@ class ElementIndex:
 
     def _class_labels(self, gens):
         """The smallest element index in each element's conjugacy class:
-        the minimum is propagated along the conjugation maps of the
-        generators (and through the labels themselves) until stable."""
+        the least index in its component under the conjugation maps of the
+        generators."""
         maps = []
         for g in gens:
             gi = np.array(g.images, dtype=self.rows.dtype)
@@ -532,15 +560,9 @@ class ElementIndex:
             if not np.array_equal(keys[ranks], self._keys):
                 raise GroupError("element list is not closed under conjugation")
             maps.append(ranks)
-        labels = np.arange(len(self.rows))
-        while True:
-            new = labels
-            for m in maps:
-                new = np.minimum(new, new[m])
-            new = new[new]
-            if np.array_equal(new, labels):
-                return labels
-            labels = new
+        if fpgroups._LIB is None:
+            return _min_labels(len(self.rows), maps)
+        return _min_labels_compiled(len(self.rows), maps)
 
     def classes(self):
         """The element indices of each conjugacy class, ascending, in

@@ -7,13 +7,13 @@ from importlib import resources
 
 import pytest
 
-from flatact import BoundExceeded
+from flatact import BoundExceeded, fpgroups
 from flatact.certificates import TorusCertificate, build_a4_certificate
 from flatact.cli import (_BOUND, EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE,
                          EXIT_OK, main)
 from flatact.cohomology import (DEFAULT_GROUP_BOUND, CohomologyBoundExceeded,
                                 CohomologyError, ZQModule, cocycle_to_text, h2)
-from flatact.fpgroups import (CosetLimitExceeded, SearchBoundExceeded,
+from flatact.fpgroups import (CosetLimitExceeded, FpGroup, SearchBoundExceeded,
                               symmetric_presentation)
 from flatact.groups import (DEFAULT_SUBGROUP_ORDER_BOUND, GroupBoundExceeded,
                             GroupError, PermGroup, TableGroup, group_to_text)
@@ -247,6 +247,14 @@ class TestCosetAndLowIndex:
         pres = write("p.txt", symmetric_presentation(5).to_text())
         assert main(["low-index", pres, "--max-index", "6",
                      "--node-limit", "10"]) == EXIT_BOUND
+
+    def test_deep_low_index_search_on_the_pure_engine(self, write, monkeypatch):
+        # the search of Z to index 2000 is about 1250 frames deep after
+        # 2500 nodes, past the Python recursion limit; it exits 3 there
+        monkeypatch.setattr(fpgroups, "_low_index", fpgroups._low_index_pure)
+        pres = write("p.txt", FpGroup(1, ()).to_text())
+        assert main(["low-index", pres, "--max-index", "2000",
+                     "--node-limit", "2500"]) == EXIT_BOUND
 
 
 class TestEpiSearch:

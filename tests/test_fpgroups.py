@@ -325,6 +325,13 @@ class TestLowIndex:
         with pytest.raises(SearchBoundExceeded):
             low_index_subgroups(symmetric_presentation(5), 6, node_limit=10)
 
+    def test_pure_search_is_not_bounded_by_the_python_stack(self):
+        # Z to index 1000: the search path and the deduction chains are
+        # about 1000 frames deep, past the Python recursion limit
+        tables = fpgroups._low_index_pure(
+            fpgroups._relator_rotations(FpGroup(1, ())), 1000, 10 ** 6)
+        assert sorted(t.shape for t in tables) == [(n, 2) for n in range(1, 1001)]
+
     def test_invalid_index(self):
         with pytest.raises(PresentationError):
             low_index_subgroups(symmetric_presentation(3), 0)
@@ -332,13 +339,29 @@ class TestLowIndex:
             low_index_subgroups(symmetric_presentation(3), 2 ** 31)
 
 
-def _complete_tables(g, max_index, engine, node_limit=10 ** 7):
-    """The complete tables of the low-index backtracking, as (shape, bytes)
-    pairs in the order found, or None when the node limit is exceeded."""
+def _raw_rotations(g):
+    """Every rotation of every relator, by first letter, with the repeats
+    of proper powers kept: (s1 s2)^3 gives each of its rotations three
+    times, (1, 2, 1, 3)^2 gives (1, 2, 1, 3, ...) and (1, 3, 1, 2, ...)
+    twice each, alternately."""
+    by_letter = [[] for _ in range(2 * g.ngens)]
+    for w in g.relators:
+        letters = word_to_letters(w)
+        for p in range(len(letters)):
+            rot = letters[p:] + letters[:p]
+            by_letter[rot[0]].append(rot)
+    return by_letter
+
+
+def _complete_tables(g, max_index, engine, node_limit=10 ** 7,
+                     rotations=fpgroups._relator_rotations):
+    """The complete tables of the low-index backtracking over the
+    `rotations` of g, as (shape, bytes) pairs in the order found, or None
+    when the node limit is exceeded."""
     search = {"pure": fpgroups._low_index_pure,
               "compiled": fpgroups._low_index_compiled}[engine]
     try:
-        tables = search(fpgroups._relator_rotations(g), max_index, node_limit)
+        tables = search(rotations(g), max_index, node_limit)
     except SearchBoundExceeded:
         return None
     assert all(t.dtype == np.int32 for t in tables)
@@ -356,6 +379,36 @@ LOW_INDEX_CASES = (
 
 needs_compiled = pytest.mark.skipif(fpgroups.ENGINE != "compiled",
                                     reason="needs the compiled engine")
+
+
+def _nodes(g, max_index):
+    """The nodes the compiled search visits for g: the least node limit at
+    which it finishes, found by doubling and bisection."""
+    lo, hi = 0, 1
+    while _complete_tables(g, max_index, "compiled", hi) is None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _complete_tables(g, max_index, "compiled", mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _same_with_repeats(g, max_index, node_limit):
+    """Both engines give the same outcome from the raw rotation lists as
+    from the distinct ones: at node_limit, and when the search finishes
+    there, at its node count and one node below."""
+    expected = _complete_tables(g, max_index, "pure", node_limit)
+    checks = [(node_limit, expected)]
+    if expected is not None:
+        n = _nodes(g, max_index)
+        checks += [(n, expected), (n - 1, None)]
+    for limit, outcome in checks:
+        for engine in ("pure", "compiled"):
+            for rotations in (fpgroups._relator_rotations, _raw_rotations):
+                assert _complete_tables(g, max_index, engine, limit, rotations) == outcome
 
 
 @needs_compiled
@@ -376,6 +429,7 @@ class TestLowIndexEngines:
         pure = _complete_tables(g, 16, "pure", node_limit=45_875)
         assert pure is not None and len(pure) == 2
         assert _complete_tables(g, 16, "compiled", node_limit=45_875) == pure
+        assert _complete_tables(g, 16, "pure", node_limit=45_874) is None
         with pytest.raises(SearchBoundExceeded):
             low_index_subgroups(g, 16, node_limit=45_874)
         classes = low_index_subgroups(g, 16, node_limit=45_875)
@@ -407,6 +461,37 @@ class TestLowIndexEngines:
         assert _complete_tables(g, 10, "compiled", lo) is None
         pure = _complete_tables(g, 10, "pure", lo + 1)
         assert _complete_tables(g, 10, "compiled", lo + 1) == pure
+
+    @pytest.mark.parametrize("g,max_index", LOW_INDEX_CASES + [
+        pytest.param(FpGroup(3, ((1, 2, 1, 3) * 2,)), 4, id="(s1s2s1s3)^2/4")])
+    def test_repeated_rotations_change_nothing(self, g, max_index):
+        # a repeated rotation is scanned again at the same coset, where it
+        # finds nothing new: the same tables after the same nodes
+        _same_with_repeats(g, max_index, 10 ** 7)
+
+    @given(small_presentations(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_rotations_change_nothing_on_random_presentations(self, case, max_index):
+        g, _ = case
+        _same_with_repeats(g, max_index, 3000)
+
+    def test_e7_repeated_rotations_change_nothing(self):
+        # E7's relators are s_i^2 and (s_i s_j)^m, m = 2 or 3: 110 raw
+        # rotations, 49 distinct ones
+        g = e7_weyl_presentation()
+        assert sum(map(len, _raw_rotations(g))) == 110
+        assert sum(map(len, fpgroups._relator_rotations(g))) == 49
+        expected = _complete_tables(g, 16, "compiled", 45_875)
+        assert expected is not None
+        for engine in ("pure", "compiled"):
+            assert _complete_tables(g, 16, engine, 45_875, _raw_rotations) == expected
+            assert _complete_tables(g, 16, engine, 45_874, _raw_rotations) is None
+
+    def test_deep_search(self):
+        g = FpGroup(1, ())
+        pure = _complete_tables(g, 1000, "pure", 10 ** 6)
+        assert len(pure) == 1000
+        assert _complete_tables(g, 1000, "compiled", 10 ** 6) == pure
 
     def test_compiled_search_rejects_bad_arguments(self):
         rot = fpgroups._relator_rotations(symmetric_presentation(3))

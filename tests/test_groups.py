@@ -503,6 +503,43 @@ class TestSubgroupQueries:
         index = PermGroup.symmetric(3).element_index()
         assert index.lookup([[1, 0, 2], [0, 4, 2]]).tolist() == [2, -1]
 
+    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda n=n: PermGroup.alternating(n), id="A%d" % n) for n in range(3, 10)]
+        + [pytest.param(lambda n=n: PermGroup.symmetric(n), id="S%d" % n) for n in range(2, 9)]
+        + [pytest.param(lambda: PermGroup.cyclic(16), id="C16"),
+           pytest.param(lambda: PermGroup.cyclic(300), id="C300")]
+        + [pytest.param(lambda k=k: PermGroup(
+            [Permutation.from_cycles(2 * k, [(2 * i, 2 * i + 1)]) for i in range(k)]),
+            id="2^%d" % k) for k in (1, 4, 10)]
+        + [pytest.param(lambda: PermGroup([], degree=3), id="trivial"),
+           pytest.param(lambda: PermGroup([Permutation.from_cycles(5, [(0, 1, 2), (3, 4)])]),
+                        id="one-generator")])
+    def test_compiled_class_labels_match_propagation(self, make, monkeypatch):
+        group = make()
+        index = group.element_index()
+        gens = group.generators()
+        compiled = index._class_labels(gens)
+        monkeypatch.setattr(fpgroups, "_LIB", None)
+        propagated = index._class_labels(gens)
+        assert compiled.dtype == propagated.dtype == np.int64
+        assert compiled.tolist() == propagated.tolist()
+        assert len(gens) or compiled.tolist() == [0]
+
+    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
+    def test_compiled_labels_of_random_permutations(self):
+        rng = np.random.default_rng(0)
+        for n, nmaps in ((1, 1), (2, 3), (50, 1), (50, 2), (1000, 3)):
+            maps = [rng.permutation(n) for _ in range(nmaps)]
+            assert groups._min_labels_compiled(n, maps).tolist() == \
+                groups._min_labels(n, maps).tolist()
+
+    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
+    def test_compiled_labels_reject_an_entry_out_of_range(self):
+        for bad in (3, -1):
+            with pytest.raises(ValueError):
+                groups._min_labels_compiled(3, [np.array([0, 1, 2]), np.array([0, bad, 2])])
+
     def test_index_of_a_non_closed_element_list_raises(self):
         group = PermGroup.symmetric(3)
         rows, keys = group._sorted_rows()

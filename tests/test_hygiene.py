@@ -1,10 +1,12 @@
 """Source hygiene that no linter checks here: every name a module of the
 package imports is used in that module, every private function, class
-and method of the package is used somewhere in it, and every local that a
-function assigns is read."""
+and method of the package is used somewhere in it, every local that a
+function assigns is read, and the C engine compiles without a warning."""
 
 import ast
 import pathlib
+import shutil
+import subprocess
 from collections import Counter
 
 import pytest
@@ -153,3 +155,11 @@ def test_the_check_sees_an_unused_local():
            "def k():\n    global G\n    G = 1\n    kept = 2\n"
            "    return lambda: kept\n")
     assert unused_locals(src) == ["f.dead", "g.stale"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+def test_c_engine_compiles_without_warnings(tmp_path):
+    cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+           "-o", str(tmp_path / "coset.so"), str(PACKAGE / "_coset.c")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
