@@ -8,6 +8,9 @@ change kept every output of a family byte for byte.  The families:
 * `coset_tables` -- the tables of E7 over <s1..s6> and <s1,s2,s3> and the
   regular tables of S3..S7 (dtype, shape and bytes);
 * `low_index_e7` -- the E7 classes of index <= 16, as tables and words;
+* `low_index` -- the classes, as tables and words, of Z to index 40, F2
+  to 4, Z2*Z3 to 10, the trefoil group <x, y | x^2 y^-3> to 9, S4 to 24
+  and S6 to 20;
 * `bar_cohomology` -- H^1 and H^2 of the `h2-bar` modules, the golden
   modules of `tests/test_cohomology.py` and a few finite modules:
   invariant factors, cocycle basis, projection, generator
@@ -91,9 +94,22 @@ def coset_tables():
     return _sha(out)
 
 
+def _classes(g, max_index):
+    return [[_table(ct.table), [list(w) for w in words]]
+            for ct, words in fpgroups.low_index_subgroups(g, max_index)]
+
+
 def low_index_e7():
-    classes = fpgroups.low_index_subgroups(fpgroups.e7_weyl_presentation(), 16)
-    return _sha([[_table(ct.table), [list(w) for w in words]] for ct, words in classes])
+    return _sha(_classes(fpgroups.e7_weyl_presentation(), 16))
+
+
+def low_index():
+    fp = fpgroups.FpGroup
+    cases = [(fp(1, ()), 40), (fp(2, ()), 4), (fp(2, ((1, 1), (2, 2, 2))), 10),
+             (fp(2, ((1, 1, -2, -2, -2),)), 9),
+             (fpgroups.symmetric_presentation(4), 24),
+             (fpgroups.symmetric_presentation(6), 20)]
+    return _sha([_classes(g, k) for g, k in cases])
 
 
 def _perm_mats(gens, degree):
@@ -315,6 +331,7 @@ FAMILIES = {
     "a9_chain": a9_chain,
     "coset_tables": coset_tables,
     "low_index_e7": low_index_e7,
+    "low_index": low_index,
     "bar_cohomology": bar_cohomology,
     "cyclic_cohomology": cyclic_cohomology,
     "kernel_basis": kernel_basis_family,

@@ -21,8 +21,9 @@ from flatact.certificates import (CertificateError, FlatCertificate,
                                   certificate_from_dict, jordan_witness,
                                   verify_flat_certificate,
                                   verify_torus_certificate)
-from flatact.fpgroups import (DEFAULT_COSET_LIMIT, FpGroup, PresentationError,
-                              low_index_subgroups, todd_coxeter)
+from flatact.fpgroups import (DEFAULT_COSET_LIMIT, DEFAULT_NODE_LIMIT, FpGroup,
+                              PresentationError, low_index_subgroups,
+                              todd_coxeter)
 from flatact import screening
 from flatact.screening import (CatalogError, ImfCatalog, a9_chain,
                                epimorphism_search, screen_dimensions)
@@ -32,14 +33,14 @@ EXIT_NEGATIVE = 1
 EXIT_MALFORMED = 2
 EXIT_BOUND = 3
 
-_MALFORMED = (ZLinAlgError, GroupError, CohomologyError, CertificateError,
-              PresentationError, CatalogError, ValueError,
-              json.JSONDecodeError, OSError)
-_BOUND = BoundExceeded
-
 
 class _Malformed(Exception):
     pass
+
+
+_MALFORMED = (_Malformed, ZLinAlgError, GroupError, CohomologyError,
+              CertificateError, PresentationError, CatalogError, ValueError,
+              json.JSONDecodeError, OSError)
 
 
 def _read(path):
@@ -99,9 +100,9 @@ def _parse_module(text, group, path):
         rank = int(take(1)[0])
         coeff = None
     elif kind == "finite":
-        # the invariant factors occupy the rest of the first line; the
-        # matrix blocks start on the next line
-        first_line = text.splitlines()[0].split()
+        # the invariant factors occupy the rest of the first non-blank
+        # line; the matrix blocks start on the next line
+        first_line = text.lstrip().splitlines()[0].split()
         factors = [int(t) for t in first_line[1:]]
         pos = len(first_line)
         from flatact.zlinalg import FinAbGroup
@@ -380,21 +381,21 @@ def _build_parser():
     sp = sub.add_parser("low-index", help="low-index subgroup classes")
     sp.add_argument("presentation")
     sp.add_argument("--max-index", type=int, required=True)
-    sp.add_argument("--node-limit", type=int, default=10 ** 7)
+    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     fmt(sp)
     sp.set_defaults(fn=_cmd_low_index)
 
     sp = sub.add_parser("epi-search", help="exhaustive epimorphism search")
     sp.add_argument("source", help="presentation file or permutation group file")
     sp.add_argument("target", help="permutation group file")
-    sp.add_argument("--node-limit", type=int, default=10 ** 7)
+    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     sp.add_argument("--seed", type=int, default=0)
     fmt(sp)
     sp.set_defaults(fn=_cmd_epi_search)
 
     sp = sub.add_parser("a9-chain", help="end-to-end dimension-7 chain")
     sp.add_argument("--coset-limit", type=int, default=DEFAULT_COSET_LIMIT)
-    sp.add_argument("--node-limit", type=int, default=10 ** 7)
+    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     sp.add_argument("--catalog")
     fmt(sp)
     sp.set_defaults(fn=_cmd_a9_chain)
@@ -416,12 +417,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _BOUND as exc:
+    except BoundExceeded as exc:
         print("resource bound exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
-    except _Malformed as exc:
-        print("malformed input: %s" % exc, file=sys.stderr)
-        return EXIT_MALFORMED
     except _MALFORMED as exc:
         print("malformed input: %s" % exc, file=sys.stderr)
         return EXIT_MALFORMED

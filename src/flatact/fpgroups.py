@@ -162,6 +162,7 @@ ENGINE = "compiled" if _LIB is not None else "pure"
 _enumerate = _enumerate_compiled if _LIB is not None else _enumerate_pure
 
 DEFAULT_COSET_LIMIT = 10 ** 6
+DEFAULT_NODE_LIMIT = 10 ** 7
 
 
 class PresentationError(Exception):
@@ -528,9 +529,15 @@ def _low_index_compiled(rotations, max_index, node_limit):
 _low_index = _low_index_compiled if _LIB is not None else _low_index_pure
 
 
-def low_index_subgroups(g, max_index, node_limit=10 ** 7):
+def low_index_subgroups(g, max_index, node_limit=DEFAULT_NODE_LIMIT):
     """One closed coset table per conjugacy class of subgroups of index
     <= max_index, paired with Schreier generator words for the subgroup.
+
+    The table of a class is its least standard table: the search numbers
+    a new coset at the first undefined entry, so it finds each subgroup
+    once, as its standard table from coset 0, and the conjugates of that
+    subgroup are the standard tables from the other cosets.  A table is
+    kept when none of those is smaller (`_is_least_standard`).
 
     Returns a list of (CosetTable, tuple of signed generator words),
     sorted by index then by table entries.  Raises SearchBoundExceeded if
@@ -541,14 +548,8 @@ def low_index_subgroups(g, max_index, node_limit=10 ** 7):
     if max_index > _INT32_MAX:
         raise PresentationError("max_index %d is above 2**31 - 1" % max_index)
     complete = _low_index(_relator_rotations(g), max_index, node_limit)
-
-    by_class = {}
-    for t in complete:
-        key = _canonical_table_key(t)
-        cur = by_class.get(key)
-        if cur is None or _table_sort_key(t) < _table_sort_key(cur):
-            by_class[key] = t
-    reps = sorted(by_class.values(), key=_table_sort_key)
+    reps = sorted(filter(_is_least_standard, complete),
+                  key=lambda t: (t.shape[0], t.tolist()))
     out = []
     for t in reps:
         ct = CosetTable(g, (), t)
@@ -557,35 +558,27 @@ def low_index_subgroups(g, max_index, node_limit=10 ** 7):
     return out
 
 
-def _table_sort_key(t):
-    return (t.shape[0], t.tolist())
-
-
-def _standardize_from_root(table, root):
-    """Relabel cosets by first appearance in a row-major scan from root."""
-    n, nl = table.shape
-    order = [root]
-    number = {root: 0}
-    i = 0
-    while i < len(order):
-        for x in range(nl):
-            c = int(table[order[i], x])
-            if c not in number:
-                number[c] = len(order)
-                order.append(c)
-        i += 1
-    out = tuple(
-        tuple(number[int(table[order[a], x])] for x in range(nl))
-        for a in range(n)
-    )
-    return out
-
-
-def _canonical_table_key(table):
-    """Conjugacy-class invariant: minimum over base points of the
-    standardized relabeled table."""
-    n = table.shape[0]
-    return min(_standardize_from_root(table, r) for r in range(n))
+def _is_least_standard(table):
+    """Whether a standard table is the least standard table of its class.
+    Relabelling by a row-major scan from coset r gives the standard table
+    of the subgroup at r; each root's scan stops at its first row that
+    differs from the table's own."""
+    rows = table.tolist()
+    for root in range(1, len(rows)):
+        order, number = [root], {root: 0}
+        # order grows as the scan numbers new cosets
+        for own, a in zip(rows, order):
+            row = []
+            for c in rows[a]:
+                if c not in number:
+                    number[c] = len(order)
+                    order.append(c)
+                row.append(number[c])
+            if row != own:
+                if row < own:
+                    return False
+                break
+    return True
 
 
 # ---------------------------------------------------------------------------

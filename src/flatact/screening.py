@@ -13,8 +13,9 @@ from importlib import resources
 import numpy as np
 
 from flatact import fpgroups
-from flatact.fpgroups import (FpGroup, PresentationError, SearchBoundExceeded,
-                              low_index_subgroups, todd_coxeter)
+from flatact.fpgroups import (DEFAULT_NODE_LIMIT, FpGroup, PresentationError,
+                              SearchBoundExceeded, low_index_subgroups,
+                              todd_coxeter)
 from flatact.groups import PermGroup, Permutation, compose_rows
 
 __all__ = [
@@ -302,9 +303,6 @@ def _find_small_generating_set(group, rng, tries=60):
             if PermGroup(gens, degree=group.degree).order() == order:
                 return tuple(gens)
     return tuple(group.generators())
-
-
-DEFAULT_NODE_LIMIT = 10 ** 7
 
 
 def _power_rows(x, e):

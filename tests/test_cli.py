@@ -9,8 +9,9 @@ import pytest
 
 from flatact import BoundExceeded, fpgroups
 from flatact.certificates import TorusCertificate, build_a4_certificate
-from flatact.cli import (_BOUND, EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE,
-                         EXIT_OK, main)
+from flatact import cli
+from flatact.cli import (EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE, EXIT_OK,
+                         main)
 from flatact.cohomology import (DEFAULT_GROUP_BOUND, CohomologyBoundExceeded,
                                 CohomologyError, ZQModule, cocycle_to_text, h2)
 from flatact.fpgroups import (CosetLimitExceeded, FpGroup, SearchBoundExceeded,
@@ -33,9 +34,14 @@ def write(tmp_path):
     (CosetLimitExceeded, Exception), (SearchBoundExceeded, Exception),
     (CohomologyBoundExceeded, CohomologyError), (GroupBoundExceeded, GroupError)],
     ids=lambda c: c.__name__)
-def test_every_bound_error_is_one_bound_exceeded(cls, base):
-    assert _BOUND is BoundExceeded
+def test_every_bound_error_is_one_bound_exceeded(cls, base, monkeypatch):
     assert issubclass(cls, BoundExceeded) and issubclass(cls, base)
+
+    def raise_bound(args):
+        raise cls("bound")
+
+    monkeypatch.setattr(cli, "_cmd_snf", raise_bound)
+    assert main(["snf", "m.txt"]) == EXIT_BOUND
 
 
 class TestSnf:
@@ -102,6 +108,16 @@ class TestH2:
         module = write("m.txt", "finite 2\n1 1\n1\n")
         assert main(["h2", group, module]) == EXIT_OK
         assert "H^2 invariant factors: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,degree,factors", [
+        ("\nfinite 2\n1 1\n1\n", "2", "2"),
+        ("\nlattice 1\n1 1\n-1\n", "1", "2")], ids=["finite", "lattice"])
+    def test_module_with_a_leading_blank_line(self, write, capsys, text, degree, factors):
+        group = write("g.txt", group_to_text(TableGroup.cyclic(2)))
+        module = write("m.txt", text)
+        assert main(["h2", group, module, "--degree", degree]) == EXIT_OK
+        assert ("H^%s invariant factors: %s" % (degree, factors)
+                in capsys.readouterr().out)
 
 
 class TestVerify:

@@ -502,6 +502,86 @@ class TestLowIndexEngines:
         assert fpgroups._low_index_compiled([], 3, 10)[0].shape == (1, 0)
 
 
+def _standardize_from_root(table, root):
+    """Relabel cosets by first appearance in a row-major scan from root."""
+    n, nl = table.shape
+    order = [root]
+    number = {root: 0}
+    i = 0
+    while i < len(order):
+        for x in range(nl):
+            c = int(table[order[i], x])
+            if c not in number:
+                number[c] = len(order)
+                order.append(c)
+        i += 1
+    return tuple(tuple(number[int(table[order[a], x])] for x in range(nl))
+                 for a in range(n))
+
+
+def _canonical_table_key(table):
+    """Conjugacy-class invariant: minimum over base points of the
+    standardized relabeled table."""
+    return min(_standardize_from_root(table, r) for r in range(table.shape[0]))
+
+
+def _classes_by_canonical_key(g, max_index):
+    """The classes as low_index_subgroups once chose them: the search's
+    tables grouped by canonical key, the least of each group kept, as
+    (shape, bytes, Schreier words) in the order returned."""
+    def sort_key(t):
+        return (t.shape[0], t.tolist())
+
+    complete = fpgroups._low_index(fpgroups._relator_rotations(g), max_index, 10 ** 7)
+    by_class = {}
+    for t in complete:
+        key = _canonical_table_key(t)
+        cur = by_class.get(key)
+        if cur is None or sort_key(t) < sort_key(cur):
+            by_class[key] = t
+    out = []
+    for t in sorted(by_class.values(), key=sort_key):
+        ct = CosetTable(g, (), t)
+        out.append((t.shape, t.tobytes(), tuple(schreier_generators(ct))))
+    return out
+
+
+CLASS_CASES = [
+    pytest.param(FpGroup(1, ()), 40, id="Z/40"),
+    pytest.param(FpGroup(2, ()), 4, id="F2/4"),
+    pytest.param(FpGroup(2, ((1, 1), (2, 2, 2))), 10, id="Z2*Z3/10"),
+    pytest.param(FpGroup(2, ((1, 1, -2, -2, -2),)), 9, id="trefoil/9"),
+    pytest.param(symmetric_presentation(4), 24, id="S4/24"),
+    pytest.param(symmetric_presentation(6), 20, id="S6/20"),
+]
+
+
+class TestLowIndexClasses:
+    """The least standard table of each class, against the canonical key
+    over every root that chose the classes before."""
+
+    @pytest.mark.parametrize("g,max_index", CLASS_CASES)
+    def test_same_classes_as_canonical_keys(self, g, max_index):
+        ours = [(ct.table.shape, ct.table.tobytes(), words)
+                for ct, words in low_index_subgroups(g, max_index)]
+        assert ours == _classes_by_canonical_key(g, max_index)
+
+    @pytest.mark.parametrize("engine", [
+        "pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("g,max_index", CLASS_CASES)
+    def test_complete_tables_are_standard_and_distinct(self, g, max_index, engine):
+        # each subgroup is found once, as its standard table from coset 0
+        search = {"pure": fpgroups._low_index_pure,
+                  "compiled": fpgroups._low_index_compiled}[engine]
+        tables = search(fpgroups._relator_rotations(g), max_index, 10 ** 7)
+        rows = [tuple(map(tuple, t.tolist())) for t in tables]
+        assert [_standardize_from_root(t, 0) for t in tables] == rows
+        assert len(set(rows)) == len(rows)
+
+    def test_z2_free_product_z3_to_index_14(self):
+        assert len(low_index_subgroups(FpGroup(2, ((1, 1), (2, 2, 2))), 14)) == 478
+
+
 class TestRewriting:
     def test_schreier_generators_lie_in_subgroup(self):
         ct = todd_coxeter(symmetric_presentation(4), [(1,), (2,)])
