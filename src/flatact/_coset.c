@@ -8,16 +8,17 @@
  *
  * The file also runs the backtracking of the low-index subgroup search,
  * node for node as fpgroups._low_index_pure: the same first undefined cell
- * (row-major), candidate order, relator-rotation scans and deductions, and
- * undo by trail, so both find the same complete tables in the same order
- * after the same number of nodes.  Both keep explicit stacks: a search
- * frame (40 bytes) per node on the path, holding its undefined entry as a
- * row and a letter, its next candidate, row count and trail mark; and,
- * while an assignment is propagated, a deduction frame (24 bytes) per new
- * entry whose scans are not done, holding the coset to scan at, the
- * letter the rotations start with, the next rotation and the phase (the
- * entry's row, then its image with the inverse letter).  So the scans
- * divide nothing by the letter count.
+ * (row-major), candidate order, relator-rotation scans and deductions,
+ * row-0 least-table test at every node, and undo by trail, so both find
+ * the same complete tables in the same order after the same number of
+ * nodes.  Both keep explicit stacks: a search frame (40 bytes) per node
+ * on the path, holding its undefined entry as a row and a letter, its
+ * next candidate, row count and trail mark; and, while an assignment is
+ * propagated, a deduction frame (24 bytes) per new entry whose scans are
+ * not done, holding the coset to scan at, the letter the rotations start
+ * with, the next rotation and the phase (the entry's row, then its image
+ * with the inverse letter).  So the scans divide nothing by the letter
+ * count.
  *
  * And it builds the Schreier-Sims stabilizer chain step for step as
  * groups.StabilizerChain: the same base points (the first point a residue
@@ -43,8 +44,8 @@
  *       Returns FA_OK and sets state and nlive, or an error status (and
  *       frees everything).
  *   fa_compact(state, out)
- *       writes the nlive x 2*ngens compacted table to out, unless out is
- *       NULL, and frees state.
+ *       writes the nlive x 2*ngens table to out, unless out is NULL, and
+ *       frees state.  fa_enumerate has already compacted it in place.
  *   fa_low_index(ngens, letters, ends, first, max_index, node_limit,
  *                &state, &nints)
  *       the relator rotations are words as above; those that start with
@@ -239,12 +240,41 @@ static int run(hlt *h, const int32_t *letters, const int64_t *ends,
     return FA_OK;
 }
 
+/* Number the live cosets 0, 1, ... in order and move their rows down in
+ * place, then free p and the queue and shrink the table to the live rows.
+ * A parent is below its child, so in one ascending pass p[i] becomes i's
+ * root, and in a second its root's new number. */
+static void compact(hlt *h)
+{
+    int64_t nl = h->nl, i, x, n = 0;
+    int32_t *p = h->p, *t;
+    for (i = 0; i < h->nrows; i++)
+        p[i] = p[p[i]];
+    for (i = 0; i < h->nrows; i++)
+        p[i] = p[i] == i ? (int32_t)n++ : p[p[i]];
+    /* a dead coset's root got its number before it, so a row is live
+     * exactly when its number is the count of live rows before it */
+    for (i = 0, n = 0; i < h->nrows; i++) {
+        if (p[i] != n)
+            continue;
+        for (x = 0; x < nl; x++)
+            h->tbl[n * nl + x] = p[h->tbl[i * nl + x]];
+        n++;
+    }
+    free(h->p);
+    free(h->queue);
+    h->p = h->queue = NULL;
+    h->nrows = h->cap = n;
+    if ((t = realloc(h->tbl, (size_t)(n * nl + 1) * sizeof *t)) != NULL)
+        h->tbl = t;
+}
+
 int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
                  int64_t nsub, int64_t nwords, int64_t limit,
                  void **state, int64_t *nlive)
 {
     hlt *h;
-    int64_t a, k, n = 0, nletters = nwords > 0 ? ends[nwords - 1] : 0;
+    int64_t k, nletters = nwords > 0 ? ends[nwords - 1] : 0;
     int status;
     *state = NULL;
     if (ngens < 0 || nsub < 0 || nsub > nwords || limit > INT32_MAX)
@@ -266,30 +296,17 @@ int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
         hlt_free(h);
         return status;
     }
-    for (a = 0; a < h->nrows; a++)
-        if (rep(h, a) == a)
-            n++;
+    compact(h);
     *state = h;
-    *nlive = n;
+    *nlive = h->nrows;
     return FA_OK;
 }
 
 void fa_compact(void *state, int32_t *out)
 {
     hlt *h = state;
-    int64_t nl = h->nl, i, x, row = 0;
-    int32_t *renumber = h->queue;   /* free once the enumeration is done */
-    if (out) {
-        for (i = 0; i < h->nrows; i++)
-            renumber[i] = rep(h, i) == i ? (int32_t)row++ : -1;
-        for (i = 0, row = 0; i < h->nrows; i++) {
-            if (renumber[i] == -1)
-                continue;
-            for (x = 0; x < nl; x++)
-                out[row * nl + x] = renumber[rep(h, h->tbl[i * nl + x])];
-            row++;
-        }
-    }
+    if (out)
+        memcpy(out, h->tbl, (size_t)(h->nrows * h->nl) * sizeof *out);
     hlt_free(h);
 }
 
@@ -323,6 +340,7 @@ typedef struct {
     const int32_t *letters;
     const int64_t *ends, *first;
     int32_t *tbl;           /* max_index x nl, -1 for an undefined entry */
+    int32_t *number;        /* max_index: li_keeps's labels, -1 between calls */
     li_cell *trail;         /* the entries set since the search began */
     li_deduction *stack;    /* one frame per entry set by li_assign */
     li_node *frames;        /* one frame per node on the search path */
@@ -333,6 +351,7 @@ static void lix_free(lix *s)
 {
     if (s) {
         free(s->tbl);
+        free(s->number);
         free(s->trail);
         free(s->stack);
         free(s->frames);
@@ -450,8 +469,39 @@ static int li_record(lix *s)
     return FA_OK;
 }
 
+/* The row-0 least-table test (fpgroups._row0_keeps): 0 when some row
+ * r >= 1, relabelled with r as 0 and each coset not yet seen as the next
+ * number, first differs from row 0 by a smaller entry, before an entry
+ * undefined in either row.  Every completion of the table then has a
+ * smaller standard table from r, so none is the least of its class. */
+static int li_keeps(lix *s)
+{
+    int64_t nl = s->nl, r, x, k;
+    const int32_t *own = s->tbl;
+    int32_t *number = s->number;
+    int keep = 1;
+    for (r = 1; keep && r < s->nrows; r++) {
+        const int32_t *row = s->tbl + r * nl;
+        int32_t next = 1;
+        number[r] = 0;
+        for (x = 0; x < nl && own[x] != -1 && row[x] != -1; x++) {
+            if (number[row[x]] == -1)
+                number[row[x]] = next++;
+            if (number[row[x]] != own[x]) {
+                keep = number[row[x]] > own[x];
+                break;
+            }
+        }
+        number[r] = -1;
+        for (k = 0; k <= x && k < nl; k++)
+            if (row[k] != -1)
+                number[row[k]] = -1;
+    }
+    return keep;
+}
+
 /* The backtracking of the search, with an explicit stack of frames in
- * place of recursion. */
+ * place of recursion.  A node that fails li_keeps is a leaf. */
 static int li_search(lix *s, int64_t node_limit)
 {
     int64_t nl = s->nl, d = 0, nodes = 0, c, b;
@@ -461,18 +511,20 @@ static int li_search(lix *s, int64_t node_limit)
         /* enter a node */
         if (++nodes > node_limit)
             return FA_LIMIT;
-        for (c = 0; c < s->nrows * nl && s->tbl[c] != -1; c++)
-            ;
-        if (c == s->nrows * nl) {
-            if ((status = li_record(s)) != FA_OK)
-                return status;
-        } else {
-            fr = s->frames + d++;
-            fr->row = c / nl;
-            fr->letter = (int32_t)(c % nl);
-            fr->next = 0;
-            fr->rows = s->nrows;
-            fr->mark = s->ntrail;
+        if (li_keeps(s)) {
+            for (c = 0; c < s->nrows * nl && s->tbl[c] != -1; c++)
+                ;
+            if (c == s->nrows * nl) {
+                if ((status = li_record(s)) != FA_OK)
+                    return status;
+            } else {
+                fr = s->frames + d++;
+                fr->row = c / nl;
+                fr->letter = (int32_t)(c % nl);
+                fr->next = 0;
+                fr->rows = s->nrows;
+                fr->mark = s->ntrail;
+            }
         }
         /* enter the next candidate of the deepest frame that has one: an
          * existing row whose letter^-1 entry is undefined, then a new row */
@@ -528,13 +580,15 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
     s->first = first;
     /* every trail entry, deduction frame and search frame fills a cell */
     s->tbl = malloc((size_t)(ncells + 1) * sizeof *s->tbl);
+    s->number = malloc((size_t)max_index * sizeof *s->number);
     s->trail = malloc((size_t)(ncells + 1) * sizeof *s->trail);
     s->stack = malloc((size_t)(ncells + 1) * sizeof *s->stack);
     s->frames = malloc((size_t)(ncells + 1) * sizeof *s->frames);
-    if (!s->tbl || !s->trail || !s->stack || !s->frames)
+    if (!s->tbl || !s->number || !s->trail || !s->stack || !s->frames)
         status = FA_NOMEM;
     else {
         memset(s->tbl, 0xff, (size_t)(ncells + 1) * sizeof *s->tbl);
+        memset(s->number, 0xff, (size_t)max_index * sizeof *s->number);
         status = li_search(s, node_limit);
     }
     if (status != FA_OK) {

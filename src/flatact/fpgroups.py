@@ -409,7 +409,9 @@ def _low_index_pure(rotations, max_index, node_limit):
     """The complete coset tables of the backtracking search, in the order
     found, as int32 arrays; `rotations` is `_relator_rotations` of the
     group.  Raises SearchBoundExceeded when the search would visit more
-    than node_limit nodes.
+    than node_limit nodes.  A node that fails `_row0_keeps` counts as a
+    node and is cut, so some tables that are not the least of their
+    class are never reached; every least one is.
 
     The search and the deductions keep explicit stacks of frames, as
     `li_search` and `li_assign` of `_coset.c` do, so neither the index nor
@@ -480,15 +482,17 @@ def _low_index_pure(rotations, max_index, node_limit):
         nodes += 1
         if nodes > node_limit:
             raise SearchBoundExceeded("low-index node limit %d exceeded" % node_limit)
-        a = next((a for a in range(nrows) if UNDEF in table[a]), None)
-        if a is None:
-            complete.append(np.array(table[:nrows], dtype=np.int32))
-        else:
-            x = table[a].index(UNDEF)
-            candidates = [b for b in range(nrows) if table[b][x ^ 1] == UNDEF]
-            if nrows < max_index:
-                candidates.append(nrows)
-            frames.append((a, x, nrows, len(trail), iter(candidates)))
+        # a pruned node is a leaf: no completion of it is kept
+        if _row0_keeps(table, nrows):
+            a = next((a for a in range(nrows) if UNDEF in table[a]), None)
+            if a is None:
+                complete.append(np.array(table[:nrows], dtype=np.int32))
+            else:
+                x = table[a].index(UNDEF)
+                candidates = [b for b in range(nrows) if table[b][x ^ 1] == UNDEF]
+                if nrows < max_index:
+                    candidates.append(nrows)
+                frames.append((a, x, nrows, len(trail), iter(candidates)))
         while frames:
             a, x, nrows, mark, candidates = frames[-1]
             undo(mark)
@@ -501,6 +505,32 @@ def _low_index_pure(rotations, max_index, node_limit):
                 break
         else:
             return complete
+
+
+def _row0_keeps(table, nrows):
+    """The row-0 least-table test of the low-index search (Sims,
+    *Computation with Finitely Presented Groups*, 5.6) on the first
+    `nrows` rows of a partial standard table, -1 for an undefined entry.
+
+    Row r >= 1 is relabelled as the standard table from coset r begins:
+    r is 0 and each coset not yet seen gets the next number.  It is
+    compared with row 0 up to the first entry undefined in either row.
+    Those entries are fixed in every completion, so when the first that
+    differs is smaller, every completion has a smaller standard table
+    from r and is not the least of its class: returns False, and the
+    search cuts the node.  The least table of a class is never cut."""
+    own = table[0]
+    for r in range(1, nrows):
+        number = {r: 0}
+        for o, c in zip(own, table[r]):
+            if o == -1 or c == -1:
+                break
+            v = number.setdefault(c, len(number))
+            if v != o:
+                if v < o:
+                    return False
+                break
+    return True
 
 
 def _low_index_compiled(rotations, max_index, node_limit):
@@ -535,9 +565,11 @@ def low_index_subgroups(g, max_index, node_limit=DEFAULT_NODE_LIMIT):
 
     The table of a class is its least standard table: the search numbers
     a new coset at the first undefined entry, so it finds each subgroup
-    once, as its standard table from coset 0, and the conjugates of that
-    subgroup are the standard tables from the other cosets.  A table is
-    kept when none of those is smaller (`_is_least_standard`).
+    at most once, as its standard table from coset 0, and the conjugates
+    of that subgroup are the standard tables from the other cosets.  A
+    table is kept when none of those is smaller (`_is_least_standard`).
+    The search cuts only nodes that cannot complete to a least table
+    (`_row0_keeps`), so it finds the least table of every class.
 
     Returns a list of (CosetTable, tuple of signed generator words),
     sorted by index then by table entries.  Raises SearchBoundExceeded if
@@ -562,9 +594,25 @@ def _is_least_standard(table):
     """Whether a standard table is the least standard table of its class.
     Relabelling by a row-major scan from coset r gives the standard table
     of the subgroup at r; each root's scan stops at its first row that
-    differs from the table's own."""
+    differs from the table's own.
+
+    A root whose scan ties with the table gives an automorphism of it,
+    c -> number[c], that takes the root to 0.  Each coset is joined with
+    its image under it, and a later root already joined with 0 is
+    skipped: some product of the automorphisms takes it to 0, so its scan
+    ties too."""
     rows = table.tolist()
+    # union by smaller root: 0 is the root of its own component
+    parent = list(range(len(rows)))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
     for root in range(1, len(rows)):
+        if find(root) == 0:
+            continue
         order, number = [root], {root: 0}
         # order grows as the scan numbers new cosets
         for own, a in zip(rows, order):
@@ -578,6 +626,10 @@ def _is_least_standard(table):
                 if row < own:
                     return False
                 break
+        else:
+            for c, image in number.items():
+                u, v = find(c), find(image)
+                parent[max(u, v)] = min(u, v)
     return True
 
 

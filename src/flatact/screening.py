@@ -141,19 +141,83 @@ def screen_dimensions(catalog, dims=range(3, 25)):
     dims = list(dims)
     if not catalog.covers(d for k in dims for d in range(1, k + 1)):
         raise CatalogError("catalogue does not cover the screening range")
+    top = max(dims, default=0)
+    lcms = [None] + [math.lcm(*catalog.orders(p)) for p in range(1, top + 1)]
+    # every prime factor of |A_{k+2}| is at most k + 2
+    bounds = {q: _valuation_bounds(lcms, q) for q in range(2, top + 3)
+              if all(q % d for d in range(2, q))}
     hits = []
     for k in dims:
         target = alternating_order(k + 2)
-        lcms = [None] + [math.lcm(*catalog.orders(p)) for p in range(1, k + 1)]
-        for part in partitions(k):
-            # the product of every choice divides the product of the
-            # pools' lcms, so _divisible_choices would stop at its root
-            if math.prod(lcms[p] for p in part) % target:
-                continue
+        # the product of every choice divides the product of the pools'
+        # lcms, so _divisible_choices would stop at its root on the others
+        for part in _lcm_partitions(k, target, bounds):
             pools = [catalog.orders(p) for p in part]
             for orders, prod in _divisible_choices(pools, target):
                 hits.append(ScreeningHit(k, part, orders, prod, target))
     return hits
+
+
+def _valuation(n, q):
+    """The exponent of the prime q in the positive integer n."""
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def _valuation_bounds(lcms, q):
+    """(gain, most) for the prime q and lcms[1..n]: gain[c] is the
+    q-valuation of lcms[c], and most[c][r] the largest q-valuation of a
+    product of lcms over parts <= c summing to r, by the knapsack
+    recurrence most[c][r] = max(most[c-1][r], gain[c] + most[c][r-c])."""
+    n = len(lcms) - 1
+    gain = [0] + [_valuation(m, q) for m in lcms[1:]]
+    # parts of 1 reach every r and no gain is negative, so a start from 0
+    # (in place of "no parts sum to r > 0") changes no entry
+    col = [0] * (n + 1)
+    most = [None]
+    for c in range(1, n + 1):
+        for r in range(c, n + 1):
+            col[r] = max(col[r], gain[c] + col[r - c])
+        most.append(col[:])
+    return gain, most
+
+
+def _lcm_partitions(n, target, bounds):
+    """The partitions of n, in the order of `partitions(n)`, for which the
+    product of lcms[p] over the parts p is a multiple of target; `bounds`
+    maps primes q to `_valuation_bounds(lcms, q)`, and must hold every
+    prime factor of target.
+
+    One depth-first walk builds them, smaller parts first.  For each prime
+    q of target it keeps the q-valuation of the product over the parts
+    chosen so far, and drops a prefix when, for some q, that valuation
+    plus most[cap][rest] is below v_q(target).  At a complete partition
+    (rest 0) the test is divisibility itself."""
+    need, gains, mosts = [], [], []
+    for q, (gain, most) in bounds.items():
+        if target % q == 0:
+            need.append(_valuation(target, q))
+            gains.append(gain)
+            mosts.append(most)
+    out = []
+    chosen = []
+
+    def walk(rest, cap, have):
+        if any(h + m[cap][rest] < t for h, m, t in zip(have, mosts, need)):
+            return
+        if rest == 0:
+            out.append(tuple(chosen))
+            return
+        for part in range(1, min(cap, rest) + 1):
+            chosen.append(part)
+            walk(rest - part, part, [h + g[part] for h, g in zip(have, gains)])
+            chosen.pop()
+
+    walk(n, n, [0] * len(need))
+    return out
 
 
 def _divisible_choices(pools, target):

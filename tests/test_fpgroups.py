@@ -1,11 +1,13 @@
 """Finitely presented groups: coset enumeration, low-index subgroup
 search, and subgroup presentation rewriting."""
 
+import contextlib
 import math
 import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatact import fpgroups
-from flatact.fpgroups import (CosetLimitExceeded, CosetTable, FpGroup,
+from flatact.fpgroups import (DEFAULT_NODE_LIMIT, CosetLimitExceeded,
+                              CosetTable, FpGroup,
                               PresentationError, SearchBoundExceeded,
                               coxeter_group, cyclic_reduce,
                               e7_weyl_presentation,
@@ -43,6 +46,15 @@ def small_presentations(draw):
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+
+
+def child_env():
+    """The environment for a child `python3 -c "import flatact ..."`: this
+    one, with the directory flatact was imported from first on PYTHONPATH,
+    since pytest's `pythonpath` setting reaches only its own process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fpgroups.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
 
 
 def _outcome(g, sub, engine, limit):
@@ -263,9 +275,8 @@ class TestEngines:
             except MemoryError as exc:
                 print("MemoryError", exc)
             """
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=300, env=env)
+                              text=True, timeout=300, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "MemoryError coset table does not fit in memory"
 
@@ -421,18 +432,18 @@ class TestLowIndexEngines:
         assert pure and _complete_tables(g, max_index, "compiled") == pure
 
     def test_e7_to_index_16(self):
-        # 45,875 nodes: the pure search passes at that limit and the
-        # compiled one raises one node below it.  The classes are computed
-        # from the complete tables by shared code, so equal tables give
-        # equal classes.
+        # 25,658 nodes with the row-0 test: the pure search passes at that
+        # limit and the compiled one raises one node below it.  The classes
+        # are computed from the complete tables by shared code, so equal
+        # tables give equal classes.
         g = e7_weyl_presentation()
-        pure = _complete_tables(g, 16, "pure", node_limit=45_875)
+        pure = _complete_tables(g, 16, "pure", node_limit=25_658)
         assert pure is not None and len(pure) == 2
-        assert _complete_tables(g, 16, "compiled", node_limit=45_875) == pure
-        assert _complete_tables(g, 16, "pure", node_limit=45_874) is None
+        assert _complete_tables(g, 16, "compiled", node_limit=25_658) == pure
+        assert _complete_tables(g, 16, "pure", node_limit=25_657) is None
         with pytest.raises(SearchBoundExceeded):
-            low_index_subgroups(g, 16, node_limit=45_874)
-        classes = low_index_subgroups(g, 16, node_limit=45_875)
+            low_index_subgroups(g, 16, node_limit=25_657)
+        classes = low_index_subgroups(g, 16, node_limit=25_658)
         assert [ct.index for ct, _ in classes] == [1, 2]
         assert [(ct.table.shape, ct.table.tobytes()) for ct, _ in classes] == sorted(pure)
 
@@ -481,11 +492,11 @@ class TestLowIndexEngines:
         g = e7_weyl_presentation()
         assert sum(map(len, _raw_rotations(g))) == 110
         assert sum(map(len, fpgroups._relator_rotations(g))) == 49
-        expected = _complete_tables(g, 16, "compiled", 45_875)
+        expected = _complete_tables(g, 16, "compiled", 25_658)
         assert expected is not None
         for engine in ("pure", "compiled"):
-            assert _complete_tables(g, 16, engine, 45_875, _raw_rotations) == expected
-            assert _complete_tables(g, 16, engine, 45_874, _raw_rotations) is None
+            assert _complete_tables(g, 16, engine, 25_658, _raw_rotations) == expected
+            assert _complete_tables(g, 16, engine, 25_657, _raw_rotations) is None
 
     def test_deep_search(self):
         g = FpGroup(1, ())
@@ -500,6 +511,79 @@ class TestLowIndexEngines:
         with pytest.raises(ValueError):
             fpgroups._low_index_compiled(rot[:2], 3, 10)
         assert fpgroups._low_index_compiled([], 3, 10)[0].shape == (1, 0)
+
+
+@contextlib.contextmanager
+def _unpruned():
+    """Run low_index_subgroups on the pure search with its row-0 test
+    keeping every node, so the search reaches every standard table."""
+    with mock.patch.object(fpgroups, "_row0_keeps", lambda table, nrows: True), \
+            mock.patch.object(fpgroups, "_low_index", fpgroups._low_index_pure):
+        yield
+
+
+def _classes(g, max_index, node_limit=DEFAULT_NODE_LIMIT):
+    return [(ct.table.shape, ct.table.tobytes(), words)
+            for ct, words in low_index_subgroups(g, max_index, node_limit)]
+
+
+class TestRow0Pruning:
+    """The row-0 least-table test cuts only nodes whose completions are
+    not the least table of their class."""
+
+    # two generators a, b: columns a, a^-1, b, b^-1; the subgroup at 0
+    # holds a^2, and b takes coset 0 to 2 and fixes coset 1
+    PARTIAL = [[1, 1, 2, -1], [0, 0, 1, 1], [-1, -1, -1, 0], [-1, -1, -1, -1]]
+
+    def test_smaller_first_difference_is_cut(self):
+        # row 1 relabels to (1, 1, 0, ...), below row 0's (1, 1, 2, ...)
+        assert not fpgroups._row0_keeps(self.PARTIAL, 3)
+
+    def test_undefined_entry_stops_the_comparison(self):
+        table = [row[:] for row in self.PARTIAL]
+        table[0][2] = table[2][3] = -1
+        assert fpgroups._row0_keeps(table, 3)
+        # and an undefined entry of row r stops it too
+        table = [row[:] for row in self.PARTIAL]
+        table[1][2] = table[1][3] = -1
+        assert fpgroups._row0_keeps(table, 3)
+
+    def test_larger_first_difference_is_kept(self):
+        # b fixes coset 0 and takes coset 1 to 2: row 1 relabels to
+        # (1, 1, 2, ...), above row 0's (1, 1, 0, 0)
+        table = [[1, 1, 0, 0], [0, 0, 2, -1], [-1, -1, -1, 1]]
+        assert fpgroups._row0_keeps(table, 3)
+
+    def test_rows_past_nrows_are_not_read(self):
+        assert fpgroups._row0_keeps(self.PARTIAL, 1)
+
+    @pytest.mark.parametrize("g,max_index", LOW_INDEX_CASES)
+    def test_same_classes_as_unpruned(self, g, max_index):
+        with _unpruned():
+            expected_classes = _classes(g, max_index)
+        assert _classes(g, max_index) == expected_classes
+
+    def test_e7_same_classes_as_unpruned(self):
+        # the unpruned search visits 45,875 nodes
+        g = e7_weyl_presentation()
+        with _unpruned():
+            with pytest.raises(SearchBoundExceeded):
+                low_index_subgroups(g, 16, node_limit=45_874)
+            expected_classes = _classes(g, 16, node_limit=45_875)
+        assert _classes(g, 16) == expected_classes
+
+    @given(small_presentations(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_same_classes_as_unpruned_on_random_presentations(self, case, max_index):
+        # the pruned tree is part of the unpruned one, so the pruned search
+        # finishes wherever the unpruned one does
+        g, _ = case
+        with _unpruned():
+            try:
+                expected_classes = _classes(g, max_index, node_limit=3000)
+            except SearchBoundExceeded:
+                return
+        assert _classes(g, max_index, node_limit=3000) == expected_classes
 
 
 def _standardize_from_root(table, root):
@@ -546,6 +630,32 @@ def _classes_by_canonical_key(g, max_index):
     return out
 
 
+def _least_by_every_root(table):
+    """Whether a standard table is the least of its class, by a scan from
+    every root: the oracle for `_is_least_standard`, which skips the roots
+    that the automorphisms found so far take to 0."""
+    rows = table.tolist()
+    for root in range(1, len(rows)):
+        order, number = [root], {root: 0}
+        for own, a in zip(rows, order):
+            row = []
+            for c in rows[a]:
+                if c not in number:
+                    number[c] = len(order)
+                    order.append(c)
+                row.append(number[c])
+            if row != own:
+                if row < own:
+                    return False
+                break
+    return True
+
+
+def _every_standard_table(g, max_index, node_limit=10 ** 7):
+    with _unpruned():
+        return fpgroups._low_index(fpgroups._relator_rotations(g), max_index, node_limit)
+
+
 CLASS_CASES = [
     pytest.param(FpGroup(1, ()), 40, id="Z/40"),
     pytest.param(FpGroup(2, ()), 4, id="F2/4"),
@@ -577,6 +687,27 @@ class TestLowIndexClasses:
         rows = [tuple(map(tuple, t.tolist())) for t in tables]
         assert [_standardize_from_root(t, 0) for t in tables] == rows
         assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("g,max_index", CLASS_CASES + [
+        pytest.param(FpGroup(1, ()), 100, id="Z/100")])
+    def test_least_standard_against_every_root(self, g, max_index):
+        # on every standard table, the least and the others alike
+        tables = _every_standard_table(g, max_index)
+        verdicts = [fpgroups._is_least_standard(t) for t in tables]
+        assert verdicts == [_least_by_every_root(t) for t in tables]
+        assert any(verdicts)
+
+    @given(small_presentations(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_least_standard_against_every_root_on_random_presentations(
+            self, case, max_index):
+        g, _ = case
+        try:
+            tables = _every_standard_table(g, max_index, node_limit=3000)
+        except SearchBoundExceeded:
+            return
+        assert ([fpgroups._is_least_standard(t) for t in tables]
+                == [_least_by_every_root(t) for t in tables])
 
     def test_z2_free_product_z3_to_index_14(self):
         assert len(low_index_subgroups(FpGroup(2, ((1, 1), (2, 2, 2))), 14)) == 478

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import os
 import random
 import shutil
 import subprocess
@@ -27,6 +26,7 @@ from flatact.groups import (FiniteGroup, GroupBoundExceeded, GroupError,
                             subgroup_closure)
 from flatact.screening import _random_element, e7_weyl_permutation_group
 from test_acceptance import _jordan_corpus
+from test_fpgroups import child_env
 
 
 class TestPermutation:
@@ -302,9 +302,8 @@ class TestCompiledChain:
             except MemoryError as exc:
                 print("MemoryError", exc)
             """
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=300, env=env)
+                              text=True, timeout=300, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "MemoryError stabilizer chain does not fit in memory"
 

@@ -14,7 +14,8 @@ from flatact.fpgroups import (FpGroup, SearchBoundExceeded, coxeter_group,
 from flatact.groups import PermGroup, Permutation, conjugacy_classes
 from flatact.screening import (CatalogError, E7_WEYL_ORDER, ImfCatalog,
                                ScreeningHit, _class_reps_up_to_aut,
-                               _divisible_choices,
+                               _divisible_choices, _lcm_partitions,
+                               _valuation_bounds,
                                alternating_order, e7_weyl_permutation_group,
                                epimorphism_search, partitions, screen_dimensions)
 
@@ -199,6 +200,40 @@ def test_lcm_prefilter_keeps_every_hit(seed):
     hits = screen_dimensions(catalog, dims)
     assert hits == unfiltered_hits(catalog, dims)
     assert dropped > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_valuation_walk_is_the_lcm_filter(seed):
+    # 50 random lcm lists a seed, of the primes up to 13 with exponents
+    # around those of |A_5| .. |A_17|: the walk keeps exactly the
+    # partitions, in order, whose product of lcms |A_{n+2}| divides
+    rng = random.Random(seed)
+    kept = 0
+    for _ in range(50):
+        top = rng.randrange(1, 16)
+        lcms = [None] + [2 ** rng.randrange(8) * 3 ** rng.randrange(5) * 5 ** rng.randrange(3)
+                         * 7 ** rng.randrange(3) * 11 ** rng.randrange(2) * 13 ** rng.randrange(2)
+                         for _ in range(top)]
+        bounds = {q: _valuation_bounds(lcms, q) for q in (2, 3, 5, 7, 11, 13, 17)
+                  if q <= top + 2}
+        for n in range(1, top + 1):
+            target = alternating_order(n + 2)
+            expected = [part for part in partitions(n)
+                        if math.prod(lcms[p] for p in part) % target == 0]
+            assert _lcm_partitions(n, target, bounds) == expected
+            kept += len(expected)
+    assert kept > 0
+
+
+def test_valuation_bounds_are_the_knapsack_maxima():
+    # most[c][r] against every partition of r into parts <= c
+    lcms = [None, 2, 12, 8, 48, 3840, 2 ** 7 * 9, 2903040]
+    gain, most = _valuation_bounds(lcms, 2)
+    assert gain == [0, 1, 2, 3, 4, 8, 7, 10]
+    for r in range(1, 8):
+        for c in range(1, 8):
+            assert most[c][r] == max(sum(gain[p] for p in part)
+                                     for part in partitions(r) if part[0] <= c)
 
 
 def coset_action(edges, n, subgroup):
