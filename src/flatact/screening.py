@@ -111,21 +111,7 @@ class ScreeningHit:
 def partitions(n):
     """All partitions of n, each as a descending tuple, in ascending
     lexicographic order of the tuples."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out = []
-
-    def build(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        # smaller parts first: no tuple is a prefix of another, so the
-        # depth-first order is the lexicographic one
-        for part in range(1, min(cap, remaining) + 1):
-            build(remaining - part, part, prefix + [part])
-
-    build(n, n, [])
-    return out
+    return _lcm_partitions(n, 1, {})
 
 
 def alternating_order(m):
@@ -186,16 +172,20 @@ def _valuation_bounds(lcms, q):
 
 
 def _lcm_partitions(n, target, bounds):
-    """The partitions of n, in the order of `partitions(n)`, for which the
-    product of lcms[p] over the parts p is a multiple of target; `bounds`
-    maps primes q to `_valuation_bounds(lcms, q)`, and must hold every
-    prime factor of target.
+    """The partitions of n, as descending tuples in ascending lexicographic
+    order, for which the product of lcms[p] over the parts p is a multiple
+    of target; `bounds` maps primes q to `_valuation_bounds(lcms, q)`, and
+    must hold every prime factor of target (target 1 and no bounds give
+    every partition).
 
-    One depth-first walk builds them, smaller parts first.  For each prime
-    q of target it keeps the q-valuation of the product over the parts
-    chosen so far, and drops a prefix when, for some q, that valuation
-    plus most[cap][rest] is below v_q(target).  At a complete partition
-    (rest 0) the test is divisibility itself."""
+    One depth-first walk builds them, smaller parts first: no partition is
+    a prefix of another, so the depth-first order is the lexicographic one.
+    For each prime q of target it keeps the q-valuation of the product
+    over the parts chosen so far, and drops a prefix when, for some q,
+    that valuation plus most[cap][rest] is below v_q(target).  At a
+    complete partition (rest 0) the test is divisibility itself."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     need, gains, mosts = [], [], []
     for q, (gain, most) in bounds.items():
         if target % q == 0:

@@ -223,6 +223,14 @@ class TestScreen:
         assert main(["screen", "--range", "seven"]) == EXIT_MALFORMED
         assert main(["screen", "--range", "9..3"]) == EXIT_MALFORMED
 
+    @pytest.mark.parametrize("rng", ["-2..24", "-1..24", "0..24"])
+    def test_range_below_one(self, rng, capsys):
+        # `=` keeps argparse from reading the leading minus as an option
+        assert main(["screen", "--range=" + rng]) == EXIT_MALFORMED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be at least 1" in captured.err
+
     def test_bad_catalog(self, write):
         path = write("cat.txt", "7: 1 2 3\n")
         assert main(["screen", "--catalog", path]) == EXIT_MALFORMED

@@ -56,6 +56,11 @@ class TestPartitions:
         with pytest.raises(ValueError):
             partitions(0)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_rejected(self, n):
+        with pytest.raises(ValueError):
+            partitions(n)
+
     @pytest.mark.parametrize("n", range(1, 21))
     def test_sorted_enumeration(self, n):
         # largest parts first, then sorted: the enumeration partitions
@@ -130,6 +135,13 @@ class TestScreening:
     def test_hit_validation(self):
         with pytest.raises(ValueError):
             ScreeningHit(3, (3,), (10,), 10, 60)
+
+    @pytest.mark.parametrize("dims", [[0], [-1], [-2], range(-1, 25),
+                                      range(0, 25)])
+    def test_dimension_below_one_rejected(self, dims):
+        # |A_{k+2}| is 1 at k = 0 and 0 at k = -1, -2: no screen is meant
+        with pytest.raises(ValueError, match="at least 1"):
+            screen_dimensions(ImfCatalog.load(), dims)
 
     def test_uncovered_range_rejected(self):
         cat = ImfCatalog.from_text("1: 2\n2: 8 12\n3: 48\n", check=False)
