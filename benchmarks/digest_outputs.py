@@ -5,6 +5,9 @@ Run it on two checkouts and compare the lines: equal digests show that a
 change kept every output of a family byte for byte.  The families:
 
 * `a9_chain` -- the `screening.a9_chain()` report as JSON with sorted keys;
+* `screen` -- the text and `--format json` output, with the exit code, of
+  `flatact screen --range 1..24` and `--range 3..24` on the shipped
+  catalogue;
 * `coset_tables` -- the tables of E7 over <s1..s6> and <s1,s2,s3> and the
   regular tables of S3..S7 (dtype, shape and bytes);
 * `low_index_e7` -- the E7 classes of index <= 16, as tables and words;
@@ -47,7 +50,9 @@ still filter the normal-subgroup lattice, `jordan` takes far longer
 Usage: PYTHONPATH=src python3 benchmarks/digest_outputs.py [family ...]
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -58,7 +63,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from flatact import certificates, cohomology, fpgroups, screening  # noqa: E402
+from flatact import certificates, cli, cohomology, fpgroups, screening  # noqa: E402
 from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
 from test_acceptance import _jordan_corpus  # noqa: E402
@@ -79,6 +84,17 @@ def _rows(mat):
 
 def a9_chain():
     return _sha(screening.a9_chain())
+
+
+def screen():
+    out = []
+    for dims in ("1..24", "3..24"):
+        for fmt in ("text", "json"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["screen", "--range", dims, "--format", fmt])
+            out.append([dims, fmt, code, buf.getvalue()])
+    return _sha(out)
 
 
 def _table(t):
@@ -329,6 +345,7 @@ def jordan():
 
 FAMILIES = {
     "a9_chain": a9_chain,
+    "screen": screen,
     "coset_tables": coset_tables,
     "low_index_e7": low_index_e7,
     "low_index": low_index,

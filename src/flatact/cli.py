@@ -372,7 +372,7 @@ def _build_parser():
     fmt(sp)
     sp.set_defaults(fn=_cmd_jordan)
 
-    sp = sub.add_parser("screen", help="partition-wise order screening")
+    sp = sub.add_parser("screen", help="order screening by single catalogue orders")
     sp.add_argument("--range", default="3..24")
     sp.add_argument("--catalog")
     fmt(sp)

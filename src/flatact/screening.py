@@ -1,6 +1,6 @@
 """Order screening over the catalogue of irreducible maximal finite
 subgroups of GL_k(Q), and the alternating-group case analysis in
-dimension 7: partition-wise divisibility screening, coset enumeration of
+dimension 7: screening by single catalogue orders, coset enumeration of
 the E7 Weyl group, low-index subgroup search, and epimorphism search
 onto A9.
 """
@@ -19,7 +19,7 @@ from flatact.fpgroups import (DEFAULT_NODE_LIMIT, FpGroup, PresentationError,
 from flatact.groups import PermGroup, Permutation, compose_rows
 
 __all__ = [
-    "ImfCatalog", "ScreeningHit", "partitions", "screen_dimensions",
+    "ImfCatalog", "ScreeningHit", "screen_dimensions",
     "epimorphism_search", "EpimorphismSearchResult", "a9_chain",
     "e7_weyl_permutation_group", "E8_CHAIN_NOTE",
 ]
@@ -72,9 +72,12 @@ class ImfCatalog:
             head, tail = line.split(":", 1)
             try:
                 k = int(head)
-                orders[k] = [int(t) for t in tail.split()]
+                values = [int(t) for t in tail.split()]
             except ValueError:
                 raise CatalogError("malformed catalogue line %r" % raw)
+            if k in orders:
+                raise CatalogError("repeated catalogue dimension %d" % k)
+            orders[k] = values
         return ImfCatalog(orders, check=check)
 
     @staticmethod
@@ -108,133 +111,34 @@ class ScreeningHit:
             raise ValueError("screening hit product is not divisible by target")
 
 
-def partitions(n):
-    """All partitions of n, each as a descending tuple, in ascending
-    lexicographic order of the tuples."""
-    return _lcm_partitions(n, 1, {})
-
-
 def alternating_order(m):
     return math.factorial(m) // 2
 
 
 def screen_dimensions(catalog, dims=range(3, 25)):
-    """For each dimension k, each partition of k, and each choice of one
-    catalogue order per part, record a hit iff the product of the chosen
-    orders is divisible by |A_{k+2}|.  Hits come in the order of the
-    partitions, then of the choices (the last part's order varying
-    fastest)."""
+    """For each dimension k, each j from 1 to k and each catalogue order o
+    of dimension j, record a hit iff |A_{k+2}| divides o.  Hits come in
+    the order of k, then j, then the catalogue.
+
+    One order suffices.  A finite P <= GL_k(Q) is a subdirect product of
+    its images P_i in its rational irreducible blocks, of dimensions
+    j_i <= k, so by Jordan-Hoelder a composition factor A_{k+2} of P is
+    a composition factor of some P_i.  That P_i lies in an irreducible
+    maximal finite subgroup of GL_{j_i}(Q), whose order |A_{k+2}| then
+    divides."""
     dims = list(dims)
+    if any(k < 1 for k in dims):
+        raise ValueError("n must be at least 1")
     if not catalog.covers(d for k in dims for d in range(1, k + 1)):
         raise CatalogError("catalogue does not cover the screening range")
-    top = max(dims, default=0)
-    lcms = [None] + [math.lcm(*catalog.orders(p)) for p in range(1, top + 1)]
-    # every prime factor of |A_{k+2}| is at most k + 2
-    bounds = {q: _valuation_bounds(lcms, q) for q in range(2, top + 3)
-              if all(q % d for d in range(2, q))}
     hits = []
     for k in dims:
         target = alternating_order(k + 2)
-        # the product of every choice divides the product of the pools'
-        # lcms, so _divisible_choices would stop at its root on the others
-        for part in _lcm_partitions(k, target, bounds):
-            pools = [catalog.orders(p) for p in part]
-            for orders, prod in _divisible_choices(pools, target):
-                hits.append(ScreeningHit(k, part, orders, prod, target))
+        for j in range(1, k + 1):
+            for o in catalog.orders(j):
+                if o % target == 0:
+                    hits.append(ScreeningHit(k, (j,), (o,), o, target))
     return hits
-
-
-def _valuation(n, q):
-    """The exponent of the prime q in the positive integer n."""
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
-
-
-def _valuation_bounds(lcms, q):
-    """(gain, most) for the prime q and lcms[1..n]: gain[c] is the
-    q-valuation of lcms[c], and most[c][r] the largest q-valuation of a
-    product of lcms over parts <= c summing to r, by the knapsack
-    recurrence most[c][r] = max(most[c-1][r], gain[c] + most[c][r-c])."""
-    n = len(lcms) - 1
-    gain = [0] + [_valuation(m, q) for m in lcms[1:]]
-    # parts of 1 reach every r and no gain is negative, so a start from 0
-    # (in place of "no parts sum to r > 0") changes no entry
-    col = [0] * (n + 1)
-    most = [None]
-    for c in range(1, n + 1):
-        for r in range(c, n + 1):
-            col[r] = max(col[r], gain[c] + col[r - c])
-        most.append(col[:])
-    return gain, most
-
-
-def _lcm_partitions(n, target, bounds):
-    """The partitions of n, as descending tuples in ascending lexicographic
-    order, for which the product of lcms[p] over the parts p is a multiple
-    of target; `bounds` maps primes q to `_valuation_bounds(lcms, q)`, and
-    must hold every prime factor of target (target 1 and no bounds give
-    every partition).
-
-    One depth-first walk builds them, smaller parts first: no partition is
-    a prefix of another, so the depth-first order is the lexicographic one.
-    For each prime q of target it keeps the q-valuation of the product
-    over the parts chosen so far, and drops a prefix when, for some q,
-    that valuation plus most[cap][rest] is below v_q(target).  At a
-    complete partition (rest 0) the test is divisibility itself."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    need, gains, mosts = [], [], []
-    for q, (gain, most) in bounds.items():
-        if target % q == 0:
-            need.append(_valuation(target, q))
-            gains.append(gain)
-            mosts.append(most)
-    out = []
-    chosen = []
-
-    def walk(rest, cap, have):
-        if any(h + m[cap][rest] < t for h, m, t in zip(have, mosts, need)):
-            return
-        if rest == 0:
-            out.append(tuple(chosen))
-            return
-        for part in range(1, min(cap, rest) + 1):
-            chosen.append(part)
-            walk(rest - part, part, [h + g[part] for h, g in zip(have, gains)])
-            chosen.pop()
-
-    walk(n, n, [0] * len(need))
-    return out
-
-
-def _divisible_choices(pools, target):
-    """(orders, product) for each choice of one order per pool whose
-    product is a multiple of target, depth first.  A prefix with product
-    p is dropped when p times the lcm of each later pool is not a multiple
-    of target: the product of every completion divides that number."""
-    tail = [1]
-    for pool in reversed(pools):
-        tail.append(tail[-1] * math.lcm(*pool))
-    tail.reverse()
-    out = []
-    chosen = []
-
-    def walk(i, prod):
-        if prod * tail[i] % target:
-            return
-        if i == len(pools):
-            out.append((tuple(chosen), prod))
-            return
-        for o in pools[i]:
-            chosen.append(o)
-            walk(i + 1, prod * o)
-            chosen.pop()
-
-    walk(0, 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

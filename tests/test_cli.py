@@ -235,6 +235,14 @@ class TestScreen:
         path = write("cat.txt", "7: 1 2 3\n")
         assert main(["screen", "--catalog", path]) == EXIT_MALFORMED
 
+    def test_repeated_catalog_dimension(self, write, capsys):
+        # the shipped catalogue passes its checks; a second line for
+        # dimension 1 must not silently replace the first
+        shipped = (resources.files("flatact") / "data" / "imf_orders.txt").read_text()
+        path = write("cat.txt", shipped + "1: 3\n")
+        assert main(["screen", "--catalog", path]) == EXIT_MALFORMED
+        assert "repeated catalogue dimension 1" in capsys.readouterr().err
+
 
 class TestCosetAndLowIndex:
     def test_coset_enumeration(self, write, capsys):

@@ -14,10 +14,25 @@ from flatact.fpgroups import (FpGroup, SearchBoundExceeded, coxeter_group,
 from flatact.groups import PermGroup, Permutation, conjugacy_classes
 from flatact.screening import (CatalogError, E7_WEYL_ORDER, ImfCatalog,
                                ScreeningHit, _class_reps_up_to_aut,
-                               _divisible_choices, _lcm_partitions,
-                               _valuation_bounds,
                                alternating_order, e7_weyl_permutation_group,
-                               epimorphism_search, partitions, screen_dimensions)
+                               epimorphism_search, screen_dimensions)
+
+
+def partitions(n):
+    """All partitions of n, each as a descending tuple, in ascending
+    lexicographic order of the tuples: the parts of the brute-force
+    oracle below."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+    def build(rest, cap):
+        if rest == 0:
+            yield ()
+        for first in range(1, min(cap, rest) + 1):
+            for tail in build(rest - first, first):
+                yield (first,) + tail
+
+    return list(build(n, n))
 
 
 def partition_count_oracle(n):
@@ -37,6 +52,7 @@ def partition_count_oracle(n):
 
 
 class TestPartitions:
+    # the partition generator of the brute-force screening oracle
     @pytest.mark.parametrize("n,count", [(1, 1), (4, 5), (7, 15), (24, 1575)])
     def test_counts(self, n, count):
         assert len(partitions(n)) == count
@@ -102,6 +118,11 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             ImfCatalog.from_text("7:\n", check=False)
 
+    def test_repeated_dimension_rejected(self):
+        # a second line for a dimension would otherwise replace the first
+        with pytest.raises(CatalogError, match="repeated"):
+            ImfCatalog.from_text("1: 2\n1: 3\n", check=False)
+
     def test_missing_dimension(self):
         cat = ImfCatalog.from_text("1: 2\n", check=False)
         with pytest.raises(CatalogError):
@@ -150,8 +171,9 @@ class TestScreening:
 
 
 def brute_force_hits(catalog, dims):
-    """Every choice of one order per part, tried in itertools.product
-    order, kept when |A_{k+2}| divides the product."""
+    """The partition rule: for every partition of k, every choice of one
+    order per part, tried in itertools.product order, kept when
+    |A_{k+2}| divides the product."""
     out = []
     for k in dims:
         target = alternating_order(k + 2)
@@ -162,7 +184,20 @@ def brute_force_hits(catalog, dims):
     return out
 
 
-# 335 hits among 8401 choices, in every dimension 3..6
+def assert_hits_are_hook_hits(hits, oracle):
+    """The single-order hits (k, (j,), (o,)) are the partition rule's hits
+    on the partitions (j, 1, ..., 1) whose first order o alone |A_{k+2}|
+    divides, and those with j = k are its one-part hits, in order."""
+    hooks = {(b.dimension, b.partition[0], b.orders[0]) for b in oracle
+             if b.partition[1:] == (1,) * (b.dimension - b.partition[0])
+             and b.orders[0] % b.target_order == 0}
+    assert {(h.dimension, *h.partition, *h.orders) for h in hits} == hooks
+    assert ([h for h in hits if h.partition == (h.dimension,)]
+            == [b for b in oracle if len(b.partition) == 1])
+
+
+# 6 single-order hits, in every dimension 3..6; the partition rule finds
+# 335 among 8401 choices
 SYNTHETIC_CATALOG = """
 1: 2 7 15 4
 2: 8 12 10 14 72
@@ -173,79 +208,54 @@ SYNTHETIC_CATALOG = """
 """
 
 
-@pytest.mark.parametrize("catalog,dims,count", [
-    (ImfCatalog.from_text(SYNTHETIC_CATALOG, check=False), range(3, 7), 335),
-    (ImfCatalog.load(), range(3, 13), 2)], ids=["synthetic", "shipped"])
-def test_screening_matches_brute_force(catalog, dims, count):
-    # the pruned depth-first walk against trying every choice
+@pytest.mark.parametrize("catalog,dims,found,oracle_count", [
+    (ImfCatalog.from_text(SYNTHETIC_CATALOG, check=False), range(3, 7),
+     [(3, 3, 60), (3, 3, 120), (4, 4, 720), (5, 5, 5040), (6, 6, 2903040), (6, 6, 40320)],
+     335),
+    (ImfCatalog.load(), range(1, 25),
+     [(2, 2, 12), (7, 7, E7_WEYL_ORDER), (8, 8, 696729600)], 3),
+    (ImfCatalog.load(), range(3, 25), [(7, 7, E7_WEYL_ORDER), (8, 8, 696729600)], 2)],
+    ids=["synthetic", "shipped", "shipped-3..24"])
+def test_screening_matches_brute_force(catalog, dims, found, oracle_count):
+    # the single-order loop against trying every choice over every
+    # partition; on the shipped catalogue the partition rule finds only
+    # one-part hits, so there its hits are exactly these
     hits = screen_dimensions(catalog, dims)
-    assert hits == brute_force_hits(catalog, dims)
-    assert len(hits) == count
+    oracle = brute_force_hits(catalog, dims)
+    assert [(h.dimension, *h.partition, *h.orders) for h in hits] == found
+    assert len(oracle) == oracle_count
+    assert_hits_are_hook_hits(hits, oracle)
 
 
-def unfiltered_hits(catalog, dims):
-    """The hits of `_divisible_choices` on every partition, with no
-    partition dropped beforehand."""
-    out = []
-    for k in dims:
-        target = alternating_order(k + 2)
-        for part in partitions(k):
-            pools = [catalog.orders(p) for p in part]
-            out += [ScreeningHit(k, part, orders, prod, target)
-                    for orders, prod in _divisible_choices(pools, target)]
-    return out
+@pytest.mark.parametrize("text,dims,expected,oracle", [
+    # a product-only hit: |A_5| = 60 divides 12 * 5 but no single order
+    ("1: 5\n2: 12\n3: 48\n", [3], [], [(3, (2, 1), (12, 5))]),
+    # |A_6| = 360 divides the order 720 of dimension 3, used at k = 4
+    ("1: 2\n2: 8 12\n3: 720\n4: 48\n", [3, 4],
+     [(3, (3,), (720,)), (4, (3,), (720,))],
+     [(3, (3,), (720,)), (4, (3, 1), (720, 2))]),
+], ids=["product-only", "lower-dimension"])
+def test_hand_catalogues(text, dims, expected, oracle):
+    catalog = ImfCatalog.from_text(text, check=False)
+    hits = screen_dimensions(catalog, dims)
+    assert [(h.dimension, h.partition, h.orders) for h in hits] == expected
+    assert [(h.dimension, h.partition, h.orders)
+            for h in brute_force_hits(catalog, dims)] == oracle
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_lcm_prefilter_keeps_every_hit(seed):
+def test_single_order_hits_are_hook_hits(seed):
     # orders made of the primes of |A_5| .. |A_9|, so that some
-    # partitions hit and others fail on the product of their pools' lcms
+    # dimensions are hit by one order and others only by a product
     rng = random.Random(seed)
     orders = {d: [2 ** rng.randrange(d + 2) * 3 ** rng.randrange(d) *
                   5 ** rng.randrange(2) * 7 ** rng.randrange(2)
                   for _ in range(rng.randrange(1, 4))] for d in range(1, 8)}
     catalog = ImfCatalog(orders, check=False)
     dims = range(3, 8)
-    dropped = sum(
-        math.prod(math.lcm(*catalog.orders(p)) for p in part) % alternating_order(k + 2) != 0
-        for k in dims for part in partitions(k))
     hits = screen_dimensions(catalog, dims)
-    assert hits == unfiltered_hits(catalog, dims)
-    assert dropped > 0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_valuation_walk_is_the_lcm_filter(seed):
-    # 50 random lcm lists a seed, of the primes up to 13 with exponents
-    # around those of |A_5| .. |A_17|: the walk keeps exactly the
-    # partitions, in order, whose product of lcms |A_{n+2}| divides
-    rng = random.Random(seed)
-    kept = 0
-    for _ in range(50):
-        top = rng.randrange(1, 16)
-        lcms = [None] + [2 ** rng.randrange(8) * 3 ** rng.randrange(5) * 5 ** rng.randrange(3)
-                         * 7 ** rng.randrange(3) * 11 ** rng.randrange(2) * 13 ** rng.randrange(2)
-                         for _ in range(top)]
-        bounds = {q: _valuation_bounds(lcms, q) for q in (2, 3, 5, 7, 11, 13, 17)
-                  if q <= top + 2}
-        for n in range(1, top + 1):
-            target = alternating_order(n + 2)
-            expected = [part for part in partitions(n)
-                        if math.prod(lcms[p] for p in part) % target == 0]
-            assert _lcm_partitions(n, target, bounds) == expected
-            kept += len(expected)
-    assert kept > 0
-
-
-def test_valuation_bounds_are_the_knapsack_maxima():
-    # most[c][r] against every partition of r into parts <= c
-    lcms = [None, 2, 12, 8, 48, 3840, 2 ** 7 * 9, 2903040]
-    gain, most = _valuation_bounds(lcms, 2)
-    assert gain == [0, 1, 2, 3, 4, 8, 7, 10]
-    for r in range(1, 8):
-        for c in range(1, 8):
-            assert most[c][r] == max(sum(gain[p] for p in part)
-                                     for part in partitions(r) if part[0] <= c)
+    oracle = brute_force_hits(catalog, dims)
+    assert_hits_are_hook_hits(hits, oracle)
 
 
 def coset_action(edges, n, subgroup):
