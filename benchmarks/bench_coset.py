@@ -5,10 +5,13 @@ the 241,920 cosets of <s1,s2,s3> in the Weyl group of E7 and the regular
 tables of S5..S8, run on both engines, and the whole Weyl group of E7
 (2,903,040 cosets, about 150 s on the pure engine) on the compiled one
 only.  Each case times the engine call alone (not the table validation
-that `todd_coxeter` adds), asserts that both engines give byte-identical
-tables, and records the coset count, the seconds of each engine and the
-SHA-256 of the table.  On a checkout without the compiled engine the
-compiled fields are null and the full E7 case is left out.
+that `todd_coxeter` adds) and records the coset count, the seconds of
+each engine and the SHA-256 of the table; both engines must give
+byte-identical tables.  The pure engine runs in this process.  Each
+compiled case runs in a fresh child process, one at a time, which also
+records `peak_rss_mb`, the child's peak resident set (the interpreter and
+the imports included, about 30 MB).  On a checkout without the compiled
+engine the compiled fields are null and the full E7 case is left out.
 
 The run record also holds what `benchrun.start_run` records (machine,
 load, commit, `source_diff`) and the engine `fpgroups` loaded; it is
@@ -21,6 +24,8 @@ import argparse
 import hashlib
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 
@@ -45,29 +50,51 @@ def _time(fn, g, sub):
     return table, round(time.perf_counter() - t0, 5)
 
 
+def _sha(table):
+    return hashlib.sha256(table.tobytes()).hexdigest()
+
+
+def child(name):
+    """Run one case on the compiled engine in this process and print its
+    record as JSON."""
+    _, g, sub, _ = next(c for c in CASES if c[0] == name)
+    table, seconds = _time(fpgroups._enumerate_compiled, g, sub)
+    print(json.dumps({
+        "compiled_s": seconds, "cosets": table.shape[0], "table_sha256": _sha(table),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+
+
+def run_compiled(name):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name],
+                          capture_output=True, text=True, check=True, env=env)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_coset.json"))
+    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.child:
+        child(args.child)
+        return
 
     compiled = fpgroups.ENGINE == "compiled"
     run = start_run(engine=fpgroups.ENGINE, cases=[])
     for name, g, sub, with_pure in CASES:
         if not (with_pure or compiled):
             continue
-        rec = {"case": name, "pure_s": None, "compiled_s": None}
-        tables = []
+        rec = {"case": name, "pure_s": None, "compiled_s": None, "peak_rss_mb": None}
         if with_pure:
             table, rec["pure_s"] = _time(fpgroups._enumerate_pure, g, sub)
-            tables.append(table)
+            rec["cosets"], rec["table_sha256"] = table.shape[0], _sha(table)
+            del table
         if compiled:
-            table, rec["compiled_s"] = _time(fpgroups._enumerate_compiled, g, sub)
-            tables.append(table)
-        assert all(t.dtype == tables[0].dtype and t.tobytes() == tables[0].tobytes()
-                   for t in tables), "engines disagree on %s" % name
-        rec["cosets"] = tables[0].shape[0]
-        rec["table_sha256"] = hashlib.sha256(tables[0].tobytes()).hexdigest()
-        del table, tables
+            comp = run_compiled(name)
+            sha = comp["table_sha256"]
+            assert rec.get("table_sha256", sha) == sha, "engines disagree on %s" % name
+            rec.update(comp)
         print(json.dumps(rec), flush=True)
         run["cases"].append(rec)
     finish_run(run, args.out)

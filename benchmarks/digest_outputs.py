@@ -8,8 +8,10 @@ change kept every output of a family byte for byte.  The families:
 * `screen` -- the text and `--format json` output, with the exit code, of
   `flatact screen --range 1..24` and `--range 3..24` on the shipped
   catalogue;
-* `coset_tables` -- the tables of E7 over <s1..s6> and <s1,s2,s3> and the
-  regular tables of S3..S7 (dtype, shape and bytes);
+* `coset_tables` -- the tables of E7 over <s1..s6> and <s1,s2,s3>, the
+  regular tables of S3..S7, and the tables the compiled engine renumbers
+  during the run: E7 over its maximal parabolics without s2, s3, s4 and
+  s5, and the regular table of S8 (dtype, shape and bytes);
 * `low_index_e7` -- the E7 classes of index <= 16, as tables and words;
 * `low_index` -- the classes, as tables and words, of Z to index 40, F2
   to 4, Z2*Z3 to 10, the trefoil group <x, y | x^2 y^-3> to 9, S4 to 24
@@ -107,6 +109,9 @@ def coset_tables():
            for sub in (range(1, 7), range(1, 4))]
     out += [_table(fpgroups.todd_coxeter(fpgroups.symmetric_presentation(n)).table)
             for n in range(3, 8)]
+    out += [_table(fpgroups.todd_coxeter(e7, [(i,) for i in range(1, 8) if i != drop]).table)
+            for drop in range(2, 6)]
+    out.append(_table(fpgroups.todd_coxeter(fpgroups.symmetric_presentation(8)).table))
     return _sha(out)
 
 

@@ -1,10 +1,20 @@
 /* Compiled Todd-Coxeter coset enumeration (HLT with coincidences).
  *
- * The same algorithm as flatact/_coset_pure.py, step for step: the same
- * define order, coincidence queue and compaction, so the two return
- * identical tables.  Generator i is letter 2*i, its inverse 2*i + 1.  The
- * coset table is one flat int32 buffer of capacity * 2*ngens entries that
- * grows by doubling.
+ * The same algorithm as flatact/_coset_pure.py: the same define order,
+ * coincidence queue and compaction, so the two return identical tables.
+ * Generator i is letter 2*i, its inverse 2*i + 1.  The coset table is one
+ * flat int32 buffer of capacity * 2*ngens entries.  Where the pure engine
+ * keeps every coset it defines to the end, this one renumbers: at the top
+ * of the HLT loop, when the buffer has fewer free rows than one coset's
+ * relator scans and fill-in can define (2*ngens plus |w| - 1 for each
+ * relator w) and at least half its rows are dead, the live cosets are
+ * numbered 0, 1, ... in their current order and their rows moved down;
+ * otherwise the buffer doubles when it fills.  HLT's choices depend only
+ * on the order of coset numbers (a coincidence keeps the smaller coset,
+ * the next coset scanned is the next live one, a new coset comes after
+ * all others), and renumbering keeps that order.  Between two cosets the
+ * coincidence queue is empty and no live row points to a dead coset, so
+ * the run goes on with the same choices and ends at the same table.
  *
  * The file also runs the backtracking of the low-index subgroup search,
  * node for node as fpgroups._low_index_pure: the same first undefined cell
@@ -42,7 +52,8 @@
  *       words[k] = letters[ends[k-1] .. ends[k]) (ends[-1] = 0); the first
  *       nsub words generate the subgroup, the rest are the relators.
  *       Returns FA_OK and sets state and nlive, or an error status (and
- *       frees everything).
+ *       frees everything): FA_LIMIT when more than limit cosets would be
+ *       defined, dead cosets included.
  *   fa_compact(state, out)
  *       writes the nlive x 2*ngens table to out, unless out is NULL, and
  *       frees state.  fa_enumerate has already compacted it in place.
@@ -80,8 +91,10 @@
 
 enum { FA_OK = 0, FA_LIMIT = 1, FA_NOMEM = 2, FA_BADARG = 3 };
 
+/* nrows rows in use, of which ndead dead; ndef cosets defined since the
+ * start, renumbered ones included, for the limit. */
 typedef struct {
-    int64_t nl, limit, nrows, cap;
+    int64_t nl, limit, nrows, cap, ndead, ndef;
     int32_t *tbl, *p, *queue;
 } hlt;
 
@@ -128,10 +141,11 @@ static int define(hlt *h, int64_t a, int64_t x)
 {
     int64_t b = h->nrows;
     int status;
-    if (b >= h->limit)
+    if (h->ndef >= h->limit)
         return FA_LIMIT;
     if (b >= h->cap && (status = grow(h)) != FA_OK)
         return status;
+    h->ndef++;
     h->nrows = b + 1;
     h->p[b] = (int32_t)b;
     memset(h->tbl + b * h->nl, 0xff, (size_t)h->nl * sizeof *h->tbl);
@@ -151,6 +165,7 @@ static void merge(hlt *h, int64_t u, int64_t v, int64_t *qlen)
             v = t;
         }
         h->p[v] = (int32_t)u;
+        h->ndead++;
         h->queue[(*qlen)++] = (int32_t)v;
     }
 }
@@ -214,15 +229,55 @@ static int scan_and_fill(hlt *h, int64_t a, const int32_t *w, int64_t len)
     }
 }
 
+/* Number the live cosets 0, 1, ... in order and move their rows down in
+ * place; an undefined entry stays -1 and p becomes the identity.  Returns
+ * the new number of the first live coset at or after a (the live count
+ * when there is none).  A parent is below its child, so in one ascending
+ * pass p[i] becomes i's root, and in a second its root's new number. */
+static int64_t renumber(hlt *h, int64_t a)
+{
+    int64_t nl = h->nl, i, x, n = 0, first = -1;
+    int32_t *p = h->p, *tbl = h->tbl;
+    for (i = 0; i < h->nrows; i++)
+        p[i] = p[p[i]];
+    for (i = 0; i < h->nrows; i++)
+        p[i] = p[i] == i ? (int32_t)n++ : p[p[i]];
+    /* a dead coset's root got its number before it, so a row is live
+     * exactly when its number is the count of live rows before it */
+    for (i = 0, n = 0; i < h->nrows; i++) {
+        if (i == a)
+            first = n;
+        if (p[i] != n)
+            continue;
+        for (x = 0; x < nl; x++) {
+            int32_t c = tbl[i * nl + x];
+            tbl[n * nl + x] = c == -1 ? -1 : p[c];
+        }
+        n++;
+    }
+    for (i = 0; i < n; i++)
+        p[i] = (int32_t)i;
+    h->nrows = n;
+    h->ndead = 0;
+    return first == -1 ? n : first;
+}
+
 static int run(hlt *h, const int32_t *letters, const int64_t *ends,
                int64_t nsub, int64_t nwords)
 {
-    int64_t a, k, x, start;
+    int64_t a, k, x, start, most = h->nl;
     int status;
+    /* the most cosets one pass of the loop below can define */
+    for (k = nsub, start = nsub ? ends[nsub - 1] : 0; k < nwords; start = ends[k++])
+        if (ends[k] - start > 1)
+            most += ends[k] - start - 1;
     for (k = 0, start = 0; k < nsub; start = ends[k++])
         if ((status = scan_and_fill(h, 0, letters + start, ends[k] - start)) != FA_OK)
             return status;
     for (a = 0; a < h->nrows; a++) {
+        if (h->cap - h->nrows < most && 2 * h->ndead >= h->nrows
+            && (a = renumber(h, a)) == h->nrows)
+            break;
         if (rep(h, a) != a)
             continue;
         for (k = nsub, start = nsub ? ends[nsub - 1] : 0; k < nwords; start = ends[k++]) {
@@ -240,32 +295,17 @@ static int run(hlt *h, const int32_t *letters, const int64_t *ends,
     return FA_OK;
 }
 
-/* Number the live cosets 0, 1, ... in order and move their rows down in
- * place, then free p and the queue and shrink the table to the live rows.
- * A parent is below its child, so in one ascending pass p[i] becomes i's
- * root, and in a second its root's new number. */
+/* Renumber the live cosets, free p and the queue and shrink the table to
+ * the live rows. */
 static void compact(hlt *h)
 {
-    int64_t nl = h->nl, i, x, n = 0;
-    int32_t *p = h->p, *t;
-    for (i = 0; i < h->nrows; i++)
-        p[i] = p[p[i]];
-    for (i = 0; i < h->nrows; i++)
-        p[i] = p[i] == i ? (int32_t)n++ : p[p[i]];
-    /* a dead coset's root got its number before it, so a row is live
-     * exactly when its number is the count of live rows before it */
-    for (i = 0, n = 0; i < h->nrows; i++) {
-        if (p[i] != n)
-            continue;
-        for (x = 0; x < nl; x++)
-            h->tbl[n * nl + x] = p[h->tbl[i * nl + x]];
-        n++;
-    }
+    int32_t *t;
+    renumber(h, 0);
     free(h->p);
     free(h->queue);
     h->p = h->queue = NULL;
-    h->nrows = h->cap = n;
-    if ((t = realloc(h->tbl, (size_t)(n * nl + 1) * sizeof *t)) != NULL)
+    h->cap = h->nrows;
+    if ((t = realloc(h->tbl, (size_t)(h->nrows * h->nl + 1) * sizeof *t)) != NULL)
         h->tbl = t;
 }
 
@@ -287,7 +327,7 @@ int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
     h->nl = 2 * (int64_t)ngens;
     h->limit = limit;
     if ((status = grow(h)) == FA_OK) {
-        h->nrows = 1;
+        h->nrows = h->ndef = 1;
         h->p[0] = 0;
         memset(h->tbl, 0xff, (size_t)h->nl * sizeof *h->tbl);
         status = run(h, letters, ends, nsub, nwords);

@@ -600,13 +600,15 @@ class TableGroup(FiniteGroup):
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise GroupError("identity element is wrong")
-        # associativity: row(a*b) must equal composition of row a with row b
-        for a in range(n):
-            ra = self.table[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = self.table[b]
-                if self.table[ab] != tuple(ra[rb[c]] for c in range(n)):
+        # associativity by Light's test: (a*s)*c = a*(s*c) for all a, c
+        # and every generator s.  The s for which that holds contain e and
+        # are closed under products, and generators() reaches every element
+        # from e by right multiplication with them, so the test is exact.
+        for s in self.generators():
+            rs = self.table[s]
+            for a in range(n):
+                ra = self.table[a]
+                if self.table[ra[s]] != tuple(ra[c] for c in rs):
                     raise GroupError("table is not associative")
 
     def order(self):

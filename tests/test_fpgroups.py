@@ -245,6 +245,30 @@ class TestEngines:
         assert comp is not None and comp.tobytes() == pure.tobytes()
 
     @needs_cc
+    def test_coset_limit_boundary_across_renumbering(self):
+        # the compiled engine renumbers its live cosets once before the last
+        # define of E7 over the maximal parabolic without s4, so the limit
+        # must count the cosets renumbered away; bisect the compiled engine
+        # alone and check the pure one at the boundary
+        g = e7_weyl_presentation()
+        sub = [(i,) for i in range(1, 8) if i != 4]
+        lo, hi = 0, 10 ** 6
+        assert _outcome(g, sub, "compiled", lo) is None
+        assert _outcome(g, sub, "compiled", hi) is not None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _outcome(g, sub, "compiled", mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        assert lo >= 10080
+        assert _outcome(g, sub, "pure", lo) is None
+        pure = _outcome(g, sub, "pure", lo + 1)
+        comp = _outcome(g, sub, "compiled", lo + 1)
+        assert pure is not None and pure.shape[0] == 10080
+        assert comp.tobytes() == pure.tobytes()
+
+    @needs_cc
     def test_compiled_engine_rejects_bad_arguments(self):
         rels = [(0, 0)]
         with pytest.raises(ValueError):

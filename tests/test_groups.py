@@ -357,7 +357,95 @@ def _partitions(n, largest=None):
             yield (k,) + rest
 
 
+def _associative(table):
+    """The triple loop over all (a, b, c): the oracle of Light's test in
+    `TableGroup._check_axioms`."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1 in
+    order: the loops on 0..n-1 with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(k):
+        if k == n * n:
+            yield [tuple(r) for r in rows]
+            return
+        i, j = divmod(k, n)
+        if i == 0 or j == 0:
+            yield from fill(k + 1)
+            return
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(k + 1)
+        rows[i][j] = None
+    return list(fill(0))
+
+
+def _swapped_intercalate(m):
+    """The table of C_2m with the intercalate on rows and columns 1 and
+    m + 1 swapped: a commutative loop with identity 0."""
+    n = 2 * m
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for a, b in [(1, 1), (1, m + 1), (m + 1, 1), (m + 1, m + 1)]:
+        table[a][b] = (table[a][b] + m) % n
+    return table
+
+
+def _times_c2(table):
+    """The direct product C2 x L of a loop L given by its table, with
+    (g, l) at index g + 2*l: index 1 is the central involution, so it is
+    the first of `generators()` and the products that break associativity
+    need another generator."""
+    n = len(table)
+    return [[(g + h) % 2 + 2 * table[l][k] for k in range(n) for h in range(2)]
+            for l in range(n) for g in range(2)]
+
+
+def _dihedral_table(m):
+    els = [(r, f) for f in range(2) for r in range(m)]
+    return TableGroup.from_function(
+        els, lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % m, (x[1] + y[1]) % 2),
+        (0, 0)).table
+
+
 class TestTableGroup:
+    @pytest.mark.parametrize("table", [TableGroup.cyclic(n).table for n in (1, 2, 7, 12, 30)]
+                             + [_dihedral_table(m) for m in (2, 3, 5, 8)])
+    def test_associativity_agrees_with_triple_loop_on_groups(self, table):
+        assert _associative(table)
+        assert TableGroup(table).table == table
+
+    def test_associativity_agrees_with_triple_loop_on_loops_of_order_5(self):
+        squares = _reduced_latin_squares(5)
+        assert len(squares) == 56
+        verdicts = []
+        for table in squares:
+            try:
+                TableGroup(table)
+                verdicts.append(True)
+            except GroupError as exc:
+                assert str(exc) == "table is not associative"
+                verdicts.append(False)
+        assert verdicts == [_associative(t) for t in squares]
+        assert not all(verdicts)
+
+    @pytest.mark.parametrize("m", [3, 4, 6, 10])
+    @pytest.mark.parametrize("times_c2", [False, True])
+    def test_nonassociative_loop_rejected(self, m, times_c2):
+        table = _swapped_intercalate(m)
+        if times_c2:
+            table = _times_c2(table)
+            assert TableGroup(table, check=False).generators()[0] == 1
+        assert not _associative(table)
+        with pytest.raises(GroupError, match="table is not associative"):
+            TableGroup(table)
+
     def test_cyclic(self):
         c6 = TableGroup.cyclic(6)
         assert c6.order() == 6
