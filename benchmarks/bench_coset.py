@@ -10,8 +10,9 @@ each engine and the SHA-256 of the table; both engines must give
 byte-identical tables.  The pure engine runs in this process.  Each
 compiled case runs in a fresh child process, one at a time, which also
 records `peak_rss_mb`, the child's peak resident set (the interpreter and
-the imports included, about 30 MB).  On a checkout without the compiled
-engine the compiled fields are null and the full E7 case is left out.
+the imports included, about 30 MB; read from /proc, so Linux only).  On a
+checkout without the compiled engine the compiled fields are null and the
+full E7 case is left out.
 
 The run record also holds what `benchrun.start_run` records (machine,
 load, commit, `source_diff`) and the engine `fpgroups` loaded; it is
@@ -24,7 +25,6 @@ import argparse
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -54,14 +54,24 @@ def _sha(table):
     return hashlib.sha256(table.tobytes()).hexdigest()
 
 
+def _peak_rss_mb():
+    """The peak resident set of this process since it started (VmHWM).
+    Not ru_maxrss, which Linux carries across exec from the process that
+    forked this one, here the one that ran the pure engine."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return round(int(line.split()[1]) / 1024, 1)
+
+
 def child(name):
     """Run one case on the compiled engine in this process and print its
     record as JSON."""
     _, g, sub, _ = next(c for c in CASES if c[0] == name)
     table, seconds = _time(fpgroups._enumerate_compiled, g, sub)
-    print(json.dumps({
-        "compiled_s": seconds, "cosets": table.shape[0], "table_sha256": _sha(table),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+    peak = _peak_rss_mb()  # before _sha copies the table
+    print(json.dumps({"compiled_s": seconds, "cosets": table.shape[0],
+                      "table_sha256": _sha(table), "peak_rss_mb": peak}))
 
 
 def run_compiled(name):

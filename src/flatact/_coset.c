@@ -231,12 +231,13 @@ static int scan_and_fill(hlt *h, int64_t a, const int32_t *w, int64_t len)
 
 /* Number the live cosets 0, 1, ... in order and move their rows down in
  * place; an undefined entry stays -1 and p becomes the identity.  Returns
- * the new number of the first live coset at or after a (the live count
- * when there is none).  A parent is below its child, so in one ascending
- * pass p[i] becomes i's root, and in a second its root's new number. */
+ * the new number of the first live coset at or after row a < nrows (the
+ * live count when there is none).  A parent is below its child, so in one
+ * ascending pass p[i] becomes i's root, and in a second its root's new
+ * number. */
 static int64_t renumber(hlt *h, int64_t a)
 {
-    int64_t nl = h->nl, i, x, n = 0, first = -1;
+    int64_t nl = h->nl, i, x, n = 0, first = 0;
     int32_t *p = h->p, *tbl = h->tbl;
     for (i = 0; i < h->nrows; i++)
         p[i] = p[p[i]];
@@ -259,7 +260,7 @@ static int64_t renumber(hlt *h, int64_t a)
         p[i] = (int32_t)i;
     h->nrows = n;
     h->ndead = 0;
-    return first == -1 ? n : first;
+    return first;
 }
 
 static int run(hlt *h, const int32_t *letters, const int64_t *ends,
