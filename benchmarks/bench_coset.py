@@ -29,7 +29,7 @@ import subprocess
 import sys
 import time
 
-from benchrun import ROOT, finish_run, start_run
+from benchrun import ROOT, finish_run, peak_rss_mb, start_run
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -54,22 +54,12 @@ def _sha(table):
     return hashlib.sha256(table.tobytes()).hexdigest()
 
 
-def _peak_rss_mb():
-    """The peak resident set of this process since it started (VmHWM).
-    Not ru_maxrss, which Linux carries across exec from the process that
-    forked this one, here the one that ran the pure engine."""
-    with open("/proc/self/status") as fh:
-        for line in fh:
-            if line.startswith("VmHWM:"):
-                return round(int(line.split()[1]) / 1024, 1)
-
-
 def child(name):
     """Run one case on the compiled engine in this process and print its
     record as JSON."""
     _, g, sub, _ = next(c for c in CASES if c[0] == name)
     table, seconds = _time(fpgroups._enumerate_compiled, g, sub)
-    peak = _peak_rss_mb()  # before _sha copies the table
+    peak = peak_rss_mb()  # before _sha copies the table
     print(json.dumps({"compiled_s": seconds, "cosets": table.shape[0],
                       "table_sha256": _sha(table), "peak_rss_mb": peak}))
 

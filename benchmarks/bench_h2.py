@@ -6,7 +6,7 @@ A case records:
 
 * `wall_s` -- the `h2` call alone, module built beforehand;
 * `peak_rss_mb` -- the child's peak resident set (the interpreter and
-  the imports included, about 30 MB);
+  the imports included, about 30 MB; read from /proc, so Linux only);
 * `invariant_factors` of the H^2 it computed;
 * `status` -- "ok", "timeout" (killed at TIMEOUT_S), "memory" (a
   MemoryError under MEMORY_MB) or "error".
@@ -40,7 +40,7 @@ import subprocess
 import sys
 import time
 
-from benchrun import ROOT, finish_run, start_run
+from benchrun import ROOT, finish_run, peak_rss_mb, start_run
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -168,7 +168,7 @@ def child(name):
     wall = time.perf_counter() - t0
     print(json.dumps({
         "status": "ok", "wall_s": round(wall, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": peak_rss_mb(),
         "invariant_factors": list(coh.group.invariant_factors)}))
 
 

@@ -7,7 +7,8 @@ clean checkout), which names the tree that ran; then the machine and its
 load average.  `finish_run()` adds the load average after the run and
 appends the run to the `runs` list of the output file, so one file can
 hold runs of several checkouts: copy a script together with this module
-into another checkout and point `--out` at the same file.
+into another checkout and point `--out` at the same file.  A script's
+child processes read their peak memory with `peak_rss_mb()`.
 """
 
 import hashlib
@@ -45,6 +46,17 @@ def _machine():
         pass
     return {"platform": platform.platform(), "cpu": model or platform.processor(),
             "cores": os.cpu_count(), "python": platform.python_version()}
+
+
+def peak_rss_mb():
+    """The peak resident set of this process since it started (VmHWM), in
+    MB.  Not ru_maxrss, which Linux carries across exec from the process
+    that forked this one, so that a child started by a large process reads
+    at least that process's size.  Read from /proc, so Linux only."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return round(int(line.split()[1]) / 1024, 1)
 
 
 def start_run(**fields):

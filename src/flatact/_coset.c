@@ -1,6 +1,6 @@
 /* Compiled Todd-Coxeter coset enumeration (HLT with coincidences).
  *
- * The same algorithm as flatact/_coset_pure.py: the same define order,
+ * The same algorithm as fpgroups._enumerate_pure: the same define order,
  * coincidence queue and compaction, so the two return identical tables.
  * Generator i is letter 2*i, its inverse 2*i + 1.  The coset table is one
  * flat int32 buffer of capacity * 2*ngens entries.  Where the pure engine
@@ -46,39 +46,33 @@
  * minima.
  *
  * Plain C with no Python headers: flatact.fpgroups compiles this file into
- * a shared library and calls it through ctypes.
+ * a shared library and calls it through ctypes.  The first three entry
+ * points free their own state and hand their result over as one malloc'd
+ * int32 buffer: on FA_OK they set buf and its length, on an error status
+ * they free everything and set buf to NULL.
  *
- *   fa_enumerate(ngens, letters, ends, nsub, nwords, limit, &state, &nlive)
+ *   fa_enumerate(ngens, letters, ends, nsub, nwords, limit, &buf, &nlive)
  *       words[k] = letters[ends[k-1] .. ends[k]) (ends[-1] = 0); the first
- *       nsub words generate the subgroup, the rest are the relators.
- *       Returns FA_OK and sets state and nlive, or an error status (and
- *       frees everything): FA_LIMIT when more than limit cosets would be
- *       defined, dead cosets included.
- *   fa_compact(state, out)
- *       writes the nlive x 2*ngens table to out, unless out is NULL, and
- *       frees state.  fa_enumerate has already compacted it in place.
+ *       nsub words generate the subgroup, the rest are the relators.  buf
+ *       is the compacted nlive x 2*ngens table.  FA_LIMIT when more than
+ *       limit cosets would be defined, dead cosets included.
  *   fa_low_index(ngens, letters, ends, first, max_index, node_limit,
- *                &state, &nints)
+ *                &buf, &nints)
  *       the relator rotations are words as above; those that start with
- *       letter x are words first[x] .. first[x+1] - 1.  Returns FA_OK and
- *       sets state and nints (the length of the result), or an error
- *       status (and frees everything); FA_LIMIT when the search would
- *       visit more than node_limit nodes.
- *   fa_low_index_take(state, out)
- *       writes the result to out, unless out is NULL, and frees state: for
+ *       letter x are words first[x] .. first[x+1] - 1.  buf holds, for
  *       each complete table in the order found, its row count n and then
- *       its n x 2*ngens entries.
- *   fa_schreier_sims(n, ngens, gens, &state, &nints)
+ *       its n x 2*ngens entries.  FA_LIMIT when the search would visit
+ *       more than node_limit nodes.
+ *   fa_schreier_sims(n, ngens, gens, &buf, &nints)
  *       the chain of the group generated by the ngens permutations
- *       gens[k*n .. (k+1)*n) of 0..n-1.  Returns FA_OK and sets state and
- *       nints (the length of the result), or an error status (and frees
- *       everything): FA_BADARG when a generator is not a permutation.
- *   fa_schreier_sims_take(state, out)
- *       writes the result to out, unless out is NULL, and frees state: the
- *       level count, then for each level its point, generator count g and
- *       orbit length m, its g x n generators, its m orbit points in
- *       breadth-first order, the m x n transversal (row k maps the point
- *       to orbit point k) and the m x n inverses of its rows.
+ *       gens[k*n .. (k+1)*n) of 0..n-1.  buf holds the level count, then
+ *       for each level its point, generator count g and orbit length m,
+ *       its g x n generators, its m orbit points in breadth-first order,
+ *       the m x n transversal (row k maps the point to orbit point k) and
+ *       the m x n inverses of its rows.  FA_BADARG when a generator is not
+ *       a permutation.
+ *   fa_take(buf, n, out)
+ *       copies the n ints of buf to out, unless out is NULL, and frees buf.
  *   fa_min_labels(n, nmaps, maps, out)
  *       writes to out[i] the least index in the component of i among
  *       0..n-1 under the nmaps maps maps[k*n .. (k+1)*n) (int64).
@@ -90,6 +84,47 @@
 #include <string.h>
 
 enum { FA_OK = 0, FA_LIMIT = 1, FA_NOMEM = 2, FA_BADARG = 3 };
+
+void fa_take(int32_t *buf, int64_t n, int32_t *out)
+{
+    if (out && n)
+        memcpy(out, buf, (size_t)n * sizeof *out);
+    free(buf);
+}
+
+/* Resize *p to rows x n ints (and one more, so never to zero bytes); on
+ * failure *p is unchanged. */
+static int resize(int32_t **p, int64_t rows, int64_t n)
+{
+    int32_t *t;
+    if (n && rows > (int64_t)(SIZE_MAX / sizeof *t - 1) / n)
+        return FA_NOMEM;
+    if ((t = realloc(*p, (size_t)(rows * n + 1) * sizeof *t)) == NULL)
+        return FA_NOMEM;
+    *p = t;
+    return FA_OK;
+}
+
+/* Walk w[*i .. *j] forward from coset *f and backward from coset *b
+ * through defined entries.  Returns 1 when the walks meet, with every
+ * letter crossed, or else 0 with w[*i .. *j] the letters still undefined
+ * between *f and *b.  Inlined into both scans below. */
+static inline int scan(const int32_t *tbl, int64_t nl, const int32_t *w,
+                       int64_t *i, int64_t *j, int64_t *f, int64_t *b)
+{
+    int64_t t;
+    while (*i <= *j && (t = tbl[*f * nl + w[*i]]) != -1) {
+        *f = t;
+        ++*i;
+    }
+    if (*i > *j)
+        return 1;
+    while (*j >= *i && (t = tbl[*b * nl + (w[*j] ^ 1)]) != -1) {
+        *b = t;
+        --*j;
+    }
+    return *j < *i;
+}
 
 /* nrows rows in use, of which ndead dead; ndef cosets defined since the
  * start, renumbered ones included, for the limit. */
@@ -111,18 +146,13 @@ static void hlt_free(hlt *h)
 static int grow(hlt *h)
 {
     int64_t cap = h->cap ? 2 * h->cap : 1024;
-    int32_t *t;
+    int status;
     if (cap > (int64_t)INT32_MAX + 1)
         cap = (int64_t)INT32_MAX + 1;
-    if ((t = realloc(h->tbl, (size_t)(cap * h->nl + 1) * sizeof *t)) == NULL)
-        return FA_NOMEM;
-    h->tbl = t;
-    if ((t = realloc(h->p, (size_t)cap * sizeof *t)) == NULL)
-        return FA_NOMEM;
-    h->p = t;
-    if ((t = realloc(h->queue, (size_t)cap * sizeof *t)) == NULL)
-        return FA_NOMEM;
-    h->queue = t;
+    if ((status = resize(&h->tbl, cap, h->nl)) != FA_OK
+        || (status = resize(&h->p, cap, 1)) != FA_OK
+        || (status = resize(&h->queue, cap, 1)) != FA_OK)
+        return status;
     h->cap = cap;
     return FA_OK;
 }
@@ -199,26 +229,9 @@ static void coincidence(hlt *h, int64_t a, int64_t b)
 
 static int scan_and_fill(hlt *h, int64_t a, const int32_t *w, int64_t len)
 {
-    int64_t nl = h->nl, i = 0, j = len - 1, f = a, b = a, t;
+    int64_t nl = h->nl, i = 0, j = len - 1, f = a, b = a;
     int status;
-    for (;;) {
-        while (i <= j && (t = h->tbl[f * nl + w[i]]) != -1) {
-            f = t;
-            i++;
-        }
-        if (i > j) {
-            if (f != b)
-                coincidence(h, f, b);
-            return FA_OK;
-        }
-        while (j >= i && (t = h->tbl[b * nl + (w[j] ^ 1)]) != -1) {
-            b = t;
-            j--;
-        }
-        if (j < i) {
-            coincidence(h, f, b);
-            return FA_OK;
-        }
+    while (!scan(h->tbl, nl, w, &i, &j, &f, &b)) {
         if (j == i) {
             h->tbl[f * nl + w[i]] = (int32_t)b;
             h->tbl[b * nl + (w[i] ^ 1)] = (int32_t)f;
@@ -227,6 +240,9 @@ static int scan_and_fill(hlt *h, int64_t a, const int32_t *w, int64_t len)
         if ((status = define(h, f, w[i])) != FA_OK)
             return status;
     }
+    if (f != b)
+        coincidence(h, f, b);
+    return FA_OK;
 }
 
 /* Number the live cosets 0, 1, ... in order and move their rows down in
@@ -296,28 +312,14 @@ static int run(hlt *h, const int32_t *letters, const int64_t *ends,
     return FA_OK;
 }
 
-/* Renumber the live cosets, free p and the queue and shrink the table to
- * the live rows. */
-static void compact(hlt *h)
-{
-    int32_t *t;
-    renumber(h, 0);
-    free(h->p);
-    free(h->queue);
-    h->p = h->queue = NULL;
-    h->cap = h->nrows;
-    if ((t = realloc(h->tbl, (size_t)(h->nrows * h->nl + 1) * sizeof *t)) != NULL)
-        h->tbl = t;
-}
-
 int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
                  int64_t nsub, int64_t nwords, int64_t limit,
-                 void **state, int64_t *nlive)
+                 int32_t **buf, int64_t *nlive)
 {
     hlt *h;
     int64_t k, nletters = nwords > 0 ? ends[nwords - 1] : 0;
     int status;
-    *state = NULL;
+    *buf = NULL;
     if (ngens < 0 || nsub < 0 || nsub > nwords || limit > INT32_MAX)
         return FA_BADARG;
     for (k = 0; k < nletters; k++)
@@ -333,22 +335,17 @@ int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
         memset(h->tbl, 0xff, (size_t)h->nl * sizeof *h->tbl);
         status = run(h, letters, ends, nsub, nwords);
     }
-    if (status != FA_OK) {
-        hlt_free(h);
-        return status;
+    if (status == FA_OK) {
+        /* compact: renumber the live cosets, shrink the table to them and
+         * free p and the queue before the caller copies it */
+        renumber(h, 0);
+        resize(&h->tbl, h->nrows, h->nl);
+        *buf = h->tbl;
+        *nlive = h->nrows;
+        h->tbl = NULL;
     }
-    compact(h);
-    *state = h;
-    *nlive = h->nrows;
-    return FA_OK;
-}
-
-void fa_compact(void *state, int32_t *out)
-{
-    hlt *h = state;
-    if (out)
-        memcpy(out, h->tbl, (size_t)(h->nrows * h->nl) * sizeof *out);
     hlt_free(h);
+    return status;
 }
 
 /* ---- low-index subgroup search ---- */
@@ -421,19 +418,8 @@ static void li_set(lix *s, li_deduction *fr, int64_t a, int32_t x, int64_t b)
 static int li_scan(const lix *s, const int32_t *w, int64_t len, int64_t start,
                    int64_t *row, int32_t *letter, int64_t *image)
 {
-    int64_t nl = s->nl, i = 0, j = len - 1, f = start, b = start, t;
-    const int32_t *tbl = s->tbl;
-    while (i <= j && (t = tbl[f * nl + w[i]]) != -1) {
-        f = t;
-        i++;
-    }
-    if (i > j)
-        return f == b ? LI_OK : LI_FAIL;
-    while (j >= i && (t = tbl[b * nl + (w[j] ^ 1)]) != -1) {
-        b = t;
-        j--;
-    }
-    if (j < i)
+    int64_t i = 0, j = len - 1, f = start, b = start;
+    if (scan(s->tbl, s->nl, w, &i, &j, &f, &b))
         return f == b ? LI_OK : LI_FAIL;
     if (j > i)
         return LI_OK;   /* more than one gap: nothing to deduce yet */
@@ -496,12 +482,11 @@ static int li_record(lix *s)
     int64_t n = s->nrows * s->nl, need = s->nout + 1 + n;
     if (need > s->outcap) {
         int64_t cap = s->outcap ? 2 * s->outcap : 1024;
-        int32_t *t;
+        int status;
         while (cap < need)
             cap *= 2;
-        if ((t = realloc(s->out, (size_t)cap * sizeof *t)) == NULL)
-            return FA_NOMEM;
-        s->out = t;
+        if ((status = resize(&s->out, cap, 1)) != FA_OK)
+            return status;
         s->outcap = cap;
     }
     s->out[s->nout] = (int32_t)s->nrows;
@@ -592,12 +577,12 @@ static int li_search(lix *s, int64_t node_limit)
 
 int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
                  const int64_t *first, int64_t max_index, int64_t node_limit,
-                 void **state, int64_t *nints)
+                 int32_t **buf, int64_t *nints)
 {
     lix *s;
     int64_t k, x, nl = 2 * (int64_t)ngens, ncells;
     int status;
-    *state = NULL;
+    *buf = NULL;
     if (ngens < 0 || max_index < 1 || max_index > INT32_MAX || first[0] != 0)
         return FA_BADARG;
     for (x = 0; x < nl; x++)
@@ -632,21 +617,13 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
         memset(s->number, 0xff, (size_t)max_index * sizeof *s->number);
         status = li_search(s, node_limit);
     }
-    if (status != FA_OK) {
-        lix_free(s);
-        return status;
+    if (status == FA_OK) {
+        *buf = s->out;
+        *nints = s->nout;
+        s->out = NULL;
     }
-    *state = s;
-    *nints = s->nout;
-    return FA_OK;
-}
-
-void fa_low_index_take(void *state, int32_t *out)
-{
-    lix *s = state;
-    if (out && s->nout)
-        memcpy(out, s->out, (size_t)s->nout * sizeof *out);
     lix_free(s);
+    return status;
 }
 
 /* ---- class labels ---- */
@@ -727,18 +704,6 @@ static void ss_free(ssc *s)
     }
 }
 
-/* Resize *p to rows x n ints. */
-static int ss_resize(int32_t **p, int64_t rows, int64_t n)
-{
-    int32_t *t;
-    if (n && rows > (int64_t)(SIZE_MAX / sizeof *t) / n)
-        return FA_NOMEM;
-    if ((t = realloc(*p, (size_t)(rows * n + 1) * sizeof *t)) == NULL)
-        return FA_NOMEM;
-    *p = t;
-    return FA_OK;
-}
-
 static int ss_is_identity(const int32_t *g, int64_t n)
 {
     int64_t i;
@@ -791,7 +756,7 @@ static int ss_place(ssc *s, int64_t level)
         memset(lev->where, 0xff, (size_t)n * sizeof *lev->where);
     }
     if (lev->ngens == lev->gcap) {
-        if ((status = ss_resize(&lev->gens, lev->gcap ? 2 * lev->gcap : 4, n)) != FA_OK)
+        if ((status = resize(&lev->gens, lev->gcap ? 2 * lev->gcap : 4, n)) != FA_OK)
             return status;
         lev->gcap = lev->gcap ? 2 * lev->gcap : 4;
     }
@@ -821,9 +786,9 @@ static int ss_orbit(ssc *s, ss_level *lev, int32_t **gens, int64_t ng)
                 s->via[norb++] = (int32_t)j;
             }
         }
-    if ((status = ss_resize(&lev->orbit, norb, 1)) != FA_OK
-        || (status = ss_resize(&lev->trans, norb, n)) != FA_OK
-        || (status = ss_resize(&lev->inv, norb, n)) != FA_OK)
+    if ((status = resize(&lev->orbit, norb, 1)) != FA_OK
+        || (status = resize(&lev->trans, norb, n)) != FA_OK
+        || (status = resize(&lev->inv, norb, n)) != FA_OK)
         return status;
     lev->norbit = (int32_t)norb;
     memcpy(lev->orbit, order, (size_t)norb * sizeof *order);
@@ -886,12 +851,12 @@ static int ss_complete(ssc *s, int64_t level)
 }
 
 int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
-                     void **state, int64_t *nints)
+                     int32_t **buf, int64_t *nints)
 {
     ssc *s;
-    int64_t i, k, stop, level, total;
+    int64_t i, k, stop, level, total = 1;
     int status = FA_OK;
-    *state = NULL;
+    *buf = NULL;
     if (n < 0 || n > INT32_MAX || ngens < 0)
         return FA_BADARG;
     if ((s = calloc(1, sizeof *s)) == NULL)
@@ -924,25 +889,15 @@ int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
     }
     for (level = s->nlevels - 1; status == FA_OK && level >= 0; level--)
         status = ss_complete(s, level);
-    if (status != FA_OK) {
-        ss_free(s);
-        return status;
-    }
-    for (i = 0, total = 1; i < s->nlevels; i++)
+    for (i = 0; status == FA_OK && i < s->nlevels; i++)
         total += 3 + s->levels[i].ngens * n + s->levels[i].norbit * (1 + 2 * n);
-    *state = s;
-    *nints = total;
-    return FA_OK;
-}
-
-void fa_schreier_sims_take(void *state, int32_t *out)
-{
-    ssc *s = state;
-    int64_t n = s->n, i, m;
-    if (out) {
+    if (status == FA_OK && (status = resize(buf, total, 1)) == FA_OK) {
+        int32_t *out = *buf;
+        *nints = total;
         *out++ = (int32_t)s->nlevels;
         for (i = 0; i < s->nlevels; i++) {
             ss_level *lev = s->levels + i;
+            int64_t m;
             *out++ = lev->point;
             *out++ = (int32_t)lev->ngens;
             *out++ = lev->norbit;
@@ -957,4 +912,5 @@ void fa_schreier_sims_take(void *state, int32_t *out)
         }
     }
     ss_free(s);
+    return status;
 }

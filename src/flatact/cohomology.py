@@ -323,17 +323,12 @@ class CohomologyGroup:
         self.module = module
         self.degree = degree
         self.group = group
-        self.free_rank = 0
         self._cells_mid = cells_mid
         self._cells_in = cells_in
         self._basis = basis          # k x N_mid, rows span the cocycle lattice
         self._proj = proj            # group.rank x k
         self._din = din              # N_mid x N_in incoming differential
         self._solver = solver          # EchelonSolver of basis, None without rows
-
-    @property
-    def order(self):
-        return self.group.order
 
     def _flatten(self, value_of):
         n = self.module.rank
@@ -612,7 +607,6 @@ class CyclicCohomology:
         moduli = self.factors if self.factors is not None else (0,) * n
         if any(x % f if f else x for row, f in zip((power + (-ident)).data, moduli) for x in row):
             raise CohomologyError("matrix does not have the stated order")
-        self.norm = norm
         tm1 = t_matrix + (-ident)
         ker_of, im_of = (tm1, norm) if degree == 2 else (norm, tm1)
 

@@ -16,8 +16,8 @@ compiled with `cc -O2 -shared -fPIC` into the per-user cache directory
 made from the SHA-256 of the source, the compile command and the
 interpreter's cache tag, so later imports only load it.  If anything fails
 (no compiler, an unwritable or foreign cache, a load error), ENGINE is
-"pure" and the pure-Python engines run instead: `_coset_pure`,
-`_low_index_pure`, `StabilizerChain._schreier_sims` and
+"pure" and the pure-Python engines run instead: `_enumerate_pure`,
+`_low_index_pure`, `groups.StabilizerChain._schreier_sims` and
 `groups._min_labels`.  They are also the differential-testing references.
 Both engines give identical tables, chains and labels, and the low-index
 searches visit the same nodes.
@@ -41,7 +41,6 @@ except ImportError:
         from hashlib import sha256
 
 from flatact import BoundExceeded
-from flatact._coset_pure import CosetLimitExceeded, enumerate_cosets as _enumerate_pure
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coset.c")
 _CC = ("cc", "-O2", "-shared", "-fPIC")
@@ -85,29 +84,17 @@ def _load_compiled():
                 os.unlink(tmp)
     _check_owned(path, private=False)
     lib = ctypes.CDLL(path)
-    lib.fa_enumerate.restype = ctypes.c_int
-    lib.fa_enumerate.argtypes = [
-        ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_void_p),
-        ctypes.POINTER(ctypes.c_int64)]
-    lib.fa_compact.restype = None
-    lib.fa_compact.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-    lib.fa_low_index.restype = ctypes.c_int
-    lib.fa_low_index.argtypes = [
-        ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_void_p),
-        ctypes.POINTER(ctypes.c_int64)]
-    lib.fa_low_index_take.restype = None
-    lib.fa_low_index_take.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-    lib.fa_schreier_sims.restype = ctypes.c_int
-    lib.fa_schreier_sims.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-        ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
-    lib.fa_schreier_sims_take.restype = None
-    lib.fa_schreier_sims_take.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-    lib.fa_min_labels.restype = ctypes.c_int
-    lib.fa_min_labels.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    # the buffer and length out-parameters whose result goes to fa_take
+    result = [ctypes.POINTER(ptr), ctypes.POINTER(i64)]
+    for name, restype, argtypes in (
+            ("fa_enumerate", ctypes.c_int, [i32, ptr, ptr, i64, i64, i64] + result),
+            ("fa_low_index", ctypes.c_int, [i32, ptr, ptr, ptr, i64, i64] + result),
+            ("fa_schreier_sims", ctypes.c_int, [i64, i64, ptr] + result),
+            ("fa_take", None, [ptr, i64, ptr]),
+            ("fa_min_labels", ctypes.c_int, [i64, i64, ptr, ptr])):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
     return lib
 
 
@@ -117,18 +104,18 @@ except Exception as exc:  # any failure leaves the pure engine
     _LIB, _LOAD_ERROR = None, exc
 
 
-def _run_compiled(entry, take, args, errors, width=None):
-    """Call the compiled `entry` with `args` and its state and length
+def _run_compiled(entry, args, errors, width=None):
+    """Call the compiled `entry` with `args` and its buffer and length
     out-parameters, and hand its result over to a new int32 array.
 
     A nonzero status raises errors[status - 1]: the limit, memory and
     argument errors of the C engine's FA_LIMIT, FA_NOMEM and FA_BADARG.
-    Otherwise `take` writes the result into an array of that length (rows
-    of `width` entries, if given) and frees the state, also when the array
+    Otherwise `fa_take` copies the buffer into an array of that length
+    (rows of `width` entries, if given) and frees it, also when the array
     cannot be allocated."""
-    state = ctypes.c_void_p()
+    buf = ctypes.c_void_p()
     length = ctypes.c_int64()
-    status = entry(*args, ctypes.byref(state), ctypes.byref(length))
+    status = entry(*args, ctypes.byref(buf), ctypes.byref(length))
     if status:
         raise errors[status - 1]
     shape = length.value if width is None else (length.value, width)
@@ -136,30 +123,12 @@ def _run_compiled(entry, take, args, errors, width=None):
     try:
         out = np.empty(shape, dtype=np.int32)
     finally:
-        take(state, None if out is None else out.ctypes.data)
+        _LIB.fa_take(buf, 0 if out is None else out.size,
+                     None if out is None else out.ctypes.data)
     return out
 
 
-def _enumerate_compiled(ngens, relators, subgens, coset_limit):
-    """Compiled twin of flatact._coset_pure.enumerate_cosets.  Raises
-    MemoryError when the table does not fit, and ValueError for a limit
-    above 2**31 - 1 or a letter out of range."""
-    subs = [tuple(w) for w in subgens]
-    words = subs + [tuple(w) for w in relators]
-    letters = np.array([x for w in words for x in w], dtype=np.int32)
-    ends = np.cumsum([len(w) for w in words], dtype=np.int64)
-    return _run_compiled(
-        _LIB.fa_enumerate, _LIB.fa_compact,
-        (ngens, letters.ctypes.data, ends.ctypes.data, len(subs), len(words),
-         max(0, min(coset_limit, _INT32_MAX + 1))),
-        (CosetLimitExceeded("coset limit %d exceeded" % coset_limit),
-         MemoryError("coset table does not fit in memory"),
-         ValueError("coset limit above 2**31 - 1 or letter out of range")),
-        width=2 * ngens)
-
-
 ENGINE = "compiled" if _LIB is not None else "pure"
-_enumerate = _enumerate_compiled if _LIB is not None else _enumerate_pure
 
 DEFAULT_COSET_LIMIT = 10 ** 6
 DEFAULT_NODE_LIMIT = 10 ** 7
@@ -171,6 +140,10 @@ class PresentationError(Exception):
 
 class SearchBoundExceeded(BoundExceeded):
     """A configured search bound (cosets, nodes) was exceeded."""
+
+
+class CosetLimitExceeded(BoundExceeded):
+    """A coset enumeration would define more cosets than its limit."""
 
 
 def free_reduce(word):
@@ -365,6 +338,153 @@ def _validate_table(g, table):
             raise PresentationError("coset table does not satisfy relator %r" % (w,))
 
 
+# ---------------------------------------------------------------------------
+# Todd-Coxeter coset enumeration
+# ---------------------------------------------------------------------------
+
+def _enumerate_pure(ngens, relators, subgens, coset_limit):
+    """HLT enumeration of the cosets of <subgens> in the group presented
+    by `relators` (all words as tuples of letters).
+
+    Returns the compacted closed coset table as an int32 array of shape
+    (live cosets, 2*ngens); coset 0 is the subgroup.  Raises
+    CosetLimitExceeded when more than coset_limit cosets would be defined
+    (dead ones included).
+    """
+    nl = 2 * ngens
+    UNDEF = -1
+    table = [[UNDEF] * nl]
+    p = [0]
+
+    def rep(c):
+        while p[c] != c:
+            p[c] = p[p[c]]
+            c = p[c]
+        return c
+
+    def define(a, x):
+        if len(table) >= coset_limit:
+            raise CosetLimitExceeded("coset limit %d exceeded" % coset_limit)
+        b = len(table)
+        table.append([UNDEF] * nl)
+        p.append(b)
+        table[a][x] = b
+        table[b][x ^ 1] = a
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(u, v):
+            u = rep(u)
+            v = rep(v)
+            if u != v:
+                if u > v:
+                    u, v = v, u
+                p[v] = u
+                queue.append(v)
+
+        merge(a, b)
+        qi = 0
+        while qi < len(queue):
+            y = queue[qi]
+            qi += 1
+            row = table[y]
+            for x in range(nl):
+                d = row[x]
+                if d != UNDEF:
+                    table[d][x ^ 1] = UNDEF
+                    row[x] = UNDEF
+                    mu = rep(y)
+                    nu = rep(d)
+                    t = table[mu][x]
+                    if t != UNDEF:
+                        merge(nu, t)
+                    else:
+                        t2 = table[nu][x ^ 1]
+                        if t2 != UNDEF:
+                            merge(mu, t2)
+                        else:
+                            table[mu][x] = nu
+                            table[nu][x ^ 1] = mu
+
+    def scan_and_fill(a, w):
+        i = 0
+        j = len(w) - 1
+        f = a
+        b = a
+        while True:
+            while i <= j:
+                t = table[f][w[i]]
+                if t == UNDEF:
+                    break
+                f = t
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i:
+                t = table[b][w[j] ^ 1]
+                if t == UNDEF:
+                    break
+                b = t
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            define(f, w[i])
+
+    for w in subgens:
+        scan_and_fill(0, w)
+    a = 0
+    while a < len(table):
+        if rep(a) != a:
+            a += 1
+            continue
+        for w in relators:
+            scan_and_fill(a, w)
+            if rep(a) != a:
+                break
+        if rep(a) == a:
+            row = table[a]
+            for x in range(nl):
+                if row[x] == UNDEF:
+                    define(a, x)
+        a += 1
+
+    live = [i for i in range(len(table)) if rep(i) == i]
+    renumber = {old: new for new, old in enumerate(live)}
+    out = np.empty((len(live), nl), dtype=np.int32)
+    for new, i in enumerate(live):
+        out[new] = [renumber[rep(c)] for c in table[i]]
+    return out
+
+
+def _enumerate_compiled(ngens, relators, subgens, coset_limit):
+    """Compiled twin of _enumerate_pure.  Raises
+    MemoryError when the table does not fit, and ValueError for a limit
+    above 2**31 - 1 or a letter out of range."""
+    subs = [tuple(w) for w in subgens]
+    words = subs + [tuple(w) for w in relators]
+    letters = np.array([x for w in words for x in w], dtype=np.int32)
+    ends = np.cumsum([len(w) for w in words], dtype=np.int64)
+    return _run_compiled(
+        _LIB.fa_enumerate,
+        (ngens, letters.ctypes.data, ends.ctypes.data, len(subs), len(words),
+         max(0, min(coset_limit, _INT32_MAX + 1))),
+        (CosetLimitExceeded("coset limit %d exceeded" % coset_limit),
+         MemoryError("coset table does not fit in memory"),
+         ValueError("coset limit above 2**31 - 1 or letter out of range")),
+        width=2 * ngens)
+
+
+_enumerate = _enumerate_compiled if _LIB is not None else _enumerate_pure
+
+
 def todd_coxeter(g, subgroup_words=(), coset_limit=DEFAULT_COSET_LIMIT):
     """Enumerate the cosets of the subgroup generated by `subgroup_words`
     (signed words) in the group presented by g.
@@ -542,7 +662,7 @@ def _low_index_compiled(rotations, max_index, node_limit):
     ends = np.cumsum([len(w) for w in words], dtype=np.int64)
     first = np.cumsum([0] + [len(rots) for rots in rotations], dtype=np.int64)
     out = _run_compiled(
-        _LIB.fa_low_index, _LIB.fa_low_index_take,
+        _LIB.fa_low_index,
         (nl // 2, letters.ctypes.data, ends.ctypes.data, first.ctypes.data,
          max_index, min(node_limit, 2 ** 63 - 1)),
         (SearchBoundExceeded("low-index node limit %d exceeded" % node_limit),
@@ -637,14 +757,18 @@ def _is_least_standard(table):
 # Schreier rewriting and presentation simplification
 # ---------------------------------------------------------------------------
 
-def _spanning_tree(table):
-    """Coset representative words (as engine letters) via a row-major
-    spanning tree from coset 0; also returns the set of tree edges
-    (coset, positive letter) in both directions as (coset, letter)."""
+def _schreier_edges(table):
+    """The Schreier generators of the subgroup at coset 0 of a closed
+    table, one per edge off a row-major spanning tree from coset 0.
+
+    Returns the set of tree edges, in both directions as (coset, letter),
+    and a dict that maps each edge (a, x) off the tree, x a positive
+    letter, in row-major order, to its freely reduced signed word
+    rep[a]·x·rep[a.x]⁻¹, where rep[c] is the tree path from 0 to c."""
     n, nl = table.shape
     reps = {0: ()}
     order = [0]
-    tree_edges = set()
+    tree = set()
     i = 0
     while i < len(order):
         a = order[i]
@@ -653,32 +777,26 @@ def _spanning_tree(table):
             if b not in reps:
                 reps[b] = reps[a] + (x,)
                 order.append(b)
-                tree_edges.add((a, x))
-                tree_edges.add((b, x ^ 1))
+                tree.add((a, x))
+                tree.add((b, x ^ 1))
         i += 1
     if len(reps) != n:
         raise PresentationError("coset table is not transitive")
-    return reps, tree_edges
+    words = {(a, x): free_reduce(letters_to_word(reps[a] + (x,))
+                                 + invert_word(letters_to_word(reps[int(table[a, x])])))
+             for a in range(n) for x in range(0, nl, 2) if (a, x) not in tree}
+    return tree, words
 
 
 def schreier_generators(ct):
     """Schreier generators of the subgroup at coset 0, as freely reduced
     signed words in the ambient generators (trivial words omitted)."""
-    table = ct.table
-    n, nl = table.shape
-    reps, tree = _spanning_tree(table)
     gens = []
     seen = set()
-    for a in range(n):
-        for x in range(0, nl, 2):
-            if (a, x) in tree:
-                continue
-            b = int(table[a, x])
-            word = free_reduce(letters_to_word(reps[a] + (x,))
-                               + invert_word(letters_to_word(reps[b])))
-            if word and word not in seen and invert_word(word) not in seen:
-                seen.add(word)
-                gens.append(word)
+    for word in _schreier_edges(ct.table)[1].values():
+        if word and word not in seen and invert_word(word) not in seen:
+            seen.add(word)
+            gens.append(word)
     return gens
 
 
@@ -691,18 +809,9 @@ def rewrite_subgroup_presentation(ct):
     group's generators.
     """
     table = ct.table
-    n, nl = table.shape
-    reps, tree = _spanning_tree(table)
-    gen_index = {}
-    gen_words = []
-    for a in range(n):
-        for x in range(0, nl, 2):
-            if (a, x) in tree:
-                continue
-            gen_index[(a, x)] = len(gen_words)
-            word = free_reduce(letters_to_word(reps[a] + (x,))
-                               + invert_word(letters_to_word(reps[int(table[a, x])])))
-            gen_words.append(word)
+    tree, words = _schreier_edges(table)
+    gen_index = {edge: k for k, edge in enumerate(words)}
+    gen_words = list(words.values())
 
     def rewrite(start, letters):
         out = []
@@ -722,7 +831,7 @@ def rewrite_subgroup_presentation(ct):
     relators = []
     for w in ct.group.relators:
         letters = word_to_letters(w)
-        for a in range(n):
+        for a in range(table.shape[0]):
             r = rewrite(a, letters)
             if r:
                 relators.append(r)
@@ -758,13 +867,18 @@ def _relator_canon(word):
     return best
 
 
-def tietze_simplify(ngens, relators, gen_words, max_solve_len=200):
+# the longest relator that tietze_simplify solves for a generator
+_TIETZE_MAX_SOLVE_LEN = 200
+
+
+def tietze_simplify(ngens, relators, gen_words):
     """Eliminate redundant generators from a presentation.
 
-    A generator occurring exactly once in some relator is solved for and
-    substituted away.  Returns (FpGroup, generator_words) with generator
-    numbering compacted; gen_words tracks each surviving generator as a
-    word in an ambient alphabet and is substituted consistently.
+    A generator occurring exactly once in some relator of length at most
+    _TIETZE_MAX_SOLVE_LEN is solved for and substituted away.  Returns
+    (FpGroup, generator_words) with generator numbering compacted;
+    gen_words tracks each surviving generator as a word in an ambient
+    alphabet and is substituted consistently.
     """
     relators = [cyclic_reduce(tuple(w)) for w in relators]
     gen_words = [tuple(w) for w in gen_words]
@@ -791,7 +905,7 @@ def tietze_simplify(ngens, relators, gen_words, max_solve_len=200):
         # prefer eliminations whose solving relator is short
         best = None
         for ri, w in enumerate(relators):
-            if len(w) > max_solve_len:
+            if len(w) > _TIETZE_MAX_SOLVE_LEN:
                 continue
             for pos, s in enumerate(w):
                 gen = abs(s)

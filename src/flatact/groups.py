@@ -11,6 +11,9 @@ The stabilizer chain is built by the compiled engine of `fpgroups`
 the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
 give identical levels.  Likewise the conjugacy-class labels of an
 `ElementIndex` come from `fa_min_labels`, or else from `_min_labels`.
+These are two of the engine's four pure twins; the other two,
+`fpgroups._enumerate_pure` and `fpgroups._low_index_pure`, are in
+`fpgroups`.
 """
 
 import math
@@ -162,10 +165,8 @@ def _schreier_sims_compiled(generators, degree):
     when the chain does not fit."""
     gens = np.array(generators, dtype=np.int32).reshape(len(generators), degree)
     bad = ValueError("generator is not a permutation of 0..degree-1")
-    lib = fpgroups._LIB
     out = fpgroups._run_compiled(
-        lib.fa_schreier_sims, lib.fa_schreier_sims_take,
-        (degree, len(gens), gens.ctypes.data),
+        fpgroups._LIB.fa_schreier_sims, (degree, len(gens), gens.ctypes.data),
         (bad, MemoryError("stabilizer chain does not fit in memory"), bad))
     # per level: point, generator count, orbit length, the generators, the
     # orbit, its transversal and the inverses
@@ -575,11 +576,10 @@ class TableGroup(FiniteGroup):
     """Multiplication-table group; elements are indices 0..n-1 with the
     identity at index `identity_index`."""
 
-    def __init__(self, table, identity_index=0, names=None, check=True):
+    def __init__(self, table, identity_index=0, check=True):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
         self.e = identity_index
-        self.names = names
         self._gens = None
         if check:
             self._check_axioms()

@@ -717,9 +717,6 @@ class FinAbGroup:
         return " x ".join("Z/%d" % f for f in self.invariant_factors)
 
 
-LATTICE = "lattice"
-
-
 @dataclass(frozen=True)
 class AbHom:
     """Homomorphism between a lattice Z^n (given by its rank) and/or a

@@ -162,6 +162,13 @@ class TestVerify:
         cert = write("c.json", json.dumps(d))
         assert main(["verify-torus", cert]) == EXIT_MALFORMED
 
+    @pytest.mark.parametrize("rho", [[[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], [[[2, 0], [0, 1]]]],
+                             ids=["wrong-size", "not-unimodular"])
+    def test_bad_rho_is_malformed(self, write, rho):
+        d = build_a4_certificate().to_dict()
+        d["rho"] = rho
+        assert main(["verify-torus", write("c.json", json.dumps(d))]) == EXIT_MALFORMED
+
     def test_invalid_json_is_malformed(self, write):
         cert = write("c.json", "{not json")
         assert main(["verify-torus", cert]) == EXIT_MALFORMED

@@ -1,10 +1,12 @@
 """Source hygiene that no linter checks here: every name a module of the
 package imports is used in that module, every private function, class
 and method of the package is used somewhere in it, every local that a
-function assigns is read, and the C engine compiles without a warning."""
+function assigns is read, every entry point of the C engine is declared
+to ctypes and called, and the C engine compiles without a warning."""
 
 import ast
 import pathlib
+import re
 import shutil
 import subprocess
 from collections import Counter
@@ -155,6 +157,41 @@ def test_the_check_sees_an_unused_local():
            "def k():\n    global G\n    G = 1\n    kept = 2\n"
            "    return lambda: kept\n")
     assert unused_locals(src) == ["f.dead", "g.stale"]
+
+
+def exported_c_functions(source):
+    """The `fa_` functions that C `source` gives external linkage, sorted:
+    those whose definition or declaration starts a line with its return
+    type rather than `static`."""
+    return sorted(set(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(fa_\w+)\(", source, re.M)))
+
+
+def loaded_c_functions(source):
+    """The `fa_` names that `_load_compiled` of the fpgroups `source`
+    declares, sorted."""
+    (func,) = [n for n in ast.parse(source).body
+               if isinstance(n, ast.FunctionDef) and n.name == "_load_compiled"]
+    return sorted({n.value for n in ast.walk(func) if isinstance(n, ast.Constant)
+                   and isinstance(n.value, str) and n.value.startswith("fa_")})
+
+
+def test_c_entry_points_are_declared_and_called():
+    declared = loaded_c_functions((PACKAGE / "fpgroups.py").read_text())
+    assert exported_c_functions((PACKAGE / "_coset.c").read_text()) == declared
+    read = {name for p in PACKAGE.glob("*.py") for name in _referenced(ast.parse(p.read_text()))}
+    assert [name for name in declared if name not in read] == []
+
+
+def test_the_check_sees_a_c_entry_point():
+    src = ("/* Entry points:\n *   fa_documented(n)\n */\n"
+           "static int fa_helper(int n)\n{\n    return n;\n}\n\n"
+           "int fa_run(int32_t n,\n           int32_t **buf)\n{\n    return 0;\n}\n\n"
+           "void fa_take(int32_t *buf, int64_t n, int32_t *out)\n{\n}\n")
+    assert exported_c_functions(src) == ["fa_run", "fa_take"]
+    loader = ("def _load_compiled():\n"
+              "    for name in ('fa_run', 'fa_take'):\n        pass\n"
+              "def other():\n    return 'fa_elsewhere'\n")
+    assert loaded_c_functions(loader) == ["fa_run", "fa_take"]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
