@@ -280,6 +280,24 @@ class TestEngines:
         assert fpgroups._enumerate_compiled(1, rels, [], 2 ** 31 - 1).shape == (2, 2)
         assert fpgroups._enumerate_compiled(0, [], [], 0).shape == (1, 0)
 
+    @needs_cc
+    def test_a_failed_array_still_frees_the_buffer(self, monkeypatch):
+        lib, taken = fpgroups._LIB, []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def fa_take(self, buf, n, out):
+                taken.append((bool(buf), n, out))
+                lib.fa_take(buf, n, out)
+
+        monkeypatch.setattr(fpgroups, "_LIB", Recording())
+        with mock.patch.object(np, "empty", side_effect=MemoryError), \
+                pytest.raises(MemoryError):
+            fpgroups._enumerate_compiled(1, [(0, 0)], [], 10)
+        assert taken == [(True, 0, None)]
+
     @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
                         reason="needs a C compiler and /proc")
     def test_allocation_failure_is_memory_error(self):
