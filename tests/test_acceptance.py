@@ -5,6 +5,7 @@ and prints a single pass/fail line.  Budgets are asserted, not skipped:
 exceeding a budget fails the criterion.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -219,6 +220,9 @@ def test_criterion_06_a9_chain():
         for s in report["epimorphism_searches"]:
             assert s["epimorphisms"] == 0
         assert report["no_a9_action_in_dimension_7"] is True
+        # the whole report, as benchmarks/digest_outputs.py hashes it
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "dd92ac09af0c186a06fc8931fd51ee0088918287b2bac95154fb15032fdab8e0"
 
 
 def test_criterion_07_snf_hnf_properties():

@@ -425,3 +425,57 @@ class TestSparseBarComplex:
         module = trivial_lattice_module(TableGroup.cyclic(2), rank=3)
         with pytest.raises(CohomologyBoundExceeded):
             h2(module, rank_bound=2)
+
+
+def _rank0_modules():
+    """(name, group, coefficients, generator matrices) with no cohomology
+    to find: the trivial group on Z^2 and (Z/2)^2, and C3 on the rank-0
+    lattice and on the trivial finite group."""
+    one, c3 = TableGroup.cyclic(1), TableGroup.cyclic(3)
+    empty = IntMatrix.zero(0, 0)
+    return [("1 on Z^2", one, 2, [], FinAbGroup((2, 2))),
+            ("1 on (Z/2)^2", one, FinAbGroup((2, 2)), [], FinAbGroup((2, 2))),
+            ("C3 on Z^0", c3, 0, [empty], FinAbGroup(())),
+            ("C3 on 0", c3, FinAbGroup(()), [empty], FinAbGroup(()))]
+
+
+class TestTrivialCases:
+    """The trivial group and rank-0 modules: every group is 0, the zero
+    cochain has class 0, and the zero class has a zero representative and
+    a zero witness."""
+
+    @pytest.mark.parametrize("name,group,coeff,mats,_", _rank0_modules(),
+                             ids=[c[0] for c in _rank0_modules()])
+    def test_h1_and_h2_vanish(self, name, group, coeff, mats, _):
+        module = ZQModule(group, coeff, mats)
+        zero = module.zero()
+        els = group.elements()
+        cocycle2 = h2(module)
+        assert cocycle2.group.invariant_factors == ()
+        assert cocycle2.class_of(Cocycle2.zero(module)) == ()
+        rep = cocycle2.representative(())
+        assert all(rep.value(g, h) == zero for g in els for h in els)
+        witness = cocycle2.coboundary_witness(Cocycle2.zero(module))
+        assert all(v == zero for v in witness.values())
+        cocycle1 = h1(module)
+        assert cocycle1.group.invariant_factors == ()
+        assert cocycle1.class_of({}) == ()
+        rep = cocycle1.representative(())
+        assert all(rep.get(g, zero) == zero for g in els)
+
+    @pytest.mark.parametrize("name,group,coeff,mats,target", _rank0_modules(),
+                             ids=[c[0] for c in _rank0_modules()])
+    def test_induced_map_on_zero_groups(self, name, group, coeff, mats, target):
+        source = ZQModule(group, coeff, mats)
+        rank = source.rank
+        alpha = AbHom(coeff, target, IntMatrix.identity(rank))
+        ind = induced_h2(alpha, h2(source), h2(ZQModule.finite(group, target, mats)))
+        assert ind.matrix.rows == ind.matrix.cols == 0
+        assert is_in_image((), ind) == ()
+
+    def test_non_cocycle_rejected_when_h2_is_zero(self):
+        group, module = cyclic_with_matrix(2, IntMatrix.from_rows([[-1]]))
+        coh = h2(module)
+        assert coh.group.invariant_factors == ()
+        with pytest.raises(CohomologyError, match="not a cocycle"):
+            coh.class_of(Cocycle2(module, {(1, 1): (1,)}))
