@@ -661,9 +661,7 @@ def verify_flat_certificate(cert):
     for hg in h_phi.generators():
         rho_m = star_mod.act_matrix(lookup[hg])
         cols = [n_coords(rho_m.apply(basis.row(j))) for j in range(basis.rows)]
-        gen_mats.append(IntMatrix.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(basis.rows)]
-        ))
+        gen_mats.append(IntMatrix.from_columns(cols, basis.rows))
     sub_mod = ZQModule.lattice(h_phi, gen_mats, rank=basis.rows)
 
     # 8. phi acts effectively on N (independent re-check)

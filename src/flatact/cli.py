@@ -118,7 +118,7 @@ def _parse_module(text, group, path):
         body = take(rows * cols)
         mats.append(IntMatrix.from_rows(
             [[int(body[r * cols + c]) for c in range(cols)]
-             for r in range(rows)]))
+             for r in range(rows)], cols))
     if pos != len(tokens):
         raise _Malformed("%s: trailing data in module file" % path)
     if kind == "lattice":

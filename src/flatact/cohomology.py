@@ -12,7 +12,9 @@ The two engines find their lattices independently (the bar complex
 through sparse_kernel_hnf, the periodic one through the dense
 kernel_basis) and then take the same one quotient step, `_quotient`:
 the cocycle lattice, given by its Hermite basis, modulo the coboundaries,
-as a FinAbGroup with the projection onto its coordinates.
+as a FinAbGroup with the projection onto its coordinates.  The trivial
+group and rank-0 modules take the same path: their cochain spaces are
+empty, and the empty matrices keep their shapes.
 The torsion-freeness test for crystallographic extensions lives here too,
 in two independent implementations (linear-system element search and
 restriction classes).
@@ -287,10 +289,7 @@ def _quotient(basis, imgens):
     echelon matrix) by the sublattice that the vectors `imgens` generate,
     which must lie in it: (the quotient as a FinAbGroup, the matrix taking
     coordinates over the basis rows to coordinates in it, an EchelonSolver
-    of basis or None when basis has no rows)."""
-    k = basis.rows
-    if k == 0:
-        return FinAbGroup(()), IntMatrix.zero(0, 0), None
+    of basis)."""
     solver = EchelonSolver(basis)
     ycols = []
     for gvec in imgens:
@@ -298,14 +297,11 @@ def _quotient(basis, imgens):
         if y is None:
             raise CohomologyError("coboundary outside the cocycle lattice")
         ycols.append(y)
-    ymat = IntMatrix.from_rows(
-        [[ycols[j][i] for j in range(len(ycols))] for i in range(k)]
-    ) if ycols else IntMatrix.zero(k, 0)
-    (group, free_rank), projection = cokernel(AbHom(ymat.cols, k, ymat))
+    ymat = IntMatrix.from_columns(ycols, basis.rows)
+    (group, free_rank), projection = cokernel(AbHom(ymat.cols, basis.rows, ymat))
     if free_rank:
         raise CohomologyError("unexpected free part in finite-group cohomology")
-    proj = projection.matrix if projection is not None else IntMatrix.zero(0, k)
-    return group, proj, solver
+    return group, projection.matrix, solver
 
 
 class CohomologyGroup:
@@ -328,7 +324,7 @@ class CohomologyGroup:
         self._basis = basis          # k x N_mid, rows span the cocycle lattice
         self._proj = proj            # group.rank x k
         self._din = din              # N_mid x N_in incoming differential
-        self._solver = solver          # EchelonSolver of basis, None without rows
+        self._solver = solver        # EchelonSolver of basis
 
     def _flatten(self, value_of):
         n = self.module.rank
@@ -355,22 +351,10 @@ class CohomologyGroup:
 
     def class_of(self, cochain):
         """Class coordinates of a cocycle, as a tuple in `group`."""
-        if self.group.rank == 0:
-            self._check_is_cocycle(cochain)
-            return ()
-        v = self._flatten_cochain(cochain)
-        y = self._solver.solve(v)
+        y = self._solver.solve(self._flatten_cochain(cochain))
         if y is None:
             raise CohomologyError("cochain is not a cocycle")
         return self.group.reduce(self._proj.apply(y))
-
-    def _check_is_cocycle(self, cochain):
-        if self._basis.rows == 0:
-            if any(self._flatten_cochain(cochain)):
-                raise CohomologyError("cochain is not a cocycle")
-            return
-        if self._solver.solve(self._flatten_cochain(cochain)) is None:
-            raise CohomologyError("cochain is not a cocycle")
 
     def coboundary_witness(self, cochain):
         """A 1-cochain (degree 2) or coefficient vector (degree 1) whose
@@ -378,11 +362,7 @@ class CohomologyGroup:
         nonzero."""
         v = self._flatten_cochain(cochain)
         factors = self.module.invariant_factors
-        if self._din.cols == 0:
-            if any(v):
-                return None
-            b = ()
-        elif factors is None:
+        if factors is None:
             b = solve_integer(self._din, v)
         else:
             n = self.module.rank
@@ -396,12 +376,9 @@ class CohomologyGroup:
     def representative(self, coords):
         """A cocycle with the given class coordinates."""
         coords = self.group.reduce(coords)
-        if self.group.rank == 0:
-            y = (0,) * self._basis.rows
-        else:
-            y = solve_modulo(self._proj, self.group.invariant_factors, coords)
-            if y is None:
-                raise CohomologyError("coordinates outside the group")
+        y = solve_modulo(self._proj, self.group.invariant_factors, coords)
+        if y is None:
+            raise CohomologyError("coordinates outside the group")
         v = [0] * (len(self._cells_mid) * self.module.rank)
         for i, yi in enumerate(y):
             if yi:
@@ -420,20 +397,12 @@ class CohomologyGroup:
         return reps
 
 
-def _trivial_cohomology(module, degree):
-    zero = IntMatrix.zero(0, 0)
-    return CohomologyGroup(module, degree, FinAbGroup(()), [], [],
-                           zero, IntMatrix.zero(0, 0), zero, None)
-
-
 def _bar_cohomology(module, degree):
     grp = module.group
     n = module.rank
     els = grp.elements()
     e = grp.identity()
     nt = [x for x in els if x != e]
-    if not nt or n == 0:
-        return _trivial_cohomology(module, degree)
     idx = {x: i for i, x in enumerate(nt)}
     m = len(nt)
 
@@ -533,7 +502,7 @@ def _bar_cohomology(module, degree):
     for drow, row in zip(din, coboundary(degree - 1, range(m))):
         for c, v in row.items():
             drow[c] = v
-    din = IntMatrix.from_rows(din)
+    din = IntMatrix.from_rows(din, n_in)
 
     # coboundary lattice generators: columns of din, plus the relation
     # lattice of the middle level for finite coefficients
@@ -625,8 +594,6 @@ class CyclicCohomology:
 
     def class_of_vector(self, w):
         """Class coordinates of a vector in the kernel sublattice."""
-        if self.group.rank == 0:
-            return ()
         y = self._solver.solve(tuple(int(x) for x in w))
         if y is None:
             raise CohomologyError("vector not in the kernel sublattice")
@@ -705,11 +672,7 @@ def induced_h2(alpha, source, target, require_surjective=True):
             {key: alpha.apply(v) for key, v in rep.values.items()},
         )
         cols.append(target.class_of(pushed))
-    tr = target.group.rank
-    matrix = IntMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(tr)]
-    ) if cols else IntMatrix.zero(tr, 0)
-    return InducedMap(source, target, matrix)
+    return InducedMap(source, target, IntMatrix.from_columns(cols, target.group.rank))
 
 
 def is_in_image(target_coords, induced):
@@ -718,8 +681,6 @@ def is_in_image(target_coords, induced):
     tgrp = induced.target.group
     sgrp = induced.source.group
     coords = tgrp.reduce(target_coords)
-    if tgrp.rank == 0:
-        return sgrp.zero()
     pre = solve_modulo(induced.matrix, tgrp.invariant_factors, coords)
     return None if pre is None else sgrp.reduce(pre)
 
@@ -795,9 +756,7 @@ def extension_class(g, a_elements, identification, a_group, section=None):
             if conj not in a_set:
                 raise CohomologyError("A is not normal in G")
             cols.append(a_group.reduce(identification[conj]))
-        gen_mats.append(IntMatrix.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(a_group.rank)]
-        ))
+        gen_mats.append(IntMatrix.from_columns(cols, a_group.rank))
     module = ZQModule.finite(q, a_group, gen_mats)
 
     values = {}

@@ -30,11 +30,21 @@ class IntMatrix:
                 raise ZLinAlgError("column count mismatch")
 
     @staticmethod
-    def from_rows(rows_list):
-        rows_list = [tuple(map(int, r)) for r in rows_list]
-        nrows = len(rows_list)
-        ncols = len(rows_list[0]) if rows_list else 0
-        return IntMatrix(nrows, ncols, tuple(rows_list))
+    def from_rows(rows_list, cols=None):
+        """The matrix with the given rows, each entry made an int.  `cols`,
+        the column count, is read off the first row by default; it must be
+        given for a matrix that may have no rows, such as the map Z^n -> 0,
+        which is 0 x n and not 0 x 0."""
+        return _from_int_rows([tuple(map(int, r)) for r in rows_list], cols)
+
+    @staticmethod
+    def from_columns(columns, rows):
+        """The matrix with the given columns, whose entries are ints
+        already.  `rows`, the row count, is needed for a matrix that may
+        have no columns, such as the map 0 -> Z^n, which is n x 0."""
+        columns = list(columns)
+        data = tuple(zip(*columns, strict=True)) if columns else ((),) * rows
+        return IntMatrix(rows, len(columns), data)
 
     @staticmethod
     def zero(rows, cols):
@@ -66,10 +76,7 @@ class IntMatrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self):
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        return IntMatrix.from_columns(self.data, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
@@ -157,7 +164,7 @@ class IntMatrix:
                 "expected %d entries, got %d" % (rows * cols, len(entries))
             )
         it = iter(int(t) for t in entries)
-        return IntMatrix.from_rows([[next(it) for _ in range(cols)] for _ in range(rows)])
+        return IntMatrix.from_rows([[next(it) for _ in range(cols)] for _ in range(rows)], cols)
 
 
 @dataclass(frozen=True)
@@ -178,10 +185,11 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def _from_int_rows(rows_list):
+def _from_int_rows(rows_list, cols):
     """IntMatrix.from_rows for lists whose entries are ints already."""
-    ncols = len(rows_list[0]) if rows_list else 0
-    return IntMatrix(len(rows_list), ncols, tuple(map(tuple, rows_list)))
+    if cols is None:
+        cols = len(rows_list[0]) if rows_list else 0
+    return IntMatrix(len(rows_list), cols, tuple(map(tuple, rows_list)))
 
 
 def _min_abs_pivot(m, start, rows, cols, unitless):
@@ -303,10 +311,8 @@ def smith_normal_form(mat, with_v=True):
             negate_row(t)
         t += 1
 
-    um = _from_int_rows(u)
-    vm = None if vt is None else _from_int_rows(list(zip(*vt)))
-    dm = _from_int_rows(m)
-    return SmithDecomposition(dm, um, vm, mat)
+    vm = None if vt is None else IntMatrix.from_columns(vt, cols)
+    return SmithDecomposition(_from_int_rows(m, cols), _from_int_rows(u, rows), vm, mat)
 
 
 def hermite_normal_form(mat):
@@ -367,14 +373,14 @@ def hermite_normal_form(mat):
         r += 1
         if r == rows:
             break
-    return _from_int_rows(m), _from_int_rows(u)
+    return _from_int_rows(m, cols), _from_int_rows(u, rows)
 
 
 def kernel_basis_of_matrix(mat):
     """Basis (as rows) of {x : mat . x = 0} over the integers."""
     h, u = hermite_normal_form(mat.transpose())
-    kernel_rows = [u.data[i] for i in range(mat.cols) if not any(h.data[i])]
-    return IntMatrix.from_rows(kernel_rows) if kernel_rows else IntMatrix.zero(0, mat.cols)
+    return _from_int_rows([u.data[i] for i in range(mat.cols) if not any(h.data[i])],
+                          mat.cols)
 
 
 def _substitute(values, exprs):
@@ -556,12 +562,10 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
         for drow, row in zip(dense, residual):
             for c, v in row:
                 drow[pos[c]] = v
-        for krow in kernel_basis_of_matrix(IntMatrix.from_rows(dense)).data:
+        for krow in kernel_basis_of_matrix(_from_int_rows(dense, len(cols))).data:
             gens.append({c: v for c, v in zip(cols, krow) if v})
 
     keep = ncols if keep is None else keep
-    if not gens:
-        return IntMatrix.zero(0, keep)
     # back-substitution for all generators at once, one column at a time
     k = len(gens)
     values = {}                     # col -> {generator: its entry there}
@@ -576,8 +580,8 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
     if moduli is not None:
         h = _hnf_modulo(head, moduli)
     else:
-        h = [r for r in hermite_normal_form(_from_int_rows(head))[0].data if any(r)]
-    return IntMatrix(len(h), keep, tuple(map(tuple, h))) if h else IntMatrix.zero(0, keep)
+        h = [r for r in hermite_normal_form(_from_int_rows(head, keep))[0].data if any(r)]
+    return _from_int_rows(h, keep)
 
 
 def solve_integer(a, b):
@@ -775,11 +779,8 @@ def kernel_basis(f):
     if isinstance(f.codomain, FinAbGroup):
         m = hstack(m, IntMatrix.diagonal(f.codomain.invariant_factors))
     ker = kernel_basis_of_matrix(m)
-    if not ker.rows:
-        return IntMatrix.zero(0, n)
     h, _ = hermite_normal_form(IntMatrix(ker.rows, n, tuple(r[:n] for r in ker.data)))
-    rows = [r for r in h.data if any(r)]
-    return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n)
+    return _from_int_rows([r for r in h.data if any(r)], n)
 
 
 def sublattice_index(basis, n):
@@ -816,22 +817,14 @@ def cokernel(f):
         full = hstack(m, IntMatrix.diagonal(f.codomain.invariant_factors))
     else:
         full = m
-    if full.cols == 0:
-        full = IntMatrix.zero(cn, 1)  # image is 0
     snf = smith_normal_form(full, with_v=False)
     diag = list(snf.diagonal) + [0] * (cn - len(snf.diagonal))
     factors = [d for d in diag if d not in (0, 1)]
     free_rank = sum(1 for d in diag if d == 0)
     grp = FinAbGroup(tuple(factors))
+    if free_rank:
+        return (grp, free_rank), None   # an infinite cokernel gets no projection
     # projection: codomain coords -> cokernel coords.  u maps codomain to
     # the SNF basis; keep coordinates whose diagonal is not 1.
-    keep = [i for i, d in enumerate(diag) if d != 1 and d != 0]
-    proj_rows = [snf.u.data[i] for i in keep]
-    proj_matrix = IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix.zero(0, cn)
-    if isinstance(f.codomain, FinAbGroup) and free_rank == 0:
-        projection = AbHom(f.codomain, grp, proj_matrix)
-    elif free_rank == 0:
-        projection = AbHom(cn, grp, proj_matrix)
-    else:
-        projection = None  # infinite cokernel: torsion projection only
-    return (grp, free_rank), projection
+    proj = _from_int_rows([r for r, d in zip(snf.u.data, diag) if d != 1], cn)
+    return (grp, 0), AbHom(f.codomain, grp, proj)

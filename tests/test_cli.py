@@ -58,6 +58,13 @@ class TestSnf:
         assert payload["diagonal"] == [1, 6]
         assert set(payload) == {"diagonal", "d", "u", "v"}
 
+    def test_no_rows_keeps_its_columns(self, write, capsys):
+        path = write("m.txt", "0 3\n")
+        assert main(["snf", path, "--transforms", "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagonal"] == [] and payload["u"] == []
+        assert payload["v"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
     def test_malformed_matrix(self, write, capsys):
         path = write("m.txt", "2 2\n1 2 3\n")
         assert main(["snf", path]) == EXIT_MALFORMED

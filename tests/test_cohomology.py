@@ -463,6 +463,12 @@ class TestTrivialCases:
         rep = cocycle1.representative(())
         assert all(rep.get(g, zero) == zero for g in els)
 
+    @pytest.mark.parametrize("name,group,coeff,mats,_", _rank0_modules(),
+                             ids=[c[0] for c in _rank0_modules()])
+    def test_h1_witness_is_a_coefficient_vector(self, name, group, coeff, mats, _):
+        module = ZQModule(group, coeff, mats)
+        assert h1(module).coboundary_witness({}) == module.zero()
+
     @pytest.mark.parametrize("name,group,coeff,mats,target", _rank0_modules(),
                              ids=[c[0] for c in _rank0_modules()])
     def test_induced_map_on_zero_groups(self, name, group, coeff, mats, target):

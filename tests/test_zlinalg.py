@@ -56,6 +56,26 @@ class TestIntMatrix:
         m = _mat([[1, -2, 3], [0, 7, -9]])
         assert IntMatrix.from_text(m.to_text()) == m
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_text_roundtrip(self, shape):
+        m = IntMatrix.zero(*shape)
+        back = IntMatrix.from_text(m.to_text())
+        assert back == m and (back.rows, back.cols) == shape
+
+    def test_column_count_without_rows(self):
+        assert IntMatrix.from_rows([], 3) == IntMatrix.zero(0, 3)
+        assert IntMatrix.from_rows([]) == IntMatrix.zero(0, 0)
+        with pytest.raises(ZLinAlgError):
+            IntMatrix.from_rows([[1, 2]], 3)
+
+    def test_from_columns(self):
+        assert IntMatrix.from_columns([(1, 3), (2, 4)], 2) == _mat([[1, 2], [3, 4]])
+        assert IntMatrix.from_columns([], 3) == IntMatrix.zero(3, 0)
+        assert IntMatrix.from_columns([(), ()], 0) == IntMatrix.zero(0, 2)
+        with pytest.raises(ZLinAlgError):
+            IntMatrix.from_columns([(1, 2)], 3)
+        assert IntMatrix.zero(0, 3).transpose() == IntMatrix.zero(3, 0)
+
     def test_unimodular(self):
         assert IntMatrix.from_rows([[2, 1], [1, 1]]).is_unimodular()
         assert not IntMatrix.from_rows([[2, 0], [0, 1]]).is_unimodular()
@@ -109,6 +129,18 @@ def test_normal_forms_and_transforms_as_recorded():
         hnf_digest.update(repr((h.data, u.data)).encode())
     assert snf_digest.hexdigest()[:16] == "9207825b312b665a"
     assert hnf_digest.hexdigest()[:16] == "916558c095deec9d"
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_normal_forms_keep_the_shape_of_an_empty_matrix(shape):
+    m = IntMatrix.zero(*shape)
+    snf = smith_normal_form(m)
+    assert (snf.d.rows, snf.d.cols) == shape
+    assert snf.u * m * snf.v == snf.d
+    assert snf.u == IntMatrix.identity(shape[0]) and snf.v == IntMatrix.identity(shape[1])
+    h, u = hermite_normal_form(m)
+    assert (h.rows, h.cols) == shape
+    assert u * m == h
 
 
 class TestHermite:
