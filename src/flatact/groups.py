@@ -466,26 +466,6 @@ def _row_keys(rows):
     return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
 
 
-def _row_orders(rows):
-    """The order of each permutation row, as int64: the lcm of the lengths
-    of its cycles.  Each point's cycle is labelled by its least point,
-    found by doubling: after j steps a label is the least of the point's
-    first 2**j images, and a step that changes no label shows that every
-    such window already holds its cycle's least point."""
-    k, deg = rows.shape
-    step = rows.astype(np.intp)
-    labels = np.broadcast_to(np.arange(deg), rows.shape)
-    span = 1
-    while span < deg:
-        new = np.minimum(labels, compose_rows(labels, step))
-        if np.array_equal(new, labels):
-            break
-        labels, step, span = new, compose_rows(step, step), 2 * span
-    keys = labels + np.arange(k)[:, None] * deg
-    lengths = np.bincount(keys.ravel(), minlength=k * deg)[keys]
-    return np.lcm.reduce(lengths, axis=1, initial=1).astype(np.int64)
-
-
 def _min_labels(n, maps):
     """The least index in the orbit of each of 0..n-1 under the group that
     the permutations `maps` (int arrays) generate: the minimum is
@@ -532,8 +512,9 @@ class ElementIndex:
         first = labels == np.arange(len(labels))
         self.class_reps = np.flatnonzero(first)
         self.class_of = (np.cumsum(first) - 1)[labels]
-        # conjugates have the same order: one cycle-type order per class
-        self.orders = _row_orders(self.rows[self.class_reps])[self.class_of]
+        # conjugates have the same order: one order per class
+        self.orders = np.array([_perm(tuple(self.rows[r].tolist())).order()
+                                for r in self.class_reps], dtype=np.int64)[self.class_of]
 
     def lookup(self, rows):
         """Index of each row of `rows` among the elements, -1 for a row
