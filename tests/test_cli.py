@@ -116,6 +116,13 @@ class TestH2:
         assert main(["h2", group, module]) == EXIT_OK
         assert "H^2 invariant factors: 2" in capsys.readouterr().out
 
+    def test_rank_zero_module(self, write, capsys):
+        group = write("g.txt", group_to_text(TableGroup.cyclic(2)))
+        assert main(["h2", group, write("m.txt", "lattice 0\n0 0\n")]) == EXIT_OK
+        assert "H^2 invariant factors: (trivial)" in capsys.readouterr().out
+        # a 0 x 3 action matrix is not 0 x 0
+        assert main(["h2", group, write("m.txt", "lattice 0\n0 3\n")]) == EXIT_MALFORMED
+
     @pytest.mark.parametrize("text,degree,factors", [
         ("\nfinite 2\n1 1\n1\n", "2", "2"),
         ("\nlattice 1\n1 1\n-1\n", "1", "2")], ids=["finite", "lattice"])

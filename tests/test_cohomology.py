@@ -428,9 +428,10 @@ class TestSparseBarComplex:
 
 
 def _rank0_modules():
-    """(name, group, coefficients, generator matrices) with no cohomology
-    to find: the trivial group on Z^2 and (Z/2)^2, and C3 on the rank-0
-    lattice and on the trivial finite group."""
+    """(name, group, coefficients, generator matrices, finite target of
+    the identity map) with no cohomology to find: the trivial group on Z^2
+    and (Z/2)^2, and C3 on the rank-0 lattice and on the trivial finite
+    group."""
     one, c3 = TableGroup.cyclic(1), TableGroup.cyclic(3)
     empty = IntMatrix.zero(0, 0)
     return [("1 on Z^2", one, 2, [], FinAbGroup((2, 2))),
@@ -473,8 +474,7 @@ class TestTrivialCases:
                              ids=[c[0] for c in _rank0_modules()])
     def test_induced_map_on_zero_groups(self, name, group, coeff, mats, target):
         source = ZQModule(group, coeff, mats)
-        rank = source.rank
-        alpha = AbHom(coeff, target, IntMatrix.identity(rank))
+        alpha = AbHom(coeff, target, IntMatrix.identity(source.rank))
         ind = induced_h2(alpha, h2(source), h2(ZQModule.finite(group, target, mats)))
         assert ind.matrix.rows == ind.matrix.cols == 0
         assert is_in_image((), ind) == ()
