@@ -3,6 +3,7 @@ roundtrips, verification checklists, and the Jordan-bound witness."""
 
 import copy
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -231,7 +232,56 @@ def a4_flat_certificate(iso_index, wrong_witness=False):
         {k: v for k, v in cstar.values.items()}, witness)
 
 
+def klein_four_certificate(witness, phi1_translation=(Fraction(1, 2), 0)):
+    """Flat certificate with both phi and Q nontrivial, so that bar has a
+    kernel and the subextension restricts c* to phi, a proper subgroup of
+    phi_star.  G = (Z/2)^2 (element 2a + b is (a, b)) with A = <(1,0)>
+    and n = 2; phi_star = (Z/2)^2 with phi1 = 1 acting by diag(1,-1) and
+    phi2 = 2 by diag(-1,1), phi = <phi1>, and alpha = (0 1).  c* is the
+    cocycle of the translation parts phi1_translation of phi1 and (0,0)
+    of phi2; `witness` is the coboundary witness b."""
+    klein = [[x ^ y for y in range(4)] for x in range(4)]
+    phi_star = TableGroup(klein)
+    assert phi_star.generators() == [1, 2]
+    signs = {x: ((-1) ** (x >> 1), (-1) ** (x & 1)) for x in range(4)}
+    rho = [IntMatrix.diagonal(signs[1]), IntMatrix.diagonal(signs[2])]
+    zero = (0, 0)
+    t = {0: zero, 1: tuple(phi1_translation), 2: zero, 3: tuple(phi1_translation)}
+    cocycle = {}
+    for x in range(4):
+        for y in range(4):
+            v = [a + s * b - c for a, s, b, c in zip(t[x], signs[x], t[y], t[x ^ y])]
+            assert all(c.denominator == 1 for c in map(Fraction, v))
+            cocycle[(x, y)] = tuple(int(c) for c in v)
+    return FlatCertificate(
+        TableGroup(klein), [2], 2, rho, IntMatrix.from_rows([[0, 1]]), [1],
+        phi_star, cocycle, witness)
+
+
 class TestFlatCertificate:
+    @pytest.mark.parametrize("witness", [{}, {1: (1,), 3: (1,)}, {2: (1,), 3: (1,)}])
+    def test_klein_four_accepted(self, witness):
+        cert = klein_four_certificate(witness)
+        report = verify_flat_certificate(cert)
+        assert [(c.name, c.passed) for c in report.checklist] == \
+            [(name, True) for name in FLAT_CHECKS]
+        assert report.verdict and report.witnesses == {"kernel_index": 2}
+        again = verify_flat_certificate(certificate_from_dict(cert.to_dict()))
+        assert again.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("witness", [{2: (1,)}, {1: (1,)}])
+    def test_klein_four_witness_that_is_not_a_cocycle_rejected(self, witness):
+        report = verify_flat_certificate(klein_four_certificate(witness))
+        assert [c.name for c in report.checklist] == FLAT_CHECKS[:8]
+        assert report.failed_check() == "coboundary-witness"
+        assert not report.verdict and report.witnesses == {}
+
+    def test_klein_four_without_translation_has_torsion(self):
+        report = verify_flat_certificate(klein_four_certificate({}, (0, 0)))
+        assert [c.name for c in report.checklist] == FLAT_CHECKS
+        assert report.failed_check() == "torsion-free"
+        assert report.witnesses["torsion_element"]["rotation"] == 1
+
     def test_klein_bottle_accepted(self):
         report = verify_flat_certificate(klein_bottle_certificate())
         assert report.verdict
