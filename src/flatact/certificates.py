@@ -403,8 +403,6 @@ def abelian_identification(group, a_generators):
 
     Raises CertificateError when the generators do not exhibit a direct
     sum with invariant-factor orders."""
-    if not a_generators:
-        return [group.identity()], FinAbGroup(()), {group.identity(): ()}
     a_els = subgroup_closure(group, a_generators)
     orders = [group.element_order(x) for x in a_generators]
     for o in orders:
@@ -603,30 +601,23 @@ def verify_flat_certificate(cert):
         return cl.report()
 
     # 5. the supplied c* is a cocycle and the witness b satisfies
-    #    alpha_*(c*) - inflation of G's class = d^1 b over phi_star
+    #    alpha_*(c*) - bar^*(c_G) = d^1 b over phi_star acting on A through bar
     cstar = Cocycle2(star_mod, cert.cocycle)
     if not cl.record("cocycle-valid", cstar.is_cocycle(),
                      "c* fails the cocycle identity"):
         return cl.report()
-    e_star = cert.phi_star.identity()
-
-    def bval(g):
-        if g == e_star:
-            return a_group.zero()
-        return a_group.reduce(cert.coboundary_witness.get(g, a_group.zero()))
 
     def witness_ok(f):
         bar = {g: f(star_proj(g)) for g in star_els}
-        for g in star_els:
-            for h in star_els:
-                lhs = a_group.reduce(alpha_hom.apply(cstar.value(g, h)))
-                lhs = a_group.sub(lhs, ext.cocycle.value(bar[g], bar[h]))
-                rhs = ext.module.act(bar[g], bval(h))
-                rhs = a_group.sub(rhs, bval(cert.phi_star.multiply(g, h)))
-                rhs = a_group.add(rhs, bval(g))
-                if lhs != rhs:
-                    return False
-        return True
+        module = ZQModule.finite(
+            cert.phi_star, a_group,
+            [ext.module.act_matrix(bar[g]) for g in cert.phi_star.generators()])
+        difference = Cocycle2(module, {
+            (g, h): a_group.sub(alpha_hom.apply(cstar.value(g, h)),
+                                ext.cocycle.value(bar[g], bar[h]))
+            for g in star_els for h in star_els})
+        defect = difference.sub(Cocycle2.coboundary(module, cert.coboundary_witness))
+        return not any(map(any, defect.values.values()))
 
     if not cl.record("coboundary-witness",
                      any(witness_ok(f) for f in chain([iso], equivariant)),
@@ -648,7 +639,9 @@ def verify_flat_certificate(cert):
     # 7. the subextension over phi with lattice N is torsion-free
     h_phi = TableGroup.from_function(phi_els, cert.phi_star.multiply,
                                      cert.phi_star.identity())
-    lookup = {i: x for i, x in enumerate(phi_els)}
+    phi_lat = ZQModule.lattice(
+        h_phi, [star_mod.act_matrix(phi_els[x]) for x in h_phi.generators()],
+        rank=cert.n)
     solver = EchelonSolver(basis)
 
     def n_coords(vec):
@@ -659,7 +652,7 @@ def verify_flat_certificate(cert):
 
     gen_mats = []
     for hg in h_phi.generators():
-        rho_m = star_mod.act_matrix(lookup[hg])
+        rho_m = phi_lat.act_matrix(hg)
         cols = [n_coords(rho_m.apply(basis.row(j))) for j in range(basis.rows)]
         gen_mats.append(IntMatrix.from_columns(cols, basis.rows))
     sub_mod = ZQModule.lattice(h_phi, gen_mats, rank=basis.rows)
@@ -669,35 +662,24 @@ def verify_flat_certificate(cert):
                      "holonomy must act faithfully on ker alpha"):
         return cl.report()
 
-    # section adjustment s with alpha(s(phi)) = -b(phi)
-    s_of = {h_phi.identity(): (0,) * cert.n}
-    for hg in h_phi.elements():
-        if hg == h_phi.identity():
-            continue
-        target = tuple(-x for x in bval(lookup[hg]))
-        sol = solve_modulo(cert.alpha, a_group.invariant_factors, target)
-        if sol is None:
-            raise CertificateError("alpha is not surjective onto the witness values")
-        s_of[hg] = sol
-
-    values = {}
-    for g1 in h_phi.elements():
-        for g2 in h_phi.elements():
-            if g1 == h_phi.identity() or g2 == h_phi.identity():
-                continue
-            v = list(cstar.value(lookup[g1], lookup[g2]))
-            rho1 = star_mod.act_matrix(lookup[g1])
-            sv = rho1.apply(s_of[g2])
-            prod12 = h_phi.multiply(g1, g2)
-            v = [a + b - c + d for a, b, c, d in
-                 zip(v, sv, s_of[prod12], s_of[g1])]
-            values[(g1, g2)] = n_coords(v)
-    sub_cocycle = Cocycle2(sub_mod, values)
+    # c* restricted to phi, moved into N by the section adjustment s with
+    # alpha(s(x)) = -b(x)
+    s_of = {}
+    for x in h_phi.elements():
+        if x != h_phi.identity():
+            b = a_group.reduce(cert.coboundary_witness.get(phi_els[x], a_group.zero()))
+            s_of[x] = solve_modulo(cert.alpha, a_group.invariant_factors,
+                                   tuple(-t for t in b))
+    restricted = Cocycle2(phi_lat, {
+        (x, y): cstar.value(phi_els[x], phi_els[y])
+        for x in h_phi.elements() for y in h_phi.elements()})
+    adjusted = restricted.add(Cocycle2.coboundary(phi_lat, s_of))
+    sub_cocycle = Cocycle2(sub_mod, {k: n_coords(v) for k, v in adjusted.values.items()})
     tf, witness = torsion_free_check(h_phi, sub_mod, sub_cocycle)
     if not tf:
         x, phi_el = witness
         cl.witnesses["torsion_element"] = {
-            "translation": x, "rotation": _encode_element(lookup[phi_el])
+            "translation": x, "rotation": _encode_element(phi_els[phi_el])
         }
     cl.record("torsion-free", tf,
               "" if tf else "kernel of the induced map has torsion")

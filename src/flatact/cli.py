@@ -114,11 +114,9 @@ def _parse_module(text, group, path):
     gens = group.generators()
     mats = []
     for _ in gens:
-        rows, cols = (int(t) for t in take(2))
-        body = take(rows * cols)
-        mats.append(IntMatrix.from_rows(
-            [[int(body[r * cols + c]) for c in range(cols)]
-             for r in range(rows)], cols))
+        size = take(2)
+        rows, cols = (int(t) for t in size)
+        mats.append(IntMatrix.from_text(" ".join(size + take(rows * cols))))
     if pos != len(tokens):
         raise _Malformed("%s: trailing data in module file" % path)
     if kind == "lattice":

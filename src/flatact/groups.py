@@ -560,6 +560,9 @@ class TableGroup(FiniteGroup):
     def __init__(self, table, identity_index=0, check=True):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
+        if not 0 <= identity_index < self.n:
+            raise GroupError("identity index %r is not one of the %d table elements"
+                             % (identity_index, self.n))
         self.e = identity_index
         self._gens = None
         if check:
@@ -813,41 +816,22 @@ class GroupHom:
     """Homomorphism determined by generator images, verified by building
     the full graph of the map over the domain."""
 
-    def __init__(self, domain, codomain, gen_images, check=True):
+    def __init__(self, domain, codomain, gen_images):
         self.domain = domain
         self.codomain = codomain
         gens = domain.generators()
         if len(gen_images) != len(gens):
             raise GroupError("need one image per domain generator")
         self.gen_images = list(gen_images)
-        self._map = None
-        if check:
-            self._build_map()
-
-    def _build_map(self):
-        dom, cod = self.domain, self.codomain
-        mapping = _walk(dom.identity(), dom.generators(), dom.multiply,
-                        cod.identity(), self.gen_images, cod.multiply)
-        if len(mapping) != dom.order():
+        self._map = _walk(domain.identity(), gens, domain.multiply,
+                          codomain.identity(), self.gen_images, codomain.multiply)
+        if len(self._map) != domain.order():
             raise GroupError("generators do not generate the domain")
-        self._map = mapping
 
     def __call__(self, x):
-        if self._map is None:
-            self._build_map()
         return self._map[x]
 
-    def image_elements(self):
-        if self._map is None:
-            self._build_map()
-        return sorted(set(self._map.values()), key=_element_key)
-
-    def is_surjective(self):
-        return len(self.image_elements()) == self.codomain.order()
-
     def is_injective(self):
-        if self._map is None:
-            self._build_map()
         return len(set(self._map.values())) == self.domain.order()
 
 
@@ -918,8 +902,7 @@ def quotient_group(group, normal_elements):
         for j in range(m):
             table[i][j] = coset_of[group.multiply(cosets[i][0], cosets[j][0])]
     q = TableGroup(table, identity_index=0, check=False)
-    proj = GroupHom(group, q, [coset_of[g] for g in group.generators()], check=False)
-    proj._map = dict(coset_of)
+    proj = GroupHom(group, q, [coset_of[g] for g in group.generators()])
     return q, proj, cosets
 
 

@@ -23,6 +23,8 @@ class IntMatrix:
     data: tuple  # tuple of row tuples
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ZLinAlgError("matrix size %d x %d is negative" % (self.rows, self.cols))
         if len(self.data) != self.rows:
             raise ZLinAlgError("row count mismatch")
         for row in self.data:
@@ -158,6 +160,8 @@ class IntMatrix:
         if len(tokens) < 2:
             raise ZLinAlgError("matrix text too short")
         rows, cols = int(tokens[0]), int(tokens[1])
+        if rows < 0 or cols < 0:
+            raise ZLinAlgError("matrix size %d x %d is negative" % (rows, cols))
         entries = tokens[2:]
         if len(entries) != rows * cols:
             raise ZLinAlgError(

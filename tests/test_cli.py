@@ -72,6 +72,11 @@ class TestSnf:
     def test_missing_file(self, tmp_path):
         assert main(["snf", str(tmp_path / "nope.txt")]) == EXIT_MALFORMED
 
+    @pytest.mark.parametrize("text", ["-1 0\n", "-2 -3\n1 2 3\n4 5 6\n"])
+    def test_negative_size_is_malformed(self, write, capsys, text):
+        assert main(["snf", write("m.txt", text)]) == EXIT_MALFORMED
+        assert "is negative" in capsys.readouterr().err
+
 
 class TestH2:
     def _c4_module_files(self, write):
@@ -122,6 +127,17 @@ class TestH2:
         assert "H^2 invariant factors: (trivial)" in capsys.readouterr().out
         # a 0 x 3 action matrix is not 0 x 0
         assert main(["h2", group, write("m.txt", "lattice 0\n0 3\n")]) == EXIT_MALFORMED
+
+    def test_negative_action_matrix_size_is_malformed(self, write, capsys):
+        group = write("g.txt", group_to_text(TableGroup.cyclic(2)))
+        assert main(["h2", group, write("m.txt", "lattice 1\n-1 -1 5\n")]) \
+            == EXIT_MALFORMED
+        assert "matrix size -1 x -1 is negative" in capsys.readouterr().err
+
+    def test_empty_table_group_is_malformed(self, write, capsys):
+        group = write("g.txt", "table 0\n")
+        assert main(["h2", group, write("m.txt", "lattice 0\n")]) == EXIT_MALFORMED
+        assert "not one of the 0 table elements" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,degree,factors", [
         ("\nfinite 2\n1 1\n1\n", "2", "2"),
@@ -220,6 +236,11 @@ class TestJordan:
         group = write("g.txt", group_to_text(PermGroup.symmetric(7)))
         assert main(["jordan", group, "--bound", "5040"]) == EXIT_OK
         assert "order 1, index 5040" in capsys.readouterr().out
+
+    def test_empty_table_group_is_malformed(self, write, capsys):
+        assert main(["jordan", write("g.txt", "table 0\n"), "--bound", "1"]) \
+            == EXIT_MALFORMED
+        assert "not one of the 0 table elements" in capsys.readouterr().err
 
     def test_default_limit(self, write, capsys):
         group = write("g.txt", group_to_text(PermGroup.symmetric(8)))

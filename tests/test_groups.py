@@ -456,6 +456,13 @@ class TestTableGroup:
         with pytest.raises(GroupError):
             TableGroup([[0, 1], [0, 1]])  # second row not a bijection over {0,1}
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("table,identity_index", [
+        ([], 0), ([[0]], 1), ([[0]], -1), ([[0, 1], [1, 0]], 2)])
+    def test_identity_outside_the_table_rejected(self, table, identity_index, check):
+        with pytest.raises(GroupError, match="not one of the %d table elements" % len(table)):
+            TableGroup(table, identity_index=identity_index, check=check)
+
     def test_from_function(self):
         els = [(i, j) for i in range(2) for j in range(3)]
         g = TableGroup.from_function(
@@ -833,8 +840,7 @@ class TestHomsAndIsos:
         c4 = TableGroup.cyclic(4)
         c2 = TableGroup.cyclic(2)
         f = GroupHom(c4, c2, [1])
-        assert f(2) == 0
-        assert f.is_surjective()
+        assert [f(x) for x in c4.elements()] == [0, 1, 0, 1]
         with pytest.raises(GroupError):
             GroupHom(c4, TableGroup.cyclic(3), [1])
 
@@ -843,7 +849,8 @@ class TestHomsAndIsos:
         b = TableGroup.cyclic(6)
         iso = find_isomorphism(a, b)
         assert iso is not None
-        assert iso.is_injective() and iso.is_surjective()
+        assert iso.is_injective()
+        assert sorted(iso(x) for x in a.elements()) == b.elements()
 
     def test_no_isomorphism_between_c4_and_klein(self):
         klein = TableGroup.from_function(

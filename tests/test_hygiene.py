@@ -1,8 +1,10 @@
 """Source hygiene that no linter checks here: every name a module of the
 package imports is used in that module, every private function, class
 and method of the package is used somewhere in it, every local that a
-function assigns is read, every entry point of the C engine is declared
-to ctypes and called, and the C engine compiles without a warning."""
+function assigns is read, no module writes a private attribute of an
+object other than self or cls, every entry point of the C engine is
+declared to ctypes and called, and the C engine compiles without a
+warning."""
 
 import ast
 import pathlib
@@ -157,6 +159,38 @@ def test_the_check_sees_an_unused_local():
            "def k():\n    global G\n    G = 1\n    kept = 2\n"
            "    return lambda: kept\n")
     assert unused_locals(src) == ["f.dead", "g.stale"]
+
+
+def foreign_private_writes(source):
+    """The private attributes of `source` written through an object other
+    than the bare name self or cls (any attribute in a store context:
+    plain, augmented, annotated, tuple and loop targets), as sorted
+    "line: target" strings.  A class sets its own state through self or
+    cls; a write from outside bypasses whatever its constructor checks."""
+    writes = sorted(
+        (n.lineno, n.col_offset, ast.unparse(n)) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and _private(n.attr)
+        and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls")))
+    return ["%d: %s" % (line, text) for line, _, text in writes]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_foreign_private_writes(path):
+    assert foreign_private_writes(path.read_text()) == []
+
+
+def test_the_check_sees_a_foreign_private_write():
+    src = ("class A:\n"
+           "    def __init__(self):\n        self._x = 1\n        self.y = 2\n"
+           "    @classmethod\n    def make(cls):\n        cls._cache = {}\n"
+           "def f(a, b):\n    a._x = 0\n    a.__dict__ = {}\n    b.y._z += 1\n"
+           "    (a.y, [b._w, *a._v]) = 1, [2, 3]\n    a._u: int = 4\n"
+           "    other_self = a\n    other_self._x = 5\n"
+           "    for a._t in b:\n        print(a._t)\n")
+    assert foreign_private_writes(src) == [
+        "9: a._x", "11: b.y._z", "12: b._w", "12: a._v", "13: a._u",
+        "15: other_self._x", "16: a._t"]
 
 
 def exported_c_functions(source):

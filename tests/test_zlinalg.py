@@ -62,6 +62,14 @@ class TestIntMatrix:
         back = IntMatrix.from_text(m.to_text())
         assert back == m and (back.rows, back.cols) == shape
 
+    @pytest.mark.parametrize("rows,cols", [(-1, 0), (0, -3), (-2, -3), (-1, 2)])
+    def test_negative_size_rejected(self, rows, cols):
+        with pytest.raises(ZLinAlgError, match="is negative"):
+            IntMatrix(rows, cols, ())
+        entries = " 1" * abs(rows * cols)
+        with pytest.raises(ZLinAlgError, match="is negative"):
+            IntMatrix.from_text("%d %d%s" % (rows, cols, entries))
+
     def test_column_count_without_rows(self):
         assert IntMatrix.from_rows([], 3) == IntMatrix.zero(0, 3)
         assert IntMatrix.from_rows([]) == IntMatrix.zero(0, 0)
