@@ -3,18 +3,28 @@
  * The same algorithm as fpgroups._enumerate_pure: the same define order,
  * coincidence queue and compaction, so the two return identical tables.
  * Generator i is letter 2*i, its inverse 2*i + 1.  The coset table is one
- * flat int32 buffer of capacity * 2*ngens entries.  Where the pure engine
- * keeps every coset it defines to the end, this one renumbers: at the top
- * of the HLT loop, when the buffer has fewer free rows than one coset's
- * relator scans and fill-in can define (2*ngens plus |w| - 1 for each
- * relator w) and at least half its rows are dead, the live cosets are
- * numbered 0, 1, ... in their current order and their rows moved down;
- * otherwise the buffer doubles when it fills.  HLT's choices depend only
- * on the order of coset numbers (a coincidence keeps the smaller coset,
- * the next coset scanned is the next live one, a new coset comes after
- * all others), and renumbering keeps that order.  Between two cosets the
- * coincidence queue is empty and no live row points to a dead coset, so
- * the run goes on with the same choices and ends at the same table.
+ * flat int32 buffer of capacity * 2*ngens entries, which doubles when it
+ * fills.  Where the pure engine keeps every coset it defines to the end,
+ * this one renumbers: at the top of the HLT loop, whenever at least a
+ * quarter of the rows in use are dead, the live cosets are numbered 0, 1,
+ * ... in their current order and their rows moved down.  HLT's choices
+ * depend only on the order of coset numbers (a coincidence keeps the
+ * smaller coset, the next coset scanned is the next live one, a new coset
+ * comes after all others), and renumbering keeps that order.  Between two
+ * cosets the coincidence queue is empty and no live row points to a dead
+ * coset, so the run goes on with the same choices and ends at the same
+ * table.
+ *
+ * The table, the union-find parents and the coincidence queue live in one
+ * buffer, from 128 KB on an anonymous mapping of its own, which grows in
+ * place or moves its pages (mremap; where there is none, a new mapping
+ * and a copy), and the table is handed over in it, shrunk to the live
+ * rows.  So a large table that is freed returns its pages to the system,
+ * and a later enumeration needs no more memory than the first: from the
+ * heap, glibc's malloc would serve a large buffer by realloc, which
+ * copies, once a freed large block has raised its mmap threshold.  Pages
+ * of the mapping that no row has reached take no memory, so a doubling
+ * costs only address space.
  *
  * The file also runs the backtracking of the low-index subgroup search,
  * node for node as fpgroups._low_index_pure: the same first undefined cell
@@ -47,9 +57,11 @@
  *
  * Plain C with no Python headers: flatact.fpgroups compiles this file into
  * a shared library and calls it through ctypes.  The first three entry
- * points free their own state and hand their result over as one malloc'd
- * int32 buffer: on FA_OK they set buf and its length, on an error status
- * they free everything and set buf to NULL.
+ * points free their own state and hand their result over as one int32
+ * buffer (a mapping or a heap block by its size, as the HLT buffer),
+ * which Python views in place and gives back to fa_release: on FA_OK they
+ * set buf and its length, on an error status they free everything and set
+ * buf to NULL.
  *
  *   fa_enumerate(ngens, letters, ends, nsub, nwords, limit, &buf, &nlive)
  *       words[k] = letters[ends[k-1] .. ends[k]) (ends[-1] = 0); the first
@@ -71,25 +83,81 @@
  *       the m x n transversal (row k maps the point to orbit point k) and
  *       the m x n inverses of its rows.  FA_BADARG when a generator is not
  *       a permutation.
- *   fa_take(buf, n, out)
- *       copies the n ints of buf to out, unless out is NULL, and frees buf.
+ *   fa_release(buf, n)
+ *       frees a buffer of n ints that one of the three above handed over
+ *       (for fa_enumerate, n is nlive * 2*ngens).
+ *   fa_validate(ngens, letters, ends, nrels, tbl, n, &which)
+ *       the checks of fpgroups._validate_table, in its order, on the
+ *       row-major n x 2*ngens table in place; the relators are words as
+ *       above.  Returns 0 when the table passes, else the first fault:
+ *       FV_EMPTY (no rows), FV_RANGE (an entry outside 0..n-1),
+ *       FV_BIJECTION (column 2*which + 1 does not invert column 2*which)
+ *       or FV_RELATOR (relator which does not close at some coset); -1
+ *       for a letter out of range.
  *   fa_min_labels(n, nmaps, maps, out)
  *       writes to out[i] the least index in the component of i among
  *       0..n-1 under the nmaps maps maps[k*n .. (k+1)*n) (int64).
  *       Returns FA_OK, or FA_BADARG when a map entry is outside 0..n-1.
  */
 
+#define _GNU_SOURCE     /* mremap */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 enum { FA_OK = 0, FA_LIMIT = 1, FA_NOMEM = 2, FA_BADARG = 3 };
 
-void fa_take(int32_t *buf, int64_t n, int32_t *out)
+/* A buffer of n ints takes buf_bytes(n) bytes (one int more, so never
+ * zero).  From MAPPED ints on (128 KB, where glibc's malloc starts with a
+ * mapping too) it is an anonymous mapping of its own, below that a heap
+ * block: a fresh mapping costs a system call and a page fault per page,
+ * more than small results take to compute. */
+enum { MAPPED = 1 << 15 };
+
+static size_t buf_bytes(int64_t n)
 {
-    if (out && n)
-        memcpy(out, buf, (size_t)n * sizeof *out);
-    free(buf);
+    return (size_t)(n + 1) * sizeof(int32_t);
+}
+
+void fa_release(int32_t *buf, int64_t n)
+{
+    if (n < MAPPED)
+        free(buf);
+    else if (buf)
+        munmap(buf, buf_bytes(n));
+}
+
+/* Resize the buffer *p of old ints (none when *p is NULL) to n ints; on
+ * failure *p is unchanged.  Linux grows and shrinks a mapping in place or
+ * moves its pages; a buffer that crosses MAPPED, or a mapping elsewhere,
+ * is copied. */
+static int remap(int32_t **p, int64_t old, int64_t n)
+{
+    void *t;
+    if (n < 0 || n > (int64_t)(SIZE_MAX / sizeof **p - 1))
+        return FA_NOMEM;
+    if (*p == NULL)
+        old = 0;
+    if (old < MAPPED && n < MAPPED)
+        t = realloc(*p, buf_bytes(n));
+#ifdef MREMAP_MAYMOVE
+    else if (old >= MAPPED && n >= MAPPED)
+        t = mremap(*p, buf_bytes(old), buf_bytes(n), MREMAP_MAYMOVE);
+#endif
+    else {
+        t = n < MAPPED ? malloc(buf_bytes(n))
+                       : mmap(NULL, buf_bytes(n), PROT_READ | PROT_WRITE,
+                              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (t != NULL && t != MAP_FAILED && *p) {
+            memcpy(t, *p, buf_bytes(old < n ? old : n));
+            fa_release(*p, old);
+        }
+    }
+    if (t == NULL || t == MAP_FAILED)
+        return FA_NOMEM;
+    *p = t;
+    return FA_OK;
 }
 
 /* Resize *p to rows x n ints (and one more, so never to zero bytes); on
@@ -127,7 +195,9 @@ static inline int scan(const int32_t *tbl, int64_t nl, const int32_t *w,
 }
 
 /* nrows rows in use, of which ndead dead; ndef cosets defined since the
- * start, renumbered ones included, for the limit. */
+ * start, renumbered ones included, for the limit.  One buffer of
+ * cap * (nl + 2) ints holds the cap rows of tbl, then p and the queue, cap
+ * ints each. */
 typedef struct {
     int64_t nl, limit, nrows, cap, ndead, ndef;
     int32_t *tbl, *p, *queue;
@@ -136,23 +206,24 @@ typedef struct {
 static void hlt_free(hlt *h)
 {
     if (h) {
-        free(h->tbl);
-        free(h->p);
-        free(h->queue);
+        fa_release(h->tbl, h->cap * (h->nl + 2));
         free(h);
     }
 }
 
+/* Double the capacity: the rows stay in place, p moves up behind them, and
+ * the queue, empty between coincidences, behind p. */
 static int grow(hlt *h)
 {
-    int64_t cap = h->cap ? 2 * h->cap : 1024;
+    int64_t cap = h->cap ? 2 * h->cap : 1024, nl = h->nl;
     int status;
     if (cap > (int64_t)INT32_MAX + 1)
         cap = (int64_t)INT32_MAX + 1;
-    if ((status = resize(&h->tbl, cap, h->nl)) != FA_OK
-        || (status = resize(&h->p, cap, 1)) != FA_OK
-        || (status = resize(&h->queue, cap, 1)) != FA_OK)
+    if ((status = remap(&h->tbl, h->cap * (nl + 2), cap * (nl + 2))) != FA_OK)
         return status;
+    memmove(h->tbl + cap * nl, h->tbl + h->cap * nl, (size_t)h->cap * sizeof *h->p);
+    h->p = h->tbl + cap * nl;
+    h->queue = h->p + cap;
     h->cap = cap;
     return FA_OK;
 }
@@ -282,18 +353,13 @@ static int64_t renumber(hlt *h, int64_t a)
 static int run(hlt *h, const int32_t *letters, const int64_t *ends,
                int64_t nsub, int64_t nwords)
 {
-    int64_t a, k, x, start, most = h->nl;
+    int64_t a, k, x, start;
     int status;
-    /* the most cosets one pass of the loop below can define */
-    for (k = nsub, start = nsub ? ends[nsub - 1] : 0; k < nwords; start = ends[k++])
-        if (ends[k] - start > 1)
-            most += ends[k] - start - 1;
     for (k = 0, start = 0; k < nsub; start = ends[k++])
         if ((status = scan_and_fill(h, 0, letters + start, ends[k] - start)) != FA_OK)
             return status;
     for (a = 0; a < h->nrows; a++) {
-        if (h->cap - h->nrows < most && 2 * h->ndead >= h->nrows
-            && (a = renumber(h, a)) == h->nrows)
+        if (4 * h->ndead >= h->nrows && (a = renumber(h, a)) == h->nrows)
             break;
         if (rep(h, a) != a)
             continue;
@@ -336,10 +402,12 @@ int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
         status = run(h, letters, ends, nsub, nwords);
     }
     if (status == FA_OK) {
-        /* compact: renumber the live cosets, shrink the table to them and
-         * free p and the queue before the caller copies it */
+        /* compact: renumber the live cosets and shrink the buffer to their
+         * rows, which frees p and the queue */
         renumber(h, 0);
-        resize(&h->tbl, h->nrows, h->nl);
+        status = remap(&h->tbl, h->cap * (h->nl + 2), h->nrows * h->nl);
+    }
+    if (status == FA_OK) {
         *buf = h->tbl;
         *nlive = h->nrows;
         h->tbl = NULL;
@@ -393,7 +461,7 @@ static void lix_free(lix *s)
         free(s->trail);
         free(s->stack);
         free(s->frames);
-        free(s->out);
+        fa_release(s->out, s->outcap);
         free(s);
     }
 }
@@ -485,7 +553,7 @@ static int li_record(lix *s)
         int status;
         while (cap < need)
             cap *= 2;
-        if ((status = resize(&s->out, cap, 1)) != FA_OK)
+        if ((status = remap(&s->out, s->outcap, cap)) != FA_OK)
             return status;
         s->outcap = cap;
     }
@@ -617,7 +685,8 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
         memset(s->number, 0xff, (size_t)max_index * sizeof *s->number);
         status = li_search(s, node_limit);
     }
-    if (status == FA_OK) {
+    /* shrink the output to its ints, or map it when no table was found */
+    if (status == FA_OK && (status = remap(&s->out, s->outcap, s->nout)) == FA_OK) {
         *buf = s->out;
         *nints = s->nout;
         s->out = NULL;
@@ -891,7 +960,7 @@ int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
         status = ss_complete(s, level);
     for (i = 0; status == FA_OK && i < s->nlevels; i++)
         total += 3 + s->levels[i].ngens * n + s->levels[i].norbit * (1 + 2 * n);
-    if (status == FA_OK && (status = resize(buf, total, 1)) == FA_OK) {
+    if (status == FA_OK && (status = remap(buf, 0, total)) == FA_OK) {
         int32_t *out = *buf;
         *nints = total;
         *out++ = (int32_t)s->nlevels;
@@ -913,4 +982,48 @@ int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
     }
     ss_free(s);
     return status;
+}
+
+/* ---- coset table check ---- */
+
+/* The relator walks go FV_BLOCK cosets at a time: they are independent, so
+ * their loads overlap, which matters once the table outgrows the caches. */
+enum { FV_EMPTY = 1, FV_RANGE, FV_BIJECTION, FV_RELATOR, FV_BLOCK = 256 };
+
+int fa_validate(int32_t ngens, const int32_t *letters, const int64_t *ends,
+                int64_t nrels, const int32_t *tbl, int64_t n, int64_t *which)
+{
+    int64_t nl = 2 * (int64_t)ngens, c, i, k, start;
+    *which = 0;
+    if (ngens < 0 || nrels < 0)
+        return -1;
+    for (k = 0; k < (nrels ? ends[nrels - 1] : 0); k++)
+        if (letters[k] < 0 || letters[k] >= nl)
+            return -1;
+    if (n < 1)
+        return FV_EMPTY;
+    for (k = 0; k < n * nl; k++)
+        if (tbl[k] < 0 || tbl[k] >= n)
+            return FV_RANGE;
+    for (i = 0; i < ngens; i++)
+        for (c = 0; c < n; c++)
+            if (tbl[tbl[c * nl + 2 * i] * nl + 2 * i + 1] != c) {
+                *which = i;
+                return FV_BIJECTION;
+            }
+    for (k = 0, start = 0; k < nrels; start = ends[k++])
+        for (c = 0; c < n; c += FV_BLOCK) {
+            int64_t d[FV_BLOCK], b, j, m = n - c < FV_BLOCK ? n - c : FV_BLOCK;
+            for (b = 0; b < m; b++)
+                d[b] = c + b;
+            for (j = start; j < ends[k]; j++)
+                for (b = 0; b < m; b++)
+                    d[b] = tbl[d[b] * nl + letters[j]];
+            for (b = 0; b < m; b++)
+                if (d[b] != c + b) {
+                    *which = k;
+                    return FV_RELATOR;
+                }
+        }
+    return FA_OK;
 }

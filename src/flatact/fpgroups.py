@@ -8,22 +8,25 @@ enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 
 Coset enumeration and the backtracking of the low-index search run in the
 compiled engine, `_coset.c`, when it can be loaded: plain C called through
-ctypes.  The same library builds the stabilizer chains of
-`groups.StabilizerChain` and the conjugacy-class labels of
-`groups.ElementIndex`.  On first import the source is
-compiled with `cc -O2 -shared -fPIC` into the per-user cache directory
-(`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode 0700), under a name
-made from the SHA-256 of the source, the compile command and the
-interpreter's cache tag, so later imports only load it.  If anything fails
-(no compiler, an unwritable or foreign cache, a load error), ENGINE is
-"pure" and the pure-Python engines run instead: `_enumerate_pure`,
-`_low_index_pure`, `groups.StabilizerChain._schreier_sims` and
-`groups._min_labels`.  They are also the differential-testing references.
-Both engines give identical tables, chains and labels, and the low-index
-searches visit the same nodes.
+ctypes.  The same library checks every coset table a `CosetTable` is
+built from, and builds the stabilizer chains of `groups.StabilizerChain`
+and the conjugacy-class labels of `groups.ElementIndex`.  Its results are
+numpy arrays that view the engine's buffers in place.  On first import
+the source is compiled with `cc -O2 -shared -fPIC` into the per-user
+cache directory (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode
+0700), under a name made from the SHA-256 of the source, the compile
+command and the interpreter's cache tag, so later imports only load it.
+If anything fails (no compiler, an unwritable or foreign cache, a load
+error), ENGINE is "pure" and the pure-Python engines run instead:
+`_enumerate_pure`, `_validate_table`, `_low_index_pure`,
+`groups.StabilizerChain._schreier_sims` and `groups._min_labels`.  They
+are also the differential-testing references.  Both engines give
+identical tables, verdicts, chains and labels, and the low-index searches
+visit the same nodes.
 """
 
 import ctypes
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -85,13 +88,14 @@ def _load_compiled():
     _check_owned(path, private=False)
     lib = ctypes.CDLL(path)
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    # the buffer and length out-parameters whose result goes to fa_take
+    # the buffer and length out-parameters of a result that fa_release frees
     result = [ctypes.POINTER(ptr), ctypes.POINTER(i64)]
     for name, restype, argtypes in (
             ("fa_enumerate", ctypes.c_int, [i32, ptr, ptr, i64, i64, i64] + result),
             ("fa_low_index", ctypes.c_int, [i32, ptr, ptr, ptr, i64, i64] + result),
             ("fa_schreier_sims", ctypes.c_int, [i64, i64, ptr] + result),
-            ("fa_take", None, [ptr, i64, ptr]),
+            ("fa_release", None, [ptr, i64]),
+            ("fa_validate", ctypes.c_int, [i32, ptr, ptr, i64, ptr, i64, ctypes.POINTER(i64)]),
             ("fa_min_labels", ctypes.c_int, [i64, i64, ptr, ptr])):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
@@ -104,28 +108,46 @@ except Exception as exc:  # any failure leaves the pure engine
     _LIB, _LOAD_ERROR = None, exc
 
 
+class _Buffer:
+    """Owner of one int32 buffer that the compiled engine handed over.
+    numpy views the buffer in place through `__array_interface__`, and
+    each view keeps its owner alive, so `fa_release` frees the buffer
+    when the last view is gone."""
+
+    _release = None  # set last in __init__: a failed __init__ frees nothing
+
+    def __init__(self, buf, n):
+        self.__array_interface__ = {"data": (buf.value, False), "shape": (n,),
+                                    "typestr": np.dtype(np.int32).str, "version": 3}
+        self._release = functools.partial(_LIB.fa_release, buf, n)
+
+    def __del__(self):
+        if self._release is not None:
+            self._release()
+
+
 def _run_compiled(entry, args, errors, width=None):
     """Call the compiled `entry` with `args` and its buffer and length
-    out-parameters, and hand its result over to a new int32 array.
+    out-parameters, and return its result as an int32 array viewing the
+    buffer in place: `length` ints, or `length` rows of `width` ints.
 
     A nonzero status raises errors[status - 1]: the limit, memory and
     argument errors of the C engine's FA_LIMIT, FA_NOMEM and FA_BADARG.
-    Otherwise `fa_take` copies the buffer into an array of that length
-    (rows of `width` entries, if given) and frees it, also when the array
-    cannot be allocated."""
+    The buffer is freed once: by its `_Buffer` when the last view of it is
+    gone, or here when the `_Buffer` cannot be built."""
     buf = ctypes.c_void_p()
     length = ctypes.c_int64()
     status = entry(*args, ctypes.byref(buf), ctypes.byref(length))
     if status:
         raise errors[status - 1]
-    shape = length.value if width is None else (length.value, width)
-    out = None
+    n = length.value if width is None else length.value * width
     try:
-        out = np.empty(shape, dtype=np.int32)
-    finally:
-        _LIB.fa_take(buf, 0 if out is None else out.size,
-                     None if out is None else out.ctypes.data)
-    return out
+        owner = _Buffer(buf, n)
+    except BaseException:
+        _LIB.fa_release(buf, n)
+        raise
+    out = np.asarray(owner)
+    return out if width is None else out.reshape(length.value, width)
 
 
 ENGINE = "compiled" if _LIB is not None else "pure"
@@ -290,7 +312,7 @@ class CosetTable:
         object.__setattr__(self, "table", t)
         if t.ndim != 2 or t.shape[1] != 2 * self.group.ngens:
             raise PresentationError("coset table has wrong shape")
-        _validate_table(self.group, t)
+        _validate(self.group, t)
 
     @property
     def index(self):
@@ -318,24 +340,57 @@ class CosetTable:
                 and bool(np.array_equal(self.table, other.table)))
 
 
+# the faults of a coset table, in the order both checks look for them
+_TABLE_FAULTS = ("coset table must have at least one row",
+                 "coset table entry out of range",
+                 "generator column %d is not a bijection",
+                 "coset table does not satisfy relator %r")
+
+
 def _validate_table(g, table):
+    """Raise PresentationError at the first fault of the (n, 2*ngens)
+    table: no rows, an entry out of range, a generator column that its
+    inverse column does not invert, a relator that does not close at
+    some coset."""
     n, nl = table.shape
     if n == 0:
-        raise PresentationError("coset table must have at least one row")
+        raise PresentationError(_TABLE_FAULTS[0])
     if nl and (table.min() < 0 or table.max() >= n):
-        raise PresentationError("coset table entry out of range")
+        raise PresentationError(_TABLE_FAULTS[1])
     # gathers from contiguous columns run several times faster than table[cur, x]
     cols = [np.ascontiguousarray(table[:, x]) for x in range(nl)]
     ident = np.arange(n, dtype=np.int32)
     for i in range(g.ngens):
         if not np.array_equal(cols[2 * i + 1].take(cols[2 * i]), ident):
-            raise PresentationError("generator column %d is not a bijection" % (i + 1))
+            raise PresentationError(_TABLE_FAULTS[2] % (i + 1))
     for w in g.relators:
         cur = ident
         for x in word_to_letters(w):
             cur = cols[x].take(cur)
         if not np.array_equal(cur, ident):
-            raise PresentationError("coset table does not satisfy relator %r" % (w,))
+            raise PresentationError(_TABLE_FAULTS[3] % (w,))
+
+
+def _validate_compiled(g, table):
+    """Compiled twin of _validate_table: `fa_validate` makes the same
+    checks in the same order over the rows in place."""
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    if table.ndim != 2 or table.shape[1] != 2 * g.ngens:
+        raise ValueError("coset table is not n x 2*ngens")
+    letters = np.array([x for w in g.relators for x in word_to_letters(w)], dtype=np.int32)
+    ends = np.cumsum([len(w) for w in g.relators], dtype=np.int64)
+    which = ctypes.c_int64()
+    fault = _LIB.fa_validate(g.ngens, letters.ctypes.data, ends.ctypes.data,
+                             len(g.relators), table.ctypes.data, table.shape[0],
+                             ctypes.byref(which))
+    if fault < 0:
+        raise ValueError("relator letter out of range")
+    if fault:
+        args = ((), (), (which.value + 1,), (g.relators[which.value],))[fault - 1]
+        raise PresentationError(_TABLE_FAULTS[fault - 1] % args)
+
+
+_validate = _validate_compiled if _LIB is not None else _validate_table
 
 
 # ---------------------------------------------------------------------------

@@ -929,6 +929,9 @@ def group_from_text(text):
         raise GroupError("empty group text")
     if tokens[0] == "perm":
         deg, k = int(tokens[1]), int(tokens[2])
+        if deg < 0 or k < 0:
+            raise GroupError("perm block degree %d or generator count %d is negative"
+                             % (deg, k))
         body = tokens[3:]
         if len(body) != deg * k:
             raise GroupError("bad generator count in perm block")

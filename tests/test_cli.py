@@ -242,6 +242,11 @@ class TestJordan:
             == EXIT_MALFORMED
         assert "not one of the 0 table elements" in capsys.readouterr().err
 
+    def test_negative_degree_is_malformed(self, write, capsys):
+        assert main(["jordan", write("g.txt", "perm -2 0\n"), "--bound", "1"]) \
+            == EXIT_MALFORMED
+        assert "degree -2 or generator count 0 is negative" in capsys.readouterr().err
+
     def test_default_limit(self, write, capsys):
         group = write("g.txt", group_to_text(PermGroup.symmetric(8)))
         assert main(["jordan", group, "--bound", "10"]) == EXIT_BOUND

@@ -4,6 +4,8 @@ search, and subgroup presentation rewriting."""
 import contextlib
 import math
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -246,8 +248,8 @@ class TestEngines:
 
     @needs_cc
     def test_coset_limit_boundary_across_renumbering(self):
-        # the compiled engine renumbers its live cosets once before the last
-        # define of E7 over the maximal parabolic without s4, so the limit
+        # the compiled engine renumbers its live cosets 11 times while it
+        # enumerates E7 over the maximal parabolic without s4, so the limit
         # must count the cosets renumbered away; bisect the compiled engine
         # alone and check the pure one at the boundary
         g = e7_weyl_presentation()
@@ -282,33 +284,43 @@ class TestEngines:
 
     @needs_cc
     def test_a_failed_array_still_frees_the_buffer(self, monkeypatch):
-        lib, taken = fpgroups._LIB, []
+        lib, released = fpgroups._LIB, []
 
         class Recording:
             def __getattr__(self, name):
                 return getattr(lib, name)
 
-            def fa_take(self, buf, n, out):
-                taken.append((bool(buf), n, out))
-                lib.fa_take(buf, n, out)
+            def fa_release(self, buf, n):
+                released.append((bool(buf), n))
+                lib.fa_release(buf, n)
 
         monkeypatch.setattr(fpgroups, "_LIB", Recording())
-        with mock.patch.object(np, "empty", side_effect=MemoryError), \
+        # the owner of the 2 x 2 table of Z/2 cannot be built
+        with mock.patch.object(fpgroups._Buffer, "__init__", side_effect=MemoryError), \
                 pytest.raises(MemoryError):
             fpgroups._enumerate_compiled(1, [(0, 0)], [], 10)
-        assert taken == [(True, 0, None)]
+        assert released == [(True, 4)]
+        # a view of the table keeps the buffer after the table is gone
+        table = fpgroups._enumerate_compiled(1, [(0, 0)], [], 10)
+        row = table[1]
+        del table
+        assert released == [(True, 4)] and row.tolist() == [0, 0]
+        del row
+        assert released == [(True, 4)] * 2
 
     @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
                         reason="needs a C compiler and /proc")
     def test_allocation_failure_is_memory_error(self):
-        # the full E7 table needs about 500 MB; allow 256 MB past the imports
+        # the full E7 enumeration maps 256 MB at its peak (room for 4,194,304
+        # rows of 14 entries, their parents and the coincidence queue);
+        # allow 128 MB of address space past the imports
         code = """if True:
             import resource
             from flatact import fpgroups as f
             assert f.ENGINE == "compiled"
             with open("/proc/self/status") as fh:
                 vm = [int(l.split()[1]) for l in fh if l.startswith("VmSize")][0]
-            limit = vm * 1024 + (256 << 20)
+            limit = vm * 1024 + (128 << 20)
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
             g = f.e7_weyl_presentation()
             rels = [f.word_to_letters(w) for w in g.relators]
@@ -321,6 +333,32 @@ class TestEngines:
                               text=True, timeout=300, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "MemoryError coset table does not fit in memory"
+
+    @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
+                        reason="needs a C compiler and /proc")
+    def test_a_second_enumeration_does_not_raise_the_peak(self):
+        # E7 over <s1,s2,s3> twice in one process, the first table dropped
+        # in between: the second run must find room where the first had it
+        code = """if True:
+            from flatact import fpgroups as f
+            assert f.ENGINE == "compiled"
+            def hwm():
+                with open("/proc/self/status") as fh:
+                    return [int(l.split()[1]) for l in fh if l.startswith("VmHWM")][0]
+            g = f.e7_weyl_presentation()
+            peaks = []
+            for _ in range(2):
+                table = f.todd_coxeter(g, [(1,), (2,), (3,)])
+                assert table.index == 241920
+                del table
+                peaks.append(hwm())
+            print(*peaks)
+            """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.split())
+        assert second - first <= 2048, (first, second)
 
     @needs_cc
     def test_library_cached_per_user(self, tmp_path, monkeypatch):
@@ -462,6 +500,63 @@ def _same_with_repeats(g, max_index, node_limit):
         for engine in ("pure", "compiled"):
             for rotations in (fpgroups._relator_rotations, _raw_rotations):
                 assert _complete_tables(g, max_index, engine, limit, rotations) == outcome
+
+
+# the tables of the `coset_tables` family of benchmarks/digest_outputs.py
+_DIGEST_TABLES = [("E7", range(1, 7)), ("E7", range(1, 4))]
+_DIGEST_TABLES += [("S%d" % n, ()) for n in range(3, 8)]
+_DIGEST_TABLES += [("E7", [i for i in range(1, 8) if i != drop]) for drop in range(2, 6)]
+_DIGEST_TABLES += [("S8", ())]
+
+
+def _verdict(check, g, table):
+    """The message `check` raises on the table, or None when it passes."""
+    try:
+        check(g, table)
+    except PresentationError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(table, rng):
+    """Copies of a closed coset table with one fault each: an entry out of
+    range (-1, then the row count), a generator column that its inverse
+    column does not invert, and a generator that stays a permutation but
+    is composed with a transposition, which breaks a relator."""
+    n, nl = table.shape
+    r, x = rng.randrange(n), rng.randrange(nl)
+    for entry in (-1, n):
+        bad = table.copy()
+        bad[r, x] = entry
+        yield bad
+    i = rng.randrange(nl // 2)
+    r1, r2 = rng.sample(range(n), 2)
+    a, b = table[r1, 2 * i], table[r2, 2 * i]
+    bad = table.copy()
+    bad[r1, 2 * i], bad[r2, 2 * i] = b, a
+    yield bad
+    bad = bad.copy()
+    bad[b, 2 * i + 1], bad[a, 2 * i + 1] = r1, r2
+    yield bad
+
+
+@needs_compiled
+class TestTableCheckEngines:
+    @pytest.mark.parametrize("name, sub", _DIGEST_TABLES)
+    def test_same_verdicts_as_the_pure_check(self, name, sub):
+        g = e7_weyl_presentation() if name == "E7" else symmetric_presentation(int(name[1:]))
+        table = todd_coxeter(g, [(i,) for i in sub]).table
+        rng = random.Random(name + str(list(sub)))
+        verdicts = []
+        for t in [table, table[:0]] + list(_corruptions(table, rng)):
+            pure = _verdict(fpgroups._validate_table, g, t)
+            assert _verdict(fpgroups._validate_compiled, g, t) == pure
+            verdicts.append(pure)
+        assert verdicts[:4] == [None, "coset table must have at least one row",
+                                "coset table entry out of range",
+                                "coset table entry out of range"]
+        assert re.fullmatch(r"generator column \d is not a bijection", verdicts[4])
+        assert verdicts[5].startswith("coset table does not satisfy relator (")
 
 
 @needs_compiled

@@ -880,6 +880,11 @@ class TestTextFormat:
         with pytest.raises(GroupError):
             group_from_text("wat 3\n")
 
+    @pytest.mark.parametrize("text", ["perm -2 0", "perm 2 -1\n0 1\n", "perm -2 -1\n0 1\n"])
+    def test_negative_degree_or_generator_count(self, text):
+        with pytest.raises(GroupError, match="is negative"):
+            group_from_text(text)
+
 
 @given(st.integers(2, 7), st.integers(2, 7))
 @settings(max_examples=30, deadline=None)
