@@ -128,7 +128,7 @@ void fa_release(int32_t *buf, int64_t n)
         munmap(buf, buf_bytes(n));
 }
 
-/* Resize the buffer *p of old ints (none when *p is NULL) to n ints; on
+/* Resize the buffer *p of old ints (0 when *p is NULL) to n ints; on
  * failure *p is unchanged.  Linux grows and shrinks a mapping in place or
  * moves its pages; a buffer that crosses MAPPED, or a mapping elsewhere,
  * is copied. */
@@ -137,8 +137,6 @@ static int remap(int32_t **p, int64_t old, int64_t n)
     void *t;
     if (n < 0 || n > (int64_t)(SIZE_MAX / sizeof **p - 1))
         return FA_NOMEM;
-    if (*p == NULL)
-        old = 0;
     if (old < MAPPED && n < MAPPED)
         t = realloc(*p, buf_bytes(n));
 #ifdef MREMAP_MAYMOVE
