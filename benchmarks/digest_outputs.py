@@ -28,10 +28,12 @@ change kept every output of a family byte for byte.  The families:
 * `certificates` -- `to_dict()` of the verification reports of the A4
   torus certificate and its five `perfbench` mutations, of the Klein
   bottle flat certificate (and its zero cocycle), of the A4 flat
-  certificate, of a flat certificate whose section adjustment solves
-  modulo A, and of `a4_flat_certificate` of `tests/test_certificates.py`
-  built through the second isomorphism Q -> G/A, as it is and with a
-  wrong witness value;
+  certificate, and of these functions of `tests/test_certificates.py`:
+  `section_certificate`, whose element of order 2 must satisfy
+  alpha(v) = -b(t) modulo A, `a4_flat_certificate` built through the
+  second isomorphism Q -> G/A, as it is and with a wrong witness value,
+  and `hantzsche_wendt_certificate`, as shipped in
+  `data/hantzsche_wendt.flat.json` and with its first translation zeroed;
 * `jordan` -- the element keys and the index of `jordan_witness` on the
   `small-queries` Jordan queries, on `_jordan_corpus` of
   `tests/test_acceptance.py`, and on C2 wr C4, C2 wr C2^2, D4 x C2 and
@@ -44,8 +46,8 @@ change kept every output of a family byte for byte.  The families:
 It uses only names that have been in the package since the sparse bar
 complex, so the same file runs on older checkouts, copied there with
 `tests/test_groups.py`, which holds `element_index_digest`, and
-`tests/test_certificates.py`, which holds `a4_flat_certificate`.  A whole run takes
-about 8 s on a 2-core VM, most of it the A9 chain; on checkouts that
+`tests/test_certificates.py`, which holds the flat certificates.
+A whole run takes about 8 s on a 2-core VM, most of it the A9 chain; on checkouts that
 still filter the normal-subgroup lattice, `jordan` takes far longer
 (D4^3 alone over an hour).
 
@@ -69,7 +71,8 @@ from flatact import certificates, cli, cohomology, fpgroups, screening  # noqa: 
 from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
 from test_acceptance import _jordan_corpus  # noqa: E402
-from test_certificates import a4_flat_certificate  # noqa: E402
+from test_certificates import (a4_flat_certificate, hantzsche_wendt_certificate,  # noqa: E402
+                               section_certificate)
 from test_groups import element_index_digest  # noqa: E402
 from workloads import _a4_flat_query, _jordan_ops, _module_cases  # noqa: E402
 
@@ -280,16 +283,6 @@ def kernel_basis_family():
     return _sha(out)
 
 
-def _section_certificate():
-    """G = A = Z/2 and phi = phi_star = C2 acting on Z^2 by a reflection:
-    alpha = (1 0) kills c*(t, t) = (2, 0), and b(t) = 1 makes the section
-    adjustment solve alpha(s) = -1 modulo 2."""
-    c2 = TableGroup.cyclic(2)
-    return certificates.FlatCertificate(
-        c2, [1], 2, [M([[1, 0], [0, -1]])], M([[1, 0]]), [1], c2,
-        {(1, 1): (2, 0)}, {1: (1,)})
-
-
 def certificates_family():
     base = certificates.build_a4_certificate().to_dict()
     mutations = [dict(alpha=[[0, 0], [0, 0]]), dict(alpha=[[1, 0], [0, 2]]),
@@ -302,9 +295,11 @@ def certificates_family():
             TableGroup.cyclic(1), [], 2, [M([[1, 0], [0, -1]])], IntMatrix.zero(0, 2),
             [1], TableGroup.cyclic(2), {(1, 1): value}, {})))
     reports.append(_a4_flat_query({}))
-    reports.append(certificates.verify_flat_certificate(_section_certificate()))
+    reports.append(certificates.verify_flat_certificate(section_certificate()))
     reports += [certificates.verify_flat_certificate(a4_flat_certificate(1, wrong))
                 for wrong in (False, True)]
+    reports += [certificates.verify_flat_certificate(hantzsche_wendt_certificate(zero_first))
+                for zero_first in (False, True)]
     return _sha([r.to_dict() for r in reports])
 
 

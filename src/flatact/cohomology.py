@@ -793,23 +793,30 @@ def torsion_free_check(point_group, module, cocycle):
         raise CohomologyError("module must carry the point group action")
     if not module.is_faithful():
         raise CohomologyError("point group action is not faithful")
-    n = module.rank
     for phi, p in prime_order_class_reps(point_group):
-        rho = module.act_matrix(phi)
-        norm = IntMatrix.identity(n)
-        power = rho
-        for _ in range(p - 1):
-            norm = norm + power
-            power = power * rho
-        w = module.zero()
-        cur = phi
-        for _ in range(1, p):
-            w = module.add(w, cocycle.value(cur, phi))
-            cur = point_group.multiply(cur, phi)
+        norm, w = _power_terms(module, cocycle, phi, p)
         x = solve_integer(norm, tuple(-t for t in w))
         if x is not None:
             return False, (tuple(x), phi)
     return True, None
+
+
+def _power_terms(module, cocycle, phi, p):
+    """(N_phi, w_phi) for phi of order p: N_phi = 1 + rho(phi) + ... +
+    rho(phi)^(p-1) and w_phi = sum of c(phi^i, phi) for 0 < i < p, so that
+    (x, phi)^p = (N_phi x + w_phi, 1) in the extension along c."""
+    rho = module.act_matrix(phi)
+    norm = IntMatrix.identity(module.rank)
+    power = rho
+    for _ in range(p - 1):
+        norm = norm + power
+        power = power * rho
+    w = module.zero()
+    cur = phi
+    for _ in range(1, p):
+        w = module.add(w, cocycle.value(cur, phi))
+        cur = module.group.multiply(cur, phi)
+    return norm, w
 
 
 def torsion_free_check_by_restriction(point_group, module, cocycle):

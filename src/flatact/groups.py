@@ -11,9 +11,9 @@ The stabilizer chain is built by the compiled engine of `fpgroups`
 the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
 give identical levels.  Likewise the conjugacy-class labels of an
 `ElementIndex` come from `fa_min_labels`, or else from `_min_labels`.
-These are two of the engine's four pure twins; the other two,
-`fpgroups._enumerate_pure` and `fpgroups._low_index_pure`, are in
-`fpgroups`.
+These are two of the engine's five pure twins; the other three,
+`fpgroups._enumerate_pure`, `fpgroups._validate_table` and
+`fpgroups._low_index_pure`, are in `fpgroups`.
 """
 
 import math

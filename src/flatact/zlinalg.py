@@ -176,7 +176,6 @@ class SmithDecomposition:
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    source: IntMatrix
 
     @property
     def diagonal(self):
@@ -316,7 +315,7 @@ def smith_normal_form(mat, with_v=True):
         t += 1
 
     vm = None if vt is None else IntMatrix.from_columns(vt, cols)
-    return SmithDecomposition(_from_int_rows(m, cols), _from_int_rows(u, rows), vm, mat)
+    return SmithDecomposition(_from_int_rows(m, cols), _from_int_rows(u, rows), vm)
 
 
 def hermite_normal_form(mat):

@@ -3,6 +3,7 @@ roundtrips, verification checklists, and the Jordan-bound witness."""
 
 import copy
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -17,10 +18,12 @@ from flatact.certificates import (CertificateError, CrystalElement,
                                   jordan_witness, verify_flat_certificate,
                                   verify_torus_certificate)
 from flatact.cohomology import (Cocycle2, ZQModule, extension_class, h2,
-                                induced_h2, is_in_image)
+                                induced_h2, is_in_image, torsion_free_check,
+                                torsion_free_check_by_restriction)
 from flatact.groups import (PermGroup, Permutation, TableGroup, group_to_text,
-                            iter_isomorphisms, quotient_group)
-from flatact.zlinalg import AbHom, IntMatrix
+                            iter_isomorphisms, quotient_group, subgroup_closure)
+from flatact.zlinalg import (AbHom, EchelonSolver, IntMatrix, kernel_basis,
+                             solve_modulo)
 
 
 def klein_bottle_ambient():
@@ -243,19 +246,112 @@ def klein_four_certificate(witness, phi1_translation=(Fraction(1, 2), 0)):
     klein = [[x ^ y for y in range(4)] for x in range(4)]
     phi_star = TableGroup(klein)
     assert phi_star.generators() == [1, 2]
-    signs = {x: ((-1) ** (x >> 1), (-1) ** (x & 1)) for x in range(4)}
-    rho = [IntMatrix.diagonal(signs[1]), IntMatrix.diagonal(signs[2])]
+    mats = {x: IntMatrix.diagonal(((-1) ** (x >> 1), (-1) ** (x & 1))) for x in range(4)}
     zero = (0, 0)
     t = {0: zero, 1: tuple(phi1_translation), 2: zero, 3: tuple(phi1_translation)}
-    cocycle = {}
-    for x in range(4):
-        for y in range(4):
-            v = [a + s * b - c for a, s, b, c in zip(t[x], signs[x], t[y], t[x ^ y])]
-            assert all(c.denominator == 1 for c in map(Fraction, v))
-            cocycle[(x, y)] = tuple(int(c) for c in v)
     return FlatCertificate(
-        TableGroup(klein), [2], 2, rho, IntMatrix.from_rows([[0, 1]]), [1],
-        phi_star, cocycle, witness)
+        TableGroup(klein), [2], 2, [mats[1], mats[2]], IntMatrix.from_rows([[0, 1]]),
+        [1], phi_star, translation_cocycle(phi_star, mats, t), witness)
+
+
+def translation_parts(identity, multiply, act, steps):
+    """The translation parts t of the elements reached from `identity` by
+    right multiplication with the g of `steps`, pairs (g, t(g)): x g, when
+    first reached, gets t(x) + act(x).t(g), that of the word that reached
+    it."""
+    parts = {identity: (0,) * len(steps[0][1])}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop(0)
+        for g, tg in steps:
+            y = multiply(x, g)
+            if y not in parts:
+                parts[y] = tuple(a + b for a, b in zip(parts[x], act(x).apply(tg)))
+                frontier.append(y)
+    return parts
+
+
+def translation_cocycle(group, mats, t):
+    """c(x, y) = t(x) + x.t(y) - t(xy) for the translation parts t (element
+    -> vector of Fractions) of a Bieberbach group over `group`, whose
+    element x acts by mats[x]; the values must be integral."""
+    cocycle = {}
+    for x in group.elements():
+        for y in group.elements():
+            v = [a + b - c for a, b, c in
+                 zip(t[x], mats[x].apply(t[y]), t[group.multiply(x, y)])]
+            assert all(Fraction(c).denominator == 1 for c in v)
+            cocycle[(x, y)] = tuple(int(c) for c in v)
+    return cocycle
+
+
+def section_certificate(order=2):
+    """G = A = Z/order and phi = phi_star = C2 acting on Z^2 by a
+    reflection, with alpha = (1 0), c*(t, t) = (2, 0) and b(t) = 1: an
+    element (v, t) of the subextension has alpha(v) = -1 modulo the order.
+    (-1, 0; t) is one of order 2."""
+    c2 = TableGroup.cyclic(2)
+    return FlatCertificate(
+        TableGroup.cyclic(order), [1], 2, [IntMatrix.from_rows([[1, 0], [0, -1]])],
+        IntMatrix.from_rows([[1, 0]]), [1], c2, {(1, 1): (2, 0)}, {1: (1,)})
+
+
+HALF = Fraction(1, 2)
+
+# Three of the ten closed flat 3-manifolds (Conway-Rossetti, "Describing
+# the platycosms", 2003), as the affine maps x -> m x + t that generate
+# their fundamental groups together with the translations of Z^3
+PLATYCOSMS = {
+    "hantzsche-wendt": [([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (HALF, HALF, 0)),
+                        ([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, HALF, HALF))],
+    "dicosm": [([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], (0, 0, HALF))],
+    "first-amphicosm": [([[1, 0, 0], [0, -1, 0], [0, 0, 1]], (HALF, 0, 0))],
+}
+HOLONOMY_ORDERS = {"hantzsche-wendt": 4, "dicosm": 2, "first-amphicosm": 2}
+
+
+def bieberbach(generators, zero_first=False):
+    """(point group, lattice module, cocycle) of the group generated by Z^n
+    and the affine maps (m, t) of `generators`; with zero_first, the first
+    map's translation is replaced by 0.  The point group's elements are the
+    matrices, each with the translation part of the first word in the
+    generators that reaches it."""
+    gens = [(IntMatrix.from_rows(m), tuple(Fraction(x) for x in t))
+            for m, t in generators]
+    if zero_first:
+        gens[0] = (gens[0][0], (0,) * len(gens[0][1]))
+    identity = IntMatrix.identity(gens[0][0].rows)
+    parts = translation_parts(identity, lambda a, b: a * b, lambda m: m, gens)
+    els = list(parts)
+    group = TableGroup.from_function(els, lambda a, b: a * b, identity)
+    module = ZQModule.lattice(group, [els[g] for g in group.generators()])
+    cocycle = translation_cocycle(group, els, [parts[m] for m in els])
+    return group, module, Cocycle2(module, cocycle)
+
+
+def bieberbach_certificate(generators, zero_first=False):
+    """The flat certificate of the trivial group acting on the flat manifold
+    of bieberbach(generators, zero_first): phi = phi_star = its point group."""
+    group, module, cocycle = bieberbach(generators, zero_first)
+    return FlatCertificate(
+        TableGroup.cyclic(1), [], module.rank,
+        [module.act_matrix(g) for g in group.generators()],
+        IntMatrix.zero(0, module.rank), group.generators(), group,
+        cocycle.values, {})
+
+
+def hantzsche_wendt_certificate(zero_first=False):
+    """The certificate shipped as data/hantzsche_wendt.flat.json; with
+    zero_first, the first generator's translation is zeroed, which gives
+    the group a fixed point."""
+    return bieberbach_certificate(PLATYCOSMS["hantzsche-wendt"], zero_first)
+
+
+def certificate_ambient(cert):
+    """The (module, cocycle) of the extension of phi_star along c*, in which
+    a reported torsion element (v, phi) lives."""
+    module = ZQModule.lattice(cert.phi_star, cert.rho, rank=cert.n)
+    return module, Cocycle2(module, cert.cocycle)
 
 
 class TestFlatCertificate:
@@ -349,6 +445,183 @@ class TestFlatCertificate:
             FlatCertificate(
                 trivial, [], 2, [IntMatrix.from_rows([[1, 0], [0, -1]])],
                 IntMatrix.zero(0, 2), [5], c2, {(1, 1): (1, 0)}, {})
+
+
+def kernel_subextension_check(cert):
+    """The torsion-free step the long way round, as the differential
+    reference for verify_flat_certificate: build the subextension over phi
+    with lattice N = ker alpha in the coordinates of a Hermite basis of N,
+    moving c* restricted to phi into N by a section s with
+    alpha(s(x)) = -b(x), and run torsion_free_check on it.  Returns
+    (True, None), or (False, (v, phi)) with the element of finite order
+    mapped back into the certificate's Z^n by (y, x) -> (y + s(x), x)."""
+    _, a_group, _ = abelian_identification(cert.group, cert.a_generators)
+    star_mod, cstar = certificate_ambient(cert)
+    basis = kernel_basis(AbHom(cert.n, a_group, cert.alpha))
+    phi_els = subgroup_closure(cert.phi_star, cert.phi)
+    h_phi = TableGroup.from_function(phi_els, cert.phi_star.multiply,
+                                     cert.phi_star.identity())
+    phi_lat = ZQModule.lattice(
+        h_phi, [star_mod.act_matrix(phi_els[x]) for x in h_phi.generators()],
+        rank=cert.n)
+    solver = EchelonSolver(basis)
+
+    def n_coords(vec):
+        y = solver.solve(tuple(vec))
+        assert y is not None, "vector expected in ker alpha is outside it"
+        return tuple(y)
+
+    sub_mod = ZQModule.lattice(h_phi, [
+        IntMatrix.from_columns(
+            [n_coords(phi_lat.act_matrix(g).apply(basis.row(j))) for j in range(basis.rows)],
+            basis.rows)
+        for g in h_phi.generators()], rank=basis.rows)
+    s_of = {
+        x: solve_modulo(cert.alpha, a_group.invariant_factors, tuple(
+            -t for t in a_group.reduce(cert.coboundary_witness.get(phi_els[x], a_group.zero()))))
+        for x in h_phi.elements() if x != h_phi.identity()}
+    restricted = Cocycle2(phi_lat, {
+        (x, y): cstar.value(phi_els[x], phi_els[y])
+        for x in h_phi.elements() for y in h_phi.elements()})
+    adjusted = restricted.add(Cocycle2.coboundary(phi_lat, s_of))
+    sub_cocycle = Cocycle2(sub_mod, {k: n_coords(v) for k, v in adjusted.values.items()})
+    tf, witness = torsion_free_check(h_phi, sub_mod, sub_cocycle)
+    if tf:
+        return True, None
+    y, x = witness
+    v = [sum(c * basis[j, i] for j, c in enumerate(y)) + s_of[x][i] for i in range(cert.n)]
+    return False, (tuple(v), phi_els[x])
+
+
+def assert_torsion_element(cert, v, phi):
+    """(v, phi) lies over the subextension, alpha(v) = -b(phi) modulo A,
+    and has the order of phi, which is prime."""
+    _, a_group, _ = abelian_identification(cert.group, cert.a_generators)
+    b = cert.coboundary_witness.get(phi, a_group.zero())
+    assert a_group.reduce(cert.alpha.apply(v)) == a_group.reduce(tuple(-t for t in b))
+    ambient = certificate_ambient(cert)
+    p = cert.phi_star.element_order(phi)
+    element = CrystalElement(tuple(v), phi, ambient)
+    assert not crystal_is_identity(element)
+    assert crystal_is_identity(crystal_power(element, p))
+
+
+def mutations(cert, rng, count):
+    """`count` seeded mutations of a certificate: c* plus the coboundary
+    of translations t with random entries in {-1, -1/2, 0, 1/2, 1} on the
+    generators of phi_star (carried to every element by translation_parts),
+    and a random witness b half of the time."""
+    _, a_group, _ = abelian_identification(cert.group, cert.a_generators)
+    module, cstar = certificate_ambient(cert)
+    grp = cert.phi_star
+    els = grp.elements()
+    mats = {x: module.act_matrix(x) for x in els}
+    for _ in range(count):
+        steps = [(g, tuple(Fraction(rng.randrange(-2, 3), 2) for _ in range(cert.n)))
+                 for g in grp.generators()]
+        t = translation_parts(grp.identity(), grp.multiply, mats.__getitem__, steps)
+        shift = translation_cocycle(grp, mats, t)
+        cocycle = {k: module.add(cstar.value(*k), shift[k]) for k in shift}
+        witness = cert.coboundary_witness
+        if rng.random() < 0.5:
+            witness = {x: tuple(rng.randrange(f) for f in a_group.invariant_factors)
+                       for x in els if x != grp.identity()}
+        yield FlatCertificate(cert.group, cert.a_generators, cert.n, cert.rho,
+                              cert.alpha, cert.phi, grp, cocycle, witness)
+
+
+ORACLE_BASES = {
+    "klein-four": lambda: klein_four_certificate({}),
+    "klein-four-other-witness": lambda: klein_four_certificate({1: (1,), 3: (1,)}),
+    "klein-four-no-translation": lambda: klein_four_certificate({}, (0, 0)),
+    "klein-bottle": klein_bottle_certificate,
+    "klein-bottle-zero-cocycle": lambda: klein_bottle_certificate((0, 0)),
+    "section": section_certificate,
+    # -b(x) differs from b(x) modulo 3
+    "section-modulo-3": lambda: section_certificate(3),
+}
+
+
+class TestKernelSubextensionOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_same_verdict_on_seeded_mutations(self, name):
+        rng = random.Random(name)
+        base = ORACLE_BASES[name]()
+        verdicts = []
+        for cert in [base] + list(mutations(base, rng, 40)):
+            report = verify_flat_certificate(cert)
+            if report.checklist[-1].name != "torsion-free":
+                continue
+            tf, witness = kernel_subextension_check(cert)
+            assert report.checklist[-1].passed == tf
+            verdicts.append(tf)
+            if not tf:
+                assert_torsion_element(cert, *witness)
+                found = report.witnesses["torsion_element"]
+                assert_torsion_element(cert, found["translation"], found["rotation"])
+        # the mutations reach the step often, with both answers
+        assert len(verdicts) >= 8 and set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(PLATYCOSMS))
+    @pytest.mark.parametrize("zero_first", [False, True])
+    def test_same_verdict_on_platycosms(self, name, zero_first):
+        cert = bieberbach_certificate(PLATYCOSMS[name], zero_first)
+        tf, _ = kernel_subextension_check(cert)
+        assert tf == (not zero_first) == verify_flat_certificate(cert).verdict
+
+    def test_section_certificate_witness_is_in_its_own_lattice(self):
+        cert = section_certificate()
+        report = verify_flat_certificate(cert)
+        assert report.failed_check() == "torsion-free"
+        assert report.witnesses["torsion_element"] == {"translation": (-1, 0), "rotation": 1}
+        assert_torsion_element(cert, (-1, 0), 1)
+        # the zero translation is not: (0, t)^2 = (2, 0)
+        square = crystal_power(CrystalElement((0, 0), 1, certificate_ambient(cert)), 2)
+        assert (square.v, square.phi) == ((2, 0), 0)
+
+
+class TestPlatycosms:
+    @pytest.mark.parametrize("name", sorted(PLATYCOSMS))
+    def test_both_torsion_checks_accept(self, name):
+        group, module, cocycle = bieberbach(PLATYCOSMS[name])
+        assert group.order() == HOLONOMY_ORDERS[name]
+        assert torsion_free_check(group, module, cocycle) == (True, None)
+        assert torsion_free_check_by_restriction(group, module, cocycle) == (True, None)
+
+    @pytest.mark.parametrize("name", sorted(PLATYCOSMS))
+    def test_zeroed_translation_has_torsion(self, name):
+        group, module, cocycle = bieberbach(PLATYCOSMS[name], zero_first=True)
+        ok, (x, phi) = torsion_free_check(group, module, cocycle)
+        assert not ok
+        element = CrystalElement(x, phi, (module, cocycle))
+        assert crystal_is_identity(crystal_power(element, group.element_order(phi)))
+        assert torsion_free_check_by_restriction(group, module, cocycle) == (False, phi)
+
+    @pytest.mark.parametrize("name", sorted(PLATYCOSMS))
+    def test_flat_certificate_accepted(self, name):
+        cert = bieberbach_certificate(PLATYCOSMS[name])
+        report = verify_flat_certificate(cert)
+        assert [(c.name, c.passed) for c in report.checklist] == \
+            [(check, True) for check in FLAT_CHECKS]
+        assert report.witnesses == {"kernel_index": 1}
+        again = verify_flat_certificate(certificate_from_dict(cert.to_dict()))
+        assert again.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("name", sorted(PLATYCOSMS))
+    def test_zeroed_flat_certificate_rejected_at_torsion_free(self, name):
+        cert = bieberbach_certificate(PLATYCOSMS[name], zero_first=True)
+        report = verify_flat_certificate(cert)
+        assert [c.name for c in report.checklist] == FLAT_CHECKS
+        assert report.failed_check() == "torsion-free"
+        found = report.witnesses["torsion_element"]
+        assert_torsion_element(cert, found["translation"], found["rotation"])
+
+    def test_shipped_hantzsche_wendt_is_hantzsche_wendt_certificate(self):
+        text = (resources.files("flatact") / "data" / "hantzsche_wendt.flat.json").read_text()
+        assert text == json.dumps(hantzsche_wendt_certificate().to_dict(), indent=2) + "\n"
+        cert = certificate_from_dict(json.loads(text))
+        assert cert == hantzsche_wendt_certificate()
+        assert verify_flat_certificate(cert).verdict
 
 
 class TestJordanWitness:

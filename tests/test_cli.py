@@ -8,7 +8,9 @@ from importlib import resources
 import pytest
 
 from flatact import BoundExceeded, fpgroups
-from flatact.certificates import TorusCertificate, build_a4_certificate
+from flatact.certificates import (CrystalElement, TorusCertificate,
+                                  build_a4_certificate, crystal_is_identity,
+                                  crystal_power)
 from flatact import cli
 from flatact.cli import (EXIT_BOUND, EXIT_MALFORMED, EXIT_NEGATIVE, EXIT_OK,
                          main)
@@ -19,6 +21,7 @@ from flatact.fpgroups import (CosetLimitExceeded, FpGroup, SearchBoundExceeded,
 from flatact.groups import (DEFAULT_SUBGROUP_ORDER_BOUND, GroupBoundExceeded,
                             GroupError, PermGroup, TableGroup, group_to_text)
 from flatact.zlinalg import IntMatrix
+from test_certificates import certificate_ambient, hantzsche_wendt_certificate
 
 
 @pytest.fixture
@@ -198,6 +201,25 @@ class TestVerify:
         d = build_a4_certificate().to_dict()
         d["rho"] = rho
         assert main(["verify-torus", write("c.json", json.dumps(d))]) == EXIT_MALFORMED
+
+    def test_shipped_hantzsche_wendt_accepted(self, capsys):
+        path = str(resources.files("flatact") / "data" / "hantzsche_wendt.flat.json")
+        assert main(["verify-flat", path]) == EXIT_OK
+        assert "verdict: accepted" in capsys.readouterr().out
+
+    def test_hantzsche_wendt_with_a_fixed_point_rejected(self, write, capsys):
+        cert = hantzsche_wendt_certificate(zero_first=True)
+        path = write("c.json", json.dumps(cert.to_dict()))
+        assert main(["verify-flat", path, "--format", "json"]) == EXIT_NEGATIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checklist"][-1] == {
+            "name": "torsion-free", "passed": False,
+            "detail": "kernel of the induced map has torsion"}
+        found = payload["witnesses"]["torsion_element"]
+        element = CrystalElement(tuple(found["translation"]), found["rotation"],
+                                 certificate_ambient(cert))
+        assert not crystal_is_identity(element)
+        assert crystal_is_identity(crystal_power(element, 2))
 
     def test_invalid_json_is_malformed(self, write):
         cert = write("c.json", "{not json")

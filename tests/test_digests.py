@@ -17,7 +17,7 @@ DIGESTS = {
     "bar_cohomology": "3f7926f68afa6030e11cc83a5b388d6745cb81f37a7c830cc4c3a239cfd4244d",
     "cyclic_cohomology": "5195c31e1849c72c30ed71a3638bede3eb93fa5fa5e270ea0a2ac0d692a7c07d",
     "kernel_basis": "56fddcd8baad89e6d825558a13ab1e905afb4f915cafb9b1983be58792cdc077",
-    "certificates": "73217b2504cc66a6d244d74f50b2446eb466c3f3c49f6c827b8017b61b16df30",
+    "certificates": "668fc35c949e9d9897563edf2364c70c0586a4b7bfd565d33ca0087ebc2eb1d3",
     "jordan": "c2cb540141a976ddb958fb402d552cb0d00cb41af1faa87aa2f9d245884f9107",
     "element_index": "332a7a419c5848ddddf3d8c24026798f0c14b595e8c30bd25a324c7de4d1d5be",
 }
