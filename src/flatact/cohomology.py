@@ -643,24 +643,19 @@ def is_equivariant(alpha_matrix, source, target, pairs):
     return True
 
 
-def induced_h2(alpha, source, target, require_surjective=True):
+def induced_h2(alpha, source, target):
     """The map H^2(Q; source coefficients) -> H^2(Q; target coefficients)
     induced by an equivariant coefficient homomorphism alpha.
 
     Verifies that alpha is equivariant (alpha(g.x) = g.alpha(x) on the
-    whole group) and, by default, surjective.  Source and target must be
-    cohomology of the same group.
+    whole group); it need not be onto, and the target may be a lattice.
+    Source and target must be cohomology of the same group.
     """
     if source.module.group is not target.module.group:
         raise CohomologyError("source and target must share the same group")
     smod, tmod = source.module, target.module
     if alpha.matrix.cols != smod.rank or alpha.matrix.rows != tmod.rank:
         raise CohomologyError("alpha shape does not match the modules")
-    if require_surjective:
-        if not tmod.is_finite:
-            raise CohomologyError("surjectivity check needs finite target")
-        if not alpha.is_surjective():
-            raise CohomologyError("alpha is not surjective")
     if not is_equivariant(alpha.matrix, smod, tmod,
                           [(g, g) for g in smod.group.elements()]):
         raise CohomologyError("alpha is not equivariant")
@@ -707,6 +702,8 @@ def extension_class(g, a_elements, identification, a_group, section=None):
     a_group (a FinAbGroup); must be a bijective homomorphism.
     section: optional dict Q-element -> G-element with section(1) = 1;
     defaults to the lexicographically least coset representatives.
+    Raises CohomologyError when A is not abelian or not normal, or when
+    the identification or the section is not as above.
     """
     a_set = set(a_elements)
     if len(identification) != len(a_set) or set(identification) != a_set:
@@ -730,35 +727,38 @@ def extension_class(g, a_elements, identification, a_group, section=None):
             if a_group.reduce(identification[xy]) != want:
                 raise CohomologyError("identification is not a homomorphism")
 
+    # A is normal when G's generators conjugate the basis of A into A
+    elem_of = {a_group.reduce(identification[x]): x for x in a_elements}
+    basis_elems = []
+    for i in range(a_group.rank):
+        e_i = tuple(1 if j == i else 0 for j in range(a_group.rank))
+        basis_elems.append(elem_of[a_group.reduce(e_i)])
+    if any(g.conjugate(s, be) not in a_set
+           for s in g.generators() for be in basis_elems):
+        raise CohomologyError("A is not normal in G")
+
     q, proj, cosets = quotient_group(g, a_elements)
     if section is None:
         section = {i: cosets[i][0] for i in range(q.order())}
     else:
         section = dict(section)
-        if section.get(q.identity()) != g.identity():
+        if set(section) != set(q.elements()):
+            raise CohomologyError("section must have one value per element of Q")
+        if section[q.identity()] != g.identity():
             raise CohomologyError("section must send identity to identity")
         for qe, ge in section.items():
             if proj(ge) != qe:
                 raise CohomologyError("section element lies in the wrong coset")
 
     # conjugation action of Q on A, in a_group coordinates
-    elem_of = {a_group.reduce(identification[x]): x for x in a_elements}
-    basis_elems = []
-    for i in range(a_group.rank):
-        e_i = tuple(1 if j == i else 0 for j in range(a_group.rank))
-        basis_elems.append(elem_of[a_group.reduce(e_i)])
     gen_mats = []
     for qg in q.generators():
-        s = section[qg]
-        cols = []
-        for be in basis_elems:
-            conj = g.conjugate(s, be)
-            if conj not in a_set:
-                raise CohomologyError("A is not normal in G")
-            cols.append(a_group.reduce(identification[conj]))
+        cols = [a_group.reduce(identification[g.conjugate(section[qg], be)])
+                for be in basis_elems]
         gen_mats.append(IntMatrix.from_columns(cols, a_group.rank))
     module = ZQModule.finite(q, a_group, gen_mats)
 
+    # s(q1) s(q2) and s(q1 q2) lie in one coset of A, so corr is in A
     values = {}
     for q1 in q.elements():
         for q2 in q.elements():
@@ -766,13 +766,9 @@ def extension_class(g, a_elements, identification, a_group, section=None):
                 continue
             prod = g.multiply(section[q1], section[q2])
             corr = g.multiply(prod, g.inverse(section[q.multiply(q1, q2)]))
-            if corr not in a_set:
-                raise CohomologyError("section defect lands outside A")
             values[(q1, q2)] = a_group.reduce(identification[corr])
-    cocycle = Cocycle2(module, values)
-    if not cocycle.is_cocycle():
-        raise CohomologyError("section defect failed the cocycle identity")
-    return ExtensionData(cocycle, module, q, proj, section)
+    # a cocycle by associativity in G, as A is abelian and normal
+    return ExtensionData(Cocycle2(module, values), module, q, proj, section)
 
 
 # ---------------------------------------------------------------------------

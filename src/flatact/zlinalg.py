@@ -786,20 +786,6 @@ def kernel_basis(f):
     return _from_int_rows([r for r in h.data if any(r)], n)
 
 
-def sublattice_index(basis, n):
-    """Index of the sublattice spanned by the rows of `basis` in Z^n,
-    or None if the sublattice has lower rank."""
-    if basis.rows < n:
-        return None
-    h, _ = hermite_normal_form(basis)
-    idx = 1
-    for i in range(n):
-        if h.data[i][i] == 0:
-            return None
-        idx *= h.data[i][i]
-    return idx
-
-
 def hstack(a, b):
     """The columns of a, then those of b."""
     if a.rows != b.rows:

@@ -5,11 +5,12 @@ import copy
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import pytest
 
-from flatact.certificates import (CertificateError, CrystalElement,
+from flatact.certificates import (CertificateError, CheckResult, CrystalElement,
                                   FlatCertificate, JordanQuery,
                                   TorusCertificate, abelian_identification,
                                   build_a4_certificate, certificate_from_dict,
@@ -24,6 +25,7 @@ from flatact.groups import (PermGroup, Permutation, TableGroup, group_to_text,
                             iter_isomorphisms, quotient_group, subgroup_closure)
 from flatact.zlinalg import (AbHom, EchelonSolver, IntMatrix, kernel_basis,
                              solve_modulo)
+from test_zlinalg import hermite_index
 
 
 def klein_bottle_ambient():
@@ -161,6 +163,24 @@ class TestTorusCertificate:
         d = report.to_dict()
         assert d["verdict"] == "accepted"
         assert all({"name", "passed", "detail"} <= set(c) for c in d["checklist"])
+
+    def test_non_normal_a_rejected_at_extension_exact(self):
+        report = verify_torus_certificate(non_normal_certificate("torus"))
+        assert [(c.name, c.passed, c.detail) for c in report.checklist] == [
+            ("extension-exact", False, "A is not normal in G")]
+        assert not report.verdict and report.witnesses == {}
+
+
+def non_normal_certificate(kind):
+    """A certificate of the given kind whose A, the subgroup <(0 1)> of S3,
+    is not normal in G; the flat one has phi trivial in phi_star = C2,
+    acting on Z by -1."""
+    s3 = PermGroup.symmetric(3)
+    a_gens = [Permutation.from_cycles(3, [(0, 1)])]
+    rho, alpha = [IntMatrix.from_rows([[-1]])], IntMatrix.identity(1)
+    if kind == "torus":
+        return TorusCertificate(s3, a_gens, 1, rho, alpha)
+    return FlatCertificate(s3, a_gens, 1, rho, alpha, [], TableGroup.cyclic(2), {}, {})
 
 
 def klein_bottle_certificate(cocycle_value=(1, 0)):
@@ -438,6 +458,13 @@ class TestFlatCertificate:
         d["phi"] = [[1, 0]]
         assert certificate_from_dict(d).phi == [Permutation((1, 0))]
 
+    def test_non_normal_a_rejected_at_quotient_match(self):
+        report = verify_flat_certificate(non_normal_certificate("flat"))
+        assert [c.name for c in report.checklist] == FLAT_CHECKS[:4]
+        assert report.checklist[-1] == CheckResult(
+            "quotient-match", False, "A is not normal in G")
+        assert not report.verdict and report.witnesses == {}
+
     def test_phi_outside_phi_star_rejected(self):
         trivial = TableGroup.cyclic(1)
         c2 = TableGroup.cyclic(2)
@@ -578,6 +605,49 @@ class TestKernelSubextensionOracle:
         # the zero translation is not: (0, t)^2 = (2, 0)
         square = crystal_power(CrystalElement((0, 0), 1, certificate_ambient(cert)), 2)
         assert (square.v, square.phi) == ((2, 0), 0)
+
+
+def assert_implied_checks(cert, report):
+    """What verify_flat_certificate records without computing it, for a
+    certificate that passed alpha-surjective (and so rho-faithful),
+    recomputed: ker alpha has index |A| in Z^n, the product of its Hermite
+    diagonal, and the matrices of phi are distinct.  When the report gets
+    that far, kernel-lattice and phi-effective passed, and kernel_index
+    is the index."""
+    _, a_group, _ = abelian_identification(cert.group, cert.a_generators)
+    index = hermite_index(kernel_basis(AbHom(cert.n, a_group, cert.alpha)), cert.n)
+    assert index == a_group.order
+    module, _ = certificate_ambient(cert)
+    phi_els = subgroup_closure(cert.phi_star, cert.phi)
+    assert len({module.act_matrix(x).data for x in phi_els}) == len(phi_els)
+    checks = {c.name: c.passed for c in report.checklist}
+    if "kernel-lattice" in checks:
+        assert checks["kernel-lattice"] and checks["phi-effective"]
+        assert report.witnesses["kernel_index"] == index
+
+
+IMPLIED_BASES = {
+    **ORACLE_BASES,
+    "a4-flat-0": partial(a4_flat_certificate, 0),
+    "a4-flat-1": partial(a4_flat_certificate, 1),
+    **{name: partial(bieberbach_certificate, PLATYCOSMS[name]) for name in PLATYCOSMS},
+    **{name + "-zeroed": partial(bieberbach_certificate, PLATYCOSMS[name], True)
+       for name in PLATYCOSMS},
+}
+
+
+class TestImpliedChecks:
+    @pytest.mark.parametrize("name", sorted(IMPLIED_BASES))
+    def test_kernel_index_and_faithful_phi(self, name):
+        base = IMPLIED_BASES[name]()
+        reached = 0
+        for cert in [base] + list(mutations(base, random.Random(name), 10)):
+            report = verify_flat_certificate(cert)
+            passed = {c.name for c in report.checklist if c.passed}
+            if "alpha-surjective" in passed:
+                assert_implied_checks(cert, report)
+                reached += "kernel-lattice" in passed
+        assert reached
 
 
 class TestPlatycosms:

@@ -21,7 +21,8 @@ from flatact.fpgroups import (CosetLimitExceeded, FpGroup, SearchBoundExceeded,
 from flatact.groups import (DEFAULT_SUBGROUP_ORDER_BOUND, GroupBoundExceeded,
                             GroupError, PermGroup, TableGroup, group_to_text)
 from flatact.zlinalg import IntMatrix
-from test_certificates import certificate_ambient, hantzsche_wendt_certificate
+from test_certificates import (certificate_ambient, hantzsche_wendt_certificate,
+                               non_normal_certificate)
 
 
 @pytest.fixture
@@ -220,6 +221,16 @@ class TestVerify:
                                  certificate_ambient(cert))
         assert not crystal_is_identity(element)
         assert crystal_is_identity(crystal_power(element, 2))
+
+    @pytest.mark.parametrize("kind,failed", [("torus", "extension-exact"),
+                                             ("flat", "quotient-match")])
+    def test_non_normal_a_rejected(self, write, capsys, kind, failed):
+        # a rejection, not malformed input: G/A does not exist
+        path = write("c.json", json.dumps(non_normal_certificate(kind).to_dict()))
+        assert main(["verify-" + kind, path]) == EXIT_NEGATIVE
+        out = capsys.readouterr().out
+        assert "FAIL %s (A is not normal in G)" % failed in out
+        assert "verdict: rejected" in out
 
     def test_invalid_json_is_malformed(self, write):
         cert = write("c.json", "{not json")

@@ -188,10 +188,28 @@ class TestInducedAndRestriction:
         group, sign = cyclic_with_matrix(2, IntMatrix.from_rows([[-1]]))
         src = h2(trivial_lattice_module(group))
         alpha = AbHom(1, 1, IntMatrix.identity(1))
-        ind = induced_h2(alpha, src, src, require_surjective=False)
+        ind = induced_h2(alpha, src, src)
         assert ind.apply((1,)) == (1,)
         with pytest.raises(CohomologyError, match="alpha is not equivariant"):
-            induced_h2(alpha, src, h2(sign), require_surjective=False)
+            induced_h2(alpha, src, h2(sign))
+
+
+# (G, generators of an abelian normal subgroup A): A4 over the Klein
+# four-group, D4 over its rotations, S4 over the double transpositions,
+# C8 over C4 and C2 x C4 over the C4 factor
+EXTENSIONS = {
+    "A4/V4": lambda: (PermGroup.alternating(4),
+                      [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+                       Permutation.from_cycles(4, [(0, 2), (1, 3)])]),
+    "D4/C4": lambda: (PermGroup([(1, 2, 3, 0), (2, 1, 0, 3)]),
+                      [Permutation((1, 2, 3, 0))]),
+    "S4/V4": lambda: (PermGroup.symmetric(4),
+                      [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+                       Permutation.from_cycles(4, [(0, 2), (1, 3)])]),
+    "C8/C4": lambda: (TableGroup.cyclic(8), [2]),
+    "C2xC4/C4": lambda: (PermGroup([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]),
+                         [Permutation((0, 1, 3, 4, 5, 2))]),
+}
 
 
 class TestExtensionClass:
@@ -223,6 +241,39 @@ class TestExtensionClass:
             section[ext.quotient.identity()] = g.identity()
             ext2 = extension_class(g, a_els, ident, a_group, section=section)
             assert coh.class_of(ext2.cocycle) == base
+
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_cocycle_identity_for_seeded_sections(self, name):
+        # extension_class no longer checks the identity: it holds by
+        # associativity in G, for every section
+        group, a_gens = EXTENSIONS[name]()
+        a_els, a_group, ident = abelian_identification(group, a_gens)
+        ext = extension_class(group, a_els, ident, a_group)
+        assert ext.cocycle.is_cocycle()
+        cosets = {}
+        for x in group.elements():
+            cosets.setdefault(ext.projection(x), []).append(x)
+        rng = random.Random(name)
+        for _ in range(4):
+            section = {q: rng.choice(coset) for q, coset in cosets.items()}
+            section[ext.quotient.identity()] = group.identity()
+            assert extension_class(group, a_els, ident, a_group,
+                                   section=section).cocycle.is_cocycle()
+
+    def test_non_normal_subgroup_rejected(self):
+        s3 = PermGroup.symmetric(3)
+        a_els, a_group, ident = abelian_identification(
+            s3, [Permutation.from_cycles(3, [(0, 1)])])
+        with pytest.raises(CohomologyError, match="A is not normal in G"):
+            extension_class(s3, a_els, ident, a_group)
+
+    def test_section_missing_an_element_rejected(self):
+        g, a_els, ident, a_group = self._a4_extension()
+        ext = extension_class(g, a_els, ident, a_group)
+        section = dict(ext.section)
+        del section[max(section)]
+        with pytest.raises(CohomologyError, match="one value per element of Q"):
+            extension_class(g, a_els, ident, a_group, section=section)
 
 
 class TestTorsionChecks:
