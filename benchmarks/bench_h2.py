@@ -1,4 +1,4 @@
-"""Time H^2 on the bar complex (`cohomology.h2`) over a fixed set of modules.
+"""Time H^2 (`cohomology.h2`) over a fixed set of modules.
 
 Every case runs in a fresh child process, one at a time, with an
 address-space limit of MEMORY_MB and a wall-clock limit of TIMEOUT_S.
@@ -24,7 +24,9 @@ dense square matrices of the cochain dimension: the finite module of the
 A4 torus certificate (C3 on (Z/2)^2), C16 on Z/2, (Z/2)^4, (Z/4)^8 and
 (Z/2)^8 (trivially and through a dense matrix), C2^4 on (Z/2)^8, and
 outside the default bounds of `cohomology.h2` (order 16, rank 8) C32 on
-Z/2 and (Z/2)^8.
+Z/2 and (Z/2)^8.  Last, groups with more elements than the bar complex
+could reach: the symmetric groups S5 and S6 on their permutation modules
+Z^5 and Z^6, S5 on (Z/2)^5, and C2^6 on (Z/2)^8.
 
 The run record also holds what `benchrun.start_run` records (machine,
 load, commit, `source_diff`); it is appended to the output file.
@@ -96,14 +98,21 @@ def _dense_cycles(order, lengths, factors=None):
     return lambda: _module(TableGroup.cyclic(order), [p_inv * perm * p], factors)
 
 
-def _permutation_module(gens):
+def _permutation_module(gens, factors=None):
     degree = len(gens[0])
 
     def build():
         mats = [IntMatrix.from_rows([[1 if g[j] == i else 0 for j in range(degree)]
                                      for i in range(degree)]) for g in gens]
-        return ZQModule.lattice(PermGroup(gens, degree=degree), mats)
+        return _module(PermGroup(gens, degree=degree), mats, factors)
     return build
+
+
+def _symmetric(n, factors=None):
+    """S_n on its permutation module, generated by an n-cycle and a
+    transposition."""
+    return _permutation_module([tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))],
+                               factors)
 
 
 def _a4_certificate_finite():
@@ -151,6 +160,10 @@ CASES = [
     ("C2^4 on (Z/2)^8", _elementary_abelian(4, 8, (2,) * 8)),
     ("C32 on Z/2", _cyclic(32, 1, (2,))),
     ("C32 on (Z/2)^8", _cyclic(32, 8, (2,) * 8)),
+    ("S5 on Z^5", _symmetric(5)),
+    ("S6 on Z^6", _symmetric(6)),
+    ("S5 on (Z/2)^5", _symmetric(5, (2,) * 5)),
+    ("C2^6 on (Z/2)^8", _elementary_abelian(6, 8, (2,) * 8)),
 ]
 
 

@@ -16,11 +16,15 @@ change kept every output of a family byte for byte.  The families:
 * `low_index` -- the classes, as tables and words, of Z to index 40, F2
   to 4, Z2*Z3 to 10, the trefoil group <x, y | x^2 y^-3> to 9, S4 to 24
   and S6 to 20;
-* `bar_cohomology` -- H^1 and H^2 of the `h2-bar` modules, the golden
-  modules of `tests/test_cohomology.py` and a few finite modules:
-  invariant factors, cocycle basis, projection, generator
-  representatives, and `representative` / `class_of` /
-  `coboundary_witness` on seeded cocycles;
+* `bar_cohomology` -- H^1 and H^2 on the bar complex of
+  `tests/bar_oracle.py`, the engine `cohomology.h1`/`h2` used before the
+  relation module, of the `h2-bar` modules, the golden modules of
+  `tests/test_cohomology.py` and a few finite modules: invariant factors,
+  cocycle basis, projection, generator representatives, and
+  `representative` / `class_of` / `coboundary_witness` on seeded
+  cocycles;
+* `relation_cohomology` -- the same records from `cohomology.h1`/`h2`,
+  whose basis and projection are over the relation module;
 * `cyclic_cohomology` -- `CyclicCohomology` on the cases the tier-1 tests
   cross-check against the bar complex: basis, group and projection;
 * `kernel_basis` -- `zlinalg.kernel_basis` of 600 seeded maps into
@@ -45,8 +49,9 @@ change kept every output of a family byte for byte.  The families:
 
 It uses only names that have been in the package since the sparse bar
 complex, so the same file runs on older checkouts, copied there with
-`tests/test_groups.py`, which holds `element_index_digest`, and
-`tests/test_certificates.py`, which holds the flat certificates.
+`tests/test_groups.py`, which holds `element_index_digest`,
+`tests/test_certificates.py`, which holds the flat certificates, and
+`tests/bar_oracle.py`.
 A whole run takes about 8 s on a 2-core VM, most of it the A9 chain; on checkouts that
 still filter the normal-subgroup lattice, `jordan` takes far longer
 (D4^3 alone over an hour).
@@ -70,6 +75,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from flatact import certificates, cli, cohomology, fpgroups, screening  # noqa: E402
 from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
+import bar_oracle  # noqa: E402
 from test_acceptance import _jordan_corpus  # noqa: E402
 from test_certificates import (a4_flat_certificate, hantzsche_wendt_certificate,  # noqa: E402
                                section_certificate)
@@ -206,15 +212,17 @@ def _witness(coh, w, nt):
     return [list(w.get(x, coh.module.zero())) for x in nt]
 
 
-def bar_cohomology():
+def _cohomology_records(engine):
+    """The `bar_cohomology` record of each module and degree, computed by
+    engine(module, degree)."""
     out = []
     for name, group, coeff, mats in _modules():
         module = cohomology.ZQModule(group, coeff, mats)
         els = group.elements()
         nt = [x for x in els if x != group.identity()]
         cells = [(g, h) for g in els for h in els]
-        for degree, fn in ((1, cohomology.h1), (2, cohomology.h2)):
-            coh = fn(module)
+        for degree in (1, 2):
+            coh = engine(module, degree)
             mid = cells if degree == 2 else els
             rec = {"module": name, "degree": degree,
                    "factors": list(coh.group.invariant_factors),
@@ -235,6 +243,15 @@ def bar_cohomology():
                 rec["seeded"].append(seeded)
             out.append(rec)
     return _sha(out)
+
+
+def bar_cohomology():
+    return _cohomology_records(bar_oracle.bar_cohomology)
+
+
+def relation_cohomology():
+    return _cohomology_records(
+        lambda module, degree: (cohomology.h1, cohomology.h2)[degree - 1](module))
 
 
 def _cyclic_cases():
@@ -350,6 +367,7 @@ FAMILIES = {
     "low_index_e7": low_index_e7,
     "low_index": low_index,
     "bar_cohomology": bar_cohomology,
+    "relation_cohomology": relation_cohomology,
     "cyclic_cohomology": cyclic_cohomology,
     "kernel_basis": kernel_basis_family,
     "certificates": certificates_family,

@@ -1,27 +1,34 @@
 """Low-degree group cohomology of finite groups.
 
 Coefficients are either a lattice Z^n or a finite abelian group, acted on
-by a finite group Q.  H^1 and H^2 are computed on normalized bar cochains
-(vanishing whenever an argument is the identity); finite coefficients are
-handled by stacking the relation lattice next to the differential, so the
-whole computation stays in exact integer arithmetic.
+by a finite group Q.  H^1 and H^2 are computed over the relation module of
+the Cayley graph: a breadth-first spanning tree of Q's Cayley graph over
+its generators X gives the Schreier words S, on which the relation module
+R^ab is free abelian, and H^2 is Hom_Q(R^ab, M) modulo the derivations of
+M^X, H^1 the derivations that vanish on S modulo the principal ones.
+Cochains in and out are normalized bar cochains (vanishing whenever an
+argument is the identity), read along the tree.  Finite coefficients are
+handled by stacking the relation lattice next to the differential, so
+the whole computation stays in exact integer arithmetic.
 
 A separate periodic-resolution engine covers cyclic groups; it is much
-cheaper and serves as an independent cross-check of the bar computation.
-The two engines find their lattices independently (the bar complex
-through sparse_kernel_hnf, the periodic one through the dense
-kernel_basis) and then take the same one quotient step, `_quotient`:
-the cocycle lattice, given by its Hermite basis, modulo the coboundaries,
-as a FinAbGroup with the projection onto its coordinates.  The trivial
-group and rank-0 modules take the same path: their cochain spaces are
-empty, and the empty matrices keep their shapes.
+cheaper and serves as an independent cross-check.  The two engines find
+their lattices independently (the relation module through
+sparse_kernel_hnf, the periodic one through the dense kernel_basis) and
+then take the same one quotient step, `_quotient`: the cocycle lattice,
+given by its Hermite basis, modulo the coboundaries, as a FinAbGroup with
+the projection onto its coordinates.  The trivial group and rank-0
+modules take the same path: their cochain spaces are empty, and the
+empty matrices keep their shapes.  The normalized bar complex, which
+these groups were computed on before, is the tests' oracle
+(`tests/bar_oracle.py`).
 The torsion-freeness test for crystallographic extensions lives here too,
 in two independent implementations (linear-system element search and
 restriction classes).
 """
 
-from itertools import product
-from operator import mul
+from collections import Counter
+from operator import add, mul
 
 from . import BoundExceeded
 from .groups import (
@@ -53,14 +60,16 @@ class CohomologyBoundExceeded(CohomologyError, BoundExceeded):
     H^1/H^2 call."""
 
 
-# The envelope that benchmarks/bench_h2.py measures for both kinds of
-# coefficients (BENCH_h2.json, a 2-vCPU virtual machine).  Lattice
-# coefficients reach further: every lattice module there with |Q| <= 32
-# and rank <= 8 takes at most about 5 s.  Finite coefficients make the
-# cocycle lattice full-rank, and H^2 then reduces dense square matrices of
-# the cochain dimension (|Q|-1)^2 * rank: at order 16 and rank 8 that
-# takes up to about 25 s and 270 MB, and order 32 at rank 8 does not fit
-# in 1.5 GB.
+# benchmarks/bench_h2.py (BENCH_h2.json, a 2-vCPU virtual machine) finds
+# H^2 far beyond these bounds: every module there takes at most 0.7 s
+# and 60 MB, with orders up to 64 and ranks up to 12, and S5 and S6 on
+# their permutation modules, but one: C2^6 on (Z/2)^8 takes about 8 s and
+# 470 MB, as its 6 generators and full-rank finite coefficients give the
+# largest cochain dimension, |Q| (|X| - 1) + 1 = 321 words times rank 8.
+# The bounds stay where they are because verify_torus_certificate's other
+# steps (the extension's cocycle, the equivariance of alpha, the cocycle
+# check of class_of) grow as |Q|^2 and have not been measured at a larger
+# bound.
 DEFAULT_GROUP_BOUND = 16
 DEFAULT_RANK_BOUND = 8
 
@@ -204,17 +213,30 @@ class Cocycle2:
         return self.values.get((g, h), self.module.zero())
 
     def is_cocycle(self):
-        grp = self.module.group
+        """Whether c satisfies the cocycle identity
+        g c(h, k) - c(gh, k) + c(g, hk) - c(g, h) = 0.  It is checked for
+        the generators g and every h, k only: the identity at (g, h, k)
+        says that the elements over g associate on the left in M x Q with
+        the product (m, g)(m', h) = (m + g m' + c(g, h), gh), and elements
+        that associate on the left are closed under products."""
         mod = self.module
+        grp = mod.group
         els = grp.elements()
-        for g in els:
-            for h in els:
-                for k in els:
-                    lhs = mod.act(g, self.value(h, k))
-                    lhs = mod.sub(lhs, self.value(grp.multiply(g, h), k))
-                    lhs = mod.add(lhs, self.value(g, grp.multiply(h, k)))
-                    lhs = mod.sub(lhs, self.value(g, h))
-                    if any(lhs):
+        index = {x: i for i, x in enumerate(els)}
+        zero = mod.zero()
+        moduli = mod.invariant_factors or (0,) * mod.rank
+        # the values and the products by element index
+        c = [[self.values.get((h, k), zero) for k in els] for h in els]
+        prod = [[index[grp.multiply(h, k)] for k in els] for h in els]
+        for g in grp.generators():
+            rows = mod.act_matrix(g).data
+            cg, pg = c[index[g]], prod[index[g]]
+            for h, (ch, ph) in enumerate(zip(c, prod)):
+                c_gh, cgh = cg[h], c[pg[h]]
+                for k, ck in enumerate(ch):
+                    lhs = [sum(a * x for a, x in zip(row, ck)) - u + v - w
+                           for row, u, v, w in zip(rows, cgh[k], cg[ph[k]], c_gh)]
+                    if any(x % f if f else x for x, f in zip(lhs, moduli)):
                         return False
         return True
 
@@ -282,7 +304,7 @@ def cyclic_cocycle_from_invariant(module, t, a):
 
 
 # ---------------------------------------------------------------------------
-# bar-resolution cohomology
+# cohomology over the relation module of the Cayley graph
 
 def _quotient(basis, imgens):
     """The quotient of the lattice spanned by the rows of `basis` (an
@@ -304,9 +326,69 @@ def _quotient(basis, imgens):
     return group, projection.matrix, solver
 
 
+def _vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+class _CayleyTree:
+    """The breadth-first spanning tree of a group's Cayley graph over its
+    generators x_0, ..., x_(r-1).
+
+    Vertex i is the i-th element that groups._walk reaches from the
+    identity (vertex 0), and the edges are q -> q x_j.  Each edge (q, j)
+    off the tree gives the Schreier word w_q x_j w_(q x_j)^-1, where w_q is
+    the word along the tree to q.  The kernel R of the free group on the
+    x_j onto the group is free on these words (Schreier), so the relation
+    module R^ab is free abelian on them, |Q|(r - 1) + 1 of them, with Q
+    acting by conjugation."""
+
+    def __init__(self, group):
+        self.gens = group.generators()
+        self.elements = list(_walk(group.identity(), self.gens, group.multiply))
+        index = {q: i for i, q in enumerate(self.elements)}
+        self.step = [[index[group.multiply(q, x)] for x in self.gens]
+                     for q in self.elements]
+        self.tree = []          # (parent, letter, child), children in vertex order
+        self.schreier = []      # (vertex, letter) of each edge off the tree
+        self.edge = []          # vertex -> letter -> Schreier index, or None
+        reached = {0}
+        for p, row in enumerate(self.step):
+            self.edge.append([None] * len(row))
+            for j, child in enumerate(row):
+                if child in reached:
+                    self.edge[p][j] = len(self.schreier)
+                    self.schreier.append((p, j))
+                else:
+                    reached.add(child)
+                    self.tree.append((p, j, child))
+
+    def paths(self, term, add, zero, start=0):
+        """Every tree word read from vertex `start`: (pos, path), where
+        pos[q] is the vertex that w_q leads to (start q) and path[q] the
+        sum of term(v, j) over the edges (v, j) it passes."""
+        pos, path = [start] * len(self.elements), [zero] * len(self.elements)
+        for p, j, c in self.tree:
+            v = pos[p]
+            pos[c], path[c] = self.step[v][j], add(path[p], term(v, j))
+        return pos, path
+
+    def loops(self, term, zero):
+        """The vectors term(v, j) summed around each Schreier word read
+        from the identity, an edge passed backwards subtracting."""
+        _, path = self.paths(term, _vadd, zero)
+        return [_vsub(_vadd(path[q], term(q, j)), path[self.step[q][j]])
+                for q, j in self.schreier]
+
+
 class CohomologyGroup:
     """Computed H^degree with class coordinates, representatives and
-    coboundary witnesses.
+    coboundary witnesses, all on normalized bar cochains: a 2-cochain is a
+    Cocycle2, a 1-cochain a dict element -> vector (identity implicit
+    zero).
 
     `group` is the cohomology group in invariant-factor form; class
     coordinates of a cocycle live in it.  The coordinate map kills
@@ -314,80 +396,118 @@ class CohomologyGroup:
     is zero).
     """
 
-    def __init__(self, module, degree, group, cells_mid, cells_in,
-                 basis, proj, din, solver):
+    def __init__(self, module, degree, group, tree, basis, proj, din, solver):
         self.module = module
         self.degree = degree
         self.group = group
-        self._cells_mid = cells_mid
-        self._cells_in = cells_in
+        self._tree = tree
         self._basis = basis          # k x N_mid, rows span the cocycle lattice
         self._proj = proj            # group.rank x k
         self._din = din              # N_mid x N_in incoming differential
         self._solver = solver        # EchelonSolver of basis
 
-    def _flatten(self, value_of):
-        n = self.module.rank
-        out = []
-        for cell in self._cells_mid:
-            v = value_of(cell)
-            if len(v) != n:
-                raise CohomologyError("coefficient vector length mismatch")
-            out.extend(int(x) for x in v)
-        return tuple(out)
-
-    def _flatten_cochain(self, cochain):
+    def _values(self, cochain):
+        """The cocycle in this complex, flattened: in degree 2 its values
+        around the Schreier words, which are the words evaluated in the
+        extension M x_c Q; in degree 1 its values at the generators."""
+        tree, module = self._tree, self.module
+        given = cochain.values.values() if self.degree == 2 else cochain.values()
+        if any(len(v) != module.rank for v in given):
+            raise CohomologyError("coefficient vector length mismatch")
         if self.degree == 2:
-            return self._flatten(lambda cell: cochain.value(*cell))
-        zero = self.module.zero()
-        return self._flatten(lambda cell: cochain.get(cell, zero))
+            if not cochain.is_cocycle():
+                raise CohomologyError("cochain is not a cocycle")
+            els, gens = tree.elements, tree.gens
+            values = tree.loops(lambda v, j: cochain.value(els[v], gens[j]), module.zero())
+        else:
+            # a crossed homomorphism is a 1-cochain whose coboundary is 0
+            if any(map(any, Cocycle2.coboundary(module, cochain).values.values())):
+                raise CohomologyError("cochain is not a cocycle")
+            values = [module.reduce(cochain.get(x, module.zero())) for x in tree.gens]
+        return tuple(x for v in values for x in v)
 
-    def _unflatten(self, vec, cells):
+    def _blocks(self, vec):
+        """A flattened vector of this complex, one coefficient vector per
+        Schreier word (degree 2) or generator (degree 1)."""
         n = self.module.rank
-        out = {}
-        for i, cell in enumerate(cells):
-            out[cell] = self.module.reduce(tuple(vec[i * n:(i + 1) * n]))
-        return out
+        count = len(self._tree.schreier) if self.degree == 2 else len(self._tree.gens)
+        return [tuple(vec[i * n:(i + 1) * n]) for i in range(count)]
 
-    def class_of(self, cochain):
-        """Class coordinates of a cocycle, as a tuple in `group`."""
-        y = self._solver.solve(self._flatten_cochain(cochain))
+    def _coordinates(self, vec):
+        y = self._solver.solve(vec)
         if y is None:
             raise CohomologyError("cochain is not a cocycle")
         return self.group.reduce(self._proj.apply(y))
 
-    def coboundary_witness(self, cochain):
-        """A 1-cochain (degree 2) or coefficient vector (degree 1) whose
-        coboundary equals the given cocycle, or None when the class is
-        nonzero."""
-        v = self._flatten_cochain(cochain)
-        factors = self.module.invariant_factors
-        if factors is None:
-            b = solve_integer(self._din, v)
-        else:
-            n = self.module.rank
-            b = solve_modulo(self._din, [factors[i % n] for i in range(len(v))], v)
-        if b is None:
-            return None
-        if self.degree == 2:
-            return self._unflatten(b, self._cells_in)
-        return self.module.reduce(tuple(b))
-
-    def representative(self, coords):
-        """A cocycle with the given class coordinates."""
+    def _lift(self, coords):
+        """A vector of the cocycle lattice in the class with the given
+        coordinates."""
         coords = self.group.reduce(coords)
         y = solve_modulo(self._proj, self.group.invariant_factors, coords)
         if y is None:
             raise CohomologyError("coordinates outside the group")
-        v = [0] * (len(self._cells_mid) * self.module.rank)
-        for i, yi in enumerate(y):
+        v = [0] * self._basis.cols
+        for yi, row in zip(y, self._basis.data):
             if yi:
-                for j, x in enumerate(self._basis.data[i]):
+                for j, x in enumerate(row):
                     v[j] += yi * x
-        table = self._unflatten(v, self._cells_mid)
-        if self.degree == 2:
-            return Cocycle2(self.module, table)
-        return table
+        return v
+
+    def class_of(self, cochain):
+        """Class coordinates of a cocycle, as a tuple in `group`."""
+        return self._coordinates(self._values(cochain))
+
+    def coboundary_witness(self, cochain):
+        """A 1-cochain (degree 2) or coefficient vector (degree 1) whose
+        coboundary equals the given cocycle, or None when the class is
+        nonzero.  The witness is checked against the cocycle before it is
+        returned."""
+        module, tree = self.module, self._tree
+        v = self._values(cochain)
+        factors = module.invariant_factors
+        if factors is None:
+            h = solve_integer(self._din, v)
+        else:
+            n = module.rank
+            h = solve_modulo(self._din, [factors[i % n] for i in range(len(v))], v)
+        if h is None:
+            return None
+        els, zero = tree.elements, module.zero()
+        if self.degree == 1:
+            witness = module.reduce(h)
+            ok = all(module.sub(module.act(g, witness), witness)
+                     == module.reduce(cochain.get(g, zero)) for g in els[1:])
+        else:
+            # b(q) = h(w_q) - (the value of w_q in M x_c Q): then c = d^1 b
+            gens, blocks = tree.gens, self._blocks(h)
+            _, b = tree.paths(lambda u, j: _vsub(module.act_matrix(els[u]).apply(blocks[j]),
+                                                 cochain.value(els[u], gens[j])),
+                              _vadd, zero)
+            witness = {els[q]: module.reduce(b[q]) for q in range(1, len(els))}
+            defect = cochain.sub(Cocycle2.coboundary(module, witness))
+            ok = not any(any(x) for x in defect.values.values())
+        if not ok:
+            raise CohomologyError("coboundary witness does not reproduce the cocycle")
+        return witness
+
+    def representative(self, coords):
+        """A cocycle with the given class coordinates.  In degree 2 that is
+        c(g, h) = f(w_g w_h w_(gh)^-1): the word w_h read from the vertex
+        g, which passes only the Schreier edges that f is given on."""
+        module, tree = self.module, self._tree
+        blocks = self._blocks(self._lift(coords))
+        els, zero = tree.elements, module.zero()
+        if self.degree == 1:
+            _, b = tree.paths(lambda u, j: module.act_matrix(els[u]).apply(blocks[j]),
+                              _vadd, zero)
+            return {els[q]: module.reduce(b[q]) for q in range(1, len(els))}
+        at = [[zero if s is None else blocks[s] for s in row] for row in tree.edge]
+        values = {}
+        for g in range(1, len(els)):
+            _, c = tree.paths(lambda u, j: at[u][j], _vadd, zero, start=g)
+            for h in range(1, len(els)):
+                values[(els[g], els[h])] = c[h]
+        return Cocycle2(module, values)
 
     def generator_representatives(self):
         reps = []
@@ -397,125 +517,77 @@ class CohomologyGroup:
         return reps
 
 
-def _bar_cohomology(module, degree):
-    grp = module.group
-    n = module.rank
-    els = grp.elements()
-    e = grp.identity()
-    nt = [x for x in els if x != e]
-    idx = {x: i for i, x in enumerate(nt)}
-    m = len(nt)
+def _relation_cohomology(module, degree):
+    """H^degree from the start of the relation sequence
+    0 -> R^ab -> ZQ^X -> ZQ -> Z -> 0 of the Cayley tree (Gruenberg,
+    Resolutions by relations, 1960; Brown, Cohomology of Groups, II.5).
+    The cochains are M in degree 0, M^X in degree 1 (the derivation of the
+    free group on X with values h at the generators) and M^S in degree 2
+    (the homomorphism R^ab -> M with values f at the Schreier words S):
 
-    # p-cells are the p-tuples of nontrivial elements, a 1-cell the element
-    # itself, with (x_1, ..., x_p) at the base-m number of its indices
-    def cells(p):
-        return [c[0] if p == 1 else c for c in product(nt, repeat=p)]
+        d^0 m = ((x - 1) m) for x in X,
+        d^1 h = the derivation of h at each Schreier word,
+        d^2 f = f(y s y^-1) - y f(s) for y in X and s in S,
 
-    def at(cell):
-        out = 0
-        for x in cell:
-            out = out * m + x
-        return out
-
-    cells_mid, cells_in = cells(degree), cells(degree - 1)
-    n_mid = len(cells_mid) * n
+    so the 2-cocycles are Hom_Q(R^ab, M) and H^2 is their quotient by the
+    derivations.  Unknowns grow as |Q| (|X| - 1) rank, not as the bar
+    complex's (|Q| - 1)^2 rank."""
+    tree = _CayleyTree(module.group)
+    n, r, ns = module.rank, len(tree.gens), len(tree.schreier)
     factors = module.invariant_factors
-    prod_idx = [[idx.get(grp.multiply(g, h)) for h in nt] for g in nt]
-    act_rows = [[[(j, x) for j, x in enumerate(row) if x]
-                 for row in module.act_matrix(g).data] for g in nt]
+    rho = [module.act_matrix(q).data for q in tree.elements]
+    zero = module.zero()
 
-    def coboundary(p, firsts):
-        """Yield the sparse rows of d^p at the (p+1)-cells (g, x_1, ..., x_p)
-        with g in firsts, in order, one per coefficient: row i of g's action
-        matrix at the cell x, then (-1)^(p+1) at (g, x_1, ..., x_(p-1)) and
-        (-1)^k at the cell with x_(k-1) x_k merged, unless that is the
-        identity."""
-        for g in firsts:
-            for x in product(range(m), repeat=p):
-                cell = (g,) + x
-                units = [(at(cell[:-1]) * n, (-1) ** (p + 1))]
-                for k in range(1, p + 1):
-                    y = prod_idx[cell[k - 1]][cell[k]]
-                    if y is not None:
-                        units.append((at(cell[:k - 1] + (y,) + cell[k + 1:]) * n, (-1) ** k))
-                col0 = at(x) * n
+    d0 = IntMatrix.from_rows([[x - (i == k) for k, x in enumerate(rho[tree.step[0][j]][i])]
+                              for j in range(r) for i in range(n)], n)
+    # d^1 column by column: the derivation with h(x_j) = e_k carries
+    # rho(v) e_k across each edge (v, j)
+    cols = [[tuple(row[k] for row in m) for m in rho] for k in range(n)]
+    d1 = IntMatrix.from_columns(
+        [tuple(x for v in tree.loops(lambda u, jj: cols[k][u] if jj == j else zero, zero)
+               for x in v) for j in range(r) for k in range(n)], ns * n)
+
+    def equivariance():
+        """The rows of d^2, one per generator y, Schreier word s and
+        coordinate i: y s y^-1 is rewritten over S by reading s from the
+        vertex y and counting the Schreier edges it passes."""
+        single = [[() if s is None else (s,) for s in row] for row in tree.edge]
+        for jy in range(r):
+            y = tree.step[0][jy]
+            pos, path = tree.paths(lambda u, j: single[u][j], add, (), start=y)
+            for s, (q, j) in enumerate(tree.schreier):
+                word = Counter(path[q] + single[pos[q]][j])
+                word.subtract(path[tree.step[q][j]])
                 for i in range(n):
-                    row = {col0 + j: v for j, v in act_rows[g][i]}
-                    for c0, sign in units:
-                        c = c0 + i
-                        v = row.get(c, 0) + sign
-                        if v:
-                            row[c] = v
-                        else:
-                            del row[c]
-                    yield row
+                    row = Counter({t * n + i: a for t, a in word.items() if a})
+                    row.subtract({s * n + k: a for k, a in enumerate(rho[y][i]) if a})
+                    yield {c: a for c, a in row.items() if a}
 
-    # outgoing differential: for finite coefficients each row's relation
-    # column sits beside it, so the kernel is the cocycle lattice plus
-    # relation parts.  Only cells whose g is a group generator get rows:
-    # the cocycle identity at (g, h, k) says that elements over g
-    # associate on the left in the extension M x Q with product
-    # (m, g)(m', h) = (m + g m' + c(g, h), gh), and left-associating
-    # elements are closed under products, so the identity at the
-    # generators implies it everywhere (likewise, a crossed homomorphism
-    # condition at the generators makes q -> (b(q), q) multiplicative).
-    # The lattice is therefore the same as with all cells.
-    gens = sorted({idx[s] for s in grp.generators() if s != e})
-    dout = list(coboundary(degree, gens))
-    if factors is not None:
-        for r, row in enumerate(dout):
-            row[n_mid + r] = factors[r % n]
-
-    # pivots in breadth-first order over the Cayley graph: a non-generator
-    # x is s h with s a generator and h nearer the identity, and the rows
-    # of the cells (s, h, ...) hold the x-columns in a -identity block while
-    # their other columns are generator columns or solved already.  So
-    # every solved column is a sum of action matrices applied to generator
-    # columns, and entries stay as small as the action's.
-    pivots = []
-    tail = m ** (degree - 1)        # the cells (h, ...) of one h
-    frontier, seen = list(gens), set(gens)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gi, s in enumerate(gens):
-                x = prod_idx[s][h]
-                if x is None or x in seen:
-                    continue
-                seen.add(x)
-                nxt.append(x)
-                pivots += [(((gi * m + h) * tail + k) * n + i, (x * tail + k) * n + i)
-                           for k in range(tail) for i in range(n)]
-        frontier = nxt
-
-    # cocycle lattice: integer vectors whose differential lies in the
-    # relation lattice of the next level.  For finite coefficients it holds
+    if degree == 2:
+        n_mid, din, dout = ns * n, d1, list(equivariance())
+    else:
+        n_mid, din = r * n, d0
+        dout = [{c: x for c, x in enumerate(row) if x} for row in d1.data]
+    # for finite coefficients each row's relation column sits beside it, so
+    # the kernel is the cocycle lattice plus relation parts, and it holds
     # the relation lattice of this level (f e_c for the factor f of each
-    # coordinate c), so its Hermite form can be taken modulo those factors.
-    ncols = n_mid + (len(dout) if factors is not None else 0)
-    moduli = None if factors is None else [factors[i % n] for i in range(n_mid)]
-    basis = sparse_kernel_hnf(dout, ncols, pivots, keep=n_mid, moduli=moduli)
-
-    # incoming differential, dense, at every cell
-    n_in = len(cells_in) * n
-    din = [[0] * n_in for _ in range(n_mid)]
-    for drow, row in zip(din, coboundary(degree - 1, range(m))):
-        for c, v in row.items():
-            drow[c] = v
-    din = IntMatrix.from_rows(din, n_in)
+    # coordinate c), so its Hermite form can be taken modulo those factors
+    ncols, moduli = n_mid, None
+    if factors is not None:
+        moduli = [factors[i % n] for i in range(n_mid)]
+        for k, row in enumerate(dout):
+            row[n_mid + k] = factors[k % n]
+        ncols += len(dout)
+    basis = sparse_kernel_hnf(dout, ncols, keep=n_mid, moduli=moduli)
 
     # coboundary lattice generators: columns of din, plus the relation
     # lattice of the middle level for finite coefficients
-    imgens = list(zip(*din.data))
+    imgens = [din.col(j) for j in range(din.cols)]
     if factors is not None:
-        for i in range(n_mid):
-            v = [0] * n_mid
-            v[i] = moduli[i]
-            imgens.append(tuple(v))
-
+        imgens += [tuple(m if c == i else 0 for c in range(n_mid))
+                   for i, m in enumerate(moduli)]
     grp_h, proj, solver = _quotient(basis, imgens)
-    return CohomologyGroup(module, degree, grp_h, cells_mid, cells_in,
-                           basis, proj, din, solver)
+    return CohomologyGroup(module, degree, grp_h, tree, basis, proj, din, solver)
 
 
 def _check_bounds(module, group_bound, rank_bound):
@@ -532,17 +604,19 @@ def _check_bounds(module, group_bound, rank_bound):
 
 
 def h2(module, group_bound=DEFAULT_GROUP_BOUND, rank_bound=DEFAULT_RANK_BOUND):
-    """H^2 of the group acting on the module, via the normalized bar
-    resolution."""
+    """H^2 of the group acting on the module, as Hom_Q(R^ab, M) modulo the
+    derivations, R^ab the relation module of the Cayley tree; cochains in
+    and out are normalized bar cochains."""
     _check_bounds(module, group_bound, rank_bound)
-    return _bar_cohomology(module, 2)
+    return _relation_cohomology(module, 2)
 
 
 def h1(module, group_bound=DEFAULT_GROUP_BOUND, rank_bound=DEFAULT_RANK_BOUND):
-    """H^1, same contract shape as h2 (1-cochains are dicts element ->
-    vector)."""
+    """H^1, same contract shape as h2: the crossed homomorphisms, given by
+    their values at the generators, modulo the principal ones (1-cochains
+    are dicts element -> vector)."""
     _check_bounds(module, group_bound, rank_bound)
-    return _bar_cohomology(module, 1)
+    return _relation_cohomology(module, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +723,8 @@ def induced_h2(alpha, source, target):
 
     Verifies that alpha is equivariant (alpha(g.x) = g.alpha(x) on the
     whole group); it need not be onto, and the target may be a lattice.
-    Source and target must be cohomology of the same group.
+    Source and target must be cohomology of the same group, so they share
+    its Schreier words, and alpha is applied to a cocycle's value at each.
     """
     if source.module.group is not target.module.group:
         raise CohomologyError("source and target must share the same group")
@@ -661,12 +736,10 @@ def induced_h2(alpha, source, target):
         raise CohomologyError("alpha is not equivariant")
 
     cols = []
-    for rep in source.generator_representatives():
-        pushed = Cocycle2(
-            tmod,
-            {key: alpha.apply(v) for key, v in rep.values.items()},
-        )
-        cols.append(target.class_of(pushed))
+    for i in range(source.group.rank):
+        e_i = tuple(int(i == j) for j in range(source.group.rank))
+        pushed = [alpha.apply(v) for v in source._blocks(source._lift(e_i))]
+        cols.append(target._coordinates(tuple(x for v in pushed for x in v)))
     return InducedMap(source, target, IntMatrix.from_columns(cols, target.group.rank))
 
 

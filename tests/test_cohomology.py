@@ -1,20 +1,28 @@
-"""Group cohomology: bar resolution vs the periodic cyclic resolution,
-induced maps, extension classes, torsion tests."""
+"""Group cohomology: the relation-module engine of `cohomology.h1`/`h2`
+against the bar complex (`bar_oracle`) and against known answers, the bar
+complex vs the periodic cyclic resolution, induced maps, extension
+classes, torsion tests."""
 
 import hashlib
 import json
+import pathlib
 import random
+import sys
+import time
 
 import pytest
 
+from bar_oracle import bar_cohomology
+
 from flatact.cohomology import (Cocycle2, CohomologyBoundExceeded,
-                                CohomologyError, CyclicCohomology,
+                                CohomologyError, CyclicCohomology, InducedMap,
                                 ZQModule, cocycle_from_text, cocycle_to_text,
                                 cyclic_cocycle_from_invariant, extension_class,
-                                h1, h2, induced_h2, is_in_image,
+                                h1, h2, induced_h2, is_equivariant, is_in_image,
                                 torsion_free_check,
                                 torsion_free_check_by_restriction)
-from flatact.certificates import abelian_identification
+from flatact.certificates import (abelian_identification, build_a4_certificate,
+                                  certificate_from_dict)
 from flatact.groups import PermGroup, Permutation, TableGroup
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix
 
@@ -51,19 +59,19 @@ class TestBarVsCyclicOracle:
     def test_h2_trivial_z_coefficients(self, m):
         group = TableGroup.cyclic(m)
         module = trivial_lattice_module(group)
-        bar = h2(module)
+        bar = bar_cohomology(module, 2)
         assert bar.group.invariant_factors == (m,)
         oracle = CyclicCohomology(m, IntMatrix.identity(1))
         assert oracle.group.invariant_factors == (m,)
 
     def test_h2_sign_action_vanishes(self):
         group, module = cyclic_with_matrix(2, IntMatrix.from_rows([[-1]]))
-        assert h2(module).group.order == 1
+        assert bar_cohomology(module, 2).group.order == 1
         assert CyclicCohomology(2, IntMatrix.from_rows([[-1]])).group.order == 1
 
     def test_h1_sign_action(self):
         group, module = cyclic_with_matrix(2, IntMatrix.from_rows([[-1]]))
-        assert h1(module).group.invariant_factors == (2,)
+        assert bar_cohomology(module, 1).group.invariant_factors == (2,)
         cc = CyclicCohomology(2, IntMatrix.from_rows([[-1]]), degree=1)
         assert cc.group.invariant_factors == (2,)
 
@@ -71,7 +79,7 @@ class TestBarVsCyclicOracle:
         # rotation action of C4 on Z^2
         mat = IntMatrix.from_rows([[0, -1], [1, 0]])
         group, module = cyclic_with_matrix(4, mat)
-        bar = h2(module)
+        bar = bar_cohomology(module, 2)
         cc = CyclicCohomology(4, mat)
         assert bar.group.invariant_factors == cc.group.invariant_factors
         t = 1  # generator of the cyclic table group
@@ -406,7 +414,7 @@ class TestSparseBarComplex:
         build, mats = GOLDEN_MODULES[name]
         group = build()
         module = ZQModule.lattice(group, mats)
-        coh = h2(module)
+        coh = bar_cohomology(module, 2)
         assert coh.group.invariant_factors == factors
         assert tuple(_cocycle_digest(r) for r in coh.generator_representatives()) == reps
         assert _digest(repr(coh._basis.data)) == basis
@@ -422,13 +430,13 @@ class TestSparseBarComplex:
     def test_golden_coboundary_witness(self):
         group, module = cyclic_with_matrix(4, IntMatrix.from_rows([[0, -1], [1, 0]]))
         b = {1: (-1, -2), 2: (0, 2), 3: (-3, -3)}
-        witness = h2(module).coboundary_witness(Cocycle2.coboundary(module, b))
+        witness = bar_cohomology(module, 2).coboundary_witness(Cocycle2.coboundary(module, b))
         assert witness == {1: (2, -5), 2: (6, 2), 3: (0, 0)}
 
     @pytest.mark.parametrize("m", [*range(2, 33), 48, 64])
     def test_bar_matches_periodic_resolution(self, m):
         group, module = cyclic_with_matrix(m, IntMatrix.identity(1))
-        bar = h2(module, group_bound=m)
+        bar = bar_cohomology(module, 2)
         cc = CyclicCohomology(m, IntMatrix.identity(1))
         assert bar.group.invariant_factors == cc.group.invariant_factors == (m,)
         (rep,) = bar.generator_representatives()
@@ -438,13 +446,13 @@ class TestSparseBarComplex:
         (u,) = bar.class_of(cyclic_cocycle_from_invariant(module, 1, (1,)))
         (w,) = cc.class_of_cocycle(rep, 1)
         assert (u * w) % m == 1
-        assert h1(module, group_bound=m).group.order == 1
+        assert bar_cohomology(module, 1).group.order == 1
         if m % 2 == 0:
             sign = IntMatrix.from_rows([[-1]])
             _, sign_module = cyclic_with_matrix(m, sign)
-            for degree, fn in ((1, h1), (2, h2)):
+            for degree in (1, 2):
                 oracle = CyclicCohomology(m, sign, degree=degree)
-                assert (fn(sign_module, group_bound=m).group.invariant_factors
+                assert (bar_cohomology(sign_module, degree).group.invariant_factors
                         == oracle.group.invariant_factors)
 
     @pytest.mark.parametrize("m", range(2, 17))
@@ -458,7 +466,7 @@ class TestSparseBarComplex:
                       (IntMatrix.from_rows([[1, 1], [0, -1]]), (2, 4))]
         for mat, factors in cases:
             module = ZQModule.finite(group, FinAbGroup(factors), [mat])
-            bar = h2(module)
+            bar = bar_cohomology(module, 2)
             cc = CyclicCohomology(m, mat, factors)
             assert bar.group.invariant_factors == cc.group.invariant_factors
             rank = bar.group.rank
@@ -536,3 +544,224 @@ class TestTrivialCases:
         assert coh.group.invariant_factors == ()
         with pytest.raises(CohomologyError, match="not a cocycle"):
             coh.class_of(Cocycle2(module, {(1, 1): (1,)}))
+
+
+# ---------------------------------------------------------------------------
+# the relation-module engine against the bar complex and known answers
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
+import bench_h2  # noqa: E402
+import digest_outputs  # noqa: E402
+
+# the benchmarks/bench_h2.py cases whose bar-complex H^2 took at most 1 s
+# in BENCH_h2.json, less those that GOLDEN_MODULES holds too
+BAR_WITHIN_1S = [
+    "C8 on Z", "C12 on Z", "C24 on Z", "C16 on Z^2", "S4 on Z^4", "C32 on Z",
+    "C48 on Z", "C64 on Z", "C16 on Z^4", "C16 on Z^8", "C16 on Z^12", "C32 on Z^4",
+    "C16 on Z^8, dense", "C16 on Z^12, dense", "C32 on Z^4, dense", "C2^4 on Z^8",
+    "C2^5 on Z^4", "A4 certificate, C3 on (Z/2)^2", "C16 on Z/2",
+]
+
+
+def _oracle_modules():
+    """(name, function making the module): every GOLDEN_MODULES entry, the
+    finite modules of digest_outputs._modules, the BAR_WITHIN_1S cases,
+    and S3 with a generator given twice, whose tree word is then the
+    other letter."""
+    out = [(name, lambda b=build, m=mats: ZQModule.lattice(b(), m))
+           for name, (build, mats) in GOLDEN_MODULES.items()]
+    out += [(name, lambda g=group, c=coeff, m=mats: ZQModule(g, c, m))
+            for name, group, coeff, mats in digest_outputs._modules()
+            if isinstance(coeff, FinAbGroup)]
+    cases = dict(bench_h2.CASES)
+    out += [(name, cases[name]) for name in BAR_WITHIN_1S]
+    twice = [(1, 2, 0), (1, 2, 0), (1, 0, 2)]
+    return out + [("S3 on Z^3, a generator twice",
+                   lambda: ZQModule.lattice(PermGroup(twice, degree=3), _perm_mats(twice, 3)))]
+
+
+# both degrees of each module, but H^1 of C16 on Z^12 through a dense
+# action, which takes about 20 s on the bar complex, in the dense Hermite
+# form of its kernel (ROADMAP item 1)
+ORACLE_CASES = [(name, build, degree) for name, build in _oracle_modules() for degree in (1, 2)
+                if (name, degree) != ("C16 on Z^12, dense", 1)]
+
+
+def _relation(module, degree):
+    fn = h2 if degree == 2 else h1
+    return fn(module, group_bound=module.group.order(), rank_bound=module.rank)
+
+
+def _apply_mod(columns, x, factors):
+    """sum_j x_j columns[j], reduced modulo the factors."""
+    return tuple(sum(c[t] * xj for c, xj in zip(columns, x)) % f
+                 for t, f in enumerate(factors))
+
+
+class TestRelationModule:
+    """`h1`/`h2` over the relation module against the bar complex: equal
+    invariant factors, and a class map from the bar classes to the new
+    coordinates (the new `class_of` of the bar generator representatives)
+    that is linear on seeded cocycles, kills the bar coboundaries and has
+    the map the other way as its inverse, so that it is a bijection that
+    is zero exactly on the zero classes."""
+
+    @pytest.mark.parametrize("name,build,degree", ORACLE_CASES,
+                             ids=["%s-%d" % (name, degree) for name, _, degree in ORACLE_CASES])
+    def test_agrees_with_the_bar_complex(self, name, build, degree):
+        module = build()
+        group = module.group
+        nt = [x for x in group.elements() if x != group.identity()]
+        bar, rel = bar_cohomology(module, degree), _relation(module, degree)
+        factors = bar.group.invariant_factors
+        assert rel.group.invariant_factors == factors
+        phi = [rel.class_of(rep) for rep in bar.generator_representatives()]
+        psi = [bar.class_of(rep) for rep in rel.generator_representatives()]
+        for i in range(len(factors)):
+            e_i = tuple(int(i == j) for j in range(len(factors)))
+            assert _apply_mod(psi, _apply_mod(phi, e_i, factors), factors) == e_i
+            assert _apply_mod(phi, _apply_mod(psi, e_i, factors), factors) == e_i
+        rng = random.Random(name + str(degree))
+        for _ in range(3):
+            cob, coc = digest_outputs._seeded_cocycle(bar, rng, module, nt)
+            assert not any(rel.class_of(cob))
+            assert rel.coboundary_witness(cob) is not None
+            x = bar.class_of(coc)
+            assert rel.class_of(coc) == _apply_mod(phi, x, factors)
+            assert rel.class_of(rel.representative(x)) == x
+            if any(x):
+                assert rel.coboundary_witness(coc) is None
+
+    @pytest.mark.parametrize("m", [*range(2, 33), 48, 64])
+    def test_matches_periodic_resolution(self, m):
+        # trivial and sign actions, on Z and on Z/4
+        for mat in [IntMatrix.identity(1)] + [IntMatrix.from_rows([[-1]])] * (m % 2 == 0):
+            group, module = cyclic_with_matrix(m, mat)
+            finite = ZQModule.finite(group, FinAbGroup((4,)), [mat])
+            for degree in (1, 2):
+                for mod, factors in ((module, None), (finite, (4,))):
+                    cc = CyclicCohomology(m, mat, factors, degree=degree)
+                    assert (_relation(mod, degree).group.invariant_factors
+                            == cc.group.invariant_factors)
+
+    @pytest.mark.parametrize("name,n,coeff,factors", [
+        # Shapiro: H^2(S_n, Z[S_n/S_(n-1)]) = H^2(S_(n-1), Z) = Z/2
+        ("S5 on Z^5", 5, None, (2,)),
+        ("S6 on Z^6", 6, None, (2,)),
+        # Shapiro: H^2(S_5, (Z/2)[S_5/S_4]) = H^2(S_4, Z/2) = (Z/2)^2
+        ("S5 on (Z/2)^5", 5, FinAbGroup((2,) * 5), (2, 2)),
+    ])
+    def test_permutation_modules_beyond_the_bar_complex(self, name, n, coeff, factors):
+        gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
+        group = PermGroup(gens, degree=n)
+        module = ZQModule(group, n if coeff is None else coeff, _perm_mats(gens, n))
+        coh = h2(module, group_bound=group.order(), rank_bound=n)
+        assert coh.group.invariant_factors == factors
+        # a representative of S6 has 720^2 values; S5 is checked for both
+        for i, rep in enumerate(coh.generator_representatives() if n == 5 else ()):
+            assert coh.class_of(rep) == tuple(int(i == j) for j in range(len(factors)))
+
+    def test_cyclic_group_of_order_32_on_a_finite_module(self):
+        # the trivial action: H^2(C_m, M) = M / m M, here all of (Z/2)^8
+        group = TableGroup.cyclic(32)
+        module = ZQModule.finite(group, FinAbGroup((2,) * 8), [IntMatrix.identity(8)])
+        assert h2(module, group_bound=32, rank_bound=8).group.invariant_factors == (2,) * 8
+
+    def test_witness_of_s4_on_its_permutation_module(self):
+        gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+        group = PermGroup(gens, degree=4)
+        module = ZQModule.lattice(group, _perm_mats(gens, 4))
+        coh = h2(module, group_bound=24)
+        rng = random.Random(24)
+        b = {x: tuple(rng.randrange(-3, 4) for _ in range(4))
+             for x in group.elements() if x != group.identity()}
+        cob = Cocycle2.coboundary(module, b)
+        t0 = time.perf_counter()
+        witness = coh.coboundary_witness(cob)
+        assert time.perf_counter() - t0 < 1.0
+        again = Cocycle2.coboundary(module, witness)
+        assert all(again.value(g, h) == cob.value(g, h)
+                   for g in group.elements() for h in group.elements())
+
+
+def _bar_induced(alpha, source, target):
+    """The map that alpha induces between two bar-complex H^2s: alpha
+    applied to the source's generator representatives."""
+    cols = [target.class_of(Cocycle2(target.module, {k: alpha.apply(v)
+                                                     for k, v in rep.values.items()}))
+            for rep in source.generator_representatives()]
+    return InducedMap(source, target, IntMatrix.from_columns(cols, target.group.rank))
+
+
+def _a4_step_5_inputs():
+    """(name, lattice module, finite module, alpha) of the A4 torus
+    certificate and of those of its perfbench mutations whose rho gives a
+    lattice module."""
+    base = build_a4_certificate().to_dict()
+    mutations = [("A4 torus certificate", {}), ("alpha zero", dict(alpha=[[0, 0], [0, 0]])),
+                 ("alpha of index 2", dict(alpha=[[1, 0], [0, 2]])),
+                 ("alpha not equivariant", dict(alpha=[[1, 1], [0, 1]])),
+                 ("rho trivial", dict(rho=[[[1, 0], [0, 1]]])),
+                 ("rho of infinite order", dict(rho=[[[1, 1], [0, 1]]]))]
+    out = []
+    for name, change in mutations:
+        cert = certificate_from_dict(dict(base, **change))
+        a_els, a_group, ident = abelian_identification(cert.group, cert.a_generators)
+        ext = extension_class(cert.group, a_els, ident, a_group)
+        try:
+            lattice = ZQModule.lattice(ext.quotient, cert.rho, rank=cert.n)
+        except CohomologyError:
+            continue
+        alpha = AbHom(cert.n, a_group, cert.alpha)
+        out.append((name, lattice, ext.module, alpha))
+    return out
+
+
+def _reduction_cases():
+    """(name, lattice module, finite module, alpha): lattice modules and
+    their reductions modulo 2 or 3, with nonzero H^2 on the finite side."""
+    out = []
+    for name, (build, mats), f in [("C2 trivial", (lambda: TableGroup.cyclic(2), [_M([[1]])]), 2),
+                                   ("C3 trivial", (lambda: TableGroup.cyclic(3), [_M([[1]])]), 3),
+                                   ("C2 by -1", GOLDEN_MODULES["C2 by -1"], 2),
+                                   ("C4 rotation", GOLDEN_MODULES["C4 rotation"], 2),
+                                   ("Klein diagonal", GOLDEN_MODULES["Klein diagonal"], 2),
+                                   ("S3 on Z^3", GOLDEN_MODULES["S3 on Z^3"], 2),
+                                   ("D4 on Z^4", GOLDEN_MODULES["D4 on Z^4"], 2)]:
+        group = build()
+        n = mats[0].rows
+        target = FinAbGroup((f,) * n)
+        out.append((name + " mod %d" % f, ZQModule.lattice(group, mats),
+                    ZQModule.finite(group, target, mats),
+                    AbHom(n, target, IntMatrix.identity(n))))
+    return out
+
+
+IN_IMAGE_CASES = _a4_step_5_inputs() + _reduction_cases()
+
+
+@pytest.mark.parametrize("name,lattice,finite,alpha", IN_IMAGE_CASES,
+                         ids=[c[0] for c in IN_IMAGE_CASES])
+def test_in_image_verdicts_agree_with_the_bar_complex(name, lattice, finite, alpha):
+    """Whether each class of H^2(Q; A) lifts to H^2(Q; Z^n), on both
+    engines, for every class: the bar representative of each bar class
+    and its class in the new coordinates."""
+    try:
+        induced = induced_h2(alpha, h2(lattice), h2(finite))
+    except CohomologyError:
+        # alpha is not equivariant: the bar side has no induced map either
+        assert not is_equivariant(alpha.matrix, lattice, finite,
+                                  [(g, g) for g in lattice.group.elements()])
+        return
+    bar_target = bar_cohomology(finite, 2)
+    bar_induced = _bar_induced(alpha, bar_cohomology(lattice, 2), bar_target)
+    verdicts = set()
+    for x in bar_target.group.elements():
+        rep = bar_target.representative(x)
+        mine = is_in_image(induced.target.class_of(rep), induced)
+        theirs = is_in_image(x, bar_induced)
+        assert (mine is None) == (theirs is None)
+        verdicts.add(mine is None)
+    if name == "C2 by -1 mod 2":
+        assert verdicts == {False, True}

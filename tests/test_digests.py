@@ -15,6 +15,7 @@ DIGESTS = {
     "low_index_e7": "5b85b355d88a19b1efa626cbeb34350aa40ba47d3668d25194e61f987ade161c",
     "low_index": "e3609871ba2cf7a3b6b51ed71861aa0de5b1adaba19189b0d5fd8eb36bddf811",
     "bar_cohomology": "3f7926f68afa6030e11cc83a5b388d6745cb81f37a7c830cc4c3a239cfd4244d",
+    "relation_cohomology": "c777d336d8adef94ee750fa4c9843b073bbdf0aba54d95735381065880e91218",
     "cyclic_cohomology": "5195c31e1849c72c30ed71a3638bede3eb93fa5fa5e270ea0a2ac0d692a7c07d",
     "kernel_basis": "56fddcd8baad89e6d825558a13ab1e905afb4f915cafb9b1983be58792cdc077",
     "certificates": "668fc35c949e9d9897563edf2364c70c0586a4b7bfd565d33ca0087ebc2eb1d3",
