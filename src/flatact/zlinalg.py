@@ -2,9 +2,10 @@
 finite abelian groups.
 
 Everything here works with arbitrary-precision Python ints.  Matrices are
-immutable: stored as a tuple of row tuples.  All normal-form routines are
-deterministic (minimal-absolute-value pivot, lowest index wins ties) so
-that outputs are reproducible across runs.
+immutable: stored as a tuple of row tuples.  The Smith form is
+deterministic (minimal-absolute-value pivot, lowest index wins ties), so
+that its transforms, which are not unique, are reproducible across runs.
+Hermite forms are unique, the transform too (see hermite_normal_form).
 """
 
 from dataclasses import dataclass
@@ -321,66 +322,18 @@ def smith_normal_form(mat, with_v=True):
 def hermite_normal_form(mat):
     """Row-style Hermite normal form: returns (h, u) with u unimodular,
     u * mat = h, h in echelon form with positive pivots and entries above
-    each pivot reduced into [0, pivot)."""
+    each pivot reduced into [0, pivot).  [h | u] is the Hermite normal
+    form of [mat | I], so u is unique too, and its entries stay small."""
     rows, cols = mat.rows, mat.cols
-    m = [list(r) for r in mat.data]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-
-    def nonzeros(k):
-        """The nonzero entries of row k of m and of u."""
-        return [(a, [(j, b) for j, b in enumerate(a[k]) if b]) for a in (m, u)]
-
-    def sub(i, src, q):
-        """Row i -= q * the row whose nonzero entries are src."""
-        for a, nz in src:
-            dst = a[i]
-            for j, b in nz:
-                dst[j] -= q * b
-
-    r = 0
-    for c in range(cols):
-        # gcd sweep on column c below row r
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0 and (piv is None or abs(m[i][c]) < abs(m[piv][c])):
-                piv = i
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        u[r], u[piv] = u[piv], u[r]
-        while True:
-            done = True
-            src = None
-            for i in range(r + 1, rows):
-                if m[i][c] != 0:
-                    if src is None:
-                        src = nonzeros(r)
-                    sub(i, src, m[i][c] // m[r][c])
-                    if m[i][c] != 0:
-                        m[r], m[i] = m[i], m[r]
-                        u[r], u[i] = u[i], u[r]
-                        src = None
-                        done = False
-            if done:
-                break
-        if m[r][c] < 0:
-            m[r] = [-a for a in m[r]]
-            u[r] = [-a for a in u[r]]
-        src = None
-        for i in range(r):
-            q = m[i][c] // m[r][c]
-            if q != 0:
-                if src is None:
-                    src = nonzeros(r)
-                sub(i, src, q)
-        r += 1
-        if r == rows:
-            break
-    return _from_int_rows(m, cols), _from_int_rows(u, rows)
+    hu = _echelon([r + tuple(int(i == j) for j in range(rows))
+                   for i, r in enumerate(mat.data)], cols + rows)
+    return (_from_int_rows([r[:cols] for r in hu], cols),
+            _from_int_rows([r[cols:] for r in hu], rows))
 
 
 def kernel_basis_of_matrix(mat):
-    """Basis (as rows) of {x : mat . x = 0} over the integers."""
+    """Basis (as rows) of {x : mat . x = 0} over the integers, in Hermite
+    normal form: the rows of the transform whose rows of h are zero."""
     h, u = hermite_normal_form(mat.transpose())
     return _from_int_rows([u.data[i] for i in range(mat.cols) if not any(h.data[i])],
                           mat.cols)
@@ -408,6 +361,56 @@ def _xgcd(a, b):
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _echelon(rows, width):
+    """The nonzero rows of the Hermite normal form of the lattice that
+    `rows`, each of `width` ints, span, from the top pivot down.
+
+    The rows go in one at a time, and after each one the rows found so far
+    are the Hermite form of the rows in so far, so their entries stay
+    small (Kannan-Bachem, 1979; Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).  Where the new row meets a pivot, a multiple of
+    the pivot's row is subtracted when the pivot divides the entry;
+    otherwise the two rows become, by the unimodular 2 x 2 step of their
+    extended gcd, the pivot's new row and a row that vanishes there.  A
+    row that reaches a column without a pivot becomes its row, made
+    positive.  Then the entries above each pivot are reduced into
+    [0, pivot), from the top pivot down, so that a reduction never
+    disturbs a column to its left."""
+    piv = {}                        # pivot column -> its row
+    h = []
+    for r in rows:
+        r = list(r)
+        for c in range(width):      # r is zero before c
+            b = r[c]
+            if not b:
+                continue
+            p = piv.get(c)
+            if p is None:
+                piv[c] = r if b > 0 else [-x for x in r]
+                break
+            a = p[c]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                piv[c], r = ([x * s + y * t for s, t in zip(p, r)],
+                             [bg * s - ag * t for s, t in zip(p, r)])
+            else:
+                q = b // a
+                r = [t - q * s for s, t in zip(p, r)]
+        order = sorted(piv)
+        h = [piv[c] for c in order]
+        for k, c in enumerate(order):
+            d, nz = h[k][c], None
+            for above in h[:k]:
+                q = above[c] // d
+                if q:
+                    if nz is None:
+                        nz = [(j, b) for j, b in enumerate(h[k]) if b]
+                    for j, b in nz:
+                        above[j] -= q * b
+    return h
 
 
 def _hnf_modulo(rows, moduli):
@@ -580,10 +583,7 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
     for c in range(keep):
         for t, v in values.get(c, {}).items():
             head[t][c] = v
-    if moduli is not None:
-        h = _hnf_modulo(head, moduli)
-    else:
-        h = [r for r in hermite_normal_form(_from_int_rows(head, keep))[0].data if any(r)]
+    h = _echelon(head, keep) if moduli is None else _hnf_modulo(head, moduli)
     return _from_int_rows(h, keep)
 
 
@@ -782,8 +782,7 @@ def kernel_basis(f):
     if isinstance(f.codomain, FinAbGroup):
         m = hstack(m, IntMatrix.diagonal(f.codomain.invariant_factors))
     ker = kernel_basis_of_matrix(m)
-    h, _ = hermite_normal_form(IntMatrix(ker.rows, n, tuple(r[:n] for r in ker.data)))
-    return _from_int_rows([r for r in h.data if any(r)], n)
+    return _from_int_rows(_echelon([r[:n] for r in ker.data], n), n)
 
 
 def hstack(a, b):

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from hnf_oracle import criterion_07_matrices
+
 from flatact.certificates import (CertificateError, CrystalElement,
                                   abelian_identification,
                                   build_a4_certificate, certificate_from_dict,
@@ -227,13 +229,7 @@ def test_criterion_06_a9_chain():
 
 def test_criterion_07_snf_hnf_properties():
     with _Budget("7 (SNF/HNF property suite)", 60):
-        rng = random.Random(7)
-        for _ in range(10_000):
-            rows = rng.randrange(1, 9)
-            cols = rng.randrange(1, 9)
-            m = IntMatrix.from_rows(
-                [[rng.randrange(-20, 21) for _ in range(cols)]
-                 for _ in range(rows)])
+        for m in criterion_07_matrices():
             snf = smith_normal_form(m)
             assert snf.u * m * snf.v == snf.d
             assert snf.u.is_unimodular() and snf.v.is_unimodular()
@@ -242,7 +238,7 @@ def test_criterion_07_snf_hnf_properties():
                 assert a >= 0
                 if b != 0:
                     assert a != 0 and b % a == 0
-            if rows == cols:
+            if m.rows == m.cols:
                 assert abs(m.det()) == abs(math.prod(diag))
             h, u = hermite_normal_form(m)
             assert u.is_unimodular()

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hnf_oracle
+
 from flatact.zlinalg import (AbHom, EchelonSolver, FinAbGroup, IntMatrix,
                              ZLinAlgError, _hnf_modulo, cokernel,
                              hermite_normal_form,
@@ -136,18 +138,46 @@ def _seeded_matrices():
                      for _ in range(c)] for _ in range(r)])
 
 
+def is_hermite(rows):
+    """Whether `rows` are a Hermite normal form: zero rows last, the
+    pivots (first nonzero entries) positive and strictly to the right of
+    the one above, and the entries above each pivot in [0, pivot)."""
+    pivots = [next((j for j, x in enumerate(r) if x), None) for r in rows]
+    nonzero = [p for p in pivots if p is not None]
+    if pivots[:len(nonzero)] != nonzero or nonzero != sorted(set(nonzero)):
+        return False
+    return all(r[p] > 0 and all(0 <= a[p] < r[p] for a in rows[:i])
+               for i, (r, p) in enumerate(zip(rows, nonzero)))
+
+
 def test_normal_forms_and_transforms_as_recorded():
-    # The transforms are not unique, and H^2 class coordinates are read off
-    # the Smith transform of the cokernel, so the elimination order is part
-    # of the contract.  Digests recorded before the sparse row updates.
+    # The Smith transforms are not unique, and H^2 class coordinates are
+    # read off the Smith transform of the cokernel, so its elimination
+    # order is part of the contract; its digest was recorded before the
+    # sparse row updates.  The Hermite transform is unique, [h | u] being
+    # the Hermite form of [m | I], and h is the gcd sweep's.
     snf_digest, hnf_digest = hashlib.sha256(), hashlib.sha256()
     for m in _seeded_matrices():
         snf = smith_normal_form(m)
         snf_digest.update(repr((snf.d.data, snf.u.data, snf.v.data)).encode())
         h, u = hermite_normal_form(m)
         hnf_digest.update(repr((h.data, u.data)).encode())
+        assert h == hnf_oracle.hermite_normal_form(m)[0]
+        assert is_hermite([a + b for a, b in zip(h.data, u.data)])
     assert snf_digest.hexdigest()[:16] == "9207825b312b665a"
-    assert hnf_digest.hexdigest()[:16] == "916558c095deec9d"
+    assert hnf_digest.hexdigest()[:16] == "b83a86f7812d20ab"
+
+
+def test_hermite_form_is_the_gcd_sweeps_on_criterion_07():
+    for m in hnf_oracle.criterion_07_matrices():
+        assert hermite_normal_form(m)[0] == hnf_oracle.hermite_normal_form(m)[0]
+
+
+def test_hermite_transform_stays_small_on_criterion_07():
+    # the gcd sweep's transforms reach thousands of bits on these
+    bits = max(abs(x).bit_length() for m in hnf_oracle.criterion_07_matrices()
+               for r in hermite_normal_form(m)[1].data for x in r)
+    assert bits < 64
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
@@ -170,19 +200,8 @@ class TestHermite:
         h, u = hermite_normal_form(m)
         assert u.is_unimodular()
         assert u * m == h
-        # echelon with positive pivots, entries above reduced
-        last = -1
-        for i in range(h.rows):
-            row = h.data[i]
-            nz = [j for j, x in enumerate(row) if x]
-            if not nz:
-                continue
-            p = nz[0]
-            assert p > last
-            last = p
-            assert row[p] > 0
-            for k in range(i):
-                assert 0 <= h[k, p] < row[p]
+        assert is_hermite(h.data) and is_hermite([a + b for a, b in zip(h.data, u.data)])
+        assert h == hnf_oracle.hermite_normal_form(m)[0]
 
 
 class TestSolvers:
@@ -216,6 +235,7 @@ class TestSolvers:
     def test_kernel_annihilates(self, rows):
         m = _mat(rows)
         k = kernel_basis_of_matrix(m)
+        assert is_hermite(k.data)
         for row in k.data:
             assert not any(m.apply(row))
         # rank-nullity
