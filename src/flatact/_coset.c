@@ -50,10 +50,18 @@
  * the same point, strong generators, orbit order and transversal.  A
  * level's transversal is allocated at its orbit length.
  *
- * Last, it labels each element of a group by the least element of its
- * conjugacy class, by union-find over the conjugation maps of the
- * generators: the fixpoint that groups._min_labels reaches by propagating
- * minima.
+ * Last, it builds the element index of a permutation group
+ * (groups.ElementIndex).  The element rows are the products of the level
+ * transversals of the chain, sorted lexicographically; each element is
+ * labelled by the least element of its conjugacy class, by union-find over
+ * the conjugation maps of the generators, and carries the order of that
+ * least element.  A conjugation map is read off the sorted conjugates of
+ * the rows, which must be the rows again.  Both sorts are one LSD radix
+ * sort of the rows packed into 64-bit words, each column offset by its
+ * least entry, so every degree takes the same path and a group with small
+ * orbits packs tight.  The results equal those of
+ * groups._sorted_rows_pure and of the numpy path of
+ * ElementIndex._class_labels.
  *
  * Plain C with no Python headers: flatact.fpgroups compiles this file into
  * a shared library and calls it through ctypes.  The first three entry
@@ -61,7 +69,7 @@
  * buffer (a mapping or a heap block by its size, as the HLT buffer),
  * which Python views in place and gives back to fa_release: on FA_OK they
  * set buf and its length, on an error status they free everything and set
- * buf to NULL.
+ * buf to NULL.  The last two write into arrays of the caller.
  *
  *   fa_enumerate(ngens, letters, ends, nsub, nwords, limit, &buf, &nlive)
  *       words[k] = letters[ends[k-1] .. ends[k]) (ends[-1] = 0); the first
@@ -94,10 +102,22 @@
  *       FV_BIJECTION (column 2*which + 1 does not invert column 2*which)
  *       or FV_RELATOR (relator which does not close at some coset); -1
  *       for a letter out of range.
- *   fa_min_labels(n, nmaps, maps, out)
- *       writes to out[i] the least index in the component of i among
- *       0..n-1 under the nmaps maps maps[k*n .. (k+1)*n) (int64).
- *       Returns FA_OK, or FA_BADARG when a map entry is outside 0..n-1.
+ *   fa_sorted_rows(n, w, nlevels, sizes, trans, out)
+ *       the elements of the group whose chain has nlevels levels with
+ *       sizes[i] transversal rows each, given level by level in trans
+ *       (int32, sizes[i] x n a level): their product rows, sorted, go to
+ *       out, prod(sizes) x n points of w bytes each (1, 2 or 4).
+ *       FA_BADARG for an entry outside 0..n-1 or a size out of range.
+ *   fa_class_labels(n, w, N, rows, ngens, gens, class_of, reps, orders,
+ *                   &nclasses)
+ *       for the N sorted, distinct rows of n points of w bytes each and
+ *       the ngens generators gens[k*n .. (k+1)*n) (int32), numbers the
+ *       conjugacy classes 0, 1, ... by their least rows: writes to
+ *       class_of[i] the class of row i, to reps[c] the least row of class
+ *       c and to orders[i] the order of row i (int64), and sets nclasses.
+ *       FA_NOTCLOSED when the rows are not closed under conjugation by a
+ *       generator, FA_BADARG for an entry outside 0..n-1 or a generator
+ *       that is not a permutation.
  */
 
 #define _GNU_SOURCE     /* mremap */
@@ -106,7 +126,7 @@
 #include <string.h>
 #include <sys/mman.h>
 
-enum { FA_OK = 0, FA_LIMIT = 1, FA_NOMEM = 2, FA_BADARG = 3 };
+enum { FA_OK = 0, FA_LIMIT = 1, FA_NOMEM = 2, FA_BADARG = 3, FA_NOTCLOSED = 4 };
 
 /* A buffer of n ints takes buf_bytes(n) bytes (one int more, so never
  * zero).  From MAPPED ints on (128 KB, where glibc's malloc starts with a
@@ -693,11 +713,186 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
     return status;
 }
 
-/* ---- class labels ---- */
+/* ---- element index ---- */
+
+/* Entry k of an array of points of w bytes each (1, 2 or 4: numpy's
+ * smallest unsigned type for the degree). */
+static inline int64_t ei_get(const void *a, int64_t w, int64_t k)
+{
+    return w == 1 ? ((const uint8_t *)a)[k]
+         : w == 2 ? ((const uint16_t *)a)[k] : ((const uint32_t *)a)[k];
+}
+
+static inline void ei_put(void *a, int64_t w, int64_t k, int64_t v)
+{
+    if (w == 1)
+        ((uint8_t *)a)[k] = (uint8_t)v;
+    else if (w == 2)
+        ((uint16_t *)a)[k] = (uint16_t)v;
+    else
+        ((uint32_t *)a)[k] = (uint32_t)v;
+}
+
+/* A sort of N rows of n points each, stored row by row.  The key of a row
+ * holds in column c its entry there less cmin[c], the least entry the
+ * column can hold, in b bits: b = bit_length of the widest span of a
+ * column (0 when every column holds one value).  So the keys order the
+ * rows as the rows do.  The sort moves items, one 64-bit word a row: a
+ * word of its key above the row's number, which takes the low ib =
+ * bit_length(N - 1) bits.  A key word has `per` columns, the first
+ * highest; the words are whole from the last column back, so the first
+ * word has the first `first` columns.  The sort keeps the items, their
+ * scratch, and the EI_RADIX counts of two passes, which fit in L1. */
+enum { EI_BITS = 12, EI_RADIX = 1 << EI_BITS };
+
+typedef struct {
+    int64_t n, w, N, b, ib, per, first, D;
+    int64_t *cmin;
+    uint64_t *item, *item2;
+    int32_t count[EI_RADIX], next[EI_RADIX];
+} eis;
+
+static void eis_free(eis *e)
+{
+    if (e) {
+        free(e->cmin);
+        free(e->item);
+        free(e->item2);
+        free(e);
+    }
+}
+
+/* The sort of N rows whose column c holds entries from cmin[c] to
+ * cmax[c]; it takes over cmin. */
+static eis *eis_alloc(int64_t n, int64_t w, int64_t N, int64_t *cmin, const int64_t *cmax)
+{
+    eis *e = calloc(1, sizeof *e);
+    int64_t c, span = 0;
+    if (e == NULL) {
+        free(cmin);
+        return NULL;
+    }
+    e->n = n;
+    e->w = w;
+    e->N = N;
+    e->cmin = cmin;
+    for (c = 0; c < n; c++)
+        span = cmax[c] - cmin[c] > span ? cmax[c] - cmin[c] : span;
+    for (e->b = 0; span >> e->b; e->b++)
+        ;
+    for (e->ib = 0; (N - 1) >> e->ib > 0; e->ib++)
+        ;
+    e->per = e->b ? (64 - e->ib) / e->b : n;
+    e->first = n ? n - e->per * ((n - 1) / e->per) : 0;
+    /* a pass costs O(N + 2^D), so D grows with N up to EI_BITS */
+    for (e->D = 1; e->D < EI_BITS && (INT64_C(1) << e->D) < N; e->D++)
+        ;
+    e->item = malloc((size_t)(N + 1) * sizeof *e->item);
+    e->item2 = malloc((size_t)(N + 1) * sizeof *e->item2);
+    if (!e->item || !e->item2) {
+        eis_free(e);
+        return NULL;
+    }
+    return e;
+}
+
+/* The row at place j, and the first key word of that row, once sorted. */
+static inline int64_t eis_row(const eis *e, int64_t j)
+{
+    return (int64_t)(e->item[j] & ((UINT64_C(1) << e->ib) - 1));
+}
+
+static inline uint64_t eis_key(const eis *e, int64_t j)
+{
+    return e->item[j] >> e->ib;
+}
+
+/* The key word of columns c0 .. c1-1 of a row whose key column c holds
+ * val[] of its entry col[c].  Sets bits of *out when an entry does not
+ * fit its column's b bits: then the row is not one of the rows the sort
+ * is for. */
+static inline uint64_t eis_pack(const eis *e, const unsigned char *row, int64_t c0,
+                                int64_t c1, const int32_t *col, const int32_t *val,
+                                uint64_t *out)
+{
+    const int64_t *cmin = e->cmin, w = e->w, b = e->b;
+    uint64_t k = 0, high = 0;
+    for (; c0 < c1; c0++) {
+        uint64_t v = (uint64_t)(val[ei_get(row, w, col[c0])] - cmin[c0]);
+        high |= v;
+        k = k << b | v;
+    }
+    *out |= high >> b;
+    return k;
+}
+
+/* Order the rows lexicographically by their keys: an LSD radix sort, word
+ * by word from the last.  Each word is packed into the items in their
+ * current order and sorted by one stable counting pass per digit of D
+ * bits, from the lowest; a pass where every item has one digit is
+ * skipped.  The counts of a pass are taken while the items are packed or
+ * moved by the pass before.  Returns 1 when an entry did not fit its
+ * column, else 0. */
+static int eis_sort(eis *e, const void *rows, const int32_t *col, const int32_t *val)
+{
+    int64_t n = e->n, N = e->N, D = e->D, c0, c1, j, lo, v, ready;
+    int32_t *count = e->count, *next = e->next;
+    uint64_t mask = (UINT64_C(1) << D) - 1, out = 0;
+    size_t counts = (size_t)(mask + 1) * sizeof *count;
+    for (j = 0; j < N; j++)
+        e->item[j] = (uint64_t)j;
+    for (c1 = n; c1 > 0; c1 = c0) {
+        int64_t top;
+        c0 = c1 > e->per ? c1 - e->per : 0;
+        top = e->ib + (c1 - c0) * e->b;
+        memset(count, 0, counts);
+        for (j = 0; j < N; j++) {
+            int64_t r = eis_row(e, j);
+            uint64_t x = eis_pack(e, (const unsigned char *)rows + r * n * e->w, c0, c1,
+                                  col, val, &out) << e->ib | (uint64_t)r;
+            e->item[j] = x;
+            count[x >> e->ib & mask]++;
+        }
+        for (lo = e->ib, ready = 1; N > 1 && lo < top; lo += D) {
+            uint64_t *t = e->item;
+            int32_t sum = 0, *u;
+            if (!ready) {
+                memset(count, 0, counts);
+                for (j = 0; j < N; j++)
+                    count[t[j] >> lo & mask]++;
+            }
+            ready = lo + D < top;
+            if (count[t[0] >> lo & mask] == N) {
+                ready = 0;
+                continue;
+            }
+            for (v = 0; v <= (int64_t)mask; v++) {
+                int32_t here = count[v];
+                count[v] = sum;
+                sum += here;
+            }
+            if (ready) {
+                memset(next, 0, counts);
+                for (j = 0; j < N; j++) {
+                    e->item2[count[t[j] >> lo & mask]++] = t[j];
+                    next[t[j] >> (lo + D) & mask]++;
+                }
+            } else
+                for (j = 0; j < N; j++)
+                    e->item2[count[t[j] >> lo & mask]++] = t[j];
+            e->item = e->item2;
+            e->item2 = t;
+            u = count;
+            count = next;
+            next = u;
+        }
+    }
+    return out != 0;
+}
 
 /* The root of i's component, halving the path on the way: every parent
  * is below its child. */
-static int64_t ml_root(int64_t *parent, int64_t i)
+static int64_t ei_find(int64_t *parent, int64_t i)
 {
     while (parent[i] != i) {
         parent[i] = parent[parent[i]];
@@ -706,30 +901,243 @@ static int64_t ml_root(int64_t *parent, int64_t i)
     return i;
 }
 
-int fa_min_labels(int64_t n, int64_t nmaps, const int64_t *maps, int64_t *out)
+int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
+                   const int32_t *trans, void *out)
 {
-    int64_t i, k;
-    if (n < 0 || nmaps < 0)
+    int64_t i, j, k, x, t, N = 1, have = 1, rw = n * w;
+    int64_t *cmin = NULL, *cmax = NULL;
+    int32_t *ident = NULL;
+    unsigned char *row = NULL, *placed;
+    const int32_t *level;
+    eis *e = NULL;
+    int status = FA_OK;
+    if (n < 0 || n > INT32_MAX || (w != 1 && w != 2 && w != 4)
+        || (w < 4 && n > (1 << (8 * w))))
         return FA_BADARG;
-    for (k = 0; k < nmaps * n; k++)
-        if (maps[k] < 0 || maps[k] >= n)
+    for (i = 0, k = 0; i < nlevels; k += sizes[i++] * n) {
+        if (sizes[i] < 1 || sizes[i] > INT32_MAX / N)
             return FA_BADARG;
-    for (i = 0; i < n; i++)
-        out[i] = i;
-    /* union by smaller root, so a component's root is its least index */
-    for (k = 0; k < nmaps; k++)
-        for (i = 0; i < n; i++) {
-            int64_t u = ml_root(out, i), v = ml_root(out, maps[k * n + i]);
-            if (u < v)
-                out[v] = u;
-            else
-                out[u] = v;
+        N *= sizes[i];
+    }
+    for (j = 0; j < k; j++)
+        if (trans[j] < 0 || trans[j] >= n)
+            return FA_BADARG;
+    if ((ident = malloc((size_t)(n + 1) * sizeof *ident)) == NULL
+        || (row = malloc((size_t)(rw + 1))) == NULL
+        || (cmin = malloc((size_t)(n + 1) * sizeof *cmin)) == NULL
+        || (cmax = malloc((size_t)(n + 1) * sizeof *cmax)) == NULL) {
+        status = FA_NOMEM;
+        goto done;
+    }
+    /* each element is one product u_0 u_1 ... of a transversal element
+     * per level: multiply the levels in from the deepest, block t of the
+     * next products being the t-th transversal element times the products
+     * so far, block 0 last because it is computed in place */
+    for (x = 0; x < n; x++) {
+        ident[x] = (int32_t)x;
+        ei_put(out, w, x, x);
+    }
+    for (i = nlevels - 1, level = trans + k; i >= 0; have *= sizes[i--]) {
+        level -= sizes[i] * n;
+        for (t = sizes[i] - 1; t >= 0; t--) {
+            const int32_t *u = level + t * n;
+            for (j = 0; j < have * n; j++)
+                ei_put(out, w, t * have * n + j, u[ei_get(out, w, j)]);
         }
-    /* a parent is below its child, so it holds its root when the child
-     * is reached */
-    for (i = 0; i < n; i++)
-        out[i] = out[out[i]];
-    return FA_OK;
+    }
+    /* column c holds the orbit of point c, the component of c in the
+     * graph of the transversal rows: find it by union-find (every parent
+     * below its child), and the least and largest point of each */
+    for (x = 0; x < n; x++)
+        cmin[x] = x;
+    for (j = 0; j < k; j++) {
+        int64_t u = ei_find(cmin, j % n), v = ei_find(cmin, trans[j]);
+        cmin[u > v ? u : v] = u < v ? u : v;
+    }
+    for (x = 0; x < n; x++)
+        cmax[ei_find(cmin, x)] = x;
+    for (x = 0; x < n; x++) {
+        cmin[x] = ei_find(cmin, x);
+        cmax[x] = cmax[cmin[x]];
+    }
+    e = eis_alloc(n, w, N, cmin, cmax);
+    cmin = NULL;
+    if (e == NULL) {
+        status = FA_NOMEM;
+        goto done;
+    }
+    eis_sort(e, out, ident, ident);
+    /* move row eis_row(j) to place j, cycle by cycle, marking the places
+     * filled in the free scratch of the sort */
+    placed = memset(e->item2, 0, (size_t)N);
+    for (j = 0; j < N; j++) {
+        if (placed[j])
+            continue;
+        memcpy(row, (unsigned char *)out + j * rw, (size_t)rw);
+        for (i = j; (t = eis_row(e, i)) != j; i = t) {
+            memcpy((unsigned char *)out + i * rw, (unsigned char *)out + t * rw, (size_t)rw);
+            placed[i] = 1;
+        }
+        memcpy((unsigned char *)out + i * rw, row, (size_t)rw);
+        placed[i] = 1;
+    }
+done:
+    free(ident);
+    free(row);
+    free(cmin);
+    free(cmax);
+    eis_free(e);
+    return status;
+}
+
+static int64_t ei_gcd(int64_t a, int64_t b)
+{
+    while (b) {
+        int64_t t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* The order of the row r of n points: the lcm of its cycle lengths, each
+ * length taken once.  seen and len are n bytes of scratch each. */
+static int64_t ei_order(const void *r, int64_t w, int64_t n, unsigned char *seen,
+                        unsigned char *len)
+{
+    int64_t x, y, k, order = 1;
+    memset(seen, 0, (size_t)n);
+    memset(len, 0, (size_t)n);
+    for (x = 0; x < n; x++) {
+        for (y = x, k = 0; !seen[y]; y = ei_get(r, w, y), k++)
+            seen[y] = 1;
+        if (k)
+            len[k - 1] = 1;
+    }
+    for (k = 2; k <= n; k++)
+        if (len[k - 1])
+            order = order / ei_gcd(order, k) * k;
+    return order;
+}
+
+int fa_class_labels(int64_t n, int64_t w, int64_t N, const void *rows, int64_t ngens,
+                    const int32_t *gens, int64_t *class_of, int64_t *reps,
+                    int64_t *orders, int64_t *nclasses)
+{
+    const unsigned char *r = rows;
+    int64_t i, j, k, x, rw = n * w;
+    int64_t *cmin = NULL, *cmax = NULL;
+    int32_t *ginv = NULL, *ident = NULL;
+    unsigned char *seen = NULL;
+    /* class_of holds the union-find parents, and orders the first key
+     * word of each row, until the classes are known */
+    int64_t *parent = class_of;
+    uint64_t *first = (uint64_t *)orders, out = 0;
+    eis *e = NULL;
+    int status = FA_OK;
+    *nclasses = 0;
+    if (n < 0 || n > INT32_MAX || N < 0 || N > INT32_MAX || ngens < 0
+        || (w != 1 && w != 2 && w != 4))
+        return FA_BADARG;
+    for (k = 0; k < ngens * n; k++)
+        if (gens[k] < 0 || gens[k] >= n)
+            return FA_BADARG;
+    if ((cmin = malloc((size_t)(n + 1) * sizeof *cmin)) == NULL
+        || (cmax = malloc((size_t)(n + 1) * sizeof *cmax)) == NULL) {
+        status = FA_NOMEM;
+        goto done;
+    }
+    /* the least and largest entry of each column */
+    for (x = 0; x < n; x++) {
+        int64_t lo = n, hi = -1;
+        for (j = 0; j < N; j++) {
+            int64_t v = ei_get(r, w, j * n + x);
+            lo = v < lo ? v : lo;
+            hi = v > hi ? v : hi;
+        }
+        if (hi >= n) {
+            status = FA_BADARG;
+            goto done;
+        }
+        cmin[x] = lo;
+        cmax[x] = hi;
+    }
+    e = eis_alloc(n, w, N, cmin, cmax);
+    cmin = NULL;
+    if (e == NULL
+        || (ginv = malloc((size_t)(n + 1) * sizeof *ginv)) == NULL
+        || (ident = malloc((size_t)(n + 1) * sizeof *ident)) == NULL
+        || (seen = malloc((size_t)(2 * n + 1))) == NULL) {
+        status = FA_NOMEM;
+        goto done;
+    }
+    for (x = 0; x < n; x++)
+        ident[x] = (int32_t)x;
+    for (j = 0; j < N; j++) {
+        parent[j] = j;
+        first[j] = eis_pack(e, r + j * rw, 0, e->first, ident, ident, &out);
+    }
+    for (k = 0; k < ngens; k++) {
+        const int32_t *g = gens + k * n;
+        for (x = 0; x < n; x++)
+            ginv[x] = -1;
+        for (x = 0; x < n; x++) {
+            if (ginv[g[x]] >= 0) {
+                status = FA_BADARG;
+                goto done;
+            }
+            ginv[g[x]] = (int32_t)x;
+        }
+        /* the conjugate g a g^-1 of a row a has g[a[ginv[c]]] in column c;
+         * sorted, the conjugates must be the rows again, so each entry
+         * must fit its column, and the conjugate at place j must have row
+         * j's first key word and later columns */
+        if (eis_sort(e, rows, ginv, g)) {
+            status = FA_NOTCLOSED;
+            goto done;
+        }
+        for (j = 0; j < N; j++) {
+            int64_t s = eis_row(e, j), u, v;
+            const unsigned char *a = r + s * rw, *b = r + j * rw;
+            if (eis_key(e, j) != first[j]) {
+                status = FA_NOTCLOSED;
+                goto done;
+            }
+            for (x = e->first; x < n; x++)
+                if (g[ei_get(a, w, ginv[x])] != ei_get(b, w, x)) {
+                    status = FA_NOTCLOSED;
+                    goto done;
+                }
+            /* union by smaller root, so a component's root is its least
+             * row */
+            u = ei_find(parent, j);
+            v = ei_find(parent, s);
+            if (u < v)
+                parent[v] = u;
+            else
+                parent[u] = v;
+        }
+    }
+    /* the classes are numbered by their least rows; a parent is below its
+     * child, so it has its class and order when the child is reached, and
+     * conjugates have one order, that of the class's least row */
+    for (i = 0; i < N; i++)
+        if (parent[i] == i) {
+            reps[*nclasses] = i;
+            orders[i] = ei_order(r + i * rw, w, n, seen, seen + n);
+            class_of[i] = (*nclasses)++;
+        } else {
+            orders[i] = orders[parent[i]];
+            class_of[i] = class_of[parent[i]];
+        }
+done:
+    free(cmin);
+    free(cmax);
+    free(ginv);
+    free(ident);
+    free(seen);
+    eis_free(e);
+    return status;
 }
 
 /* ---- Schreier-Sims stabilizer chain ---- */

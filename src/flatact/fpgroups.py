@@ -9,20 +9,23 @@ enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 Coset enumeration and the backtracking of the low-index search run in the
 compiled engine, `_coset.c`, when it can be loaded: plain C called through
 ctypes.  The same library checks every coset table a `CosetTable` is
-built from, and builds the stabilizer chains of `groups.StabilizerChain`
-and the conjugacy-class labels of `groups.ElementIndex`.  Its results are
-numpy arrays that view the engine's buffers in place.  On first import
+built from, builds the stabilizer chains of `groups.StabilizerChain` and
+the sorted element rows of a `groups.PermGroup`, and gives the elements
+of a `groups.ElementIndex` their conjugacy-class labels and orders.  Its
+results are numpy arrays that view the engine's buffers in place, or that
+it fills.  On first import
 the source is compiled with `cc -O2 -shared -fPIC` into the per-user
 cache directory (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode
 0700), under a name made from the SHA-256 of the source, the compile
 command and the interpreter's cache tag, so later imports only load it.
 If anything fails (no compiler, an unwritable or foreign cache, a load
-error), ENGINE is "pure" and the pure-Python engines run instead:
+error), ENGINE is "pure" and the Python and numpy engines run instead:
 `_enumerate_pure`, `_validate_table`, `_low_index_pure`,
-`groups.StabilizerChain._schreier_sims` and `groups._min_labels`.  They
-are also the differential-testing references.  Both engines give
-identical tables, verdicts, chains and labels, and the low-index searches
-visit the same nodes.
+`groups.StabilizerChain._schreier_sims`, `groups._sorted_rows_pure` and
+the numpy path of `groups.ElementIndex._class_labels`.  They are also the
+differential-testing references.  Both engines give identical tables,
+verdicts, chains, element rows, labels and orders, and the low-index
+searches visit the same nodes.
 """
 
 import ctypes
@@ -96,7 +99,8 @@ def _load_compiled():
             ("fa_schreier_sims", ctypes.c_int, [i64, i64, ptr] + result),
             ("fa_release", None, [ptr, i64]),
             ("fa_validate", ctypes.c_int, [i32, ptr, ptr, i64, ptr, i64, ctypes.POINTER(i64)]),
-            ("fa_min_labels", ctypes.c_int, [i64, i64, ptr, ptr])):
+            ("fa_sorted_rows", ctypes.c_int, [i64, i64, i64, ptr, ptr, ptr]),
+            ("fa_class_labels", ctypes.c_int, [i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr])):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib

@@ -9,11 +9,14 @@ former, integer indices for the latter.
 The stabilizer chain is built by the compiled engine of `fpgroups`
 (`fa_schreier_sims` in `_coset.c`) when it is loaded, and otherwise by
 the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
-give identical levels.  Likewise the conjugacy-class labels of an
-`ElementIndex` come from `fa_min_labels`, or else from `_min_labels`.
-These are two of the engine's five pure twins; the other three,
-`fpgroups._enumerate_pure`, `fpgroups._validate_table` and
-`fpgroups._low_index_pure`, are in `fpgroups`.
+give identical levels.  Likewise the sorted element rows of a `PermGroup`
+come from `fa_sorted_rows`, or else from `_sorted_rows_pure`, and the
+conjugacy-class labels and element orders of an `ElementIndex` from
+`fa_class_labels`, or else from the numpy path of
+`ElementIndex._class_labels`.  These are three of the engine's six pure
+twins; the other three, `fpgroups._enumerate_pure`,
+`fpgroups._validate_table` and `fpgroups._low_index_pure`, are in
+`fpgroups`.
 """
 
 import math
@@ -389,21 +392,16 @@ class PermGroup(FiniteGroup):
 
     def _sorted_rows(self):
         """The elements as rows in ascending order, with their `_row_keys`,
-        built once.  Each element is one product u_0 u_1 ... of one
-        transversal element per chain level, so the rows are the products
-        of the level transversals, deepest level first."""
+        built once: by `fa_sorted_rows` of the compiled engine when it is
+        loaded, and otherwise by `_sorted_rows_pure`."""
         if self._rows is None:
             if self.order() > _ENUM_LIMIT:
                 raise GroupBoundExceeded("group too large to enumerate")
-            deg = self.degree
-            dtype = np.min_scalar_type(max(deg - 1, 0))
-            rows = np.arange(deg, dtype=dtype)[None, :]
-            for lev in reversed(self.chain.levels):
-                trans = np.array(list(lev.transversal.values()), dtype=dtype)
-                rows = trans[:, rows].reshape(-1, deg)
-            keys = _row_keys(rows)
-            ranks = np.argsort(keys)
-            self._rows = rows[ranks], keys[ranks]
+            if fpgroups._LIB is None:
+                self._rows = _sorted_rows_pure(self.chain.levels, self.degree)
+            else:
+                rows = _sorted_rows_compiled(self.chain.levels, self.degree)
+                self._rows = rows, _row_keys(rows)
         return self._rows
 
     def element_index(self):
@@ -466,12 +464,72 @@ def _row_keys(rows):
     return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
 
 
+def _row_dtype(degree):
+    """The smallest unsigned dtype that holds a point."""
+    return np.min_scalar_type(max(degree - 1, 0))
+
+
+def _sorted_rows_pure(levels, degree):
+    """The rows of the group whose stabilizer chain has `levels`, sorted,
+    and their `_row_keys`.  Each element is one product u_0 u_1 ... of one
+    transversal element per level, so the rows are the products of the
+    level transversals, deepest level first.  The fallback and the
+    differential reference of `fa_sorted_rows`."""
+    dtype = _row_dtype(degree)
+    rows = np.arange(degree, dtype=dtype)[None, :]
+    for lev in reversed(levels):
+        trans = np.array(list(lev.transversal.values()), dtype=dtype)
+        rows = trans[:, rows].reshape(-1, degree)
+    keys = _row_keys(rows)
+    ranks = np.argsort(keys)
+    return rows[ranks], keys[ranks]
+
+
+# the errors for the nonzero statuses of `fa_sorted_rows` and
+# `fa_class_labels`: FA_NOMEM, FA_BADARG and FA_NOTCLOSED
+_INDEX_ERRORS = {2: (MemoryError, "element index does not fit in memory"),
+                 3: (ValueError, "entry outside 0..degree-1 or a generator not a permutation"),
+                 4: (GroupError, "element list is not closed under conjugation")}
+
+
+def _check_index_status(status):
+    if status:
+        error, message = _INDEX_ERRORS[status]
+        raise error(message)
+
+
+def _sorted_rows_compiled(levels, degree):
+    """The rows of `_sorted_rows_pure` (without their keys), formed and
+    sorted by `fa_sorted_rows` of the compiled engine."""
+    dtype = _row_dtype(degree)
+    trans = np.array([t for lev in levels for t in lev.transversal.values()], dtype=np.int32)
+    sizes = np.array([len(lev.transversal) for lev in levels], dtype=np.int64)
+    rows = np.empty((math.prod(sizes.tolist()), degree), dtype=dtype)
+    _check_index_status(fpgroups._LIB.fa_sorted_rows(
+        degree, dtype.itemsize, len(levels), sizes.ctypes.data, trans.ctypes.data,
+        rows.ctypes.data))
+    return rows
+
+
+def _class_labels_compiled(rows, gens):
+    """`ElementIndex._class_labels` of the sorted element `rows` by
+    `fa_class_labels` of the compiled engine."""
+    rows = np.ascontiguousarray(rows)
+    gens = np.array([g.images for g in gens], dtype=np.int32)
+    class_of, reps, orders = (np.empty(len(rows), dtype=np.int64) for _ in range(3))
+    nclasses = np.zeros(1, dtype=np.int64)
+    _check_index_status(fpgroups._LIB.fa_class_labels(
+        rows.shape[1], rows.itemsize, len(rows), rows.ctypes.data, len(gens), gens.ctypes.data,
+        class_of.ctypes.data, reps.ctypes.data, orders.ctypes.data, nclasses.ctypes.data))
+    return class_of, reps[:nclasses[0]], orders
+
+
 def _min_labels(n, maps):
     """The least index in the orbit of each of 0..n-1 under the group that
     the permutations `maps` (int arrays) generate: the minimum is
     propagated along the maps (and through the labels themselves) until
-    stable.  The fallback and the differential reference of
-    `_min_labels_compiled`."""
+    stable.  The class labels of `ElementIndex._class_labels` without the
+    compiled engine."""
     labels = np.arange(n)
     while True:
         new = labels
@@ -481,16 +539,6 @@ def _min_labels(n, maps):
         if np.array_equal(new, labels):
             return labels
         labels = new
-
-
-def _min_labels_compiled(n, maps):
-    """`_min_labels` by union-find in `fa_min_labels` of the compiled
-    engine.  Raises ValueError for a map entry outside 0..n-1."""
-    arr = np.array(maps, dtype=np.int64).reshape(len(maps), n)
-    labels = np.empty(n, dtype=np.int64)
-    if fpgroups._LIB.fa_min_labels(n, len(maps), arr.ctypes.data, labels.ctypes.data):
-        raise ValueError("map entry outside 0..n-1")
-    return labels
 
 
 class ElementIndex:
@@ -506,15 +554,7 @@ class ElementIndex:
 
     def __init__(self, group):
         self.rows, self._keys = group._sorted_rows()
-        labels = self._class_labels(group.generators())
-        # each label is the least index of its class, so the classes are
-        # numbered by their fixed points in ascending order
-        first = labels == np.arange(len(labels))
-        self.class_reps = np.flatnonzero(first)
-        self.class_of = (np.cumsum(first) - 1)[labels]
-        # conjugates have the same order: one order per class
-        self.orders = np.array([_perm(tuple(self.rows[r].tolist())).order()
-                                for r in self.class_reps], dtype=np.int64)[self.class_of]
+        self.class_of, self.class_reps, self.orders = self._class_labels(group.generators())
 
     def lookup(self, rows):
         """Index of each row of `rows` among the elements, -1 for a row
@@ -528,9 +568,12 @@ class ElementIndex:
         return np.where(hit, idx, -1)
 
     def _class_labels(self, gens):
-        """The smallest element index in each element's conjugacy class:
-        the least index in its component under the conjugation maps of the
-        generators."""
+        """`class_of`, `class_reps` and `orders` as int64 arrays: by
+        `fa_class_labels` of the compiled engine when it is loaded, and
+        otherwise by numpy.  Raises GroupError when the rows are not
+        closed under conjugation by `gens`."""
+        if fpgroups._LIB is not None:
+            return _class_labels_compiled(self.rows, gens)
         maps = []
         for g in gens:
             gi = np.array(g.images, dtype=self.rows.dtype)
@@ -542,9 +585,16 @@ class ElementIndex:
             if not np.array_equal(keys[ranks], self._keys):
                 raise GroupError("element list is not closed under conjugation")
             maps.append(ranks)
-        if fpgroups._LIB is None:
-            return _min_labels(len(self.rows), maps)
-        return _min_labels_compiled(len(self.rows), maps)
+        labels = _min_labels(len(self.rows), maps)
+        # each label is the least index of its class, so the classes are
+        # numbered by their fixed points in ascending order
+        first = labels == np.arange(len(labels))
+        reps = np.flatnonzero(first)
+        class_of = (np.cumsum(first) - 1)[labels]
+        # conjugates have the same order: one order per class
+        orders = np.array([_perm(tuple(r)).order() for r in self.rows[reps].tolist()],
+                          dtype=np.int64)
+        return class_of, reps, orders[class_of]
 
     def classes(self):
         """The element indices of each conjugacy class, ascending, in

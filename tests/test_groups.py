@@ -143,6 +143,55 @@ def element_index_digest():
     return sha.hexdigest()
 
 
+def _differential_index_groups():
+    """The `_index_groups`, the elementary abelian group 2^14 on 28 points
+    (byte-string keys, 14 generators), a Klein four-group on 3000 points
+    (uint16 rows of four elements), and the trivial groups of degree 0
+    and 1."""
+    halves = [Permutation.from_cycles(3000, [(2 * i, 2 * i + 1) for i in range(k, k + 750)])
+              for k in (0, 750)]
+    return _index_groups() + [
+        PermGroup([Permutation.from_cycles(28, [(2 * i, 2 * i + 1)]) for i in range(14)]),
+        PermGroup(halves), PermGroup([], degree=0), PermGroup([], degree=1)]
+
+
+@pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
+class TestCompiledIndex:
+    """`fa_sorted_rows` and `fa_class_labels` against the numpy paths,
+    their reference: the same rows, keys, labels and orders, byte for byte
+    and of the same dtypes (C300 has uint16 rows)."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _differential_index_groups()
+
+    def test_sorted_rows_agree(self, cases):
+        for k, group in enumerate(cases):
+            rows, keys = groups._sorted_rows_pure(group.chain.levels, group.degree)
+            comp = groups._sorted_rows_compiled(group.chain.levels, group.degree)
+            comp_keys = groups._row_keys(comp)
+            assert (comp.dtype, comp.shape) == (rows.dtype, rows.shape), k
+            assert comp.tobytes() == rows.tobytes(), k
+            assert comp_keys.dtype == keys.dtype and np.array_equal(comp_keys, keys), k
+
+    def test_class_labels_agree(self, cases, monkeypatch):
+        for k, group in enumerate(cases):
+            index, gens = group.element_index(), group.generators()
+            compiled = index._class_labels(gens)
+            with monkeypatch.context() as m:
+                m.setattr(fpgroups, "_LIB", None)
+                pure = index._class_labels(gens)
+            for comp, ref in zip(compiled, pure):
+                assert comp.dtype == ref.dtype == np.int64, k
+                assert comp.tobytes() == ref.tobytes(), k
+
+    def test_compiled_sort_rejects_a_bad_transversal(self):
+        level = groups._Level(0)
+        level.transversal = {0: (0, 1), 1: (1, 2)}
+        with pytest.raises(ValueError):
+            groups._sorted_rows_compiled([level], 2)
+
+
 def _random_involutions(seed):
     """(degree, generators): two to four random involutions (products of
     disjoint transpositions, like Coxeter generators) of degree 4..10."""
@@ -616,30 +665,39 @@ class TestSubgroupQueries:
         compiled = index._class_labels(gens)
         monkeypatch.setattr(fpgroups, "_LIB", None)
         propagated = index._class_labels(gens)
-        assert compiled.dtype == propagated.dtype == np.int64
-        assert compiled.tolist() == propagated.tolist()
-        assert len(gens) or compiled.tolist() == [0]
+        for comp, prop in zip(compiled, propagated):
+            assert comp.dtype == prop.dtype == np.int64
+            assert comp.tolist() == prop.tolist()
+        assert len(gens) or compiled[0].tolist() == [0]
 
     @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
-    def test_compiled_labels_of_random_permutations(self):
-        rng = np.random.default_rng(0)
-        for n, nmaps in ((1, 1), (2, 3), (50, 1), (50, 2), (1000, 3)):
-            maps = [rng.permutation(n) for _ in range(nmaps)]
-            assert groups._min_labels_compiled(n, maps).tolist() == \
-                groups._min_labels(n, maps).tolist()
+    def test_compiled_labels_of_random_permutations(self, monkeypatch):
+        # groups generated by one to three random permutations of 2..8 points
+        made = [_random_group(seed) for seed in range(40)]
+        compiled = [g.element_index()._class_labels(g.generators()) for g in made]
+        monkeypatch.setattr(fpgroups, "_LIB", None)
+        for seed, (group, comp) in enumerate(zip(made, compiled)):
+            prop = group.element_index()._class_labels(group.generators())
+            assert [a.tolist() for a in comp] == [a.tolist() for a in prop], seed
 
     @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
     def test_compiled_labels_reject_an_entry_out_of_range(self):
-        for bad in (3, -1):
+        index = PermGroup.symmetric(3).element_index()
+        # generators built unchecked: entries beyond the degree, and a repeat
+        for bad in ((0, 3, 2), (0, -1, 2), (0, 0, 2)):
             with pytest.raises(ValueError):
-                groups._min_labels_compiled(3, [np.array([0, 1, 2]), np.array([0, bad, 2])])
+                index._class_labels([groups._perm(bad)])
 
-    def test_index_of_a_non_closed_element_list_raises(self):
-        group = PermGroup.symmetric(3)
-        rows, keys = group._sorted_rows()
-        group._rows = rows[:-1], keys[:-1]
-        with pytest.raises(GroupError):
-            group.element_index()
+    def test_index_of_a_non_closed_element_list_raises(self, monkeypatch):
+        # without its last two rows, no element of S3 left maps 0 to 2
+        for lib in (fpgroups._LIB, None):
+            monkeypatch.setattr(fpgroups, "_LIB", lib)
+            for cut in (1, 2):
+                group = PermGroup.symmetric(3)
+                rows, keys = group._sorted_rows()
+                group._rows = rows[:-cut], keys[:-cut]
+                with pytest.raises(GroupError):
+                    group.element_index()
 
     @pytest.mark.parametrize("text", ["perm 0 0", "perm 1 0"])
     def test_trivial_groups(self, text):
