@@ -507,8 +507,9 @@ def verify_torus_certificate(cert):
     if alpha_hom is None:
         return report
 
-    # 4. alpha equivariant for the conjugation action of Q on A
-    pairs = [(qe, qe) for qe in ext.quotient.elements()]
+    # 4. alpha equivariant for the conjugation action of Q on A; both
+    #    sides are homomorphisms of Q, so the generators decide it
+    pairs = [(qe, qe) for qe in ext.quotient.generators()]
     if not report.record(
         "alpha-equivariant",
         is_equivariant(cert.alpha, lat_mod, ext.module, pairs),
@@ -578,15 +579,16 @@ def verify_flat_certificate(cert):
                   "quotients of order %d identified" % q_star.order())
 
     # 4. alpha surjective and (phi_star, Q)-equivariant, where phi_star
-    #    maps onto G/A by bar(g) = iso(star_proj(g))
+    #    maps onto G/A by bar(g) = iso(star_proj(g)); both sides are
+    #    homomorphisms of phi_star, so its generators decide it
     alpha_hom = _check_alpha_surjective(report, cert, a_group)
     if alpha_hom is None:
         return report
-    star_els = cert.phi_star.elements()
+    star_gens = cert.phi_star.generators()
     equivariant = (
         f for f in chain([iso], isos)
         if is_equivariant(cert.alpha, star_mod, ext.module,
-                          [(g, f(star_proj(g))) for g in star_els]))
+                          [(g, f(star_proj(g))) for g in star_gens]))
     iso = next(equivariant, None)
     if not report.record("alpha-equivariant", iso is not None,
                          "alpha(g.x) must equal bar(g).alpha(x)"):
@@ -598,12 +600,13 @@ def verify_flat_certificate(cert):
     if not report.record("cocycle-valid", cstar.is_cocycle(),
                          "c* fails the cocycle identity"):
         return report
+    star_els = cert.phi_star.elements()
 
     def witness_ok(f):
         bar = {g: f(star_proj(g)) for g in star_els}
         module = ZQModule.finite(
             cert.phi_star, a_group,
-            [ext.module.act_matrix(bar[g]) for g in cert.phi_star.generators()])
+            [ext.module.act_matrix(bar[g]) for g in star_gens])
         difference = Cocycle2(module, {
             (g, h): a_group.sub(alpha_hom.apply(cstar.value(g, h)),
                                 ext.cocycle.value(bar[g], bar[h]))

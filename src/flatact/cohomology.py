@@ -280,29 +280,6 @@ class Cocycle2:
         return Cocycle2(module, values)
 
 
-def cyclic_cocycle_from_invariant(module, t, a):
-    """The standard 2-cocycle of the cyclic group generated by t built
-    from an invariant vector a: c(t^i, t^j) = a when i + j >= order, else
-    0.  Requires a fixed by t."""
-    mod = module
-    if any(mod.sub(mod.act(t, a), mod.reduce(a))):
-        raise CohomologyError("vector is not invariant under t")
-    grp = mod.group
-    m = grp.element_order(t)
-    e = grp.identity()
-    powers = {}
-    cur = e
-    for i in range(m):
-        powers[i] = cur
-        cur = grp.multiply(cur, t)
-    values = {}
-    for i in range(1, m):
-        for j in range(1, m):
-            if i + j >= m:
-                values[(powers[i], powers[j])] = mod.reduce(a)
-    return Cocycle2(mod, values)
-
-
 # ---------------------------------------------------------------------------
 # cohomology over the relation module of the Cayley graph
 
@@ -593,9 +570,8 @@ def _relation_cohomology(module, degree):
 def _check_bounds(module, group_bound, rank_bound):
     if module.group.order() > group_bound:
         raise CohomologyBoundExceeded(
-            "group order %d exceeds bound %d; for cyclic groups use the "
-            "periodic-resolution engine (CyclicCohomology)"
-            % (module.group.order(), group_bound)
+            "group order %d exceeds bound %d; raise group_bound "
+            "(--group-order-limit of flatact h2)" % (module.group.order(), group_bound)
         )
     if module.rank > rank_bound:
         raise CohomologyBoundExceeded(
@@ -721,8 +697,10 @@ def induced_h2(alpha, source, target):
     """The map H^2(Q; source coefficients) -> H^2(Q; target coefficients)
     induced by an equivariant coefficient homomorphism alpha.
 
-    Verifies that alpha is equivariant (alpha(g.x) = g.alpha(x) on the
-    whole group); it need not be onto, and the target may be a lattice.
+    Verifies that alpha is equivariant (alpha(g.x) = g.alpha(x) at the
+    generators, hence on the whole group, since both sides are
+    homomorphisms of it); it need not be onto, and the target may be a
+    lattice.
     Source and target must be cohomology of the same group, so they share
     its Schreier words, and alpha is applied to a cocycle's value at each.
     """
@@ -732,7 +710,7 @@ def induced_h2(alpha, source, target):
     if alpha.matrix.cols != smod.rank or alpha.matrix.rows != tmod.rank:
         raise CohomologyError("alpha shape does not match the modules")
     if not is_equivariant(alpha.matrix, smod, tmod,
-                          [(g, g) for g in smod.group.elements()]):
+                          [(g, g) for g in smod.group.generators()]):
         raise CohomologyError("alpha is not equivariant")
 
     cols = []

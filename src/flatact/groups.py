@@ -16,7 +16,9 @@ conjugacy-class labels and element orders of an `ElementIndex` from
 `ElementIndex._class_labels`.  These are three of the engine's six pure
 twins; the other three, `fpgroups._enumerate_pure`,
 `fpgroups._validate_table` and `fpgroups._low_index_pure`, are in
-`fpgroups`.
+`fpgroups`.  The rows, in ascending lexicographic order, are the one
+form of the elements that the index keeps: the numpy paths sort by
+their columns, and `ElementIndex.lookup` is a binary search of them.
 """
 
 import math
@@ -387,21 +389,18 @@ class PermGroup(FiniteGroup):
 
     def elements(self):
         if self._elements is None:
-            self._elements = [_perm(tuple(r)) for r in self._sorted_rows()[0].tolist()]
+            self._elements = [_perm(tuple(r)) for r in self._sorted_rows().tolist()]
         return self._elements
 
     def _sorted_rows(self):
-        """The elements as rows in ascending order, with their `_row_keys`,
-        built once: by `fa_sorted_rows` of the compiled engine when it is
-        loaded, and otherwise by `_sorted_rows_pure`."""
+        """The elements as rows in ascending lexicographic order, built
+        once: by `fa_sorted_rows` of the compiled engine when it is loaded,
+        and otherwise by `_sorted_rows_pure`."""
         if self._rows is None:
             if self.order() > _ENUM_LIMIT:
                 raise GroupBoundExceeded("group too large to enumerate")
-            if fpgroups._LIB is None:
-                self._rows = _sorted_rows_pure(self.chain.levels, self.degree)
-            else:
-                rows = _sorted_rows_compiled(self.chain.levels, self.degree)
-                self._rows = rows, _row_keys(rows)
+            sort = _sorted_rows_pure if fpgroups._LIB is None else _sorted_rows_compiled
+            self._rows = sort(self.chain.levels, self.degree)
         return self._rows
 
     def element_index(self):
@@ -446,22 +445,10 @@ def compose_rows(a, b):
     return a.ravel()[b + np.arange(0, a.size, a.shape[1])[:, None]]
 
 
-def _row_keys(rows):
-    """One key per row, compared as the rows compare lexicographically.
-    With b = bit_length(degree - 1) and degree * b <= 64 (every degree up
-    to 16) a row is one uint64, b bits per entry, the first entry highest;
-    longer rows are the big-endian bytes of their entries.  The entries
-    must be points, below the degree."""
-    deg = rows.shape[1]
-    bits = max(deg - 1, 0).bit_length()
-    if deg * bits <= 64:
-        keys = np.zeros(len(rows), dtype=np.uint64)
-        for col in rows.T:
-            keys <<= np.uint64(bits)
-            keys |= col
-        return keys
-    be = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return be.view("S%d" % (be.shape[1] * be.itemsize)).ravel()
+def _lex_order(rows):
+    """The permutation that sorts `rows` lexicographically, first column
+    first: `np.lexsort` of the columns, which needs at least one."""
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
 
 
 def _row_dtype(degree):
@@ -470,19 +457,17 @@ def _row_dtype(degree):
 
 
 def _sorted_rows_pure(levels, degree):
-    """The rows of the group whose stabilizer chain has `levels`, sorted,
-    and their `_row_keys`.  Each element is one product u_0 u_1 ... of one
-    transversal element per level, so the rows are the products of the
-    level transversals, deepest level first.  The fallback and the
-    differential reference of `fa_sorted_rows`."""
+    """The rows of the group whose stabilizer chain has `levels`, sorted.
+    Each element is one product u_0 u_1 ... of one transversal element per
+    level, so the rows are the products of the level transversals, deepest
+    level first.  The fallback and the differential reference of
+    `fa_sorted_rows`."""
     dtype = _row_dtype(degree)
     rows = np.arange(degree, dtype=dtype)[None, :]
     for lev in reversed(levels):
         trans = np.array(list(lev.transversal.values()), dtype=dtype)
         rows = trans[:, rows].reshape(-1, degree)
-    keys = _row_keys(rows)
-    ranks = np.argsort(keys)
-    return rows[ranks], keys[ranks]
+    return rows[_lex_order(rows)]
 
 
 # the errors for the nonzero statuses of `fa_sorted_rows` and
@@ -499,8 +484,8 @@ def _check_index_status(status):
 
 
 def _sorted_rows_compiled(levels, degree):
-    """The rows of `_sorted_rows_pure` (without their keys), formed and
-    sorted by `fa_sorted_rows` of the compiled engine."""
+    """The rows of `_sorted_rows_pure`, formed and sorted by
+    `fa_sorted_rows` of the compiled engine."""
     dtype = _row_dtype(degree)
     trans = np.array([t for lev in levels for t in lev.transversal.values()], dtype=np.int32)
     sizes = np.array([len(lev.transversal) for lev in levels], dtype=np.int64)
@@ -553,19 +538,27 @@ class ElementIndex:
     """
 
     def __init__(self, group):
-        self.rows, self._keys = group._sorted_rows()
+        self.rows = group._sorted_rows()
         self.class_of, self.class_reps, self.orders = self._class_labels(group.generators())
 
     def lookup(self, rows):
         """Index of each row of `rows` among the elements, -1 for a row
-        that is not an element."""
-        rows = np.asarray(rows, dtype=self.rows.dtype)
-        keys = _row_keys(rows)
-        idx = np.searchsorted(self._keys, keys)
-        # a packed key is only faithful to rows of points
-        hit = (idx < len(self._keys)) & (rows < self.rows.shape[1]).all(axis=1)
-        hit[hit] = self._keys[idx[hit]] == keys[hit]
-        return np.where(hit, idx, -1)
+        that is not an element: a binary search of the sorted rows for
+        every query at once, in int64, so any int64 entry is a query."""
+        table = self.rows
+        n, width = table.shape
+        queries = np.asarray(rows, dtype=np.int64)
+        at = np.arange(len(queries))
+        pos = np.zeros(len(queries), dtype=np.intp)     # rows below the query
+        # rows of no points are all equal: there is nothing to search
+        for k in reversed(range(n.bit_length() if width else 0)):
+            step = pos + (1 << k)
+            # row step - 1 is below when its first differing entry is
+            diff = table[np.minimum(step, n) - 1] - queries
+            below = diff[at, (diff != 0).argmax(axis=1)] < 0
+            pos = np.where((step <= n) & below, step, pos)
+        hit = (pos < n) & (table[np.minimum(pos, n - 1)] == queries).all(axis=1)
+        return np.where(hit, pos, -1)
 
     def _class_labels(self, gens):
         """`class_of`, `class_reps` and `orders` as int64 arrays: by
@@ -580,9 +573,9 @@ class ElementIndex:
             # the conjugates by g are the elements in another order, and
             # the sort that puts them back is the conjugation map of g^-1,
             # whose orbits are the same
-            keys = _row_keys(gi[self.rows[:, np.argsort(gi)]])
-            ranks = np.argsort(keys)
-            if not np.array_equal(keys[ranks], self._keys):
+            conj = gi[self.rows[:, np.argsort(gi)]]
+            ranks = _lex_order(conj)
+            if not np.array_equal(conj[ranks], self.rows):
                 raise GroupError("element list is not closed under conjugation")
             maps.append(ranks)
         labels = _min_labels(len(self.rows), maps)

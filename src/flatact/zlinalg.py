@@ -375,9 +375,7 @@ def _echelon(rows, width):
     otherwise the two rows become, by the unimodular 2 x 2 step of their
     extended gcd, the pivot's new row and a row that vanishes there.  A
     row that reaches a column without a pivot becomes its row, made
-    positive.  Then the entries above each pivot are reduced into
-    [0, pivot), from the top pivot down, so that a reduction never
-    disturbs a column to its left."""
+    positive.  Then _reduce_above reduces the entries above the pivots."""
     piv = {}                        # pivot column -> its row
     h = []
     for r in rows:
@@ -400,16 +398,24 @@ def _echelon(rows, width):
                 q = b // a
                 r = [t - q * s for s, t in zip(p, r)]
         order = sorted(piv)
-        h = [piv[c] for c in order]
-        for k, c in enumerate(order):
-            d, nz = h[k][c], None
-            for above in h[:k]:
-                q = above[c] // d
-                if q:
-                    if nz is None:
-                        nz = [(j, b) for j, b in enumerate(h[k]) if b]
-                    for j, b in nz:
-                        above[j] -= q * b
+        h = _reduce_above([piv[c] for c in order], order)
+    return h
+
+
+def _reduce_above(h, cols):
+    """Reduce the entries above each pivot of the echelon rows `h` into
+    [0, pivot), in place, from the top pivot down, so that a reduction
+    never disturbs a column to its left; cols[k] is the pivot column of
+    h[k].  Returns h."""
+    for k, c in enumerate(cols):
+        d, nz = h[k][c], None
+        for above in h[:k]:
+            q = above[c] // d
+            if q:
+                if nz is None:
+                    nz = [(j, b) for j, b in enumerate(h[k]) if b]
+                for j, b in nz:
+                    above[j] -= q * b
     return h
 
 
@@ -445,19 +451,10 @@ def _hnf_modulo(rows, moduli):
                 rest.append(r)
         work = rest
         h.append(p)
-    for c, pc in enumerate(h):      # entries above each pivot into [0, pivot)
-        d = pc[c]
-        nz = [(j, b) for j, b in enumerate(pc) if b]
-        for i in range(c):
-            q = h[i][c] // d
-            if q:
-                row = h[i]
-                for j, b in nz:
-                    row[j] -= q * b
-    return h
+    return _reduce_above(h, range(n))
 
 
-def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
+def sparse_kernel_hnf(rows, ncols, keep=None, moduli=None):
     """The nonzero rows of the Hermite normal form of the lattice of the
     first `keep` (default all) coordinates of {x : A x = 0} over the
     integers, for A given as one {column: value} dict per row of `ncols`
@@ -466,18 +463,12 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
 
     Unit pivots go first: a row with a +-1 entry in column j fixes x_j as
     an integer combination of its other columns, and that expression is
-    substituted into every other row holding column j.  The (row index,
-    column) pairs of `pivots` are taken first, in their order, each one
-    whose entry is a unit by then; after them the next pivot column is the
-    one in the fewest rows among those with a unit entry (its shortest such
-    row is the pivot row).  Every row is kept divided by the gcd of its
-    entries, which leaves its kernel as it is.  The residual system goes to
-    kernel_basis_of_matrix, and the eliminated variables are recovered by
-    back-substitution: those of the later pivots in reverse order, then
-    those of `pivots` in their order, each from its row as given (short,
-    where the substituted row can be long).  So the given row of a pair in
-    `pivots` must have a unit in its column and hold no column of a later
-    pair.
+    substituted into every other row holding column j.  The next pivot
+    column is the one in the fewest rows among those with a unit entry
+    (its shortest such row is the pivot row).  Every row is kept divided
+    by the gcd of its entries, which leaves its kernel as it is.  The
+    residual system goes to kernel_basis_of_matrix, and the eliminated
+    variables are recovered by back-substitution, the last pivot first.
 
     `moduli`, if given, holds one positive integer m_c per kept column
     such that m_c e_c lies in the cut lattice (as for cochains with
@@ -494,7 +485,6 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
             for c in row:
                 where.setdefault(c, set()).add(i)
     solved = []                     # (j, {c: coeff}): x_j = sum coeff * x_c
-    chained = []                    # the same for `pivots`, from the given rows
 
     def eliminate(p, j):
         """Substitute row p, solved for x_j, into the other rows; return it
@@ -529,17 +519,6 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
         del where[j]
         return prow, rescaled
 
-    for p, j in pivots:
-        if p in live and live[p].get(j) in (1, -1):
-            a = rows[p].get(j)
-            if a not in (1, -1):
-                raise ZLinAlgError("pivot row %d has no unit in column %d" % (p, j))
-            eliminate(p, j)
-            chained.append((j, {c: -a * v for c, v in rows[p].items() if c != j and v}))
-    order = {j: t for t, (j, _) in enumerate(chained)}
-    for t, (j, expr) in enumerate(chained):
-        if any(order.get(c, -1) > t for c in expr):
-            raise ZLinAlgError("pivot row for column %d holds a later pivot column" % j)
     heap = [(len(ids), c) for c, ids in where.items() if ids]
     heapify(heap)
     while heap:
@@ -558,7 +537,7 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
 
     # residual system on the columns still in use; the other unsolved
     # columns are free
-    done = {j for j, _ in solved} | set(order)
+    done = {j for j, _ in solved}
     cols = sorted(c for c, ids in where.items() if ids and c not in done)
     pos = {c: k for k, c in enumerate(cols)}
     gens = [{c: 1} for c in range(ncols) if c not in done and c not in pos]
@@ -578,7 +557,7 @@ def sparse_kernel_hnf(rows, ncols, pivots=(), keep=None, moduli=None):
     for t, x in enumerate(gens):
         for c, v in x.items():
             values.setdefault(c, {})[t] = v
-    _substitute(values, list(reversed(solved)) + chained)
+    _substitute(values, reversed(solved))
     head = [[0] * keep for _ in range(k)]
     for c in range(keep):
         for t, v in values.get(c, {}).items():

@@ -9,6 +9,8 @@ coordinates, representatives and witnesses are those of the pinned
 goldens, and it shares only the lattice steps of `zlinalg` and the
 quotient step `cohomology._quotient` with the package's engine.  Its
 unknowns grow as (|Q| - 1)^2 * rank, so it is used on small groups only.
+`cyclic_cocycle_from_invariant` builds the standard bar 2-cocycle of a
+cyclic group, for the tests that compare classes across engines.
 """
 
 from itertools import product
@@ -180,35 +182,13 @@ def bar_cohomology(module, degree):
         for r, row in enumerate(dout):
             row[n_mid + r] = factors[r % n]
 
-    # pivots in breadth-first order over the Cayley graph: a non-generator
-    # x is s h with s a generator and h nearer the identity, and the rows
-    # of the cells (s, h, ...) hold the x-columns in a -identity block while
-    # their other columns are generator columns or solved already.  So
-    # every solved column is a sum of action matrices applied to generator
-    # columns, and entries stay as small as the action's.
-    pivots = []
-    tail = m ** (degree - 1)        # the cells (h, ...) of one h
-    frontier, seen = list(gens), set(gens)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gi, s in enumerate(gens):
-                x = prod_idx[s][h]
-                if x is None or x in seen:
-                    continue
-                seen.add(x)
-                nxt.append(x)
-                pivots += [(((gi * m + h) * tail + k) * n + i, (x * tail + k) * n + i)
-                           for k in range(tail) for i in range(n)]
-        frontier = nxt
-
     # cocycle lattice: integer vectors whose differential lies in the
     # relation lattice of the next level.  For finite coefficients it holds
     # the relation lattice of this level (f e_c for the factor f of each
     # coordinate c), so its Hermite form can be taken modulo those factors.
     ncols = n_mid + (len(dout) if factors is not None else 0)
     moduli = None if factors is None else [factors[i % n] for i in range(n_mid)]
-    basis = sparse_kernel_hnf(dout, ncols, pivots, keep=n_mid, moduli=moduli)
+    basis = sparse_kernel_hnf(dout, ncols, keep=n_mid, moduli=moduli)
 
     # incoming differential, dense, at every cell
     n_in = len(cells_in) * n
@@ -230,3 +210,26 @@ def bar_cohomology(module, degree):
     grp_h, proj, solver = _quotient(basis, imgens)
     return BarCohomology(module, degree, grp_h, cells_mid, cells_in,
                          basis, proj, din, solver)
+
+
+def cyclic_cocycle_from_invariant(module, t, a):
+    """The standard 2-cocycle of the cyclic group generated by t built
+    from an invariant vector a: c(t^i, t^j) = a when i + j >= order, else
+    0.  Requires a fixed by t."""
+    mod = module
+    if any(mod.sub(mod.act(t, a), mod.reduce(a))):
+        raise CohomologyError("vector is not invariant under t")
+    grp = mod.group
+    m = grp.element_order(t)
+    e = grp.identity()
+    powers = {}
+    cur = e
+    for i in range(m):
+        powers[i] = cur
+        cur = grp.multiply(cur, t)
+    values = {}
+    for i in range(1, m):
+        for j in range(1, m):
+            if i + j >= m:
+                values[(powers[i], powers[j])] = mod.reduce(a)
+    return Cocycle2(mod, values)

@@ -12,14 +12,13 @@ import time
 
 import pytest
 
-from bar_oracle import bar_cohomology
+from bar_oracle import bar_cohomology, cyclic_cocycle_from_invariant
 
 from flatact.cohomology import (Cocycle2, CohomologyBoundExceeded,
                                 CohomologyError, CyclicCohomology, InducedMap,
                                 ZQModule, cocycle_from_text, cocycle_to_text,
-                                cyclic_cocycle_from_invariant, extension_class,
-                                h1, h2, induced_h2, is_equivariant, is_in_image,
-                                torsion_free_check,
+                                extension_class, h1, h2, induced_h2,
+                                is_equivariant, is_in_image, torsion_free_check,
                                 torsion_free_check_by_restriction)
 from flatact.certificates import (abelian_identification, build_a4_certificate,
                                   certificate_from_dict)

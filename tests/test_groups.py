@@ -112,7 +112,7 @@ def _weyl_e6_on_27_points():
 
 def _index_groups():
     """The groups of `element_index_digest`: W(E6) on 27 points has the
-    only byte-string keys, C16, C300 and 2^6 are abelian."""
+    only rows of more than 16 points, C16, C300 and 2^6 are abelian."""
     out = [PermGroup.alternating(n) for n in range(3, 10)]
     out += [PermGroup.symmetric(n) for n in range(2, 9)]
     out += [PermGroup.cyclic(16), PermGroup.cyclic(300),
@@ -145,7 +145,7 @@ def element_index_digest():
 
 def _differential_index_groups():
     """The `_index_groups`, the elementary abelian group 2^14 on 28 points
-    (byte-string keys, 14 generators), a Klein four-group on 3000 points
+    (14 generators), a Klein four-group on 3000 points
     (uint16 rows of four elements), and the trivial groups of degree 0
     and 1."""
     halves = [Permutation.from_cycles(3000, [(2 * i, 2 * i + 1) for i in range(k, k + 750)])
@@ -158,8 +158,8 @@ def _differential_index_groups():
 @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
 class TestCompiledIndex:
     """`fa_sorted_rows` and `fa_class_labels` against the numpy paths,
-    their reference: the same rows, keys, labels and orders, byte for byte
-    and of the same dtypes (C300 has uint16 rows)."""
+    their reference: the same rows, labels and orders, byte for byte and
+    of the same dtypes (C300 has uint16 rows)."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -167,12 +167,10 @@ class TestCompiledIndex:
 
     def test_sorted_rows_agree(self, cases):
         for k, group in enumerate(cases):
-            rows, keys = groups._sorted_rows_pure(group.chain.levels, group.degree)
+            rows = groups._sorted_rows_pure(group.chain.levels, group.degree)
             comp = groups._sorted_rows_compiled(group.chain.levels, group.degree)
-            comp_keys = groups._row_keys(comp)
             assert (comp.dtype, comp.shape) == (rows.dtype, rows.shape), k
             assert comp.tobytes() == rows.tobytes(), k
-            assert comp_keys.dtype == keys.dtype and np.array_equal(comp_keys, keys), k
 
     def test_class_labels_agree(self, cases, monkeypatch):
         for k, group in enumerate(cases):
@@ -626,25 +624,33 @@ class TestSubgroupQueries:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 9, 16, 17])
     def test_row_keys_sort_like_rows(self, degree):
-        rng = np.random.default_rng(degree)
-        rows = rng.integers(0, max(degree, 1), size=(400, degree))
-        # repeated rows, and rows that differ only in their last entry
-        rows = np.concatenate([rows, rows[:40], rows[:40]])
-        if degree:
-            rows[-40:, -1] = rng.integers(0, degree, size=40)
-        rows = rows.astype(np.min_scalar_type(max(degree - 1, 0)))
-        keys = groups._row_keys(rows)
-        assert keys.dtype.kind == ("u" if degree <= 16 else "S")
+        # the columns are the sort keys of np.lexsort, which has none at
+        # degree 0.  The group is S3 on each block of three points (S2 on
+        # a last block of two), with the points relabelled at random
+        rng = random.Random(degree)
+        points = list(range(degree))
+        rng.shuffle(points)
+        blocks = [points[i:i + 3] for i in range(0, degree, 3)]
+        gens = [Permutation.from_cycles(degree, cycles) for b in blocks if len(b) > 1
+                for cycles in ([tuple(b[:2])], [tuple(b)])]
+        group = PermGroup(gens, degree=degree)
+        rows = groups._sorted_rows_pure(group.chain.levels, degree)
+        assert rows.dtype == np.min_scalar_type(max(degree - 1, 0))
+        assert len(rows) == group.order() == math.prod(
+            math.factorial(len(b)) for b in blocks)
         tuples = [tuple(r) for r in rows.tolist()]
-        rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
-        # equal ranks among the keys and among the rows, in the same order
-        assert np.unique(keys, return_inverse=True)[1].tolist() == \
-            [rank[t] for t in tuples]
+        assert tuples == sorted(set(tuples))
 
-    def test_lookup_rejects_entries_beyond_the_degree(self):
-        # at 2 bits an entry, (0, 4, 2) packs to the key of (1, 0, 2)
-        index = PermGroup.symmetric(3).element_index()
-        assert index.lookup([[1, 0, 2], [0, 4, 2]]).tolist() == [2, -1]
+    def test_lookup_rejects_entries_beyond_the_degree(self, monkeypatch):
+        # at 2 bits an entry, (0, 4, 2) once packed to the key of (1, 0, 2),
+        # and 300 and -1 once overflowed the uint8 rows
+        for lib in (fpgroups._LIB, None):
+            monkeypatch.setattr(fpgroups, "_LIB", lib)
+            index = PermGroup.symmetric(3).element_index()
+            assert index.lookup([[1, 0, 2], [0, 4, 2]]).tolist() == [2, -1]
+            index = PermGroup.alternating(5).element_index()
+            assert index.lookup([[0, 1, 2, 3, 4], [0, 1, 2, 3, 300],
+                                 [0, 1, 2, 3, -1]]).tolist() == [0, -1, -1]
 
     @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
     @pytest.mark.parametrize("make", [
@@ -694,8 +700,7 @@ class TestSubgroupQueries:
             monkeypatch.setattr(fpgroups, "_LIB", lib)
             for cut in (1, 2):
                 group = PermGroup.symmetric(3)
-                rows, keys = group._sorted_rows()
-                group._rows = rows[:-cut], keys[:-cut]
+                group._rows = group._sorted_rows()[:-cut]
                 with pytest.raises(GroupError):
                     group.element_index()
 

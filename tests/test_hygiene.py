@@ -142,7 +142,6 @@ def unread_public_definitions(sources, readers, readme):
 # the ROADMAP item that brings it
 AWAITING_A_CALLER = {
     "fpgroups.rewrite_subgroup_presentation": "item 13",
-    "cohomology.cyclic_cocycle_from_invariant": "item 14",
 }
 
 

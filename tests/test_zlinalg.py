@@ -370,26 +370,6 @@ class TestSparseKernel:
         got = sparse_kernel_hnf(_sparse(m), m.cols, keep=keep)
         assert got.cols == keep and list(got.data) == want
 
-    @given(st.integers(1, 4), st.integers(0, 4),
-           st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=8, max_size=8),
-                    min_size=8, max_size=8),
-           st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -4, 6]),
-                             min_size=8, max_size=8), max_size=3))
-    @settings(max_examples=200, deadline=None)
-    def test_given_pivots_back_substitute_from_their_rows(self, base, chained, coeffs,
-                                                          relations):
-        # columns base.. are given pivots, each -x_j + (earlier columns) = 0,
-        # then a few free relations over all columns
-        n = base + chained
-        rows = [{j: -1, **{c: coeffs[j][c] for c in range(j) if coeffs[j][c]}}
-                for j in range(base, n)]
-        rows += [{c: x for c, x in enumerate(r[:n]) if x} for r in relations]
-        pivots = [(t, base + t) for t in range(chained)]
-        m = _mat([[row.get(c, 0) for c in range(n)] for row in rows] or [[0] * n])
-        dense = kernel_basis_of_matrix(m)
-        want = _hnf_rows(dense) if dense.rows else []
-        assert list(sparse_kernel_hnf(rows, n, pivots).data) == want
-
     @given(_sparse_matrices(with_units), _sparse_matrices(without_units),
            st.integers(2, 6))
     @settings(max_examples=150, deadline=None)
@@ -412,11 +392,6 @@ class TestSparseKernel:
         full = list(rows) + [[f if j == c else 0 for j in range(n)]
                              for c, f in enumerate(moduli)]
         assert [tuple(r) for r in _hnf_modulo(rows, moduli)] == _hnf_rows(_mat(full))
-
-    def test_pivot_row_must_not_hold_a_later_pivot(self):
-        rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-        with pytest.raises(ZLinAlgError):
-            sparse_kernel_hnf(rows, 3, pivots=[(0, 0), (1, 1)])
 
     def test_no_rows_gives_every_unit_vector(self):
         assert sparse_kernel_hnf([], 3).data == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
