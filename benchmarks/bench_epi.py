@@ -2,7 +2,9 @@
 
 First the stages before the searches: `screen_s`, the order screening of
 dimensions 3..24, and `low_index_s`, the low-index search of W(E7) to
-index 16, with its class count and `fpgroups.ENGINE`.  Then, for the
+index 16, with its class count, `fpgroups.ENGINE` and `workers`, the
+threads the compiled search may split across (`fpgroups.workers()`; 1 on
+checkouts whose search runs on one thread).  Then, for the
 index-2 and the index-1 class of that search, build the subgroup exactly
 as `screening.a9_chain` does, and time on a fresh A9:
 
@@ -88,7 +90,8 @@ def main():
     classes = fpgroups.low_index_subgroups(fpgroups.e7_weyl_presentation(), 16)
     t2 = time.perf_counter()
     run["stages"] = {"screen_s": round(t1 - t0, 3), "low_index_s": round(t2 - t1, 3),
-                     "low_index_classes": len(classes), "engine": fpgroups.ENGINE}
+                     "low_index_classes": len(classes), "engine": fpgroups.ENGINE,
+                     "workers": getattr(fpgroups, "workers", lambda: 1)()}
     print(json.dumps(run["stages"]), flush=True)
     for index, sub in class_subgroups(classes, (2, 1)):
         rec = dict(index=index, **time_search(sub))

@@ -26,19 +26,27 @@
  * of the mapping that no row has reached take no memory, so a doubling
  * costs only address space.
  *
- * The file also runs the backtracking of the low-index subgroup search,
- * node for node as fpgroups._low_index_pure: the same first undefined cell
- * (row-major), candidate order, relator-rotation scans and deductions,
- * row-0 least-table test at every node, and undo by trail, so both find
- * the same complete tables in the same order after the same number of
- * nodes.  Both keep explicit stacks: a search frame (40 bytes) per node
+ * The file also runs the backtracking of the low-index subgroup search
+ * with the nodes and tables of fpgroups._low_index_pure: the same first
+ * undefined cell (row-major), candidate order, relator-rotation scans and
+ * deductions, row-0 least-table test at every node, and undo by trail, so
+ * both visit the same nodes and find the same complete tables in the same
+ * order.  Both keep explicit stacks: a search frame (40 bytes) per node
  * on the path, holding its undefined entry as a row and a letter, its
  * next candidate, row count and trail mark; and, while an assignment is
  * propagated, a deduction frame (24 bytes) per new entry whose scans are
  * not done, holding the coset to scan at, the letter the rotations start
  * with, the next rotation and the phase (the entry's row, then its image
  * with the inverse letter).  So the scans divide nothing by the letter
- * count.
+ * count.  On several CPUs the tree is split into subtrees: the search
+ * down to depth LI_SPLIT hands each node there over as a job, the path of
+ * choices that led to it, and keeps the tables it finds above that depth
+ * in place.  Worker threads, one per CPU of the process's affinity mask
+ * and at most FA_WORKERS, take the jobs in turn; each replays a job's
+ * path on a search state of its own and runs the same search below it
+ * into a buffer of the job's.  The buffers are joined in job order, so
+ * the tables come out in the serial order, and the nodes of the split
+ * loop and of the workers add up to the serial count.
  *
  * And it builds the Schreier-Sims stabilizer chain step for step as
  * groups.StabilizerChain: the same base points (the first point a residue
@@ -63,13 +71,14 @@
  * groups._sorted_rows_pure and of the numpy path of
  * ElementIndex._class_labels.
  *
- * Plain C with no Python headers: flatact.fpgroups compiles this file into
- * a shared library and calls it through ctypes.  The first three entry
- * points free their own state and hand their result over as one int32
- * buffer (a mapping or a heap block by its size, as the HLT buffer),
- * which Python views in place and gives back to fa_release: on FA_OK they
- * set buf and its length, on an error status they free everything and set
- * buf to NULL.  The last two write into arrays of the caller.
+ * Plain C and POSIX threads, with no Python headers: flatact.fpgroups
+ * compiles this file into a shared library and calls it through ctypes.
+ * The first three entry points free their own state and hand their
+ * result over as one int32 buffer (a mapping or a heap block by its size,
+ * as the HLT buffer), which Python views in place and gives back to
+ * fa_release: on FA_OK they set buf and its length, on an error status
+ * they free everything and set buf to NULL.  fa_sorted_rows and
+ * fa_class_labels write into arrays of the caller.
  *
  *   fa_enumerate(ngens, letters, ends, nsub, nwords, limit, &buf, &nlive)
  *       words[k] = letters[ends[k-1] .. ends[k]) (ends[-1] = 0); the first
@@ -82,7 +91,8 @@
  *       letter x are words first[x] .. first[x+1] - 1.  buf holds, for
  *       each complete table in the order found, its row count n and then
  *       its n x 2*ngens entries.  FA_LIMIT when the search would visit
- *       more than node_limit nodes.
+ *       more than node_limit nodes; workers stop early once the nodes
+ *       counted pass it.
  *   fa_schreier_sims(n, ngens, gens, &buf, &nints)
  *       the chain of the group generated by the ngens permutations
  *       gens[k*n .. (k+1)*n) of 0..n-1.  buf holds the level count, then
@@ -101,7 +111,8 @@
  *       FV_EMPTY (no rows), FV_RANGE (an entry outside 0..n-1),
  *       FV_BIJECTION (column 2*which + 1 does not invert column 2*which)
  *       or FV_RELATOR (relator which does not close at some coset); -1
- *       for a letter out of range.
+ *       for a letter out of range.  On a large table the relators are
+ *       checked on the workers, and the first that fails is reported.
  *   fa_sorted_rows(n, w, nlevels, sizes, trans, out)
  *       the elements of the group whose chain has nlevels levels with
  *       sizes[i] transversal rows each, given level by level in trans
@@ -118,9 +129,15 @@
  *       FA_NOTCLOSED when the rows are not closed under conjugation by a
  *       generator, FA_BADARG for an entry outside 0..n-1 or a generator
  *       that is not a permutation.
+ *   fa_workers()
+ *       the threads that fa_low_index and fa_validate may split their
+ *       work across: the CPUs of the affinity mask, at most FA_WORKERS.
  */
 
-#define _GNU_SOURCE     /* mremap */
+#define _GNU_SOURCE     /* mremap, sched_getaffinity */
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -434,9 +451,47 @@ int fa_enumerate(int32_t ngens, const int32_t *letters, const int64_t *ends,
     return status;
 }
 
+/* ---- worker threads ---- */
+
+/* The searches and checks below that split into jobs run them on at most
+ * FA_WORKERS threads. */
+enum { FA_WORKERS = 8 };
+
+int fa_workers(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t set;
+    int n;
+    if (sched_getaffinity(0, sizeof set, &set) == 0 && (n = CPU_COUNT(&set)) > 1)
+        return n < FA_WORKERS ? n : FA_WORKERS;
+#endif
+    return 1;
+}
+
+/* Run fn(arg) on `threads` threads of its own and wait for them.  fn takes
+ * its jobs in turn from a counter in arg, so the threads that start do the
+ * share of one that cannot; when one thread is asked for, or none starts,
+ * the caller runs fn itself. */
+static void fa_run(int64_t threads, void *(*fn)(void *), void *arg)
+{
+    pthread_t tid[FA_WORKERS];
+    int64_t k, started = 0;
+    for (k = 0; threads > 1 && k < threads && k < FA_WORKERS; k++)
+        if (pthread_create(tid + started, NULL, fn, arg) == 0)
+            started++;
+    if (started == 0)
+        fn(arg);
+    for (k = 0; k < started; k++)
+        pthread_join(tid[k], NULL);
+}
+
 /* ---- low-index subgroup search ---- */
 
 enum { LI_FAIL, LI_OK, LI_DEDUCED };
+
+/* On more than one worker the search splits at this depth: each node there
+ * is a job (E7 to index 16: 164 nodes above it, and 361 jobs). */
+enum { LI_SPLIT = 6 };
 
 /* An entry (row, letter) of the table. */
 typedef struct {
@@ -458,6 +513,34 @@ typedef struct {
     int64_t row, next, rows, mark;
     int32_t letter;
 } li_node;
+
+/* A step on the path to a job: a node's first undefined entry (row,
+ * letter), the candidate it took there and its row count. */
+typedef struct {
+    int32_t row, letter, cand, rows;
+} li_step;
+
+/* A job: the node at the end of `path`, the place of its tables among
+ * those of the split loop, and the tables of its subtree (nout of outcap
+ * ints at out). */
+typedef struct {
+    li_step path[LI_SPLIT];
+    int64_t pos, nout, outcap;
+    int32_t *out;
+} li_job;
+
+/* What the searches of one fa_low_index call share: the relator
+ * rotations, the limits and the jobs, read-only once the workers start,
+ * and three counters. */
+typedef struct {
+    int64_t nl, max_index, node_limit, njobs, jobcap;
+    const int32_t *letters;
+    const int64_t *ends, *first;
+    li_job *jobs;
+    _Atomic int64_t total;  /* the nodes of the searches that have ended */
+    _Atomic int64_t next;   /* the next job to take */
+    _Atomic int status;     /* the first error of a worker */
+} li_shared;
 
 typedef struct {
     int64_t nl, max_index, nrows, ntrail, nout, outcap;
@@ -482,6 +565,35 @@ static void lix_free(lix *s)
         fa_release(s->out, s->outcap);
         free(s);
     }
+}
+
+/* A search state at the root: an empty table of max_index rows, one of
+ * them in use. */
+static lix *lix_alloc(const li_shared *sh)
+{
+    int64_t ncells = sh->max_index * sh->nl;
+    lix *s = calloc(1, sizeof *s);
+    if (s == NULL)
+        return NULL;
+    s->nl = sh->nl;
+    s->max_index = sh->max_index;
+    s->nrows = 1;
+    s->letters = sh->letters;
+    s->ends = sh->ends;
+    s->first = sh->first;
+    /* every trail entry, deduction frame and search frame fills a cell */
+    s->tbl = malloc((size_t)(ncells + 1) * sizeof *s->tbl);
+    s->number = malloc((size_t)sh->max_index * sizeof *s->number);
+    s->trail = malloc((size_t)(ncells + 1) * sizeof *s->trail);
+    s->stack = malloc((size_t)(ncells + 1) * sizeof *s->stack);
+    s->frames = malloc((size_t)(ncells + 1) * sizeof *s->frames);
+    if (!s->tbl || !s->number || !s->trail || !s->stack || !s->frames) {
+        lix_free(s);
+        return NULL;
+    }
+    memset(s->tbl, 0xff, (size_t)(ncells + 1) * sizeof *s->tbl);
+    memset(s->number, 0xff, (size_t)sh->max_index * sizeof *s->number);
+    return s;
 }
 
 /* Set entry (a, x) to b and its mirror, record it in the trail, and make
@@ -612,24 +724,62 @@ static int li_keeps(lix *s)
     return keep;
 }
 
-/* The backtracking of the search, with an explicit stack of frames in
- * place of recursion.  A node that fails li_keeps is a leaf. */
-static int li_search(lix *s, int64_t node_limit)
+/* Hand the node s is at, at depth d, over as a job: the steps of the
+ * frames above it, and the place of its tables among those recorded so
+ * far.  A worker counts the job's node, so FA_LIMIT when the nodes
+ * entered and the jobs exceed the node limit. */
+static int li_hand_over(lix *s, li_shared *sh, int64_t d, int64_t nodes)
+{
+    li_job *job;
+    int64_t k;
+    if (nodes + sh->njobs >= sh->node_limit)
+        return FA_LIMIT;
+    if (sh->njobs == sh->jobcap) {
+        int64_t cap = sh->jobcap ? 2 * sh->jobcap : 64;
+        if ((uint64_t)cap > SIZE_MAX / sizeof *job
+            || (job = realloc(sh->jobs, (size_t)cap * sizeof *job)) == NULL)
+            return FA_NOMEM;
+        sh->jobs = job;
+        sh->jobcap = cap;
+    }
+    job = sh->jobs + sh->njobs++;
+    for (k = 0; k < d; k++) {
+        const li_node *fr = s->frames + k;
+        job->path[k].row = (int32_t)fr->row;
+        job->path[k].letter = fr->letter;
+        job->path[k].cand = (int32_t)(fr->next - 1);
+        job->path[k].rows = (int32_t)fr->rows;
+    }
+    job->pos = s->nout;
+    job->nout = job->outcap = 0;
+    job->out = NULL;
+    return FA_OK;
+}
+
+/* The backtracking of the search below the node s is at, with an explicit
+ * stack of frames in place of recursion.  A node that fails li_keeps is a
+ * leaf.  A node at depth `split` below the start is not entered but handed
+ * over as a job; split -1 splits nothing.  The nodes entered are added to
+ * sh->total at the end, and the search stops with FA_LIMIT as soon as they
+ * and sh->total exceed the node limit. */
+static int li_search(lix *s, li_shared *sh, int64_t split)
 {
     int64_t nl = s->nl, d = 0, nodes = 0, c, b;
     li_node *fr;
-    int status;
+    int status = FA_OK;
     for (;;) {
-        /* enter a node */
-        if (++nodes > node_limit)
-            return FA_LIMIT;
-        if (li_keeps(s)) {
+        if (d == split)
+            status = li_hand_over(s, sh, d, nodes);
+        else if (++nodes + atomic_load_explicit(&sh->total, memory_order_relaxed)
+                 > sh->node_limit)
+            status = FA_LIMIT;
+        else if (li_keeps(s)) {
+            /* enter the node */
             for (c = 0; c < s->nrows * nl && s->tbl[c] != -1; c++)
                 ;
-            if (c == s->nrows * nl) {
-                if ((status = li_record(s)) != FA_OK)
-                    return status;
-            } else {
+            if (c == s->nrows * nl)
+                status = li_record(s);
+            else {
                 fr = s->frames + d++;
                 fr->row = c / nl;
                 fr->letter = (int32_t)(c % nl);
@@ -638,11 +788,13 @@ static int li_search(lix *s, int64_t node_limit)
                 fr->mark = s->ntrail;
             }
         }
+        if (status != FA_OK)
+            break;
         /* enter the next candidate of the deepest frame that has one: an
          * existing row whose letter^-1 entry is undefined, then a new row */
         for (;;) {
             if (d == 0)
-                return FA_OK;
+                goto done;
             fr = s->frames + d - 1;
             li_undo(s, fr->mark);
             s->nrows = fr->rows;
@@ -659,14 +811,84 @@ static int li_search(lix *s, int64_t node_limit)
                 break;
         }
     }
+done:
+    atomic_fetch_add_explicit(&sh->total, nodes, memory_order_relaxed);
+    return status;
+}
+
+/* A worker: with a search state of its own it takes the jobs in turn,
+ * from the last, replays each job's path, which assigns as it did in the
+ * split loop, searches the subtree there and keeps its tables in the job.
+ * The last candidate of a node is a new row, the one with the most room
+ * below it, so the last jobs tend to be the largest, and started first
+ * they do not hold up the end (E7 to index 16: the last of 361 jobs has
+ * 2,687 of the 25,494 nodes below the split).  A worker stops at the
+ * first error of any worker. */
+static void *li_worker(void *arg)
+{
+    li_shared *sh = arg;
+    lix *s = lix_alloc(sh);
+    int64_t j, k;
+    int status = s ? FA_OK : FA_NOMEM, ok = FA_OK;
+    while (status == FA_OK && atomic_load(&sh->status) == FA_OK
+           && (j = atomic_fetch_add(&sh->next, 1)) < sh->njobs) {
+        li_job *job = sh->jobs + sh->njobs - 1 - j;
+        for (k = 0; k < LI_SPLIT; k++) {
+            const li_step *p = job->path + k;
+            s->nrows = p->cand == p->rows ? p->rows + 1 : p->rows;
+            li_assign(s, p->row, p->letter, p->cand);
+        }
+        status = li_search(s, sh, -1);
+        job->out = s->out;
+        job->nout = s->nout;
+        job->outcap = s->outcap;
+        s->out = NULL;
+        s->nout = s->outcap = 0;
+        li_undo(s, 0);
+        s->nrows = 1;
+    }
+    if (status != FA_OK)
+        atomic_compare_exchange_strong(&sh->status, &ok, status);
+    lix_free(s);
+    return NULL;
+}
+
+/* Put the tables of the jobs in their places among those of the split
+ * loop, in s->out, at their size. */
+static int li_join(lix *s, const li_shared *sh)
+{
+    int64_t n = s->nout, j, at = 0, from = 0;
+    int32_t *out = NULL;
+    int status;
+    for (j = 0; j < sh->njobs; j++)
+        n += sh->jobs[j].nout;
+    if ((status = remap(&out, 0, n)) != FA_OK)
+        return status;
+    for (j = 0; j <= sh->njobs; j++) {
+        const li_job *job = sh->jobs + j;
+        int64_t pos = j < sh->njobs ? job->pos : s->nout;
+        if (pos > from)
+            memcpy(out + at, s->out + from, (size_t)(pos - from) * sizeof *out);
+        at += pos - from;
+        from = pos;
+        if (j < sh->njobs && job->nout) {
+            memcpy(out + at, job->out, (size_t)job->nout * sizeof *out);
+            at += job->nout;
+        }
+    }
+    fa_release(s->out, s->outcap);
+    s->out = out;
+    s->nout = s->outcap = n;
+    return FA_OK;
 }
 
 int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
                  const int64_t *first, int64_t max_index, int64_t node_limit,
                  int32_t **buf, int64_t *nints)
 {
+    li_shared sh = {0};
     lix *s;
-    int64_t k, x, nl = 2 * (int64_t)ngens, ncells;
+    int64_t k, x, nl = 2 * (int64_t)ngens, workers = fa_workers();
     int status;
     *buf = NULL;
     if (ngens < 0 || max_index < 1 || max_index > INT32_MAX || first[0] != 0)
@@ -681,27 +903,24 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
      * trail entry 8: refuse sizes whose byte counts overflow */
     if (nl && max_index > INT64_MAX / 64 / nl)
         return FA_NOMEM;
-    if ((s = calloc(1, sizeof *s)) == NULL)
+    sh.nl = nl;
+    sh.max_index = max_index;
+    sh.node_limit = node_limit;
+    sh.letters = letters;
+    sh.ends = ends;
+    sh.first = first;
+    if ((s = lix_alloc(&sh)) == NULL)
         return FA_NOMEM;
-    ncells = max_index * nl;
-    s->nl = nl;
-    s->max_index = max_index;
-    s->nrows = 1;
-    s->letters = letters;
-    s->ends = ends;
-    s->first = first;
-    /* every trail entry, deduction frame and search frame fills a cell */
-    s->tbl = malloc((size_t)(ncells + 1) * sizeof *s->tbl);
-    s->number = malloc((size_t)max_index * sizeof *s->number);
-    s->trail = malloc((size_t)(ncells + 1) * sizeof *s->trail);
-    s->stack = malloc((size_t)(ncells + 1) * sizeof *s->stack);
-    s->frames = malloc((size_t)(ncells + 1) * sizeof *s->frames);
-    if (!s->tbl || !s->number || !s->trail || !s->stack || !s->frames)
-        status = FA_NOMEM;
-    else {
-        memset(s->tbl, 0xff, (size_t)(ncells + 1) * sizeof *s->tbl);
-        memset(s->number, 0xff, (size_t)max_index * sizeof *s->number);
-        status = li_search(s, node_limit);
+    /* on one CPU the split loop is the whole search; on more, its jobs go
+     * to the workers, and the search fails when the nodes of all exceed
+     * the limit */
+    status = li_search(s, &sh, workers > 1 ? LI_SPLIT : -1);
+    if (status == FA_OK && sh.njobs) {
+        fa_run(workers < sh.njobs ? workers : sh.njobs, li_worker, &sh);
+        if ((status = atomic_load(&sh.status)) == FA_OK && atomic_load(&sh.total) > node_limit)
+            status = FA_LIMIT;
+        if (status == FA_OK)
+            status = li_join(s, &sh);
     }
     /* shrink the output to its ints, or map it when no table was found */
     if (status == FA_OK && (status = remap(&s->out, s->outcap, s->nout)) == FA_OK) {
@@ -709,6 +928,9 @@ int fa_low_index(int32_t ngens, const int32_t *letters, const int64_t *ends,
         *nints = s->nout;
         s->out = NULL;
     }
+    for (k = 0; k < sh.njobs; k++)
+        fa_release(sh.jobs[k].out, sh.jobs[k].outcap);
+    free(sh.jobs);
     lix_free(s);
     return status;
 }
@@ -1393,17 +1615,65 @@ int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
 /* ---- coset table check ---- */
 
 /* The relator walks go FV_BLOCK cosets at a time: they are independent, so
- * their loads overlap, which matters once the table outgrows the caches. */
-enum { FV_EMPTY = 1, FV_RANGE, FV_BIJECTION, FV_RELATOR, FV_BLOCK = 256 };
+ * their loads overlap, which matters once the table outgrows the caches.
+ * Walks of more than FV_SPLIT steps in all are split by relator across
+ * the workers. */
+enum { FV_EMPTY = 1, FV_RANGE, FV_BIJECTION, FV_RELATOR, FV_BLOCK = 256,
+       FV_SPLIT = 1 << 22 };
+
+/* The relator walks of one fa_validate call: the relators still to take,
+ * and the least that does not close (nrels while none is known). */
+typedef struct {
+    int64_t nl, n;
+    const int32_t *letters, *tbl;
+    const int64_t *ends;
+    _Atomic int64_t next, fail;
+} fv_shared;
+
+/* Whether the relator w[0 .. len) closes at every coset. */
+static int fv_closes(const fv_shared *v, const int32_t *w, int64_t len)
+{
+    const int32_t *tbl = v->tbl;
+    int64_t nl = v->nl, n = v->n, c;
+    for (c = 0; c < n; c += FV_BLOCK) {
+        int64_t d[FV_BLOCK], b, j, m = n - c < FV_BLOCK ? n - c : FV_BLOCK;
+        for (b = 0; b < m; b++)
+            d[b] = c + b;
+        for (j = 0; j < len; j++)
+            for (b = 0; b < m; b++)
+                d[b] = tbl[d[b] * nl + w[j]];
+        for (b = 0; b < m; b++)
+            if (d[b] != c + b)
+                return 0;
+    }
+    return 1;
+}
+
+/* A worker: takes the relators in turn and lowers v->fail to each that
+ * does not close.  It stops at v->fail, since every relator after it is
+ * later than the first that fails. */
+static void *fv_worker(void *arg)
+{
+    fv_shared *v = arg;
+    int64_t k, f;
+    while ((k = atomic_fetch_add(&v->next, 1)) < atomic_load(&v->fail)) {
+        int64_t start = k ? v->ends[k - 1] : 0;
+        if (!fv_closes(v, v->letters + start, v->ends[k] - start))
+            for (f = atomic_load(&v->fail); k < f;)
+                atomic_compare_exchange_weak(&v->fail, &f, k);
+    }
+    return NULL;
+}
 
 int fa_validate(int32_t ngens, const int32_t *letters, const int64_t *ends,
                 int64_t nrels, const int32_t *tbl, int64_t n, int64_t *which)
 {
-    int64_t nl = 2 * (int64_t)ngens, c, i, k, start;
+    int64_t nl = 2 * (int64_t)ngens, c, i, k, nletters, threads = 1;
+    fv_shared v = {0};
     *which = 0;
     if (ngens < 0 || nrels < 0)
         return -1;
-    for (k = 0; k < (nrels ? ends[nrels - 1] : 0); k++)
+    for (k = 0, nletters = nrels ? ends[nrels - 1] : 0; k < nletters; k++)
         if (letters[k] < 0 || letters[k] >= nl)
             return -1;
     if (n < 1)
@@ -1417,19 +1687,18 @@ int fa_validate(int32_t ngens, const int32_t *letters, const int64_t *ends,
                 *which = i;
                 return FV_BIJECTION;
             }
-    for (k = 0, start = 0; k < nrels; start = ends[k++])
-        for (c = 0; c < n; c += FV_BLOCK) {
-            int64_t d[FV_BLOCK], b, j, m = n - c < FV_BLOCK ? n - c : FV_BLOCK;
-            for (b = 0; b < m; b++)
-                d[b] = c + b;
-            for (j = start; j < ends[k]; j++)
-                for (b = 0; b < m; b++)
-                    d[b] = tbl[d[b] * nl + letters[j]];
-            for (b = 0; b < m; b++)
-                if (d[b] != c + b) {
-                    *which = k;
-                    return FV_RELATOR;
-                }
-        }
+    v.nl = nl;
+    v.n = n;
+    v.letters = letters;
+    v.tbl = tbl;
+    v.ends = ends;
+    atomic_init(&v.fail, nrels);
+    if (n > FV_SPLIT / (nletters ? nletters : 1) && (threads = fa_workers()) > nrels)
+        threads = nrels;
+    fa_run(threads, fv_worker, &v);
+    if ((k = atomic_load(&v.fail)) < nrels) {
+        *which = k;
+        return FV_RELATOR;
+    }
     return FA_OK;
 }

@@ -13,8 +13,9 @@ built from, builds the stabilizer chains of `groups.StabilizerChain` and
 the sorted element rows of a `groups.PermGroup`, and gives the elements
 of a `groups.ElementIndex` their conjugacy-class labels and orders.  Its
 results are numpy arrays that view the engine's buffers in place, or that
-it fills.  On first import
-the source is compiled with `cc -O2 -shared -fPIC` into the per-user
+it fills.  The low-index search and the check of a large table run on the
+CPUs the process may use (`workers`).  On first import the source is
+compiled with `cc -O2 -shared -fPIC -pthread` into the per-user
 cache directory (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode
 0700), under a name made from the SHA-256 of the source, the compile
 command and the interpreter's cache tag, so later imports only load it.
@@ -24,8 +25,10 @@ error), ENGINE is "pure" and the Python and numpy engines run instead:
 `groups.StabilizerChain._schreier_sims`, `groups._sorted_rows_pure` and
 the numpy path of `groups.ElementIndex._class_labels`.  They are also the
 differential-testing references.  Both engines give identical tables,
-verdicts, chains, element rows, labels and orders, and the low-index
-searches visit the same nodes.
+verdicts, chains, element rows, labels and orders.  The low-index
+searches visit the same nodes and find the same tables in the same order;
+on several CPUs the compiled search splits its tree into subtrees, which
+run in parallel, and puts their tables back in order.
 """
 
 import ctypes
@@ -49,7 +52,7 @@ except ImportError:
 from flatact import BoundExceeded
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coset.c")
-_CC = ("cc", "-O2", "-shared", "-fPIC")
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-pthread")
 _INT32_MAX = 2 ** 31 - 1
 
 
@@ -100,7 +103,8 @@ def _load_compiled():
             ("fa_release", None, [ptr, i64]),
             ("fa_validate", ctypes.c_int, [i32, ptr, ptr, i64, ptr, i64, ctypes.POINTER(i64)]),
             ("fa_sorted_rows", ctypes.c_int, [i64, i64, i64, ptr, ptr, ptr]),
-            ("fa_class_labels", ctypes.c_int, [i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr])):
+            ("fa_class_labels", ctypes.c_int, [i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]),
+            ("fa_workers", ctypes.c_int, [])):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib
@@ -155,6 +159,15 @@ def _run_compiled(entry, args, errors, width=None):
 
 
 ENGINE = "compiled" if _LIB is not None else "pure"
+
+
+def workers():
+    """The threads that the compiled low-index search and table check may
+    split their work across: the CPUs of this process's affinity mask, at
+    most 8, read at each call as the engine reads it; 1 on the pure
+    engine."""
+    return _LIB.fa_workers() if _LIB is not None else 1
+
 
 DEFAULT_COSET_LIMIT = 10 ** 6
 DEFAULT_NODE_LIMIT = 10 ** 7
@@ -713,8 +726,9 @@ def _row0_keeps(table, nrows):
 
 
 def _low_index_compiled(rotations, max_index, node_limit):
-    """Compiled twin of _low_index_pure.  Raises MemoryError when the
-    search state does not fit."""
+    """Compiled twin of _low_index_pure: the same nodes and the same tables
+    in the same order, with the tree split into subtrees across the
+    `workers`.  Raises MemoryError when the search state does not fit."""
     nl = len(rotations)
     words = [rot for rots in rotations for rot in rots]
     letters = np.array([x for w in words for x in w], dtype=np.int32)

@@ -2,6 +2,7 @@
 search, and subgroup presentation rewriting."""
 
 import contextlib
+import json
 import math
 import os
 import random
@@ -891,3 +892,168 @@ class TestWeylPresentations:
         assert ct.index == 56
         perms = ct.generator_permutations()
         assert PermGroup(perms, 56).order() == 2903040
+
+
+# fa_low_index on stdin: per case the generator count, the rotation count,
+# max_index and node_limit, then the rotation ends, their letters and the
+# first rotation of each letter; per case it prints the status, the int
+# count and the ints
+_LOW_INDEX_PROGRAM = r"""
+#include "_coset.c"
+#include <stdio.h>
+
+static int64_t *read_ints(int64_t n)
+{
+    int64_t *a = malloc((size_t)(n + 1) * sizeof *a), k;
+    long long v;
+    for (k = 0; a && k < n; k++) {
+        if (scanf("%lld", &v) != 1)
+            exit(2);
+        a[k] = v;
+    }
+    return a;
+}
+
+int main(void)
+{
+    long long ngens, nwords, max_index, node_limit;
+    while (scanf("%lld %lld %lld %lld", &ngens, &nwords, &max_index, &node_limit) == 4) {
+        int64_t *ends = read_ints(nwords), nletters = nwords ? ends[nwords - 1] : 0;
+        int64_t *raw = read_ints(nletters), *first = read_ints(2 * ngens + 1), k, nints = 0;
+        int32_t *letters = malloc((size_t)(nletters + 1) * sizeof *letters), *buf;
+        int status;
+        for (k = 0; k < nletters; k++)
+            letters[k] = (int32_t)raw[k];
+        status = fa_low_index((int32_t)ngens, letters, ends, first, max_index, node_limit,
+                              &buf, &nints);
+        printf("%d %lld", status, (long long)nints);
+        for (k = 0; k < nints; k++)
+            printf(" %d", buf[k]);
+        printf("\n");
+        if (status == FA_OK)
+            fa_release(buf, nints);
+        free(ends);
+        free(raw);
+        free(first);
+        free(letters);
+    }
+    return 0;
+}
+"""
+
+
+def _program_input(g, max_index, node_limit):
+    rotations = fpgroups._relator_rotations(g)
+    words = [rot for rots in rotations for rot in rots]
+    ends = np.cumsum([len(w) for w in words], dtype=np.int64)
+    first = np.cumsum([0] + [len(rots) for rots in rotations])
+    return " ".join(map(str, [g.ngens, len(words), max_index, node_limit, *ends.tolist(),
+                              *(x for w in words for x in w), *first.tolist()])) + "\n"
+
+
+def _flat(tables):
+    """The ints fa_low_index hands over for these tables."""
+    return [x for t in tables for x in [t.shape[0]] + t.ravel().tolist()]
+
+
+@needs_compiled
+class TestSplitSearch:
+    """The compiled search splits its tree at depth LI_SPLIT = 6 into jobs
+    when it may run on more than one CPU.  For E7 to index 16, 164 nodes
+    lie above that depth and 361 subtrees below it; for S5 to index 10,
+    95 and 41; Z to index 8 finds its tables of index 1 to 5 above it
+    and hands two jobs over; Z to index 5 ends above it."""
+
+    CASES = [("E7", 16, 25_658), ("S5", 10, 303), ("Z", 8, 16), ("Z", 5, 10)]
+
+    @staticmethod
+    def _group(name):
+        return {"E7": e7_weyl_presentation, "S5": lambda: symmetric_presentation(5),
+                "Z": lambda: FpGroup(1, ())}[name]()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_gives_the_same_tables_and_limits(self):
+        # the same searches in a child pinned to one CPU, which runs the
+        # search without a split, and here on every CPU this process has
+        code = """if True:
+            import json, os, sys
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from flatact import fpgroups as f
+            assert f.ENGINE == "compiled" and f.workers() == 1
+            out = []
+            for name, k, limit in json.loads(sys.argv[1]):
+                g = {"E7": f.e7_weyl_presentation, "S5": lambda: f.symmetric_presentation(5),
+                     "Z": lambda: f.FpGroup(1, ())}[name]()
+                for lim in (limit, limit - 1):
+                    try:
+                        tables = f._low_index_compiled(f._relator_rotations(g), k, lim)
+                        out.append([[t.shape, t.tobytes().hex()] for t in tables])
+                    except f.SearchBoundExceeded:
+                        out.append(None)
+            print(json.dumps(out))
+            """
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(self.CASES)],
+                              capture_output=True, text=True, timeout=300, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        pinned = json.loads(proc.stdout)
+        here = []
+        for name, k, limit in self.CASES:
+            g = self._group(name)
+            for lim in (limit, limit - 1):
+                tables = _complete_tables(g, k, "compiled", lim)
+                here.append(None if tables is None
+                            else [[list(shape), data.hex()] for shape, data in tables])
+        assert pinned == here
+        assert all(outcome is not None for outcome in here[::2])
+        assert all(outcome is None for outcome in here[1::2])
+
+    @pytest.mark.parametrize("name,max_index,nodes", CASES[1:])
+    def test_same_nodes_and_tables_as_the_pure_search(self, name, max_index, nodes):
+        g = self._group(name)
+        pure = _complete_tables(g, max_index, "pure", nodes)
+        assert pure is not None and _complete_tables(g, max_index, "compiled", nodes) == pure
+        for engine in ("pure", "compiled"):
+            assert _complete_tables(g, max_index, engine, nodes - 1) is None
+
+    @pytest.mark.parametrize("limit", [1, 100, 164, 524, 525])
+    def test_limit_before_the_split_depth(self, limit):
+        # 164 nodes above the split, then 361 jobs, each a node the workers
+        # will count: every limit below 525 raises before a worker starts
+        g = e7_weyl_presentation()
+        for engine in ("pure", "compiled"):
+            assert _complete_tables(g, 16, engine, limit) is None
+
+    @needs_cc
+    def test_source_compiles_without_warnings(self):
+        proc = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                               fpgroups._C_SOURCE], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @needs_cc
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="the search splits only on more than one CPU")
+    def test_split_search_under_thread_sanitizer(self, tmp_path):
+        source, exe = tmp_path / "search.c", tmp_path / "search"
+        source.write_text(_LOW_INDEX_PROGRAM)
+        build = subprocess.run(["cc", "-O1", "-g", "-pthread", "-fsanitize=thread",
+                                "-I", os.path.dirname(fpgroups._C_SOURCE),
+                                "-o", str(exe), str(source)],
+                               capture_output=True, text=True, timeout=120)
+        if build.returncode != 0:
+            pytest.skip("ThreadSanitizer does not build here: " + build.stderr[-300:])
+        cases = [(e7_weyl_presentation(), 16, 25_658), (e7_weyl_presentation(), 16, 25_657),
+                 (symmetric_presentation(5), 10, 303), (symmetric_presentation(5), 10, 302)]
+        proc = subprocess.run([str(exe)], input="".join(_program_input(*c) for c in cases),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and "ThreadSanitizer" not in proc.stderr, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(cases)
+        for line, (g, max_index, limit) in zip(lines, cases):
+            status, nints, *ints = map(int, line.split())
+            tables = _complete_tables(g, max_index, "compiled", limit)
+            if tables is None:
+                assert (status, nints) == (1, 0)
+            else:
+                pure = fpgroups._low_index_pure(fpgroups._relator_rotations(g), max_index, limit)
+                assert status == 0 and ints == _flat(pure) and nints == len(ints)
