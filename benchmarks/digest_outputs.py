@@ -45,7 +45,11 @@ change kept every output of a family byte for byte.  The families:
 * `element_index` -- `element_index_digest` of `tests/test_groups.py`:
   rows, orders, class labels and `lookup` of the element indices of
   A3..A9, S2..S8, C16, C300, 2^6, W(E6) on 27 points and W(D5) on 10
-  points.
+  points;
+* `stabilizer_chain` -- every level of the stabilizer chains of the
+  `CHAIN_CASES` groups of `tests/test_groups.py`: base point, strong
+  generators, orbit, transversal and inverses as plain ints, in that
+  order.
 
 It uses only names that have been in the package since the sparse bar
 complex, so the same file runs on older checkouts, copied there with
@@ -67,19 +71,21 @@ import os
 import random
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from flatact import certificates, cli, cohomology, fpgroups, screening  # noqa: E402
-from flatact.groups import PermGroup, Permutation, TableGroup  # noqa: E402
+from flatact.groups import PermGroup, Permutation, StabilizerChain, TableGroup  # noqa: E402
 from flatact.zlinalg import AbHom, FinAbGroup, IntMatrix, kernel_basis  # noqa: E402
 import bar_oracle  # noqa: E402
 from test_acceptance import _jordan_corpus  # noqa: E402
 from test_certificates import (a4_flat_certificate, hantzsche_wendt_certificate,  # noqa: E402
                                section_certificate)
-from test_groups import element_index_digest  # noqa: E402
+from test_groups import CHAIN_CASES, element_index_digest  # noqa: E402
 from workloads import _a4_flat_query, _jordan_ops, _module_cases  # noqa: E402
 
 M = IntMatrix.from_rows
@@ -360,6 +366,16 @@ def jordan():
     return _sha(out)
 
 
+def stabilizer_chain():
+    out = []
+    for case in CHAIN_CASES:
+        gens, degree = case.values[0]()
+        out.append([[lev.point] + [np.asarray(f).tolist() for f in
+                                   (lev.gens, lev.orbit, lev.trans, lev.inv)]
+                    for lev in StabilizerChain(gens, degree).levels])
+    return _sha(out)
+
+
 FAMILIES = {
     "a9_chain": a9_chain,
     "screen": screen,
@@ -373,6 +389,7 @@ FAMILIES = {
     "certificates": certificates_family,
     "jordan": jordan,
     "element_index": element_index_digest,
+    "stabilizer_chain": stabilizer_chain,
 }
 
 

@@ -55,8 +55,8 @@
  * order), the Schreier generators by ascending orbit point and then
  * generator, the restart at the first that leaves a residue, and the
  * re-completion of every level from the residue's up.  So each level has
- * the same point, strong generators, orbit order and transversal.  A
- * level's transversal is allocated at its orbit length.
+ * the same point, strong generators, orbit, where, transversal and
+ * inverses.  A level's transversal is allocated at its orbit length.
  *
  * Last, it builds the element index of a permutation group
  * (groups.ElementIndex).  The element rows are the products of the level
@@ -98,9 +98,11 @@
  *       gens[k*n .. (k+1)*n) of 0..n-1.  buf holds the level count, then
  *       for each level its point, generator count g and orbit length m,
  *       its g x n generators, its m orbit points in breadth-first order,
+ *       where (n entries: the place of each point in the orbit, or -1),
  *       the m x n transversal (row k maps the point to orbit point k) and
- *       the m x n inverses of its rows.  FA_BADARG when a generator is not
- *       a permutation.
+ *       the m x n inverses of its rows: each level is the layout of
+ *       groups._Level, which views it in place.  FA_BADARG when a
+ *       generator is not a permutation.
  *   fa_release(buf, n)
  *       frees a buffer of n ints that one of the three above handed over
  *       (for fa_enumerate, n is nlive * 2*ngens).
@@ -115,9 +117,9 @@
  *       checked on the workers, and the first that fails is reported.
  *   fa_sorted_rows(n, w, nlevels, sizes, trans, out)
  *       the elements of the group whose chain has nlevels levels with
- *       sizes[i] transversal rows each, given level by level in trans
- *       (int32, sizes[i] x n a level): their product rows, sorted, go to
- *       out, prod(sizes) x n points of w bytes each (1, 2 or 4).
+ *       sizes[i] transversal rows each, level i's at trans[i] (int32,
+ *       sizes[i] x n): their product rows, sorted, go to out, prod(sizes)
+ *       x n points of w bytes each (1, 2 or 4).
  *       FA_BADARG for an entry outside 0..n-1 or a size out of range.
  *   fa_class_labels(n, w, N, rows, ngens, gens, class_of, reps, orders,
  *                   &nclasses)
@@ -1124,26 +1126,25 @@ static int64_t ei_find(int64_t *parent, int64_t i)
 }
 
 int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
-                   const int32_t *trans, void *out)
+                   const int32_t *const *trans, void *out)
 {
-    int64_t i, j, k, x, t, N = 1, have = 1, rw = n * w;
+    int64_t i, j, x, t, N = 1, have = 1, rw = n * w;
     int64_t *cmin = NULL, *cmax = NULL;
     int32_t *ident = NULL;
     unsigned char *row = NULL, *placed;
-    const int32_t *level;
     eis *e = NULL;
     int status = FA_OK;
     if (n < 0 || n > INT32_MAX || (w != 1 && w != 2 && w != 4)
         || (w < 4 && n > (1 << (8 * w))))
         return FA_BADARG;
-    for (i = 0, k = 0; i < nlevels; k += sizes[i++] * n) {
+    for (i = 0; i < nlevels; i++) {
         if (sizes[i] < 1 || sizes[i] > INT32_MAX / N)
             return FA_BADARG;
         N *= sizes[i];
+        for (j = 0; j < sizes[i] * n; j++)
+            if (trans[i][j] < 0 || trans[i][j] >= n)
+                return FA_BADARG;
     }
-    for (j = 0; j < k; j++)
-        if (trans[j] < 0 || trans[j] >= n)
-            return FA_BADARG;
     if ((ident = malloc((size_t)(n + 1) * sizeof *ident)) == NULL
         || (row = malloc((size_t)(rw + 1))) == NULL
         || (cmin = malloc((size_t)(n + 1) * sizeof *cmin)) == NULL
@@ -1159,23 +1160,22 @@ int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
         ident[x] = (int32_t)x;
         ei_put(out, w, x, x);
     }
-    for (i = nlevels - 1, level = trans + k; i >= 0; have *= sizes[i--]) {
-        level -= sizes[i] * n;
+    for (i = nlevels - 1; i >= 0; have *= sizes[i--])
         for (t = sizes[i] - 1; t >= 0; t--) {
-            const int32_t *u = level + t * n;
+            const int32_t *u = trans[i] + t * n;
             for (j = 0; j < have * n; j++)
                 ei_put(out, w, t * have * n + j, u[ei_get(out, w, j)]);
         }
-    }
     /* column c holds the orbit of point c, the component of c in the
      * graph of the transversal rows: find it by union-find (every parent
      * below its child), and the least and largest point of each */
     for (x = 0; x < n; x++)
         cmin[x] = x;
-    for (j = 0; j < k; j++) {
-        int64_t u = ei_find(cmin, j % n), v = ei_find(cmin, trans[j]);
-        cmin[u > v ? u : v] = u < v ? u : v;
-    }
+    for (i = 0; i < nlevels; i++)
+        for (j = 0; j < sizes[i] * n; j++) {
+            int64_t u = ei_find(cmin, j % n), v = ei_find(cmin, trans[i][j]);
+            cmin[u > v ? u : v] = u < v ? u : v;
+        }
     for (x = 0; x < n; x++)
         cmax[ei_find(cmin, x)] = x;
     for (x = 0; x < n; x++) {
@@ -1587,7 +1587,7 @@ int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
     for (level = s->nlevels - 1; status == FA_OK && level >= 0; level--)
         status = ss_complete(s, level);
     for (i = 0; status == FA_OK && i < s->nlevels; i++)
-        total += 3 + s->levels[i].ngens * n + s->levels[i].norbit * (1 + 2 * n);
+        total += 3 + (s->levels[i].ngens + 1) * n + s->levels[i].norbit * (1 + 2 * n);
     if (status == FA_OK && (status = remap(buf, 0, total)) == FA_OK) {
         int32_t *out = *buf;
         *nints = total;
@@ -1602,6 +1602,8 @@ int fa_schreier_sims(int64_t n, int64_t ngens, const int32_t *gens,
             out += m;
             memcpy(out, lev->orbit, (size_t)lev->norbit * sizeof *out);
             out += lev->norbit;
+            memcpy(out, lev->where, (size_t)n * sizeof *out);
+            out += n;
             memcpy(out, lev->trans, (size_t)(m = lev->norbit * n) * sizeof *out);
             out += m;
             memcpy(out, lev->inv, (size_t)m * sizeof *out);

@@ -659,7 +659,7 @@ def verify_flat_certificate(cert):
 
 @dataclass(frozen=True)
 class JordanQuery:
-    n: int
+    n: int  # the dimension of the manifold; `jordan_witness` does not read it
     bound: int
     group: object
 

@@ -185,7 +185,7 @@ def _cmd_verify(args, kind):
 
 def _cmd_jordan(args):
     group = group_from_text(_read(args.group))
-    query = JordanQuery(args.n, args.bound, group)
+    query = JordanQuery(0, args.bound, group)
     result = jordan_witness(query, order_bound=args.group_order_limit)
     if result is None:
         _emit(args, ["no abelian normal subgroup of index <= %d" % args.bound],
@@ -365,7 +365,6 @@ def _build_parser():
     sp = sub.add_parser("jordan", help="abelian normal subgroup witness")
     sp.add_argument("group")
     sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--group-order-limit", type=int, default=DEFAULT_SUBGROUP_ORDER_BOUND)
     fmt(sp)
     sp.set_defaults(fn=_cmd_jordan)

@@ -9,13 +9,14 @@ enumeration engines: generator i (0-based) is letter 2*i, its inverse is
 Coset enumeration and the backtracking of the low-index search run in the
 compiled engine, `_coset.c`, when it can be loaded: plain C called through
 ctypes.  The same library checks every coset table a `CosetTable` is
-built from, builds the stabilizer chains of `groups.StabilizerChain` and
-the sorted element rows of a `groups.PermGroup`, and gives the elements
-of a `groups.ElementIndex` their conjugacy-class labels and orders.  Its
-results are numpy arrays that view the engine's buffers in place, or that
-it fills.  The low-index search and the check of a large table run on the
-CPUs the process may use (`workers`).  On first import the source is
-compiled with `cc -O2 -shared -fPIC -pthread` into the per-user
+built from, builds the stabilizer chains of `groups.StabilizerChain`
+(levels of a base point, strong generators, orbit, `where`, transversal
+and inverses) and the sorted element rows of a `groups.PermGroup`, and
+gives the elements of a `groups.ElementIndex` their conjugacy-class labels
+and orders.  Its results are numpy arrays that view the engine's buffers
+in place, or that it fills.  The low-index search and the check of a large
+table run on the CPUs the process may use (`workers`).  On first import
+the source is compiled with `cc -O2 -shared -fPIC -pthread` into the per-user
 cache directory (`$XDG_CACHE_HOME/flatact` or `~/.cache/flatact`, mode
 0700), under a name made from the SHA-256 of the source, the compile
 command and the interpreter's cache tag, so later imports only load it.
@@ -134,20 +135,24 @@ class _Buffer:
             self._release()
 
 
+def _check_status(status, errors):
+    """Raise errors[status - 1] for the compiled engine's nonzero status:
+    FA_LIMIT, FA_NOMEM, FA_BADARG and FA_NOTCLOSED are 1 to 4."""
+    if status:
+        raise errors[status - 1]
+
+
 def _run_compiled(entry, args, errors, width=None):
     """Call the compiled `entry` with `args` and its buffer and length
     out-parameters, and return its result as an int32 array viewing the
     buffer in place: `length` ints, or `length` rows of `width` ints.
 
-    A nonzero status raises errors[status - 1]: the limit, memory and
-    argument errors of the C engine's FA_LIMIT, FA_NOMEM and FA_BADARG.
+    A nonzero status raises its error of `errors` (`_check_status`).
     The buffer is freed once: by its `_Buffer` when the last view of it is
     gone, or here when the `_Buffer` cannot be built."""
     buf = ctypes.c_void_p()
     length = ctypes.c_int64()
-    status = entry(*args, ctypes.byref(buf), ctypes.byref(length))
-    if status:
-        raise errors[status - 1]
+    _check_status(entry(*args, ctypes.byref(buf), ctypes.byref(length)), errors)
     n = length.value if width is None else length.value * width
     try:
         owner = _Buffer(buf, n)

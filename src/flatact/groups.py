@@ -9,10 +9,11 @@ former, integer indices for the latter.
 The stabilizer chain is built by the compiled engine of `fpgroups`
 (`fa_schreier_sims` in `_coset.c`) when it is loaded, and otherwise by
 the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
-give identical levels.  Likewise the sorted element rows of a `PermGroup`
-come from `fa_sorted_rows`, or else from `_sorted_rows_pure`, and the
-conjugacy-class labels and element orders of an `ElementIndex` from
-`fa_class_labels`, or else from the numpy path of
+give identical levels, each a base point, its strong generators, orbit,
+`where`, transversal and inverses (`_Level`).  Likewise the sorted element
+rows of a `PermGroup` come from `fa_sorted_rows`, or else from
+`_sorted_rows_pure`, and the conjugacy-class labels and element orders of
+an `ElementIndex` from `fa_class_labels`, or else from the numpy path of
 `ElementIndex._class_labels`.  These are three of the engine's six pure
 twins; the other three, `fpgroups._enumerate_pure`,
 `fpgroups._validate_table` and `fpgroups._low_index_pure`, are in
@@ -136,59 +137,58 @@ def _perm(images):
 # stabilizer chains
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    """A level of a stabilizer chain as `fa_schreier_sims` lays it out: the
+    base `point`, the strong generators `gens` first stuck here, the `orbit`
+    of the point in breadth-first order, `where` (each point's place in the
+    orbit, or -1), the transversal rows `trans` (row k maps the point to
+    orbit[k]) and their inverses `inv`.  Compiled levels are int32 arrays
+    viewing the engine's buffer; pure ones, lists of ints and image tuples."""
 
-    def __init__(self, point):
-        self.point = point
-        self.gens = []
-        self.transversal = {}
-        self.inverses = {}
+    __slots__ = ("point", "gens", "orbit", "where", "trans", "inv")
+
+    def __init__(self, point, gens, orbit, where, trans, inv):
+        self.point, self.gens, self.orbit = point, gens, orbit
+        self.where, self.trans, self.inv = where, trans, inv
 
 
 # Not _walk: a hot path of raw image tuples, with no Permutation or call per edge.
-def _orbit_transversal(level, gens, deg):
-    ident = tuple(range(deg))
-    trans = {level.point: ident}
-    frontier = [level.point]
-    while frontier:
-        new_frontier = []
-        for p in frontier:
-            tp = trans[p]
-            for g in gens:
-                q = g[p]
-                if q not in trans:
-                    trans[q] = _pmul(g, tp)
-                    new_frontier.append(q)
-        frontier = new_frontier
-    level.transversal = trans
-    level.inverses = {q: _pinv(t) for q, t in trans.items()}
+def _orbit_transversal(lev, gens, deg):
+    """`ss_orbit`: the orbit of the level's point under `gens` (points in the
+    order reached), with the transversal element g t_p of each new q = g(p)."""
+    lev.where = where = [-1] * deg
+    where[lev.point] = 0
+    orbit, trans = [lev.point], [tuple(range(deg))]
+    # the lists grow in step, and the loop reaches what is appended on the way
+    for p, tp in zip(orbit, trans):
+        for g in gens:
+            q = g[p]
+            if where[q] < 0:
+                where[q] = len(orbit)
+                orbit.append(q)
+                trans.append(_pmul(g, tp))
+    lev.orbit, lev.trans, lev.inv = orbit, trans, [_pinv(t) for t in trans]
 
 
 def _schreier_sims_compiled(generators, degree):
     """The levels of the StabilizerChain of `generators` (image tuples),
-    built by `fa_schreier_sims` of the compiled engine.  Raises MemoryError
-    when the chain does not fit."""
+    built by `fa_schreier_sims` of the compiled engine as views of its
+    buffer.  Raises MemoryError when the chain does not fit."""
     gens = np.array(generators, dtype=np.int32).reshape(len(generators), degree)
     bad = ValueError("generator is not a permutation of 0..degree-1")
     out = fpgroups._run_compiled(
         fpgroups._LIB.fa_schreier_sims, (degree, len(gens), gens.ctypes.data),
         (bad, MemoryError("stabilizer chain does not fit in memory"), bad))
     # per level: point, generator count, orbit length, the generators, the
-    # orbit, its transversal and the inverses
+    # orbit, where, the transversal and its inverses
     levels, pos = [], 1
     for _ in range(out[0]):
         point, ngens, norbit = out[pos:pos + 3].tolist()
-        pos += 3
-        lev = _Level(point)
-        lev.gens = list(map(tuple, out[pos:pos + ngens * degree].reshape(ngens, degree).tolist()))
-        pos += ngens * degree
-        orbit = out[pos:pos + norbit].tolist()
-        pos += norbit
-        trans = out[pos:pos + 2 * norbit * degree].reshape(2, norbit, degree).tolist()
-        pos += 2 * norbit * degree
-        lev.transversal = dict(zip(orbit, map(tuple, trans[0])))
-        lev.inverses = dict(zip(orbit, map(tuple, trans[1])))
-        levels.append(lev)
+        at = pos + 3 + ngens * degree           # the orbit
+        to = at + norbit + degree               # the transversal
+        trans = out[to:to + 2 * norbit * degree].reshape(2, norbit, degree)
+        levels.append(_Level(point, out[pos + 3:at].reshape(ngens, degree),
+                             out[at:at + norbit], out[at + norbit:to], trans[0], trans[1]))
+        pos = to + 2 * norbit * degree
     return levels
 
 
@@ -224,19 +224,12 @@ class StabilizerChain:
             self._complete(level)
             level -= 1
 
-    def _first_moved(self, g):
-        for i, x in enumerate(g):
-            if x != i:
-                return i
-        return None
-
     def _place(self, g, level):
+        """Append g to `level`; a new level's point is the first g moves."""
         if level == len(self.levels):
-            self.levels.append(_Level(self._first_moved(g)))
+            point = next(i for i, x in enumerate(g) if x != i)
+            self.levels.append(_Level(point, [], [], [-1] * self.degree, [], []))
         self.levels[level].gens.append(g)
-
-    def _gens_at(self, level):
-        return [g for lev in self.levels[level:] for g in lev.gens]
 
     def _complete(self, level):
         """Verify Schreier generators at `level`; on failure add the
@@ -244,14 +237,13 @@ class StabilizerChain:
         of their generating sets grew), and restart."""
         while True:
             lev = self.levels[level]
-            gens = self._gens_at(level)
+            gens = [g for deeper in self.levels[level:] for g in deeper.gens]
             _orbit_transversal(lev, gens, self.degree)
-            added = False
-            for p in sorted(lev.transversal):
-                tp = lev.transversal[p]
+            where, added = lev.where, False
+            for p in sorted(lev.orbit):
+                tp = lev.trans[where[p]]
                 for g in gens:
-                    q = g[p]
-                    schreier = _pmul(lev.inverses[q], _pmul(g, tp))
+                    schreier = _pmul(lev.inv[where[g[p]]], _pmul(g, tp))
                     residue, stop = self._strip(schreier, level + 1)
                     if residue is not None:
                         self._place(residue, stop)
@@ -273,10 +265,10 @@ class StabilizerChain:
             if cur == ident:
                 return None, idx
             lev = self.levels[idx]
-            img = cur[lev.point]
-            if img not in lev.transversal:
+            k = lev.where[cur[lev.point]]
+            if k < 0:
                 return cur, idx
-            cur = _pmul(lev.inverses[img], cur)
+            cur = _pmul(lev.inv[k], cur)
         if cur == ident:
             return None, len(self.levels)
         return cur, len(self.levels)
@@ -284,7 +276,7 @@ class StabilizerChain:
     def order(self):
         n = 1
         for lev in self.levels:
-            n *= len(lev.transversal)
+            n *= len(lev.orbit)
         return n
 
     def contains(self, g):
@@ -465,34 +457,29 @@ def _sorted_rows_pure(levels, degree):
     dtype = _row_dtype(degree)
     rows = np.arange(degree, dtype=dtype)[None, :]
     for lev in reversed(levels):
-        trans = np.array(list(lev.transversal.values()), dtype=dtype)
-        rows = trans[:, rows].reshape(-1, degree)
+        rows = np.asarray(lev.trans, dtype=dtype)[:, rows].reshape(-1, degree)
     return rows[_lex_order(rows)]
 
 
-# the errors for the nonzero statuses of `fa_sorted_rows` and
-# `fa_class_labels`: FA_NOMEM, FA_BADARG and FA_NOTCLOSED
-_INDEX_ERRORS = {2: (MemoryError, "element index does not fit in memory"),
-                 3: (ValueError, "entry outside 0..degree-1 or a generator not a permutation"),
-                 4: (GroupError, "element list is not closed under conjugation")}
-
-
-def _check_index_status(status):
-    if status:
-        error, message = _INDEX_ERRORS[status]
-        raise error(message)
+def _index_errors():
+    """The errors of `fa_sorted_rows` and `fa_class_labels` by status."""
+    return (None, MemoryError("element index does not fit in memory"),
+            ValueError("entry outside 0..degree-1 or a generator not a permutation"),
+            GroupError("element list is not closed under conjugation"))
 
 
 def _sorted_rows_compiled(levels, degree):
     """The rows of `_sorted_rows_pure`, formed and sorted by
-    `fa_sorted_rows` of the compiled engine."""
+    `fa_sorted_rows` of the compiled engine from the transversal of each
+    level in place."""
     dtype = _row_dtype(degree)
-    trans = np.array([t for lev in levels for t in lev.transversal.values()], dtype=np.int32)
-    sizes = np.array([len(lev.transversal) for lev in levels], dtype=np.int64)
+    trans = [np.ascontiguousarray(lev.trans, dtype=np.int32) for lev in levels]
+    sizes = np.array([len(t) for t in trans], dtype=np.int64)
+    at = np.array([t.ctypes.data for t in trans], dtype=np.uintp)
     rows = np.empty((math.prod(sizes.tolist()), degree), dtype=dtype)
-    _check_index_status(fpgroups._LIB.fa_sorted_rows(
-        degree, dtype.itemsize, len(levels), sizes.ctypes.data, trans.ctypes.data,
-        rows.ctypes.data))
+    fpgroups._check_status(fpgroups._LIB.fa_sorted_rows(
+        degree, dtype.itemsize, len(levels), sizes.ctypes.data, at.ctypes.data,
+        rows.ctypes.data), _index_errors())
     return rows
 
 
@@ -503,9 +490,10 @@ def _class_labels_compiled(rows, gens):
     gens = np.array([g.images for g in gens], dtype=np.int32)
     class_of, reps, orders = (np.empty(len(rows), dtype=np.int64) for _ in range(3))
     nclasses = np.zeros(1, dtype=np.int64)
-    _check_index_status(fpgroups._LIB.fa_class_labels(
+    fpgroups._check_status(fpgroups._LIB.fa_class_labels(
         rows.shape[1], rows.itemsize, len(rows), rows.ctypes.data, len(gens), gens.ctypes.data,
-        class_of.ctypes.data, reps.ctypes.data, orders.ctypes.data, nclasses.ctypes.data))
+        class_of.ctypes.data, reps.ctypes.data, orders.ctypes.data, nclasses.ctypes.data),
+        _index_errors())
     return class_of, reps[:nclasses[0]], orders
 
 

@@ -21,6 +21,8 @@ DIGESTS = {
     "certificates": "668fc35c949e9d9897563edf2364c70c0586a4b7bfd565d33ca0087ebc2eb1d3",
     "jordan": "c2cb540141a976ddb958fb402d552cb0d00cb41af1faa87aa2f9d245884f9107",
     "element_index": "332a7a419c5848ddddf3d8c24026798f0c14b595e8c30bd25a324c7de4d1d5be",
+    # the same from the levels as dicts of tuples, before the engine layout
+    "stabilizer_chain": "66c63d13b4357f36c3c53da6b4aa0506f17a06d3d6bc668869a546419583ab2f",
 }
 
 

@@ -184,8 +184,8 @@ class TestCompiledIndex:
                 assert comp.tobytes() == ref.tobytes(), k
 
     def test_compiled_sort_rejects_a_bad_transversal(self):
-        level = groups._Level(0)
-        level.transversal = {0: (0, 1), 1: (1, 2)}
+        # a level in the pure engine's form whose second row maps 1 to 2
+        level = groups._Level(0, [(1, 0)], [0, 1], [0, 1], [(0, 1), (1, 2)], [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             groups._sorted_rows_compiled([level], 2)
 
@@ -260,8 +260,44 @@ def _pure_chain(gens, degree):
 
 
 def _levels(chain):
-    return [(lev.point, lev.gens, list(lev.transversal.items()),
-             list(lev.inverses.items())) for lev in chain.levels]
+    """Every field of every level as plain ints, in layout order."""
+    return [[lev.point] + [np.asarray(f).tolist() for f in
+                           (lev.gens, lev.orbit, lev.where, lev.trans, lev.inv)]
+            for lev in chain.levels]
+
+
+def _membership_candidates(gens, degree, seed):
+    """Members of the group of the image tuples `gens` (the generators and
+    products of seeded random words in them), then each generator composed
+    with a transposition and seeded random permutations, most of them not
+    members."""
+    rng = random.Random(seed)
+    members = list(gens)
+    for _ in range(5 if gens else 0):
+        p = tuple(range(degree))
+        for _ in range(rng.randrange(1, 11)):
+            p = groups._pmul(rng.choice(gens), p)
+        members.append(p)
+    others = []
+    for g in gens if degree > 1 else ():
+        a, b = rng.sample(range(degree), 2)
+        swap = list(range(degree))
+        swap[a], swap[b] = b, a
+        others.append(groups._pmul(g, tuple(swap)))
+    for _ in range(5):
+        images = list(range(degree))
+        rng.shuffle(images)
+        others.append(tuple(images))
+    return members, others
+
+
+def _assert_same_membership(gens, degree, seed):
+    group, pure = PermGroup(gens, degree=degree), _pure_chain(gens, degree)
+    members, others = _membership_candidates(gens, degree, seed)
+    for x in members:
+        assert group.contains(Permutation(x)) and pure.contains(x), (seed, x)
+    for x in others:
+        assert group.contains(Permutation(x)) == pure.contains(x), (seed, x)
 
 
 def _images(group):
@@ -285,8 +321,9 @@ CHAIN_CASES = (
 
 class TestCompiledChain:
     """The chain built by the compiled engine against the pure-Python one,
-    its reference: the same base points, strong generators in order, and
-    transversal keys in order with the same values."""
+    its reference: every field of every level the same (base point,
+    strong generators in order, orbit in order, where, transversal and
+    inverses), and the same membership answers."""
 
     @pytest.fixture(autouse=True)
     def _compiled(self):
@@ -312,6 +349,39 @@ class TestCompiledChain:
         for k in range(30):
             gens = [_random_element(e7, rng).images for _ in range(2)]
             assert _levels(StabilizerChain(gens, 56)) == _levels(_pure_chain(gens, 56)), k
+
+    @pytest.mark.parametrize("make", CHAIN_CASES)
+    def test_membership_agrees(self, make):
+        gens, deg = make()
+        _assert_same_membership(gens, deg, 0)
+
+    def test_membership_agrees_on_random_involution_groups(self):
+        for seed in range(200):
+            deg, gens = _random_involutions(seed)
+            _assert_same_membership([g.images for g in gens], deg, seed)
+
+    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
+    @pytest.mark.parametrize("make", CHAIN_CASES)
+    def test_compiled_levels_view_one_buffer(self, make):
+        def owner(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a.base
+
+        gens, deg = make()
+        levels = StabilizerChain(gens, deg).levels
+        buffers = {id(owner(f)) for lev in levels
+                   for f in (lev.gens, lev.orbit, lev.where, lev.trans, lev.inv)}
+        assert len(buffers) == (1 if levels else 0)
+        for lev in levels:
+            buf = np.asarray(owner(lev.gens))
+            assert isinstance(owner(lev.gens), fpgroups._Buffer)
+            for f in (lev.gens, lev.orbit, lev.where, lev.trans, lev.inv):
+                assert f.dtype == np.int32 and np.shares_memory(f, buf)
+            assert lev.where[lev.orbit].tolist() == list(range(len(lev.orbit)))
+            off = np.ones(deg, dtype=bool)
+            off[lev.orbit] = False
+            assert (lev.where[off] == -1).all()
 
     def test_cyclic_group_of_degree_2000(self):
         # one level of 2000 transversal rows: storage grows with the orbit,
