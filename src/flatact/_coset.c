@@ -1,10 +1,11 @@
 /* Compiled Todd-Coxeter coset enumeration (HLT with coincidences).
  *
- * The same algorithm as fpgroups._enumerate_pure: the same define order,
+ * The same algorithm as enumerate_cosets of the tests' pure-Python
+ * reference engine, tests/engine_oracle.py: the same define order,
  * coincidence queue and compaction, so the two return identical tables.
  * Generator i is letter 2*i, its inverse 2*i + 1.  The coset table is one
  * flat int32 buffer of capacity * 2*ngens entries, which doubles when it
- * fills.  Where the pure engine keeps every coset it defines to the end,
+ * fills.  Where the reference keeps every coset it defines to the end,
  * this one renumbers: at the top of the HLT loop, whenever at least a
  * quarter of the rows in use are dead, the live cosets are numbered 0, 1,
  * ... in their current order and their rows moved down.  HLT's choices
@@ -27,7 +28,7 @@
  * costs only address space.
  *
  * The file also runs the backtracking of the low-index subgroup search
- * with the nodes and tables of fpgroups._low_index_pure: the same first
+ * with the nodes and tables of the reference's low_index: the same first
  * undefined cell (row-major), candidate order, relator-rotation scans and
  * deductions, row-0 least-table test at every node, and undo by trail, so
  * both visit the same nodes and find the same complete tables in the same
@@ -48,15 +49,16 @@
  * the tables come out in the serial order, and the nodes of the split
  * loop and of the workers add up to the serial count.
  *
- * And it builds the Schreier-Sims stabilizer chain step for step as
- * groups.StabilizerChain: the same base points (the first point a residue
- * moves), the input generators sifted in order, the breadth-first orbit
- * and transversal (points in the order reached, generators in level
- * order), the Schreier generators by ascending orbit point and then
- * generator, the restart at the first that leaves a residue, and the
- * re-completion of every level from the residue's up.  So each level has
- * the same point, strong generators, orbit, where, transversal and
- * inverses.  A level's transversal is allocated at its orbit length.
+ * And it builds the Schreier-Sims stabilizer chain of
+ * groups.StabilizerChain step for step as the reference's StabilizerChain:
+ * the same base points (the first point a residue moves), the input
+ * generators sifted in order, the breadth-first orbit and transversal
+ * (points in the order reached, generators in level order), the Schreier
+ * generators by ascending orbit point and then generator, the restart at
+ * the first that leaves a residue, and the re-completion of every level
+ * from the residue's up.  So each level has the same point, strong
+ * generators, orbit, where, transversal and inverses.  A level's
+ * transversal is allocated at its orbit length.
  *
  * Last, it builds the element index of a permutation group
  * (groups.ElementIndex).  The element rows are the products of the level
@@ -67,9 +69,8 @@
  * the rows, which must be the rows again.  Both sorts are one LSD radix
  * sort of the rows packed into 64-bit words, each column offset by its
  * least entry, so every degree takes the same path and a group with small
- * orbits packs tight.  The results equal those of
- * groups._sorted_rows_pure and of the numpy path of
- * ElementIndex._class_labels.
+ * orbits packs tight.  The results equal those of sorted_rows and
+ * class_labels of the reference, which sorts and labels with numpy.
  *
  * Plain C and POSIX threads, with no Python headers: flatact.fpgroups
  * compiles this file into a shared library and calls it through ctypes.
@@ -107,7 +108,7 @@
  *       frees a buffer of n ints that one of the three above handed over
  *       (for fa_enumerate, n is nlive * 2*ngens).
  *   fa_validate(ngens, letters, ends, nrels, tbl, n, &which)
- *       the checks of fpgroups._validate_table, in its order, on the
+ *       the checks of the reference's validate_table, in its order, on the
  *       row-major n x 2*ngens table in place; the relators are words as
  *       above.  Returns 0 when the table passes, else the first fault:
  *       FV_EMPTY (no rows), FV_RANGE (an entry outside 0..n-1),
@@ -695,7 +696,7 @@ static int li_record(lix *s)
     return FA_OK;
 }
 
-/* The row-0 least-table test (fpgroups._row0_keeps): 0 when some row
+/* The row-0 least-table test (row0_keeps of the reference): 0 when some row
  * r >= 1, relabelled with r as 0 and each coset not yet seen as the next
  * number, first differs from row 0 by a smaller entry, before an entry
  * undefined in either row.  Every completion of the table then has a
@@ -1409,7 +1410,8 @@ static int ss_is_identity(const int32_t *g, int64_t n)
     return i == n;
 }
 
-/* Sift s->cur through the levels from start on (StabilizerChain._strip).
+/* Sift s->cur through the levels from start on (StabilizerChain._strip of
+ * the reference).
  * Returns 1 with the residue in s->cur and its level in *stop, or 0 when
  * it sifts to the identity. */
 static int ss_strip(ssc *s, int64_t start, int64_t *stop)
@@ -1463,7 +1465,8 @@ static int ss_place(ssc *s, int64_t level)
 
 /* The orbit of the level's point under gens in breadth-first order (points
  * in the order reached, generators in order), with a transversal element
- * g * t_p for each new point q = g(p) (groups._orbit_transversal). */
+ * g * t_p for each new point q = g(p) (_orbit_transversal of the
+ * reference). */
 static int ss_orbit(ssc *s, ss_level *lev, int32_t **gens, int64_t ng)
 {
     int64_t n = s->n, norb = 1, k, j, x;
@@ -1502,9 +1505,10 @@ static int ss_orbit(ssc *s, ss_level *lev, int32_t **gens, int64_t ng)
     return FA_OK;
 }
 
-/* StabilizerChain._complete: build the level's orbit under the generators
- * of it and every deeper level, then sift the Schreier generators
- * t_q^-1 * g * t_p, p in ascending order, g in order.  At the first that
+/* StabilizerChain._complete of the reference: build the level's orbit
+ * under the generators of it and every deeper level, then sift the
+ * Schreier generators t_q^-1 * g * t_p, p in ascending order, g in
+ * order.  At the first that
  * leaves a residue, place it, complete every level from the residue's
  * down to level + 1, and start again. */
 static int ss_complete(ssc *s, int64_t level)

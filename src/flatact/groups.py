@@ -7,19 +7,14 @@ certificates).  Elements are opaque handles: Permutation objects for the
 former, integer indices for the latter.
 
 The stabilizer chain is built by the compiled engine of `fpgroups`
-(`fa_schreier_sims` in `_coset.c`) when it is loaded, and otherwise by
-the same algorithm in Python, `StabilizerChain._schreier_sims`; the two
-give identical levels, each a base point, its strong generators, orbit,
-`where`, transversal and inverses (`_Level`).  Likewise the sorted element
-rows of a `PermGroup` come from `fa_sorted_rows`, or else from
-`_sorted_rows_pure`, and the conjugacy-class labels and element orders of
-an `ElementIndex` from `fa_class_labels`, or else from the numpy path of
-`ElementIndex._class_labels`.  These are three of the engine's six pure
-twins; the other three, `fpgroups._enumerate_pure`,
-`fpgroups._validate_table` and `fpgroups._low_index_pure`, are in
-`fpgroups`.  The rows, in ascending lexicographic order, are the one
-form of the elements that the index keeps: the numpy paths sort by
-their columns, and `ElementIndex.lookup` is a binary search of them.
+(`fa_schreier_sims` in `_coset.c`): levels of a base point, its strong
+generators, orbit, `where`, transversal and inverses (`_Level`).  The
+sorted element rows of a `PermGroup` come from `fa_sorted_rows`, and the
+conjugacy-class labels and element orders of an `ElementIndex` from
+`fa_class_labels`.  The tests compare all three with the same algorithms
+in Python and numpy, `tests/engine_oracle.py`.  The rows, in ascending
+lexicographic order, are the one form of the elements that the index
+keeps, and `ElementIndex.lookup` is a binary search of them.
 """
 
 import math
@@ -141,8 +136,8 @@ class _Level:
     base `point`, the strong generators `gens` first stuck here, the `orbit`
     of the point in breadth-first order, `where` (each point's place in the
     orbit, or -1), the transversal rows `trans` (row k maps the point to
-    orbit[k]) and their inverses `inv`.  Compiled levels are int32 arrays
-    viewing the engine's buffer; pure ones, lists of ints and image tuples."""
+    orbit[k]) and their inverses `inv`, int32 arrays viewing the engine's
+    buffer."""
 
     __slots__ = ("point", "gens", "orbit", "where", "trans", "inv")
 
@@ -151,25 +146,7 @@ class _Level:
         self.where, self.trans, self.inv = where, trans, inv
 
 
-# Not _walk: a hot path of raw image tuples, with no Permutation or call per edge.
-def _orbit_transversal(lev, gens, deg):
-    """`ss_orbit`: the orbit of the level's point under `gens` (points in the
-    order reached), with the transversal element g t_p of each new q = g(p)."""
-    lev.where = where = [-1] * deg
-    where[lev.point] = 0
-    orbit, trans = [lev.point], [tuple(range(deg))]
-    # the lists grow in step, and the loop reaches what is appended on the way
-    for p, tp in zip(orbit, trans):
-        for g in gens:
-            q = g[p]
-            if where[q] < 0:
-                where[q] = len(orbit)
-                orbit.append(q)
-                trans.append(_pmul(g, tp))
-    lev.orbit, lev.trans, lev.inv = orbit, trans, [_pinv(t) for t in trans]
-
-
-def _schreier_sims_compiled(generators, degree):
+def _schreier_sims(generators, degree):
     """The levels of the StabilizerChain of `generators` (image tuples),
     built by `fa_schreier_sims` of the compiled engine as views of its
     buffer.  Raises MemoryError when the chain does not fit."""
@@ -193,85 +170,17 @@ def _schreier_sims_compiled(generators, degree):
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims chain over raw image tuples.
+    """Deterministic Schreier-Sims chain over raw image tuples, built by
+    `fa_schreier_sims`.
 
     Level i stores the strong generators first stuck at level i; the
     generating set acting at level i is the union over levels >= i (all of
-    those fix the first i base points).  The compiled engine builds the
-    levels when it is loaded; `_schreier_sims` is the same algorithm step
-    for step, the fallback and the differential reference.
+    those fix the first i base points).
     """
 
     def __init__(self, generators, degree):
         self.degree = degree
-        self.levels = []
-        if fpgroups._LIB is None:
-            self._schreier_sims(generators)
-        else:
-            self.levels = _schreier_sims_compiled(generators, degree)
-
-    def _schreier_sims(self, generators):
-        """Sift the generators, then complete the levels from the deepest up."""
-        ident = tuple(range(self.degree))
-        for g in generators:
-            if g == ident:
-                continue
-            residue, stop = self._strip(g, 0)
-            if residue is not None:
-                self._place(residue, stop)
-        level = len(self.levels) - 1
-        while level >= 0:
-            self._complete(level)
-            level -= 1
-
-    def _place(self, g, level):
-        """Append g to `level`; a new level's point is the first g moves."""
-        if level == len(self.levels):
-            point = next(i for i, x in enumerate(g) if x != i)
-            self.levels.append(_Level(point, [], [], [-1] * self.degree, [], []))
-        self.levels[level].gens.append(g)
-
-    def _complete(self, level):
-        """Verify Schreier generators at `level`; on failure add the
-        residue deeper, complete every deeper level down to level+1 (all
-        of their generating sets grew), and restart."""
-        while True:
-            lev = self.levels[level]
-            gens = [g for deeper in self.levels[level:] for g in deeper.gens]
-            _orbit_transversal(lev, gens, self.degree)
-            where, added = lev.where, False
-            for p in sorted(lev.orbit):
-                tp = lev.trans[where[p]]
-                for g in gens:
-                    schreier = _pmul(lev.inv[where[g[p]]], _pmul(g, tp))
-                    residue, stop = self._strip(schreier, level + 1)
-                    if residue is not None:
-                        self._place(residue, stop)
-                        for deeper in range(stop, level, -1):
-                            self._complete(deeper)
-                        added = True
-                        break
-                if added:
-                    break
-            if not added:
-                return
-
-    def _strip(self, g, start):
-        """Sift g through levels >= start.  Returns (residue, level) with
-        residue None when g sifts to the identity."""
-        ident = tuple(range(self.degree))
-        cur = g
-        for idx in range(start, len(self.levels)):
-            if cur == ident:
-                return None, idx
-            lev = self.levels[idx]
-            k = lev.where[cur[lev.point]]
-            if k < 0:
-                return cur, idx
-            cur = _pmul(lev.inv[k], cur)
-        if cur == ident:
-            return None, len(self.levels)
-        return cur, len(self.levels)
+        self.levels = _schreier_sims(generators, degree)
 
     def order(self):
         n = 1
@@ -280,8 +189,16 @@ class StabilizerChain:
         return n
 
     def contains(self, g):
-        residue, _ = self._strip(g, 0)
-        return residue is None
+        """Whether g sifts to the identity through the levels."""
+        ident = tuple(range(self.degree))
+        for lev in self.levels:
+            if g == ident:
+                return True
+            k = lev.where[g[lev.point]]
+            if k < 0:
+                return False
+            g = _pmul(lev.inv[k], g)
+        return g == ident
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +303,11 @@ class PermGroup(FiniteGroup):
 
     def _sorted_rows(self):
         """The elements as rows in ascending lexicographic order, built
-        once: by `fa_sorted_rows` of the compiled engine when it is loaded,
-        and otherwise by `_sorted_rows_pure`."""
+        once by `_transversal_products`."""
         if self._rows is None:
             if self.order() > _ENUM_LIMIT:
                 raise GroupBoundExceeded("group too large to enumerate")
-            sort = _sorted_rows_pure if fpgroups._LIB is None else _sorted_rows_compiled
-            self._rows = sort(self.chain.levels, self.degree)
+            self._rows = _transversal_products(self.chain.levels, self.degree)
         return self._rows
 
     def element_index(self):
@@ -437,28 +352,9 @@ def compose_rows(a, b):
     return a.ravel()[b + np.arange(0, a.size, a.shape[1])[:, None]]
 
 
-def _lex_order(rows):
-    """The permutation that sorts `rows` lexicographically, first column
-    first: `np.lexsort` of the columns, which needs at least one."""
-    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-
-
 def _row_dtype(degree):
     """The smallest unsigned dtype that holds a point."""
     return np.min_scalar_type(max(degree - 1, 0))
-
-
-def _sorted_rows_pure(levels, degree):
-    """The rows of the group whose stabilizer chain has `levels`, sorted.
-    Each element is one product u_0 u_1 ... of one transversal element per
-    level, so the rows are the products of the level transversals, deepest
-    level first.  The fallback and the differential reference of
-    `fa_sorted_rows`."""
-    dtype = _row_dtype(degree)
-    rows = np.arange(degree, dtype=dtype)[None, :]
-    for lev in reversed(levels):
-        rows = np.asarray(lev.trans, dtype=dtype)[:, rows].reshape(-1, degree)
-    return rows[_lex_order(rows)]
 
 
 def _index_errors():
@@ -468,10 +364,11 @@ def _index_errors():
             GroupError("element list is not closed under conjugation"))
 
 
-def _sorted_rows_compiled(levels, degree):
-    """The rows of `_sorted_rows_pure`, formed and sorted by
-    `fa_sorted_rows` of the compiled engine from the transversal of each
-    level in place."""
+def _transversal_products(levels, degree):
+    """The rows of the group whose stabilizer chain has `levels`, sorted.
+    Each element is one product u_0 u_1 ... of one transversal element per
+    level, so `fa_sorted_rows` forms the products of the level transversals
+    in place and sorts them."""
     dtype = _row_dtype(degree)
     trans = [np.ascontiguousarray(lev.trans, dtype=np.int32) for lev in levels]
     sizes = np.array([len(t) for t in trans], dtype=np.int64)
@@ -481,37 +378,6 @@ def _sorted_rows_compiled(levels, degree):
         degree, dtype.itemsize, len(levels), sizes.ctypes.data, at.ctypes.data,
         rows.ctypes.data), _index_errors())
     return rows
-
-
-def _class_labels_compiled(rows, gens):
-    """`ElementIndex._class_labels` of the sorted element `rows` by
-    `fa_class_labels` of the compiled engine."""
-    rows = np.ascontiguousarray(rows)
-    gens = np.array([g.images for g in gens], dtype=np.int32)
-    class_of, reps, orders = (np.empty(len(rows), dtype=np.int64) for _ in range(3))
-    nclasses = np.zeros(1, dtype=np.int64)
-    fpgroups._check_status(fpgroups._LIB.fa_class_labels(
-        rows.shape[1], rows.itemsize, len(rows), rows.ctypes.data, len(gens), gens.ctypes.data,
-        class_of.ctypes.data, reps.ctypes.data, orders.ctypes.data, nclasses.ctypes.data),
-        _index_errors())
-    return class_of, reps[:nclasses[0]], orders
-
-
-def _min_labels(n, maps):
-    """The least index in the orbit of each of 0..n-1 under the group that
-    the permutations `maps` (int arrays) generate: the minimum is
-    propagated along the maps (and through the labels themselves) until
-    stable.  The class labels of `ElementIndex._class_labels` without the
-    compiled engine."""
-    labels = np.arange(n)
-    while True:
-        new = labels
-        for m in maps:
-            new = np.minimum(new, new[m])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
 
 
 class ElementIndex:
@@ -549,33 +415,18 @@ class ElementIndex:
         return np.where(hit, pos, -1)
 
     def _class_labels(self, gens):
-        """`class_of`, `class_reps` and `orders` as int64 arrays: by
-        `fa_class_labels` of the compiled engine when it is loaded, and
-        otherwise by numpy.  Raises GroupError when the rows are not
-        closed under conjugation by `gens`."""
-        if fpgroups._LIB is not None:
-            return _class_labels_compiled(self.rows, gens)
-        maps = []
-        for g in gens:
-            gi = np.array(g.images, dtype=self.rows.dtype)
-            # the conjugates by g are the elements in another order, and
-            # the sort that puts them back is the conjugation map of g^-1,
-            # whose orbits are the same
-            conj = gi[self.rows[:, np.argsort(gi)]]
-            ranks = _lex_order(conj)
-            if not np.array_equal(conj[ranks], self.rows):
-                raise GroupError("element list is not closed under conjugation")
-            maps.append(ranks)
-        labels = _min_labels(len(self.rows), maps)
-        # each label is the least index of its class, so the classes are
-        # numbered by their fixed points in ascending order
-        first = labels == np.arange(len(labels))
-        reps = np.flatnonzero(first)
-        class_of = (np.cumsum(first) - 1)[labels]
-        # conjugates have the same order: one order per class
-        orders = np.array([_perm(tuple(r)).order() for r in self.rows[reps].tolist()],
-                          dtype=np.int64)
-        return class_of, reps, orders[class_of]
+        """`class_of`, `class_reps` and `orders` as int64 arrays, by
+        `fa_class_labels`.  Raises GroupError when the rows are not closed
+        under conjugation by `gens`."""
+        rows = np.ascontiguousarray(self.rows)
+        gens = np.array([g.images for g in gens], dtype=np.int32)
+        class_of, reps, orders = (np.empty(len(rows), dtype=np.int64) for _ in range(3))
+        nclasses = np.zeros(1, dtype=np.int64)
+        fpgroups._check_status(fpgroups._LIB.fa_class_labels(
+            rows.shape[1], rows.itemsize, len(rows), rows.ctypes.data, len(gens),
+            gens.ctypes.data, class_of.ctypes.data, reps.ctypes.data, orders.ctypes.data,
+            nclasses.ctypes.data), _index_errors())
+        return class_of, reps[:nclasses[0]], orders
 
     def classes(self):
         """The element indices of each conjugacy class, ascending, in

@@ -1,5 +1,6 @@
 """Finitely presented groups: coset enumeration, low-index subgroup
-search, and subgroup presentation rewriting."""
+search, and Schreier generators, with the compiled engine checked against
+the pure-Python reference of `engine_oracle`."""
 
 import contextlib
 import json
@@ -17,15 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engine_oracle
 from flatact import fpgroups
 from flatact.fpgroups import (DEFAULT_NODE_LIMIT, CosetLimitExceeded,
                               CosetTable, FpGroup,
                               PresentationError, SearchBoundExceeded,
-                              coxeter_group, cyclic_reduce,
-                              e7_weyl_presentation,
+                              coxeter_group, e7_weyl_presentation,
                               free_reduce, invert_word, letters_to_word,
                               low_index_subgroups,
-                              rewrite_subgroup_presentation,
                               schreier_generators, symmetric_presentation,
                               todd_coxeter, word_to_letters)
 from flatact.groups import PermGroup
@@ -48,9 +48,6 @@ def small_presentations(draw):
     return FpGroup(ngens, tuple(rels)), sub
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
-
-
 def child_env():
     """The environment for a child `python3 -c "import flatact ..."`: this
     one, with the directory flatact was imported from first on PYTHONPATH,
@@ -61,11 +58,11 @@ def child_env():
 
 
 def _outcome(g, sub, engine, limit):
-    """The table that `engine`, "pure" or "compiled", enumerates for the
-    subgroup words of g, handed over as todd_coxeter hands them, or None
-    when the coset limit is exceeded."""
-    enumerate_cosets = {"pure": fpgroups._enumerate_pure,
-                        "compiled": fpgroups._enumerate_compiled}[engine]
+    """The table that `engine`, "pure" (the oracle) or "compiled",
+    enumerates for the subgroup words of g, handed over as todd_coxeter
+    hands them, or None when the coset limit is exceeded."""
+    enumerate_cosets = {"pure": engine_oracle.enumerate_cosets,
+                        "compiled": fpgroups._enumerate}[engine]
     try:
         return enumerate_cosets(g.ngens, [word_to_letters(w) for w in g.relators],
                                 [word_to_letters(free_reduce(w)) for w in sub], limit)
@@ -103,9 +100,6 @@ class TestWords:
     @settings(max_examples=100, deadline=None)
     def test_letters_roundtrip(self, w):
         assert letters_to_word(word_to_letters(w)) == w
-
-    def test_cyclic_reduce(self):
-        assert cyclic_reduce((1, 2, 3, -1)) == (2, 3)
 
 
 class TestFpGroup:
@@ -203,19 +197,16 @@ class TestToddCoxeter:
 
 
 class TestEngines:
-    """The compiled engine against the pure one, which is its reference."""
+    """The compiled engine against the pure-Python oracle, its reference."""
 
-    @needs_cc
     @pytest.mark.parametrize("g,sub", ENGINE_CASES)
     def test_engines_agree(self, g, sub):
-        assert fpgroups.ENGINE == "compiled", fpgroups._LOAD_ERROR
         pure = _outcome(g, sub, "pure", fpgroups.DEFAULT_COSET_LIMIT)
         comp = _outcome(g, sub, "compiled", fpgroups.DEFAULT_COSET_LIMIT)
         assert comp.dtype == pure.dtype == np.int32
         assert comp.tobytes() == pure.tobytes()
         assert todd_coxeter(g, sub).table.tobytes() == pure.tobytes()
 
-    @needs_cc
     @given(small_presentations())
     @settings(max_examples=150, deadline=None)
     def test_engines_agree_on_random_presentations(self, case):
@@ -227,7 +218,6 @@ class TestEngines:
         else:
             assert comp is not None and comp.tobytes() == pure.tobytes()
 
-    @needs_cc
     def test_coset_limit_boundary(self):
         # the largest limit at which the pure engine raises for S6, found by
         # bisection: below it every limit raises, above it none does
@@ -247,7 +237,6 @@ class TestEngines:
         comp = _outcome(g, [], "compiled", lo + 1)
         assert comp is not None and comp.tobytes() == pure.tobytes()
 
-    @needs_cc
     def test_coset_limit_boundary_across_renumbering(self):
         # the compiled engine renumbers its live cosets 11 times while it
         # enumerates E7 over the maximal parabolic without s4, so the limit
@@ -271,19 +260,17 @@ class TestEngines:
         assert pure is not None and pure.shape[0] == 10080
         assert comp.tobytes() == pure.tobytes()
 
-    @needs_cc
     def test_compiled_engine_rejects_bad_arguments(self):
         rels = [(0, 0)]
         with pytest.raises(ValueError):
-            fpgroups._enumerate_compiled(1, rels, [], 2 ** 31)
+            fpgroups._enumerate(1, rels, [], 2 ** 31)
         with pytest.raises(ValueError):
-            fpgroups._enumerate_compiled(1, rels, [(2,)], 10)
+            fpgroups._enumerate(1, rels, [(2,)], 10)
         with pytest.raises(ValueError):
-            fpgroups._enumerate_compiled(1, [(-1,)], [], 10)
-        assert fpgroups._enumerate_compiled(1, rels, [], 2 ** 31 - 1).shape == (2, 2)
-        assert fpgroups._enumerate_compiled(0, [], [], 0).shape == (1, 0)
+            fpgroups._enumerate(1, [(-1,)], [], 10)
+        assert fpgroups._enumerate(1, rels, [], 2 ** 31 - 1).shape == (2, 2)
+        assert fpgroups._enumerate(0, [], [], 0).shape == (1, 0)
 
-    @needs_cc
     def test_a_failed_array_still_frees_the_buffer(self, monkeypatch):
         lib, released = fpgroups._LIB, []
 
@@ -299,18 +286,17 @@ class TestEngines:
         # the owner of the 2 x 2 table of Z/2 cannot be built
         with mock.patch.object(fpgroups._Buffer, "__init__", side_effect=MemoryError), \
                 pytest.raises(MemoryError):
-            fpgroups._enumerate_compiled(1, [(0, 0)], [], 10)
+            fpgroups._enumerate(1, [(0, 0)], [], 10)
         assert released == [(True, 4)]
         # a view of the table keeps the buffer after the table is gone
-        table = fpgroups._enumerate_compiled(1, [(0, 0)], [], 10)
+        table = fpgroups._enumerate(1, [(0, 0)], [], 10)
         row = table[1]
         del table
         assert released == [(True, 4)] and row.tolist() == [0, 0]
         del row
         assert released == [(True, 4)] * 2
 
-    @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
-                        reason="needs a C compiler and /proc")
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc")
     def test_allocation_failure_is_memory_error(self):
         # the full E7 enumeration maps 256 MB at its peak (room for 4,194,304
         # rows of 14 entries, their parents and the coincidence queue);
@@ -318,7 +304,6 @@ class TestEngines:
         code = """if True:
             import resource
             from flatact import fpgroups as f
-            assert f.ENGINE == "compiled"
             with open("/proc/self/status") as fh:
                 vm = [int(l.split()[1]) for l in fh if l.startswith("VmSize")][0]
             limit = vm * 1024 + (128 << 20)
@@ -326,7 +311,7 @@ class TestEngines:
             g = f.e7_weyl_presentation()
             rels = [f.word_to_letters(w) for w in g.relators]
             try:
-                f._enumerate_compiled(g.ngens, rels, [], 10 ** 7)
+                f._enumerate(g.ngens, rels, [], 10 ** 7)
             except MemoryError as exc:
                 print("MemoryError", exc)
             """
@@ -335,14 +320,12 @@ class TestEngines:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "MemoryError coset table does not fit in memory"
 
-    @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
-                        reason="needs a C compiler and /proc")
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc")
     def test_a_second_enumeration_does_not_raise_the_peak(self):
         # E7 over <s1,s2,s3> twice in one process, the first table dropped
         # in between: the second run must find room where the first had it
         code = """if True:
             from flatact import fpgroups as f
-            assert f.ENGINE == "compiled"
             def hwm():
                 with open("/proc/self/status") as fh:
                     return [int(l.split()[1]) for l in fh if l.startswith("VmHWM")][0]
@@ -361,7 +344,6 @@ class TestEngines:
         first, second = map(int, proc.stdout.split())
         assert second - first <= 2048, (first, second)
 
-    @needs_cc
     def test_library_cached_per_user(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         fpgroups._load_compiled()
@@ -382,6 +364,36 @@ class TestEngines:
         with pytest.raises(OSError):
             fpgroups._load_compiled()
         assert list((tmp_path / "flatact").iterdir()) == []
+
+    def test_import_fails_without_a_compiler(self, tmp_path):
+        # no cc on PATH and an empty cache: the import raises the missing
+        # compiler's error, and no engine stands in for the compiled one
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        env = dict(child_env(), PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache"))
+        proc = subprocess.run([sys.executable, "-c", "import flatact.fpgroups"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode != 0
+        assert proc.stderr.rstrip().splitlines()[-1] == (
+            "FileNotFoundError: [Errno 2] No such file or directory: 'cc'")
+        assert [p.name for p in (tmp_path / "cache" / "flatact").iterdir()] == []
+
+    def test_import_shows_the_compiler_error(self, tmp_path):
+        # a copy of the package whose engine source does not compile: the
+        # import fails, and the compiler's message names the source
+        package = tmp_path / "src" / "flatact"
+        shutil.copytree(os.path.dirname(fpgroups.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with open(package / "_coset.c", "a") as fh:
+            fh.write("\nnot C;\n")
+        env = dict(child_env(), PYTHONPATH=str(tmp_path / "src"),
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+        proc = subprocess.run([sys.executable, "-c", "import flatact.fpgroups"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode != 0
+        assert str(package / "_coset.c") in proc.stderr
+        assert "CalledProcessError" in proc.stderr.rstrip().splitlines()[-1]
+        assert list((tmp_path / "cache" / "flatact").iterdir()) == []
 
 
 class TestLowIndex:
@@ -418,9 +430,9 @@ class TestLowIndex:
             low_index_subgroups(symmetric_presentation(5), 6, node_limit=10)
 
     def test_pure_search_is_not_bounded_by_the_python_stack(self):
-        # Z to index 1000: the search path and the deduction chains are
-        # about 1000 frames deep, past the Python recursion limit
-        tables = fpgroups._low_index_pure(
+        # Z to index 1000: the oracle's search path and deduction chains
+        # are about 1000 frames deep, past the Python recursion limit
+        tables, _ = engine_oracle.low_index(
             fpgroups._relator_rotations(FpGroup(1, ())), 1000, 10 ** 6)
         assert sorted(t.shape for t in tables) == [(n, 2) for n in range(1, 1001)]
 
@@ -445,15 +457,29 @@ def _raw_rotations(g):
     return by_letter
 
 
+def _oracle_search(g, max_index, node_limit=10 ** 7, rotations=fpgroups._relator_rotations):
+    """The complete tables of the oracle's low-index backtracking over the
+    `rotations` of g, as (shape, bytes) pairs in the order found, and the
+    nodes it visited; None when the node limit is exceeded."""
+    try:
+        tables, nodes = engine_oracle.low_index(rotations(g), max_index, node_limit)
+    except SearchBoundExceeded:
+        return None
+    assert all(t.dtype == np.int32 for t in tables) and nodes <= node_limit
+    return [(t.shape, t.tobytes()) for t in tables], nodes
+
+
 def _complete_tables(g, max_index, engine, node_limit=10 ** 7,
                      rotations=fpgroups._relator_rotations):
-    """The complete tables of the low-index backtracking over the
-    `rotations` of g, as (shape, bytes) pairs in the order found, or None
-    when the node limit is exceeded."""
-    search = {"pure": fpgroups._low_index_pure,
-              "compiled": fpgroups._low_index_compiled}[engine]
+    """The complete tables of the low-index backtracking of `engine`,
+    "pure" (the oracle) or "compiled", over the `rotations` of g, as
+    (shape, bytes) pairs in the order found, or None when the node limit
+    is exceeded."""
+    if engine == "pure":
+        found = _oracle_search(g, max_index, node_limit, rotations)
+        return found and found[0]
     try:
-        tables = search(rotations(g), max_index, node_limit)
+        tables = fpgroups._low_index(rotations(g), max_index, node_limit)
     except SearchBoundExceeded:
         return None
     assert all(t.dtype == np.int32 for t in tables)
@@ -469,38 +495,21 @@ LOW_INDEX_CASES = (
        pytest.param(FpGroup(1, ()), 8, id="Z/8")]
 )
 
-needs_compiled = pytest.mark.skipif(fpgroups.ENGINE != "compiled",
-                                    reason="needs the compiled engine")
-
-
-def _nodes(g, max_index):
-    """The nodes the compiled search visits for g: the least node limit at
-    which it finishes, found by doubling and bisection."""
-    lo, hi = 0, 1
-    while _complete_tables(g, max_index, "compiled", hi) is None:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _complete_tables(g, max_index, "compiled", mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _same_with_repeats(g, max_index, node_limit):
     """Both engines give the same outcome from the raw rotation lists as
-    from the distinct ones: at node_limit, and when the search finishes
-    there, at its node count and one node below."""
-    expected = _complete_tables(g, max_index, "pure", node_limit)
-    checks = [(node_limit, expected)]
-    if expected is not None:
-        n = _nodes(g, max_index)
-        checks += [(n, expected), (n - 1, None)]
+    from the distinct ones: the oracle the same tables after the same
+    nodes, and the compiled search the same outcome at node_limit and,
+    when the search finishes there, at the oracle's node count and one
+    node below."""
+    found = _oracle_search(g, max_index, node_limit)
+    assert _oracle_search(g, max_index, node_limit, _raw_rotations) == found
+    checks = [(node_limit, None)]
+    if found is not None:
+        tables, n = found
+        checks = [(node_limit, tables), (n, tables), (n - 1, None)]
     for limit, outcome in checks:
-        for engine in ("pure", "compiled"):
-            for rotations in (fpgroups._relator_rotations, _raw_rotations):
-                assert _complete_tables(g, max_index, engine, limit, rotations) == outcome
+        for rotations in (fpgroups._relator_rotations, _raw_rotations):
+            assert _complete_tables(g, max_index, "compiled", limit, rotations) == outcome
 
 
 # the tables of the `coset_tables` family of benchmarks/digest_outputs.py
@@ -541,7 +550,6 @@ def _corruptions(table, rng):
     yield bad
 
 
-@needs_compiled
 class TestTableCheckEngines:
     @pytest.mark.parametrize("name, sub", _DIGEST_TABLES)
     def test_same_verdicts_as_the_pure_check(self, name, sub):
@@ -550,8 +558,8 @@ class TestTableCheckEngines:
         rng = random.Random(name + str(list(sub)))
         verdicts = []
         for t in [table, table[:0]] + list(_corruptions(table, rng)):
-            pure = _verdict(fpgroups._validate_table, g, t)
-            assert _verdict(fpgroups._validate_compiled, g, t) == pure
+            pure = _verdict(engine_oracle.validate_table, g, t)
+            assert _verdict(fpgroups._validate, g, t) == pure
             verdicts.append(pure)
         assert verdicts[:4] == [None, "coset table must have at least one row",
                                 "coset table entry out of range",
@@ -560,9 +568,8 @@ class TestTableCheckEngines:
         assert verdicts[5].startswith("coset table does not satisfy relator (")
 
 
-@needs_compiled
 class TestLowIndexEngines:
-    """The compiled low-index search against the pure one, its reference."""
+    """The compiled low-index search against the oracle's, its reference."""
 
     @pytest.mark.parametrize("g,max_index", LOW_INDEX_CASES)
     def test_engines_agree(self, g, max_index):
@@ -570,15 +577,15 @@ class TestLowIndexEngines:
         assert pure and _complete_tables(g, max_index, "compiled") == pure
 
     def test_e7_to_index_16(self):
-        # 25,658 nodes with the row-0 test: the pure search passes at that
-        # limit and the compiled one raises one node below it.  The classes
-        # are computed from the complete tables by shared code, so equal
-        # tables give equal classes.
+        # 25,658 nodes with the row-0 test: the oracle visits exactly that
+        # many, and the compiled search passes at that limit and raises one
+        # node below it.  The classes are computed from the complete tables
+        # by shared code, so equal tables give equal classes.
         g = e7_weyl_presentation()
-        pure = _complete_tables(g, 16, "pure", node_limit=25_658)
-        assert pure is not None and len(pure) == 2
+        pure, nodes = _oracle_search(g, 16, node_limit=25_658)
+        assert nodes == 25_658 and len(pure) == 2
         assert _complete_tables(g, 16, "compiled", node_limit=25_658) == pure
-        assert _complete_tables(g, 16, "pure", node_limit=25_657) is None
+        assert _complete_tables(g, 16, "compiled", node_limit=25_657) is None
         with pytest.raises(SearchBoundExceeded):
             low_index_subgroups(g, 16, node_limit=25_657)
         classes = low_index_subgroups(g, 16, node_limit=25_658)
@@ -593,9 +600,10 @@ class TestLowIndexEngines:
         assert _complete_tables(g, max_index, "compiled", node_limit=3000) == pure
 
     def test_node_limit_boundary(self):
-        # the largest limit at which the pure search raises for S5 to index
-        # 10, found by bisection; the compiled search raises there too, and
-        # both give the same tables at one more
+        # the largest limit at which the oracle's search raises for S5 to
+        # index 10, found by bisection, is one below the nodes it counts;
+        # the compiled search raises there too, and both give the same
+        # tables at one more
         g = symmetric_presentation(5)
         lo, hi = 0, 10 ** 5
         assert _complete_tables(g, 10, "pure", lo) is None
@@ -606,7 +614,7 @@ class TestLowIndexEngines:
                 lo = mid
             else:
                 hi = mid
-        assert lo > 28
+        assert lo > 28 and _oracle_search(g, 10, hi)[1] == hi == lo + 1
         assert _complete_tables(g, 10, "compiled", lo) is None
         pure = _complete_tables(g, 10, "pure", lo + 1)
         assert _complete_tables(g, 10, "compiled", lo + 1) == pure
@@ -632,9 +640,9 @@ class TestLowIndexEngines:
         assert sum(map(len, fpgroups._relator_rotations(g))) == 49
         expected = _complete_tables(g, 16, "compiled", 25_658)
         assert expected is not None
-        for engine in ("pure", "compiled"):
-            assert _complete_tables(g, 16, engine, 25_658, _raw_rotations) == expected
-            assert _complete_tables(g, 16, engine, 25_657, _raw_rotations) is None
+        assert _oracle_search(g, 16, 25_658, _raw_rotations) == (expected, 25_658)
+        assert _complete_tables(g, 16, "compiled", 25_658, _raw_rotations) == expected
+        assert _complete_tables(g, 16, "compiled", 25_657, _raw_rotations) is None
 
     def test_deep_search(self):
         g = FpGroup(1, ())
@@ -645,15 +653,15 @@ class TestLowIndexEngines:
     def test_compiled_search_rejects_bad_arguments(self):
         rot = fpgroups._relator_rotations(symmetric_presentation(3))
         with pytest.raises(ValueError):
-            fpgroups._low_index_compiled(rot, 2 ** 31, 10)
+            fpgroups._low_index(rot, 2 ** 31, 10)
         with pytest.raises(ValueError):
-            fpgroups._low_index_compiled(rot[:2], 3, 10)
-        assert fpgroups._low_index_compiled([], 3, 10)[0].shape == (1, 0)
+            fpgroups._low_index(rot[:2], 3, 10)
+        assert fpgroups._low_index([], 3, 10)[0].shape == (1, 0)
 
 
 @contextlib.contextmanager
 def _unpruned():
-    """Run low_index_subgroups on the pure search with its row-0 test
+    """Run low_index_subgroups on the oracle's search with its row-0 test
     keeping every node, so the search reaches every standard table.
     Yields a list that gets one entry for each node entered."""
     nodes = []
@@ -662,8 +670,11 @@ def _unpruned():
         nodes.append(nrows)
         return True
 
-    with mock.patch.object(fpgroups, "_row0_keeps", keep), \
-            mock.patch.object(fpgroups, "_low_index", fpgroups._low_index_pure):
+    def search(rotations, max_index, node_limit):
+        return engine_oracle.low_index(rotations, max_index, node_limit)[0]
+
+    with mock.patch.object(engine_oracle, "row0_keeps", keep), \
+            mock.patch.object(fpgroups, "_low_index", search):
         yield nodes
 
 
@@ -682,25 +693,25 @@ class TestRow0Pruning:
 
     def test_smaller_first_difference_is_cut(self):
         # row 1 relabels to (1, 1, 0, ...), below row 0's (1, 1, 2, ...)
-        assert not fpgroups._row0_keeps(self.PARTIAL, 3)
+        assert not engine_oracle.row0_keeps(self.PARTIAL, 3)
 
     def test_undefined_entry_stops_the_comparison(self):
         table = [row[:] for row in self.PARTIAL]
         table[0][2] = table[2][3] = -1
-        assert fpgroups._row0_keeps(table, 3)
+        assert engine_oracle.row0_keeps(table, 3)
         # and an undefined entry of row r stops it too
         table = [row[:] for row in self.PARTIAL]
         table[1][2] = table[1][3] = -1
-        assert fpgroups._row0_keeps(table, 3)
+        assert engine_oracle.row0_keeps(table, 3)
 
     def test_larger_first_difference_is_kept(self):
         # b fixes coset 0 and takes coset 1 to 2: row 1 relabels to
         # (1, 1, 2, ...), above row 0's (1, 1, 0, 0)
         table = [[1, 1, 0, 0], [0, 0, 2, -1], [-1, -1, -1, 1]]
-        assert fpgroups._row0_keeps(table, 3)
+        assert engine_oracle.row0_keeps(table, 3)
 
     def test_rows_past_nrows_are_not_read(self):
-        assert fpgroups._row0_keeps(self.PARTIAL, 1)
+        assert engine_oracle.row0_keeps(self.PARTIAL, 1)
 
     @pytest.mark.parametrize("g,max_index", LOW_INDEX_CASES)
     def test_same_classes_as_unpruned(self, g, max_index):
@@ -819,13 +830,12 @@ class TestLowIndexClasses:
                 for ct, words in low_index_subgroups(g, max_index)]
         assert ours == _classes_by_canonical_key(g, max_index)
 
-    @pytest.mark.parametrize("engine", [
-        "pure", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("engine", ["pure", "compiled"])
     @pytest.mark.parametrize("g,max_index", CLASS_CASES)
     def test_complete_tables_are_standard_and_distinct(self, g, max_index, engine):
         # each subgroup is found once, as its standard table from coset 0
-        search = {"pure": fpgroups._low_index_pure,
-                  "compiled": fpgroups._low_index_compiled}[engine]
+        search = {"pure": lambda *args: engine_oracle.low_index(*args)[0],
+                  "compiled": fpgroups._low_index}[engine]
         tables = search(fpgroups._relator_rotations(g), max_index, 10 ** 7)
         rows = [tuple(map(tuple, t.tolist())) for t in tables]
         assert [_standardize_from_root(t, 0) for t in tables] == rows
@@ -861,27 +871,6 @@ class TestRewriting:
         ct = todd_coxeter(symmetric_presentation(4), [(1,), (2,)])
         for w in schreier_generators(ct):
             assert ct.trace(0, word_to_letters(w)) == 0
-
-    def test_alternating_subgroup_of_s4(self):
-        g = symmetric_presentation(4)
-        (table, _), = [r for r in low_index_subgroups(g, 2) if r[0].index == 2]
-        sub, gen_words = rewrite_subgroup_presentation(table)
-        assert todd_coxeter(sub).index == 12
-        for w in gen_words:
-            assert table.trace(0, word_to_letters(w)) == 0
-
-    def test_index_three_subgroup_of_s3_is_c2(self):
-        g = symmetric_presentation(3)
-        ct = todd_coxeter(g, [(1,)])
-        sub, gen_words = rewrite_subgroup_presentation(ct)
-        assert todd_coxeter(sub).index == 2
-        assert len(gen_words) == sub.ngens
-
-    def test_subgroup_order_times_index_is_group_order(self):
-        g = symmetric_presentation(4)
-        for table, _ in low_index_subgroups(g, 4):
-            sub, _ = rewrite_subgroup_presentation(table)
-            assert todd_coxeter(sub).index * table.index == 24
 
 
 class TestWeylPresentations:
@@ -956,7 +945,6 @@ def _flat(tables):
     return [x for t in tables for x in [t.shape[0]] + t.ravel().tolist()]
 
 
-@needs_compiled
 class TestSplitSearch:
     """The compiled search splits its tree at depth LI_SPLIT = 6 into jobs
     when it may run on more than one CPU.  For E7 to index 16, 164 nodes
@@ -979,14 +967,14 @@ class TestSplitSearch:
             import json, os, sys
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
             from flatact import fpgroups as f
-            assert f.ENGINE == "compiled" and f.workers() == 1
+            assert f.workers() == 1
             out = []
             for name, k, limit in json.loads(sys.argv[1]):
                 g = {"E7": f.e7_weyl_presentation, "S5": lambda: f.symmetric_presentation(5),
                      "Z": lambda: f.FpGroup(1, ())}[name]()
                 for lim in (limit, limit - 1):
                     try:
-                        tables = f._low_index_compiled(f._relator_rotations(g), k, lim)
+                        tables = f._low_index(f._relator_rotations(g), k, lim)
                         out.append([[t.shape, t.tobytes().hex()] for t in tables])
                     except f.SearchBoundExceeded:
                         out.append(None)
@@ -1010,10 +998,9 @@ class TestSplitSearch:
     @pytest.mark.parametrize("name,max_index,nodes", CASES[1:])
     def test_same_nodes_and_tables_as_the_pure_search(self, name, max_index, nodes):
         g = self._group(name)
-        pure = _complete_tables(g, max_index, "pure", nodes)
-        assert pure is not None and _complete_tables(g, max_index, "compiled", nodes) == pure
-        for engine in ("pure", "compiled"):
-            assert _complete_tables(g, max_index, engine, nodes - 1) is None
+        pure, visited = _oracle_search(g, max_index, nodes)
+        assert visited == nodes and _complete_tables(g, max_index, "compiled", nodes) == pure
+        assert _complete_tables(g, max_index, "compiled", nodes - 1) is None
 
     @pytest.mark.parametrize("limit", [1, 100, 164, 524, 525])
     def test_limit_before_the_split_depth(self, limit):
@@ -1023,13 +1010,11 @@ class TestSplitSearch:
         for engine in ("pure", "compiled"):
             assert _complete_tables(g, 16, engine, limit) is None
 
-    @needs_cc
     def test_source_compiles_without_warnings(self):
         proc = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                                fpgroups._C_SOURCE], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    @needs_cc
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="the search splits only on more than one CPU")
@@ -1055,5 +1040,6 @@ class TestSplitSearch:
             if tables is None:
                 assert (status, nints) == (1, 0)
             else:
-                pure = fpgroups._low_index_pure(fpgroups._relator_rotations(g), max_index, limit)
+                pure, _ = engine_oracle.low_index(fpgroups._relator_rotations(g), max_index,
+                                                  limit)
                 assert status == 0 and ints == _flat(pure) and nints == len(ints)

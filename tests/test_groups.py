@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -14,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engine_oracle
+from engine_oracle import StabilizerChain as OracleChain
 from flatact import fpgroups, groups
 from flatact.fpgroups import coxeter_group, todd_coxeter
 from flatact.groups import (FiniteGroup, GroupBoundExceeded, GroupError,
@@ -155,11 +156,10 @@ def _differential_index_groups():
         PermGroup(halves), PermGroup([], degree=0), PermGroup([], degree=1)]
 
 
-@pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
 class TestCompiledIndex:
-    """`fa_sorted_rows` and `fa_class_labels` against the numpy paths,
-    their reference: the same rows, labels and orders, byte for byte and
-    of the same dtypes (C300 has uint16 rows)."""
+    """`fa_sorted_rows` and `fa_class_labels` against the numpy paths of
+    the oracle, their reference: the same rows, labels and orders, byte
+    for byte and of the same dtypes (C300 has uint16 rows)."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -167,27 +167,25 @@ class TestCompiledIndex:
 
     def test_sorted_rows_agree(self, cases):
         for k, group in enumerate(cases):
-            rows = groups._sorted_rows_pure(group.chain.levels, group.degree)
-            comp = groups._sorted_rows_compiled(group.chain.levels, group.degree)
+            rows = engine_oracle.sorted_rows(group.chain.levels, group.degree)
+            comp = groups._transversal_products(group.chain.levels, group.degree)
             assert (comp.dtype, comp.shape) == (rows.dtype, rows.shape), k
             assert comp.tobytes() == rows.tobytes(), k
 
-    def test_class_labels_agree(self, cases, monkeypatch):
+    def test_class_labels_agree(self, cases):
         for k, group in enumerate(cases):
             index, gens = group.element_index(), group.generators()
             compiled = index._class_labels(gens)
-            with monkeypatch.context() as m:
-                m.setattr(fpgroups, "_LIB", None)
-                pure = index._class_labels(gens)
+            pure = engine_oracle.class_labels(index.rows, gens)
             for comp, ref in zip(compiled, pure):
                 assert comp.dtype == ref.dtype == np.int64, k
                 assert comp.tobytes() == ref.tobytes(), k
 
     def test_compiled_sort_rejects_a_bad_transversal(self):
-        # a level in the pure engine's form whose second row maps 1 to 2
+        # a level in the oracle's form whose second row maps 1 to 2
         level = groups._Level(0, [(1, 0)], [0, 1], [0, 1], [(0, 1), (1, 2)], [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
-            groups._sorted_rows_compiled([level], 2)
+            groups._transversal_products([level], 2)
 
 
 def _random_involutions(seed):
@@ -251,14 +249,6 @@ class TestStabilizerChain:
         assert checked >= 100
 
 
-def _pure_chain(gens, degree):
-    """The chain of the image tuples `gens` built by the pure-Python
-    Schreier-Sims, whatever engine is loaded."""
-    chain = StabilizerChain([], degree)
-    chain._schreier_sims(gens)
-    return chain
-
-
 def _levels(chain):
     """Every field of every level as plain ints, in layout order."""
     return [[lev.point] + [np.asarray(f).tolist() for f in
@@ -292,7 +282,7 @@ def _membership_candidates(gens, degree, seed):
 
 
 def _assert_same_membership(gens, degree, seed):
-    group, pure = PermGroup(gens, degree=degree), _pure_chain(gens, degree)
+    group, pure = PermGroup(gens, degree=degree), OracleChain(gens, degree)
     members, others = _membership_candidates(gens, degree, seed)
     for x in members:
         assert group.contains(Permutation(x)) and pure.contains(x), (seed, x)
@@ -320,26 +310,21 @@ CHAIN_CASES = (
 
 
 class TestCompiledChain:
-    """The chain built by the compiled engine against the pure-Python one,
-    its reference: every field of every level the same (base point,
-    strong generators in order, orbit in order, where, transversal and
-    inverses), and the same membership answers."""
-
-    @pytest.fixture(autouse=True)
-    def _compiled(self):
-        if shutil.which("cc"):
-            assert fpgroups.ENGINE == "compiled", fpgroups._LOAD_ERROR
+    """The chain built by the compiled engine against the oracle's
+    pure-Python one, its reference: every field of every level the same
+    (base point, strong generators in order, orbit in order, where,
+    transversal and inverses), and the same membership answers."""
 
     @pytest.mark.parametrize("make", CHAIN_CASES)
     def test_chains_agree(self, make):
         gens, deg = make()
-        assert _levels(StabilizerChain(gens, deg)) == _levels(_pure_chain(gens, deg))
+        assert _levels(StabilizerChain(gens, deg)) == _levels(OracleChain(gens, deg))
 
     def test_chains_agree_on_random_involution_groups(self):
         for seed in range(200):
             deg, gens = _random_involutions(seed)
             gens = [g.images for g in gens]
-            assert _levels(StabilizerChain(gens, deg)) == _levels(_pure_chain(gens, deg)), seed
+            assert _levels(StabilizerChain(gens, deg)) == _levels(OracleChain(gens, deg)), seed
 
     def test_chains_agree_on_generating_set_tries(self):
         # the first 30 pair tries of _find_small_generating_set on W(E7)
@@ -348,7 +333,7 @@ class TestCompiledChain:
         rng = random.Random(0)
         for k in range(30):
             gens = [_random_element(e7, rng).images for _ in range(2)]
-            assert _levels(StabilizerChain(gens, 56)) == _levels(_pure_chain(gens, 56)), k
+            assert _levels(StabilizerChain(gens, 56)) == _levels(OracleChain(gens, 56)), k
 
     @pytest.mark.parametrize("make", CHAIN_CASES)
     def test_membership_agrees(self, make):
@@ -360,7 +345,6 @@ class TestCompiledChain:
             deg, gens = _random_involutions(seed)
             _assert_same_membership([g.images for g in gens], deg, seed)
 
-    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
     @pytest.mark.parametrize("make", CHAIN_CASES)
     def test_compiled_levels_view_one_buffer(self, make):
         def owner(a):
@@ -390,24 +374,20 @@ class TestCompiledChain:
         assert len(g.chain.levels) == 1
         assert g.order() == 2000
 
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
     def test_compiled_chain_rejects_a_non_permutation(self):
         with pytest.raises(ValueError):
-            groups._schreier_sims_compiled([(0, 0)], 2)
+            groups._schreier_sims([(0, 0)], 2)
         with pytest.raises(ValueError):
-            groups._schreier_sims_compiled([(0, 2)], 2)
+            groups._schreier_sims([(0, 2)], 2)
 
-    @pytest.mark.skipif(shutil.which("cc") is None or sys.platform != "linux",
-                        reason="needs a C compiler and /proc")
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc")
     def test_allocation_failure_is_memory_error(self):
         # ten disjoint 1000-cycles on 10,000 points: ten levels, each with a
         # transversal and its inverses of 80 MB; allow 256 MB past the
         # imports, so an allocation fails while deeper levels are completed
         code = """if True:
             import resource
-            from flatact import fpgroups
             from flatact.groups import PermGroup, Permutation
-            assert fpgroups.ENGINE == "compiled"
             with open("/proc/self/status") as fh:
                 vm = [int(l.split()[1]) for l in fh if l.startswith("VmSize")][0]
             limit = vm * 1024 + (256 << 20)
@@ -704,25 +684,22 @@ class TestSubgroupQueries:
         gens = [Permutation.from_cycles(degree, cycles) for b in blocks if len(b) > 1
                 for cycles in ([tuple(b[:2])], [tuple(b)])]
         group = PermGroup(gens, degree=degree)
-        rows = groups._sorted_rows_pure(group.chain.levels, degree)
+        rows = groups._transversal_products(group.chain.levels, degree)
         assert rows.dtype == np.min_scalar_type(max(degree - 1, 0))
         assert len(rows) == group.order() == math.prod(
             math.factorial(len(b)) for b in blocks)
         tuples = [tuple(r) for r in rows.tolist()]
         assert tuples == sorted(set(tuples))
 
-    def test_lookup_rejects_entries_beyond_the_degree(self, monkeypatch):
+    def test_lookup_rejects_entries_beyond_the_degree(self):
         # at 2 bits an entry, (0, 4, 2) once packed to the key of (1, 0, 2),
         # and 300 and -1 once overflowed the uint8 rows
-        for lib in (fpgroups._LIB, None):
-            monkeypatch.setattr(fpgroups, "_LIB", lib)
-            index = PermGroup.symmetric(3).element_index()
-            assert index.lookup([[1, 0, 2], [0, 4, 2]]).tolist() == [2, -1]
-            index = PermGroup.alternating(5).element_index()
-            assert index.lookup([[0, 1, 2, 3, 4], [0, 1, 2, 3, 300],
-                                 [0, 1, 2, 3, -1]]).tolist() == [0, -1, -1]
+        index = PermGroup.symmetric(3).element_index()
+        assert index.lookup([[1, 0, 2], [0, 4, 2]]).tolist() == [2, -1]
+        index = PermGroup.alternating(5).element_index()
+        assert index.lookup([[0, 1, 2, 3, 4], [0, 1, 2, 3, 300],
+                             [0, 1, 2, 3, -1]]).tolist() == [0, -1, -1]
 
-    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
     @pytest.mark.parametrize("make", [
         pytest.param(lambda n=n: PermGroup.alternating(n), id="A%d" % n) for n in range(3, 10)]
         + [pytest.param(lambda n=n: PermGroup.symmetric(n), id="S%d" % n) for n in range(2, 9)]
@@ -734,29 +711,25 @@ class TestSubgroupQueries:
         + [pytest.param(lambda: PermGroup([], degree=3), id="trivial"),
            pytest.param(lambda: PermGroup([Permutation.from_cycles(5, [(0, 1, 2), (3, 4)])]),
                         id="one-generator")])
-    def test_compiled_class_labels_match_propagation(self, make, monkeypatch):
+    def test_compiled_class_labels_match_propagation(self, make):
         group = make()
         index = group.element_index()
         gens = group.generators()
         compiled = index._class_labels(gens)
-        monkeypatch.setattr(fpgroups, "_LIB", None)
-        propagated = index._class_labels(gens)
+        propagated = engine_oracle.class_labels(index.rows, gens)
         for comp, prop in zip(compiled, propagated):
             assert comp.dtype == prop.dtype == np.int64
             assert comp.tolist() == prop.tolist()
         assert len(gens) or compiled[0].tolist() == [0]
 
-    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
-    def test_compiled_labels_of_random_permutations(self, monkeypatch):
+    def test_compiled_labels_of_random_permutations(self):
         # groups generated by one to three random permutations of 2..8 points
         made = [_random_group(seed) for seed in range(40)]
         compiled = [g.element_index()._class_labels(g.generators()) for g in made]
-        monkeypatch.setattr(fpgroups, "_LIB", None)
         for seed, (group, comp) in enumerate(zip(made, compiled)):
-            prop = group.element_index()._class_labels(group.generators())
+            prop = engine_oracle.class_labels(group.element_index().rows, group.generators())
             assert [a.tolist() for a in comp] == [a.tolist() for a in prop], seed
 
-    @pytest.mark.skipif(fpgroups.ENGINE != "compiled", reason="needs the compiled engine")
     def test_compiled_labels_reject_an_entry_out_of_range(self):
         index = PermGroup.symmetric(3).element_index()
         # generators built unchecked: entries beyond the degree, and a repeat
@@ -764,15 +737,15 @@ class TestSubgroupQueries:
             with pytest.raises(ValueError):
                 index._class_labels([groups._perm(bad)])
 
-    def test_index_of_a_non_closed_element_list_raises(self, monkeypatch):
+    def test_index_of_a_non_closed_element_list_raises(self):
         # without its last two rows, no element of S3 left maps 0 to 2
-        for lib in (fpgroups._LIB, None):
-            monkeypatch.setattr(fpgroups, "_LIB", lib)
-            for cut in (1, 2):
-                group = PermGroup.symmetric(3)
-                group._rows = group._sorted_rows()[:-cut]
-                with pytest.raises(GroupError):
-                    group.element_index()
+        for cut in (1, 2):
+            group = PermGroup.symmetric(3)
+            group._rows = group._sorted_rows()[:-cut]
+            with pytest.raises(GroupError):
+                group.element_index()
+            with pytest.raises(GroupError):
+                engine_oracle.class_labels(group._rows, group.generators())
 
     @pytest.mark.parametrize("text", ["perm 0 0", "perm 1 0"])
     def test_trivial_groups(self, text):

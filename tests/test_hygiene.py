@@ -138,20 +138,13 @@ def unread_public_definitions(sources, readers, readme):
         and reads[node.name] == _referenced(node).count(node.name))
 
 
-# public definitions whose caller outside the tests is still to come, and
-# the ROADMAP item that brings it
-AWAITING_A_CALLER = {
-    "fpgroups.rewrite_subgroup_presentation": "item 13",
-}
-
-
 def test_every_public_definition_is_read_or_documented():
     root = PACKAGE.parent.parent
     readers = [p.read_text() for d in ("benchmarks", "perfbench")
                for p in sorted((root / d).glob("*.py"))]
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     unread = unread_public_definitions(sources, readers, (root / "README.md").read_text())
-    assert unread == sorted(AWAITING_A_CALLER)
+    assert unread == []
 
 
 def test_the_check_sees_an_unread_public_definition():
