@@ -62,15 +62,18 @@
  *
  * Last, it builds the element index of a permutation group
  * (groups.ElementIndex).  The element rows are the products of the level
- * transversals of the chain, sorted lexicographically; each element is
+ * transversals of the chain, or those of them whose cycle lengths all
+ * divide a given exponent, sorted lexicographically; each element is
  * labelled by the least element of its conjugacy class, by union-find over
  * the conjugation maps of the generators, and carries the order of that
- * least element.  A conjugation map is read off the sorted conjugates of
- * the rows, which must be the rows again.  Both sorts are one LSD radix
- * sort of the rows packed into 64-bit words, each column offset by its
- * least entry, so every degree takes the same path and a group with small
- * orbits packs tight.  The results equal those of sorted_rows and
- * class_labels of the reference, which sorts and labels with numpy.
+ * least element.  Elements of bounded order are closed under conjugation,
+ * so the kept rows are labelled as the whole group's are.  A conjugation
+ * map is read off the sorted conjugates of the rows, which must be the
+ * rows again.  Both sorts are one LSD radix sort of the rows packed into
+ * 64-bit words, each column offset by its least entry, so every degree
+ * takes the same path and a group with small orbits packs tight.  The
+ * results equal those of sorted_rows and class_labels of the reference,
+ * which sorts and labels with numpy.
  *
  * Plain C and POSIX threads, with no Python headers: flatact.fpgroups
  * compiles this file into a shared library and calls it through ctypes.
@@ -116,12 +119,15 @@
  *       or FV_RELATOR (relator which does not close at some coset); -1
  *       for a letter out of range.  On a large table the relators are
  *       checked on the workers, and the first that fails is reported.
- *   fa_sorted_rows(n, w, nlevels, sizes, trans, out)
+ *   fa_sorted_rows(n, w, nlevels, sizes, trans, exponent, out, &kept)
  *       the elements of the group whose chain has nlevels levels with
  *       sizes[i] transversal rows each, level i's at trans[i] (int32,
- *       sizes[i] x n): their product rows, sorted, go to out, prod(sizes)
- *       x n points of w bytes each (1, 2 or 4).
- *       FA_BADARG for an entry outside 0..n-1 or a size out of range.
+ *       sizes[i] x n), whose order divides exponent (every element when
+ *       it is 0): their product rows, sorted, go to the first kept rows
+ *       of out, which has room for all prod(sizes) x n points of w bytes
+ *       each (1, 2 or 4), since the products are formed there before the
+ *       rows of other orders are dropped.  FA_BADARG for an entry outside
+ *       0..n-1, a size out of range or a negative exponent.
  *   fa_class_labels(n, w, N, rows, ngens, gens, class_of, reps, orders,
  *                   &nclasses)
  *       for the N sorted, distinct rows of n points of w bytes each and
@@ -1126,8 +1132,26 @@ static int64_t ei_find(int64_t *parent, int64_t i)
     return i;
 }
 
+/* Whether every cycle of the row r of n points has a length that divides
+ * e >= 1, that is r^e = 1.  mark holds n entries, none equal to stamp. */
+static int ei_divides(const void *r, int64_t w, int64_t n, int64_t e,
+                      int64_t *mark, int64_t stamp)
+{
+    int64_t x, y, k;
+    for (x = 0; x < n; x++) {
+        if (mark[x] == stamp)
+            continue;
+        for (y = x, k = 0; mark[y] != stamp; y = ei_get(r, w, y), k++)
+            mark[y] = stamp;
+        if (e % k)
+            return 0;
+    }
+    return 1;
+}
+
 int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
-                   const int32_t *const *trans, void *out)
+                   const int32_t *const *trans, int64_t exponent, void *out,
+                   int64_t *kept)
 {
     int64_t i, j, x, t, N = 1, have = 1, rw = n * w;
     int64_t *cmin = NULL, *cmax = NULL;
@@ -1135,8 +1159,9 @@ int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
     unsigned char *row = NULL, *placed;
     eis *e = NULL;
     int status = FA_OK;
+    *kept = 0;
     if (n < 0 || n > INT32_MAX || (w != 1 && w != 2 && w != 4)
-        || (w < 4 && n > (1 << (8 * w))))
+        || (w < 4 && n > (1 << (8 * w))) || exponent < 0)
         return FA_BADARG;
     for (i = 0; i < nlevels; i++) {
         if (sizes[i] < 1 || sizes[i] > INT32_MAX / N)
@@ -1167,6 +1192,21 @@ int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
             for (j = 0; j < have * n; j++)
                 ei_put(out, w, t * have * n + j, u[ei_get(out, w, j)]);
         }
+    /* keep the rows whose order divides the exponent, moved down in
+     * their order; cmin marks the points of a row's cycles seen */
+    if (exponent) {
+        int64_t k = 0;
+        for (x = 0; x < n; x++)
+            cmin[x] = -1;
+        for (j = 0; j < N; j++)
+            if (ei_divides((unsigned char *)out + j * rw, w, n, exponent, cmin, j)) {
+                if (k < j)
+                    memcpy((unsigned char *)out + k * rw, (unsigned char *)out + j * rw,
+                           (size_t)rw);
+                k++;
+            }
+        N = k;
+    }
     /* column c holds the orbit of point c, the component of c in the
      * graph of the transversal rows: find it by union-find (every parent
      * below its child), and the least and largest point of each */
@@ -1204,6 +1244,7 @@ int fa_sorted_rows(int64_t n, int64_t w, int64_t nlevels, const int64_t *sizes,
         memcpy((unsigned char *)out + i * rw, row, (size_t)rw);
         placed[i] = 1;
     }
+    *kept = N;
 done:
     free(ident);
     free(row);

@@ -101,7 +101,7 @@ def _load_compiled():
             ("fa_schreier_sims", ctypes.c_int, [i64, i64, ptr] + result),
             ("fa_release", None, [ptr, i64]),
             ("fa_validate", ctypes.c_int, [i32, ptr, ptr, i64, ptr, i64, ctypes.POINTER(i64)]),
-            ("fa_sorted_rows", ctypes.c_int, [i64, i64, i64, ptr, ptr, ptr]),
+            ("fa_sorted_rows", ctypes.c_int, [i64, i64, i64, ptr, ptr, i64, ptr, ptr]),
             ("fa_class_labels", ctypes.c_int, [i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]),
             ("fa_workers", ctypes.c_int, [])):
         fn = getattr(lib, name)

@@ -301,14 +301,18 @@ class PermGroup(FiniteGroup):
             self._elements = [_perm(tuple(r)) for r in self._sorted_rows().tolist()]
         return self._elements
 
-    def _sorted_rows(self):
+    def _sorted_rows(self, exponent=None):
         """The elements as rows in ascending lexicographic order, built
-        once by `_transversal_products`."""
-        if self._rows is None:
-            if self.order() > _ENUM_LIMIT:
-                raise GroupBoundExceeded("group too large to enumerate")
-            self._rows = _transversal_products(self.chain.levels, self.degree)
-        return self._rows
+        once by `_transversal_products`; with an exponent, only those
+        whose order divides it, built on each call."""
+        if self._rows is not None and exponent is None:
+            return self._rows
+        if self.order() > _ENUM_LIMIT:
+            raise GroupBoundExceeded("group too large to enumerate")
+        rows = _transversal_products(self.chain.levels, self.degree, exponent or 0)
+        if exponent is None:
+            self._rows = rows
+        return rows
 
     def element_index(self):
         """The ElementIndex of this group, built on first use."""
@@ -360,39 +364,48 @@ def _row_dtype(degree):
 def _index_errors():
     """The errors of `fa_sorted_rows` and `fa_class_labels` by status."""
     return (None, MemoryError("element index does not fit in memory"),
-            ValueError("entry outside 0..degree-1 or a generator not a permutation"),
+            ValueError("entry outside 0..degree-1, a generator not a permutation "
+                       "or a negative exponent"),
             GroupError("element list is not closed under conjugation"))
 
 
-def _transversal_products(levels, degree):
-    """The rows of the group whose stabilizer chain has `levels`, sorted.
+def _transversal_products(levels, degree, exponent=0):
+    """The rows of the group whose stabilizer chain has `levels`, sorted;
+    with an exponent other than 0, only the rows whose order divides it.
     Each element is one product u_0 u_1 ... of one transversal element per
     level, so `fa_sorted_rows` forms the products of the level transversals
-    in place and sorts them."""
+    in place, drops those of other orders and sorts the rest."""
     dtype = _row_dtype(degree)
     trans = [np.ascontiguousarray(lev.trans, dtype=np.int32) for lev in levels]
     sizes = np.array([len(t) for t in trans], dtype=np.int64)
     at = np.array([t.ctypes.data for t in trans], dtype=np.uintp)
     rows = np.empty((math.prod(sizes.tolist()), degree), dtype=dtype)
+    kept = np.zeros(1, dtype=np.int64)
     fpgroups._check_status(fpgroups._LIB.fa_sorted_rows(
         degree, dtype.itemsize, len(levels), sizes.ctypes.data, at.ctypes.data,
-        rows.ctypes.data), _index_errors())
-    return rows
+        exponent, rows.ctypes.data, kept.ctypes.data), _index_errors())
+    # a copy of the kept rows, so the room for the others is freed
+    return rows if kept[0] == len(rows) else rows[:kept[0]].copy()
 
 
 class ElementIndex:
     """The elements of a permutation group as arrays, for searches that
     treat many elements in one numpy pass.
 
-    Row i of `rows` is the image tuple of `group.elements()[i]`, so the
-    rows are sorted; the dtype is the smallest unsigned one that holds a
-    point.  `orders[i]` is the order of element i, `class_of[i]` the
-    number of its conjugacy class in the order `conjugacy_classes` lists
-    them, and `class_reps[c]` the first element of class c.
+    Without an exponent the index holds every element, and row i of
+    `rows` is the image tuple of `group.elements()[i]`.  With an exponent
+    e >= 1 it holds only the elements whose order divides e, the rows of
+    `group.elements()` that are kept, in the same order; they are closed
+    under conjugation, so they are whole conjugacy classes.  Either way
+    the rows are sorted, and their dtype is the smallest unsigned one that
+    holds a point.  `orders[i]` is the order of row i, `class_of[i]` the
+    number of its conjugacy class among the classes held, in the order
+    `conjugacy_classes` lists them, and `class_reps[c]` the first row of
+    class c.
     """
 
-    def __init__(self, group):
-        self.rows = group._sorted_rows()
+    def __init__(self, group, exponent=None):
+        self.rows = group._sorted_rows(exponent)
         self.class_of, self.class_reps, self.orders = self._class_labels(group.generators())
 
     def lookup(self, rows):

@@ -16,7 +16,7 @@ from flatact import fpgroups
 from flatact.fpgroups import (DEFAULT_NODE_LIMIT, FpGroup, PresentationError,
                               SearchBoundExceeded, low_index_subgroups,
                               todd_coxeter)
-from flatact.groups import PermGroup, Permutation, compose_rows
+from flatact.groups import ElementIndex, PermGroup, Permutation, compose_rows
 
 __all__ = [
     "ImfCatalog", "ScreeningHit", "screen_dimensions",
@@ -166,12 +166,12 @@ class EpimorphismSearchResult:
         return len(self.epimorphisms) > 0
 
 
-def _class_reps_up_to_aut(target):
-    """Conjugacy class representatives of the permutation group target,
-    as indices into target.elements(), fused under an odd relabeling for
-    alternating-type targets (so that the first-image restriction is
-    complete up to Aut(target))."""
-    index = target.element_index()
+def _class_reps_up_to_aut(target, index):
+    """Conjugacy class representatives of the permutation group target
+    among the classes that its ElementIndex `index` holds, as indices
+    into index.rows, fused under an odd relabeling for alternating-type
+    targets (so that the first-image restriction is complete up to
+    Aut(target))."""
     reps = index.class_reps.tolist()
     if target.degree < 2:
         return reps
@@ -288,10 +288,13 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
     they are short words whose orders are read in the source, and every
     surviving tuple is verified exactly (the graph of the map must
     generate a subgroup of order |source|).  The tests of one level run
-    on the whole candidate pool in one numpy pass over the target's
-    ElementIndex.  First-generator images are restricted to class
-    representatives, which is complete because results are reported up
-    to target conjugacy.
+    on the whole candidate pool in one numpy pass over an ElementIndex
+    of the target that holds only the elements whose order divides e,
+    the lcm of the generators' order bounds (every element when some
+    generator has no bound); it is built for the search and leaves the
+    target's own `element_index()` alone.  First-generator images are
+    restricted to class representatives, which is complete because
+    results are reported up to target conjugacy.
 
     Every candidate of a pool counts as a node, pruned or not.  Raises
     SearchBoundExceeded when more than node_limit nodes are explored.
@@ -299,7 +302,6 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
     if not isinstance(target, PermGroup):
         raise PresentationError("epimorphism search requires a permutation target")
     rng = random.Random(seed)
-    index = target.element_index()
 
     if isinstance(source, FpGroup):
         ngens = source.ngens
@@ -354,7 +356,9 @@ def epimorphism_search(source, target, node_limit=DEFAULT_NODE_LIMIT, seed=0):
                 pieces[-1][1].append(s)
         by_level[top - 1].append((pieces, o))
 
-    reps = np.array(_class_reps_up_to_aut(target), dtype=np.intp)
+    index = ElementIndex(
+        target, None if None in order_bounds else math.lcm(*order_bounds))
+    reps = np.array(_class_reps_up_to_aut(target, index), dtype=np.intp)
     pools = []
     for i, bound in enumerate(order_bounds):
         pool = reps if i == 0 else np.arange(len(index.rows))

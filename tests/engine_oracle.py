@@ -19,7 +19,8 @@ and the same sorted element rows, class labels and orders.
   `fa_schreier_sims` (Seress, *Permutation Group Algorithms*, 2003,
   ch. 4), with levels of lists of ints and image tuples.
 - `sorted_rows` and `class_labels`: the element index of a permutation
-  group, as `fa_sorted_rows` and `fa_class_labels` build it.
+  group, as `fa_sorted_rows` and `fa_class_labels` build it, over every
+  element or only over those whose order divides a given exponent.
 
 `benchmarks/bench_coset.py` also times `enumerate_cosets` and
 `validate_table` against the compiled engine.
@@ -423,15 +424,27 @@ def _lex_order(rows):
     return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
 
 
-def sorted_rows(levels, degree):
-    """The rows of the group whose stabilizer chain has `levels`, sorted.
+def sorted_rows(levels, degree, exponent=0):
+    """The rows of the group whose stabilizer chain has `levels`, sorted;
+    with an exponent other than 0, only the rows whose order divides it.
     Each element is one product u_0 u_1 ... of one transversal element per
     level, so the rows are the products of the level transversals, deepest
-    level first."""
+    level first.  A row is kept when its power to the exponent, taken by
+    repeated squaring, is the identity."""
+    if exponent < 0:
+        raise ValueError("negative exponent")
     dtype = _row_dtype(degree)
-    rows = np.arange(degree, dtype=dtype)[None, :]
+    ident = np.arange(degree, dtype=dtype)
+    rows = ident[None, :]
     for lev in reversed(levels):
         rows = np.asarray(lev.trans, dtype=dtype)[:, rows].reshape(-1, degree)
+    if exponent:
+        power, square = np.broadcast_to(ident, rows.shape), rows
+        for bit in bin(exponent)[:1:-1]:
+            if bit == "1":
+                power = np.take_along_axis(power, square, axis=1)
+            square = np.take_along_axis(square, square, axis=1)
+        rows = rows[(power == ident).all(axis=1)]
     return rows[_lex_order(rows)]
 
 

@@ -17,8 +17,8 @@ import engine_oracle
 from engine_oracle import StabilizerChain as OracleChain
 from flatact import fpgroups, groups
 from flatact.fpgroups import coxeter_group, todd_coxeter
-from flatact.groups import (FiniteGroup, GroupBoundExceeded, GroupError,
-                            GroupHom, PermGroup, Permutation,
+from flatact.groups import (ElementIndex, FiniteGroup, GroupBoundExceeded,
+                            GroupError, GroupHom, PermGroup, Permutation,
                             StabilizerChain, TableGroup,
                             conjugacy_classes, find_isomorphism,
                             group_from_text, group_to_text, is_normal,
@@ -186,6 +186,77 @@ class TestCompiledIndex:
         level = groups._Level(0, [(1, 0)], [0, 1], [0, 1], [(0, 1), (1, 2)], [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             groups._transversal_products([level], 2)
+
+
+class TestFilteredIndex:
+    """`ElementIndex(group, e)` holds the elements whose order divides e:
+    the oracle's index of those rows, and the full index restricted to
+    them, with the full index's class representatives of the classes it
+    keeps, in their order."""
+
+    @pytest.fixture(scope="class", params=
+                    ["A%d" % n for n in range(5, 10)] + ["S%d" % n for n in range(3, 9)]
+                    + ["C300", "W(D5)"])
+    def case(self, request):
+        name = request.param
+        group = (PermGroup.cyclic(300) if name == "C300"
+                 else _weyl_d5_on_ten_points() if name == "W(D5)"
+                 else PermGroup.alternating(int(name[1:])) if name[0] == "A"
+                 else PermGroup.symmetric(int(name[1:])))
+        full = group.element_index()
+        return group, full, math.lcm(*full.orders.tolist())
+
+    def exponents(self, case):
+        # 1, 2, 15 and a multiple of the group's exponent
+        return (1, 2, 15, 2 * case[2])
+
+    def test_matches_the_oracle(self, case):
+        group, _, _ = case
+        gens = group.generators()
+        for e in self.exponents(case):
+            index = ElementIndex(group, e)
+            rows = engine_oracle.sorted_rows(group.chain.levels, group.degree, e)
+            assert (index.rows.dtype, index.rows.shape) == (rows.dtype, rows.shape), e
+            assert index.rows.tobytes() == rows.tobytes(), e
+            ref = engine_oracle.class_labels(rows, gens)
+            for comp, want in zip((index.class_of, index.class_reps, index.orders), ref):
+                assert comp.dtype == want.dtype == np.int64, e
+                assert comp.tobytes() == want.tobytes(), e
+
+    def test_is_the_full_index_restricted(self, case):
+        group, full, _ = case
+        for e in self.exponents(case):
+            index = ElementIndex(group, e)
+            keep = e % full.orders == 0
+            assert np.array_equal(index.rows, full.rows[keep]), e
+            assert np.array_equal(index.orders, full.orders[keep]), e
+            classes, class_of = np.unique(full.class_of[keep], return_inverse=True)
+            assert np.array_equal(index.class_of, class_of), e
+            assert np.array_equal(index.rows[index.class_reps],
+                                  full.rows[full.class_reps[classes]]), e
+
+    def test_a_multiple_of_the_exponent_keeps_everything(self, case):
+        group, full, exponent = case
+        index = ElementIndex(group, 2 * exponent)
+        for arr, want in ((index.rows, full.rows), (index.orders, full.orders),
+                          (index.class_of, full.class_of),
+                          (index.class_reps, full.class_reps)):
+            assert (arr.dtype, arr.shape) == (want.dtype, want.shape)
+            assert arr.tobytes() == want.tobytes()
+
+    def test_exponent_one_keeps_the_identity(self, case):
+        group = case[0]
+        index = ElementIndex(group, 1)
+        assert index.rows.tolist() == [list(range(group.degree))]
+        assert (index.orders.tolist(), index.class_of.tolist(),
+                index.class_reps.tolist()) == ([1], [0], [0])
+
+    def test_a_negative_exponent_is_rejected(self, case):
+        group = case[0]
+        with pytest.raises(ValueError):
+            ElementIndex(group, -1)
+        with pytest.raises(ValueError):
+            engine_oracle.sorted_rows(group.chain.levels, group.degree, -1)
 
 
 def _random_involutions(seed):

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatact.fpgroups import (FpGroup, SearchBoundExceeded, coxeter_group,
+                              e7_weyl_presentation, low_index_subgroups,
                               symmetric_presentation, todd_coxeter)
-from flatact.groups import PermGroup, Permutation, conjugacy_classes
+from flatact.groups import ElementIndex, PermGroup, Permutation, conjugacy_classes
 from flatact.screening import (CatalogError, E7_WEYL_ORDER, ImfCatalog,
-                               ScreeningHit, _class_reps_up_to_aut,
+                               ScreeningHit, _class_reps_up_to_aut, _eval_word,
                                alternating_order, e7_weyl_permutation_group,
                                epimorphism_search, screen_dimensions)
 
@@ -268,6 +269,18 @@ def coset_action(edges, n, subgroup):
     return PermGroup(table.generator_permutations())
 
 
+def e7_index_two_subgroup():
+    """The index-2 subgroup of W(E7) on 56 points, generated by its
+    Schreier words from the low-index search in their order, as
+    `a9_chain` builds it (the generators seed the search's generating
+    set)."""
+    group, _ = e7_weyl_permutation_group()
+    words = next(w for ct, w in low_index_subgroups(e7_weyl_presentation(), 2)
+                 if ct.index == 2)
+    gens = group.generators()
+    return PermGroup([_eval_word(w, gens, group) for w in words], degree=group.degree)
+
+
 # (source, target, nodes, surjections found) at seed 0; the node counts
 # pin the search tree: the pools, their order and the pruning tests
 SEARCH_TREES = {
@@ -283,6 +296,7 @@ SEARCH_TREES = {
     "W(E6) on 27 points -> A7": (
         lambda: coset_action([(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)], 6, range(2, 7)),
         lambda: PermGroup.alternating(7), 35406, 0),
+    "W(E7) index 2 -> A9": (e7_index_two_subgroup, lambda: PermGroup.alternating(9), 18156, 0),
 }
 
 
@@ -317,8 +331,22 @@ class TestEpimorphismSearch:
                 twin = swap * cls[0] * swap
                 fused.update(j for j, c in enumerate(classes) if twin in c)
         els = target.elements()
-        assert [els[i] for i in _class_reps_up_to_aut(target)] == expected
+        assert [els[i] for i in _class_reps_up_to_aut(target, target.element_index())] \
+            == expected
+        # an index of the elements of bounded order keeps the reps of its
+        # classes
+        for e in (2, 3, 5):
+            index = ElementIndex(target, e)
+            reps = index.rows[_class_reps_up_to_aut(target, index)].tolist()
+            assert [Permutation(tuple(r)) for r in reps] == \
+                [x for x in expected if e % x.order() == 0], e
 
+    def test_search_leaves_the_target_index_alone(self):
+        # the search builds an index of its own and neither reads nor
+        # fills the target's
+        a5 = PermGroup.alternating(5)
+        assert epimorphism_search(a5, a5).nodes == SEARCH_TREES["A5 -> A5"][2]
+        assert (a5._index, a5._rows) == (None, None)
 
     def test_a5_onto_itself(self):
         a5 = PermGroup.alternating(5)
